@@ -1,7 +1,8 @@
 """Command-line driver: run verification suites and write deterministic reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
-problem (bad flags, unreadable or invalid config file), 3 output I/O failure.
+problem (bad flags, unreadable or invalid config file, q values whose brackets
+overflow double precision), 3 output I/O failure.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -158,6 +159,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _value_list(values) -> str:
+    return ",".join(repr(value) for value in values)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -167,7 +172,20 @@ def main(argv=None) -> int:
         print(f"qgatelab: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_suites(cfg)
+    try:
+        report = run_suites(cfg)
+    except OverflowError:
+        culprits = []
+        if cfg.suite != "limits":
+            culprits.append(f"q values {_value_list(cfg.q_values)}")
+        if cfg.suite in ("limits", "all"):
+            culprits.append(f"limit q values {_value_list(cfg.limit_q)}")
+        print(
+            f"qgatelab: configuration error: {' or '.join(culprits)} overflow "
+            "double-precision arithmetic; use q values closer to 1",
+            file=sys.stderr,
+        )
+        return 2
     payload = serialize_report(report, cfg.format)
 
     out_path = cfg.out if cfg.out else f"report.{cfg.format}"

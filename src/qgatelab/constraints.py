@@ -200,85 +200,126 @@ def _slot_map(arity: int, stratum: str) -> list:
     raise ValueError(f"unknown stratum {stratum!r}")
 
 
-def _stratum_rows(arity: int, stratum: str, grid) -> np.ndarray:
-    """Deterministic psi rows (P x 12) for one stratum, ones everywhere else."""
-    grid = tuple(float(g) for g in grid)
+# Rows per residual block.  Every sweep operation is per row, so blocking only
+# keeps the temporaries in cache and leaves the results bit-identical.
+_BLOCK_ROWS = 16384
+
+
+def _grid_levels(grid) -> tuple:
+    """Sorted distinct psi levels (the grid plus the 1.0 filler) and each grid value's code.
+
+    A code is a rank into levels, held in the narrowest unsigned dtype that
+    fits every rank, so equal psi values get equal codes and no code wraps.
+    """
+    grid = np.asarray(grid, dtype=float)
+    levels = np.unique(np.append(grid, 1.0))
+    codes = np.searchsorted(levels, grid).astype(np.min_scalar_type(levels.size - 1))
+    return levels, codes
+
+
+def _stratum_codes(arity: int, stratum: str, levels: np.ndarray, grid_codes: np.ndarray) -> np.ndarray:
+    """Level codes (P x 12) of one stratum's psi rows, the 1.0 code everywhere else.
+
+    Rows come in itertools.product order over the grid (last slot fastest):
+    slot k of the row grid is axis k of a (len(grid),) * slots array.
+    """
     slots = _slot_map(arity, stratum)
-    combos = np.asarray(list(itertools.product(grid, repeat=len(slots))), dtype=float)
-    rows = np.ones((combos.shape[0], 12))
+    width = grid_codes.size
+    codes = np.full((width,) * len(slots) + (12,), np.searchsorted(levels, 1.0), dtype=grid_codes.dtype)
     for position, indices in enumerate(slots):
+        axis_shape = [1] * len(slots)
+        axis_shape[position] = width
         for index in indices:
-            rows[:, index] = combos[:, position]
-    return rows
+            codes[..., index] = grid_codes.reshape(axis_shape)
+    return codes.reshape(-1, 12)
 
 
-def _sweep_rows(spec: GateSpec, q: float, rows: np.ndarray):
-    """Vectorized residuals for many psi rows at one q.
+def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray):
+    """Vectorized residuals for many psi rows, given as level codes, at one q.
 
     Returns (strict, collinear, admissible) arrays; residual entries are only
     meaningful where admissible is True.  The formulation mirrors
     identity_residual exactly: per input bit string the gate's output terms
     live on distinct basis kets, so the strict gap is the root sum of squared
     per-term amplitude gaps and the collinear gap comes from the cosine
-    between the two coefficient vectors.
+    between the two coefficient vectors.  Mode brackets come from a table
+    over (psi_a, psi_b) level pairs, gathered by code; rows run in blocks of
+    _BLOCK_ROWS.
     """
     arity = spec.arity
     denominator = q - 1.0 / q
-    psi_a = rows[:, 0 : 4 * arity : 2]
-    psi_b = rows[:, 1 : 4 * arity : 2]
-    brackets = (q * psi_a - psi_b / q) / denominator
-    admissible = np.all(brackets >= 0.0, axis=1)
-    amp_mode = np.sqrt(np.clip(brackets, 0.0, None))
+    brackets = (q * levels[:, None] - levels[None, :] / q) / denominator
+    amp_table = np.sqrt(np.clip(brackets, 0.0, None))
+    admissible_table = brackets >= 0.0
 
-    def amp_column(qubit: int, bit: int) -> np.ndarray:
-        return amp_mode[:, 2 * qubit + (0 if bit else 1)]
+    def amp_row(qubit: int, bit: int) -> int:
+        return 2 * qubit + (0 if bit else 1)
 
-    count = rows.shape[0]
-    strict = np.zeros(count)
-    collinear = np.zeros(count)
+    # per input bit string: amplitude rows of the input product, term weights,
+    # and amplitude rows of each output term's product
+    plan = []
     for bits in itertools.product((0, 1), repeat=arity):
-        c_in = np.ones(count)
-        for qubit, bit in enumerate(bits):
-            c_in = c_in * amp_column(qubit, bit)
-        terms = gate_action_traced(spec, bits)
-        weights = []
         c_outs = []
-        for term in terms:
-            c_out = np.ones(count)
-            for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits)):
-                if src is None:
-                    c_out = c_out * amp_column(slot, out_bit)
-                else:
-                    c_out = c_out * amp_column(src, bits[src])
+        weights = []
+        for term in gate_action_traced(spec, bits):
+            c_outs.append(
+                [
+                    amp_row(slot, out_bit) if src is None else amp_row(src, bits[src])
+                    for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits))
+                ]
+            )
             weights.append(abs(term.coeff) ** 2)
-            c_outs.append(c_out)
-        weights = np.asarray(weights)[:, None]
-        c_outs = np.stack(c_outs)
-        strict_here = np.sqrt((weights * (c_in[None, :] - c_outs) ** 2).sum(axis=0))
-        lhs_sq = float(weights.sum()) * c_in**2
-        rhs_sq = (weights * c_outs**2).sum(axis=0)
-        dot = c_in * (weights * c_outs).sum(axis=0)
-        both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
-        one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
-        # rejection form of the sine, mirroring _collinear_gap
-        coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
-        rejection_sq = (weights * (c_outs - coefficient[None, :] * c_in[None, :]) ** 2).sum(axis=0)
-        safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
-        collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
-        collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
-        strict = np.maximum(strict, strict_here)
-        collinear = np.maximum(collinear, collinear_here)
+        c_in = [amp_row(qubit, bit) for qubit, bit in enumerate(bits)]
+        plan.append((c_in, np.asarray(weights)[:, None], c_outs))
+
+    def product(amp_mode: np.ndarray, amp_rows: list) -> np.ndarray:
+        value = amp_mode[amp_rows[0]]
+        for row in amp_rows[1:]:
+            value = value * amp_mode[row]
+        return value
+
+    count = codes.shape[0]
+    strict = np.empty(count)
+    collinear = np.empty(count)
+    admissible = np.empty(count, dtype=bool)
+    for start in range(0, count, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        mode_codes = codes[block, : 4 * arity].T
+        codes_a, codes_b = mode_codes[0::2], mode_codes[1::2]
+        admissible[block] = np.all(admissible_table[codes_a, codes_b], axis=0)
+        amp_mode = amp_table[codes_a, codes_b]
+        strict_block = np.zeros(amp_mode.shape[1])
+        collinear_block = np.zeros(amp_mode.shape[1])
+        for c_in_rows, weights, c_out_rows in plan:
+            c_in = product(amp_mode, c_in_rows)
+            c_outs = np.stack([product(amp_mode, rows) for rows in c_out_rows])
+            strict_here = np.sqrt((weights * (c_in[None, :] - c_outs) ** 2).sum(axis=0))
+            lhs_sq = float(weights.sum()) * c_in**2
+            rhs_sq = (weights * c_outs**2).sum(axis=0)
+            dot = c_in * (weights * c_outs).sum(axis=0)
+            both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
+            one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
+            # rejection form of the sine, mirroring _collinear_gap
+            coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
+            rejection_sq = (weights * (c_outs - coefficient[None, :] * c_in[None, :]) ** 2).sum(axis=0)
+            safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
+            collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
+            collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
+            strict_block = np.maximum(strict_block, strict_here)
+            collinear_block = np.maximum(collinear_block, collinear_here)
+        strict[block] = strict_block
+        collinear[block] = collinear_block
     return strict, collinear, admissible
 
 
-def _cross_check_samples(spec, q, rows, strict, collinear, admissible) -> int:
+def _cross_check_samples(spec, q, levels, codes, strict, collinear, admissible) -> int:
     """Recompute deterministic sample rows through the dense path; raise on mismatch."""
-    count = rows.shape[0]
+    count = codes.shape[0]
     step = max(1, count // 5)
-    picks = sorted({0, count // 2, count - 1, step, 2 * step, 3 * step} & set(range(count)))
+    picks = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
     checked = 0
     for index in picks:
-        psi = tuple(float(v) for v in rows[index])
+        psi = tuple(float(v) for v in levels[codes[index]])
         if admissible[index]:
             point = DeformationParams(q, psi)
             dense_strict = identity_residual(spec, q, point, "strict")
@@ -304,11 +345,11 @@ def _cross_check_samples(spec, q, rows, strict, collinear, admissible) -> int:
     return checked
 
 
-def _satisfies(rows: np.ndarray, pattern) -> np.ndarray:
-    """Boolean mask of rows meeting every psi_i = psi_j equality (grid values are exact)."""
-    mask = np.ones(rows.shape[0], dtype=bool)
+def _satisfies(codes: np.ndarray, pattern) -> np.ndarray:
+    """Boolean mask of rows meeting every psi_i = psi_j equality (equal psi values share a code)."""
+    mask = np.ones(codes.shape[0], dtype=bool)
     for i, j in pattern:
-        mask &= rows[:, i - 1] == rows[:, j - 1]
+        mask &= codes[:, i - 1] == codes[:, j - 1]
     return mask
 
 
@@ -369,7 +410,7 @@ class ConstraintReport:
         }
 
 
-def _stratum_summary(name, q, rows, strict, collinear, admissible, tolerance) -> dict:
+def _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance) -> dict:
     adm = admissible
     zero_strict = adm & (strict <= tolerance)
     zero_collinear = adm & (collinear <= tolerance)
@@ -383,7 +424,7 @@ def _stratum_summary(name, q, rows, strict, collinear, admissible, tolerance) ->
         seen.add(index)
         exemplars.append(
             {
-                "psi": [float(v) for v in rows[index]],
+                "psi": [float(v) for v in levels[codes[index]]],
                 "strict": float(strict[index]),
                 "collinear": float(collinear[index]),
             }
@@ -401,12 +442,12 @@ def _stratum_summary(name, q, rows, strict, collinear, admissible, tolerance) ->
             add_exemplar(nonzero_indices[0])
     skipped_indices = np.flatnonzero(~adm)
     skipped_exemplar = (
-        {"psi": [float(v) for v in rows[skipped_indices[0]]]} if skipped_indices.size else None
+        {"psi": [float(v) for v in levels[codes[skipped_indices[0]]]]} if skipped_indices.size else None
     )
     summary = {
         "stratum": name,
         "q": float(q),
-        "rows": int(rows.shape[0]),
+        "rows": int(codes.shape[0]),
         "admissible": int(adm.sum()),
         "skipped": int((~adm).sum()),
         "zero_strict": int(zero_strict.sum()),
@@ -452,25 +493,28 @@ def discover_constraints(
     operator = OperatorConvention(operator)
     exponent = ExponentConvention(exponent)
 
+    levels, grid_codes = _grid_levels(grid)
     strata_summaries = []
-    pooled_rows = []
+    pooled_codes = []
     pooled_strict = []
     pooled_collinear = []
     pooled_admissible = []
     samples_checked = 0
     for name in _stratum_names(spec.arity):
-        rows = _stratum_rows(spec.arity, name, grid)
+        codes = _stratum_codes(spec.arity, name, levels, grid_codes)
         for q in q_values:
-            strict, collinear, admissible = _sweep_rows(spec, q, rows)
-            samples_checked += _cross_check_samples(spec, q, rows, strict, collinear, admissible)
-            strata_summaries.append(
-                _stratum_summary(name, q, rows, strict, collinear, admissible, tolerance)
+            strict, collinear, admissible = _sweep_rows(spec, q, levels, codes)
+            samples_checked += _cross_check_samples(
+                spec, q, levels, codes, strict, collinear, admissible
             )
-            pooled_rows.append(rows)
+            strata_summaries.append(
+                _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance)
+            )
+            pooled_codes.append(codes)
             pooled_strict.append(strict)
             pooled_collinear.append(collinear)
             pooled_admissible.append(admissible)
-    rows_all = np.concatenate(pooled_rows)
+    codes_all = np.concatenate(pooled_codes)
     strict_all = np.concatenate(pooled_strict)
     collinear_all = np.concatenate(pooled_collinear)
     admissible_all = np.concatenate(pooled_admissible)
@@ -480,7 +524,7 @@ def discover_constraints(
     for mode, residual_all in (("strict", strict_all), ("collinear", collinear_all)):
         found_name, found_pattern = "unresolved", None
         for cand_name, pattern in candidates:
-            mask = _satisfies(rows_all, pattern) & admissible_all
+            mask = _satisfies(codes_all, pattern) & admissible_all
             if int(mask.sum()) >= 2 and bool(np.all(residual_all[mask] <= tolerance)):
                 found_name, found_pattern = cand_name, pattern
                 break
@@ -491,16 +535,16 @@ def discover_constraints(
 
     verdicts = {}
     note_parts = []
-    claim_mask_pool = _satisfies(rows_all, claim.equalities) & _satisfies(rows_all, claim.auxiliary)
+    claim_mask_pool = _satisfies(codes_all, claim.equalities) & _satisfies(codes_all, claim.auxiliary)
     claim_mask_pool &= admissible_all
     for mode, residual_all in (("strict", strict_all), ("collinear", collinear_all)):
         if not claim.equalities:
             ok = bool(admissible_all.any()) and bool(np.all(residual_all[admissible_all] <= tolerance))
             verdicts[mode] = "confirmed" if ok else "refuted"
             continue
-        aux_mask = _satisfies(rows_all, claim.auxiliary) & admissible_all
-        with_claim = aux_mask & _satisfies(rows_all, claim.equalities)
-        without_claim = aux_mask & ~_satisfies(rows_all, claim.equalities)
+        aux_mask = _satisfies(codes_all, claim.auxiliary) & admissible_all
+        with_claim = aux_mask & _satisfies(codes_all, claim.equalities)
+        without_claim = aux_mask & ~_satisfies(codes_all, claim.equalities)
         sufficient = int(with_claim.sum()) >= 2 and bool(np.all(residual_all[with_claim] <= tolerance))
         zero_without = without_claim & (residual_all <= tolerance)
         necessary = int(without_claim.sum()) > 0 and int(zero_without.sum()) == 0
@@ -525,9 +569,9 @@ def discover_constraints(
 
     admissible_count = int(admissible_all.sum())
     totals = {
-        "rows": int(rows_all.shape[0]),
+        "rows": int(codes_all.shape[0]),
         "admissible": admissible_count,
-        "skipped": int(rows_all.shape[0]) - admissible_count,
+        "skipped": int(codes_all.shape[0]) - admissible_count,
         "max_strict": float(strict_all[admissible_all].max()) if admissible_count else 0.0,
         "max_collinear": float(collinear_all[admissible_all].max()) if admissible_count else 0.0,
         "claim_points": int(claim_mask_pool.sum()),

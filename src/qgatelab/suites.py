@@ -98,8 +98,9 @@ class RunConfig:
         self.exponent = ExponentConvention(self.exponent)
         self.identity_threshold = float(self.identity_threshold)
         self.limit_threshold = float(self.limit_threshold)
-        if self.identity_threshold <= 0.0 or self.limit_threshold <= 0.0:
-            raise ValueError("thresholds must be positive")
+        for threshold in (self.identity_threshold, self.limit_threshold):
+            if not math.isfinite(threshold) or threshold <= 0.0:
+                raise ValueError(f"thresholds must be positive finite reals, got {threshold!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 

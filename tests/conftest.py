@@ -1,4 +1,9 @@
-"""Shared pytest hooks: a one-line summary per acceptance check."""
+"""Shared pytest hooks and fixtures: a one-line summary per acceptance check, and
+one default `qgatelab all` run shared by the tests that compare its bytes."""
+
+import pytest
+
+from qgatelab.cli import main
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -15,3 +20,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, outcome in _ACCEPTANCE_RESULTS.items():
         flag = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"[{flag}] {name}")
+
+
+@pytest.fixture(scope="session")
+def all_report(tmp_path_factory):
+    """Exit code and report bytes of one default `qgatelab all` run."""
+    out = tmp_path_factory.mktemp("all") / "report.json"
+    code = main(["all", "--out", str(out)])
+    return code, out.read_bytes()

@@ -195,13 +195,11 @@ def test_fixed_parameter_closure_and_classical_reduction():
         assert np.max(np.abs(deformed.matrix - gate_matrix(spec))) <= 1e-6, kind.value
 
 
-def test_full_reports_are_byte_identical(tmp_path):
-    first = tmp_path / "first.json"
+def test_full_reports_are_byte_identical(tmp_path, all_report):
+    code_first, payload = all_report
     second = tmp_path / "second.json"
-    code_first = main(["all", "--out", str(first)])
     code_second = main(["all", "--out", str(second)])
     assert code_first == code_second == 0
-    payload = first.read_bytes()
     assert payload == second.read_bytes()
     assert payload.endswith(b"\n")
 

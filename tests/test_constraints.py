@@ -1,5 +1,6 @@
 """Tests for the constraint lab: residual oracle points, sweep engine, verdicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,21 @@ from qgatelab import (
     DeformationParams,
     GateKind,
     GateSpec,
+    NegativeRadicandError,
     canonical_json,
     discover_constraints,
     hadamard_closure_ratio,
     identity_residual,
+)
+from qgatelab import constraints
+from qgatelab.constraints import (
+    _candidate_patterns,
+    _grid_levels,
+    _satisfies,
+    _slot_map,
+    _stratum_codes,
+    _stratum_names,
+    _sweep_rows,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -190,3 +202,85 @@ class TestDiscoverConstraints:
             discover_constraints(GateKind.NOT, grid=(2.0,))
         with pytest.raises(ValueError):
             discover_constraints(GateKind.NOT, grid=(2.0, -1.0))
+
+
+def _reference_rows(arity, stratum, grid):
+    """Float psi rows as itertools.product builds them, ones outside the stratum's slots."""
+    slots = _slot_map(arity, stratum)
+    combos = np.asarray(list(itertools.product(grid, repeat=len(slots))), dtype=float)
+    rows = np.ones((combos.shape[0], 12))
+    for position, indices in enumerate(slots):
+        for index in indices:
+            rows[:, index] = combos[:, position]
+    return rows
+
+
+def _float_equalities(rows, pattern):
+    mask = np.ones(rows.shape[0], dtype=bool)
+    for i, j in pattern:
+        mask &= rows[:, i - 1] == rows[:, j - 1]
+    return mask
+
+
+_KINDS_BY_ARITY = {
+    arity: [kind for kind in GateKind if GateSpec(kind).arity == arity] for arity in (1, 2, 3)
+}
+
+
+class TestLevelCodes:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "grid",
+        [(1.0, 2.0, 1.0), (0.5, 2.0, 0.5), (0.3, 0.7, 1.9)],
+        ids=["duplicates-with-one", "duplicates-without-one", "distinct-without-one"],
+    )
+    def test_codes_rebuild_product_rows_and_equality_masks(self, arity, grid):
+        levels, grid_codes = _grid_levels(grid)
+        for stratum in _stratum_names(arity):
+            codes = _stratum_codes(arity, stratum, levels, grid_codes)
+            rows = _reference_rows(arity, stratum, grid)
+            assert codes.dtype == np.uint8
+            assert np.array_equal(levels[codes], rows), stratum
+            for kind in _KINDS_BY_ARITY[arity]:
+                for name, pattern in _candidate_patterns(CLAIMS[kind], arity):
+                    assert np.array_equal(
+                        _satisfies(codes, pattern), _float_equalities(rows, pattern)
+                    ), (stratum, kind, name)
+
+    def test_more_than_256_levels_widen_the_codes(self):
+        grid = tuple(2.0 + 0.01 * k for k in range(300))
+        levels, grid_codes = _grid_levels(grid)
+        assert levels.size == 301  # 300 grid values plus the 1.0 filler
+        assert grid_codes.dtype == np.uint16
+        codes = _stratum_codes(1, "aux", levels, grid_codes)
+        rows = _reference_rows(1, "aux", grid)
+        assert codes.dtype == np.uint16
+        assert int(codes.max()) == 300
+        assert np.array_equal(levels[codes], rows)
+        for name, pattern in _candidate_patterns(CLAIMS[GateKind.NOT], 1):
+            assert np.array_equal(_satisfies(codes, pattern), _float_equalities(rows, pattern)), name
+
+    def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch):
+        spec = GateSpec(GateKind.HAD)
+        levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
+        codes = _stratum_codes(1, "free", levels, grid_codes)
+        whole = _sweep_rows(spec, 2.0, levels, codes)
+        monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
+        blocked = _sweep_rows(spec, 2.0, levels, codes)
+        for expected, got in zip(whole, blocked):
+            assert np.array_equal(expected, got)
+
+    def test_sweep_rows_agree_with_the_dense_path_on_every_row(self):
+        spec = GateSpec(GateKind.HAD)
+        levels, grid_codes = _grid_levels((0.25, 1.0, 4.0))
+        codes = _stratum_codes(1, "free", levels, grid_codes)
+        strict, collinear, admissible = _sweep_rows(spec, 2.0, levels, codes)
+        assert admissible.any() and not admissible.all()
+        for index, row in enumerate(levels[codes]):
+            params = DeformationParams(2.0, tuple(float(v) for v in row))
+            if admissible[index]:
+                assert abs(identity_residual(spec, 2.0, params) - strict[index]) <= 1e-12
+                assert abs(identity_residual(spec, 2.0, params, "collinear") - collinear[index]) <= 1e-12
+            else:
+                with pytest.raises(NegativeRadicandError):
+                    identity_residual(spec, 2.0, params)

@@ -111,6 +111,17 @@ class TestSerialization:
         payload = serialize_report(run_suites(_golden_config()), "csv")
         assert payload == (GOLDEN_DIR / "report_algebra.csv").read_bytes()
 
+    def test_full_run_matches_golden_json(self, all_report):
+        code, payload = all_report
+        assert code == 0
+        assert payload == (GOLDEN_DIR / "report_all.json").read_bytes()
+
+    def test_discover_on_duplicate_grid_matches_golden_json(self, tmp_path):
+        # duplicate psi values and a grid that contains the 1.0 filler value
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "0.5,2", "--psi", "1,1,2,0.5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "report_discover_duplicates.json").read_bytes()
+
 
 class TestRunConfig:
     def test_rejects_unknown_suite(self):
@@ -127,6 +138,9 @@ class TestRunConfig:
             {"limit_q": (1.0, 1.1)},
             {"identity_threshold": 0.0},
             {"format": "xml"},
+            {"identity_threshold": float("nan")},
+            {"identity_threshold": float("inf")},
+            {"limit_threshold": float("nan")},
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):
@@ -217,3 +231,15 @@ class TestCli:
 
     def test_unknown_convention_token_exits_two(self):
         assert main(self.ARGS + ["--convention", "sideways"]) == 2
+
+    def test_non_finite_threshold_exits_two(self, capsys):
+        assert main(self.ARGS + ["--threshold", "nan"]) == 2
+        assert "thresholds must be positive finite reals" in capsys.readouterr().err
+
+    def test_overflowing_q_exits_two_naming_the_value(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--q", "1e160", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "1e+160" in err
+        assert not out.exists()
