@@ -1,8 +1,9 @@
 """Command-line driver: run verification suites and write deterministic reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
-problem (bad flags, unreadable or invalid config file, q values whose brackets
-overflow double precision), 3 output I/O failure.
+problem (bad flags, unreadable or invalid config file, q values or psi grids
+whose brackets or amplitude products overflow double precision), 3 output I/O
+failure.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -174,15 +175,20 @@ def main(argv=None) -> int:
 
     try:
         report = run_suites(cfg)
-    except OverflowError:
+    except OverflowError as exc:
         culprits = []
         if cfg.suite != "limits":
             culprits.append(f"q values {_value_list(cfg.q_values)}")
+        sweeps = cfg.suite in ("constraints", "all")
+        if sweeps:
+            culprits.append(f"psi grid {_value_list(cfg.psi_grid)}")
         if cfg.suite in ("limits", "all"):
             culprits.append(f"limit q values {_value_list(cfg.limit_q)}")
+        reason = exc.args[-1] if exc.args else "overflow"
         print(
             f"qgatelab: configuration error: {' or '.join(culprits)} overflow "
-            "double-precision arithmetic; use q values closer to 1",
+            f"double-precision arithmetic ({reason}); use q values closer to 1"
+            + (" or smaller psi values" if sweeps else ""),
             file=sys.stderr,
         )
         return 2

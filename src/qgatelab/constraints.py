@@ -133,14 +133,31 @@ def identity_residual(
     params None uses the closing assignment per input ket.  Raises
     NegativeRadicandError when the point does not admit real amplitudes.
     Deformed kets are creation-built, so the value does not depend on the
-    lowering-operator reading.
+    lowering-operator reading.  Both modes come from one dense pass
+    (_dense_residuals); this picks the requested one.
     """
     if residual_mode not in ("strict", "collinear"):
         raise ValueError(f"residual_mode must be 'strict' or 'collinear', got {residual_mode!r}")
-    q = float(q)
+    matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
+    strict, collinear = _dense_residuals(spec, float(q), params, matrix, exponent)
+    return strict if residual_mode == "strict" else collinear
+
+
+def _dense_residuals(
+    spec: GateSpec,
+    q: float,
+    params: DeformationParams | None,
+    matrix: np.ndarray,
+    exponent: ExponentConvention = ExponentConvention.RESULT,
+) -> tuple:
+    """(strict, collinear) worst-case gaps from one pass over the input bit strings.
+
+    matrix is the undeformed gate matrix on the spec's embedding, so a caller
+    checking many points builds it once.
+    """
     emb = QubitEmbedding(spec.arity)
-    matrix = gate_matrix(spec, emb)
-    worst = 0.0
+    worst_strict = 0.0
+    worst_collinear = 0.0
     for bits in emb.all_bits():
         state = deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q)
         lhs = matrix @ state.vector
@@ -155,12 +172,9 @@ def identity_residual(
                 else:
                     amp *= qubit_amplitude(bits[src], src + 1, q, in_params)
             rhs[emb.basis_index(term.bits)] += term.coeff * amp
-        if residual_mode == "strict":
-            gap = float(np.linalg.norm(lhs - rhs))
-        else:
-            gap = _collinear_gap(lhs, rhs)
-        worst = max(worst, gap)
-    return worst
+        worst_strict = max(worst_strict, float(np.linalg.norm(lhs - rhs)))
+        worst_collinear = max(worst_collinear, _collinear_gap(lhs, rhs))
+    return worst_strict, worst_collinear
 
 
 def _stratum_names(arity: int) -> tuple:
@@ -237,14 +251,18 @@ def _stratum_codes(arity: int, stratum: str, levels: np.ndarray, grid_codes: np.
 def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray):
     """Vectorized residuals for many psi rows, given as level codes, at one q.
 
-    Returns (strict, collinear, admissible) arrays; residual entries are only
-    meaningful where admissible is True.  The formulation mirrors
-    identity_residual exactly: per input bit string the gate's output terms
-    live on distinct basis kets, so the strict gap is the root sum of squared
-    per-term amplitude gaps and the collinear gap comes from the cosine
-    between the two coefficient vectors.  Mode brackets come from a table
-    over (psi_a, psi_b) level pairs, gathered by code; rows run in blocks of
-    _BLOCK_ROWS.
+    Returns (strict, collinear, admissible) arrays.  Residuals are computed
+    for admissible rows only; inadmissible rows hold 0.0.  The formulation
+    mirrors the dense path exactly: per input bit string the gate's output
+    terms live on distinct basis kets, so the strict gap is the root sum of
+    squared per-term amplitude gaps and the collinear gap comes from the
+    cosine between the two coefficient vectors.  An input bit string whose
+    only output term has weight 1 and the input's own amplitude product, in
+    the same factor order, is skipped: both of its gaps are exactly 0.  That
+    holds while every product and its square is finite, so a q whose largest
+    admissible amplitude could overflow them raises OverflowError before any
+    row runs.  Mode brackets come from a table over (psi_a, psi_b) level
+    pairs, gathered by code; rows run in blocks of _BLOCK_ROWS.
     """
     arity = spec.arity
     denominator = q - 1.0 / q
@@ -255,9 +273,10 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
     def amp_row(qubit: int, bit: int) -> int:
         return 2 * qubit + (0 if bit else 1)
 
-    # per input bit string: amplitude rows of the input product, term weights,
-    # and amplitude rows of each output term's product
+    # per input bit string that can leave a gap: amplitude rows of the input
+    # product, term weights, and amplitude rows of each output term's product
     plan = []
+    largest_weight_sum = 0.0
     for bits in itertools.product((0, 1), repeat=arity):
         c_outs = []
         weights = []
@@ -270,7 +289,21 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
             )
             weights.append(abs(term.coeff) ** 2)
         c_in = [amp_row(qubit, bit) for qubit, bit in enumerate(bits)]
+        largest_weight_sum = max(largest_weight_sum, sum(weights))
+        if weights == [1.0] and c_outs == [c_in]:
+            continue
         plan.append((c_in, np.asarray(weights)[:, None], c_outs))
+
+    admissible_amps = np.where(admissible_table, amp_table, 0.0)
+    peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
+    largest_amp = float(admissible_amps[peak])
+    largest_product = math.prod([largest_amp] * arity)
+    if not math.isfinite(largest_product * largest_product * largest_weight_sum):
+        raise OverflowError(
+            f"the {spec.kind.value} sweep at q={q!r} overflows double precision: amplitude "
+            f"{largest_amp!r} at level pair (psi_a={float(levels[peak[0]])!r}, "
+            f"psi_b={float(levels[peak[1]])!r}) raised to the power {2 * arity} is not finite"
+        )
 
     def product(amp_mode: np.ndarray, amp_rows: list) -> np.ndarray:
         value = amp_mode[amp_rows[0]]
@@ -279,17 +312,18 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
         return value
 
     count = codes.shape[0]
-    strict = np.empty(count)
-    collinear = np.empty(count)
+    strict = np.zeros(count)
+    collinear = np.zeros(count)
     admissible = np.empty(count, dtype=bool)
     for start in range(0, count, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         mode_codes = codes[block, : 4 * arity].T
         codes_a, codes_b = mode_codes[0::2], mode_codes[1::2]
         admissible[block] = np.all(admissible_table[codes_a, codes_b], axis=0)
-        amp_mode = amp_table[codes_a, codes_b]
-        strict_block = np.zeros(amp_mode.shape[1])
-        collinear_block = np.zeros(amp_mode.shape[1])
+        kept = np.flatnonzero(admissible[block])
+        amp_mode = amp_table[codes_a[:, kept], codes_b[:, kept]]
+        strict_block = np.zeros(kept.size)
+        collinear_block = np.zeros(kept.size)
         for c_in_rows, weights, c_out_rows in plan:
             c_in = product(amp_mode, c_in_rows)
             c_outs = np.stack([product(amp_mode, rows) for rows in c_out_rows])
@@ -307,23 +341,26 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
             collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
             strict_block = np.maximum(strict_block, strict_here)
             collinear_block = np.maximum(collinear_block, collinear_here)
-        strict[block] = strict_block
-        collinear[block] = collinear_block
+        strict[start + kept] = strict_block
+        collinear[start + kept] = collinear_block
     return strict, collinear, admissible
 
 
-def _cross_check_samples(spec, q, levels, codes, strict, collinear, admissible) -> int:
-    """Recompute deterministic sample rows through the dense path; raise on mismatch."""
+def _cross_check_samples(spec, q, matrix, levels, codes, strict, collinear, admissible) -> int:
+    """Recompute deterministic sample rows through the dense path; raise on mismatch.
+
+    matrix is the spec's undeformed gate matrix; each pick takes one dense
+    pass that yields both residual modes.
+    """
     count = codes.shape[0]
     step = max(1, count // 5)
     picks = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
     checked = 0
     for index in picks:
         psi = tuple(float(v) for v in levels[codes[index]])
+        point = DeformationParams(q, psi)
         if admissible[index]:
-            point = DeformationParams(q, psi)
-            dense_strict = identity_residual(spec, q, point, "strict")
-            dense_collinear = identity_residual(spec, q, point, "collinear")
+            dense_strict, dense_collinear = _dense_residuals(spec, q, point, matrix)
             if abs(dense_strict - float(strict[index])) > 1e-10 or abs(
                 dense_collinear - float(collinear[index])
             ) > 1e-10:
@@ -333,7 +370,7 @@ def _cross_check_samples(spec, q, levels, codes, strict, collinear, admissible) 
                 )
         else:
             try:
-                identity_residual(spec, q, DeformationParams(q, psi), "strict")
+                _dense_residuals(spec, q, point, matrix)
             except NegativeRadicandError:
                 pass
             else:
@@ -475,7 +512,9 @@ def discover_constraints(
     so the sweep is not the identity gate).  q values must be positive and
     not 1; grid values must be positive.  The sweep runs the vectorized engine
     over every stratum and q, cross-checks deterministic samples against the
-    dense identity_residual path, then classifies the zero set.
+    dense path (both residual modes in one pass, the gate matrix built once
+    per call), then classifies the zero set.  Raises OverflowError when a q
+    and the grid's largest amplitude overflow the sweep's products.
     """
     spec = gate if isinstance(gate, GateSpec) else GateSpec(GateKind(gate), 0.0)
     if not isinstance(gate, GateSpec) and spec.kind is GateKind.PS:
@@ -494,6 +533,7 @@ def discover_constraints(
     exponent = ExponentConvention(exponent)
 
     levels, grid_codes = _grid_levels(grid)
+    matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
     strata_summaries = []
     pooled_codes = []
     pooled_strict = []
@@ -505,7 +545,7 @@ def discover_constraints(
         for q in q_values:
             strict, collinear, admissible = _sweep_rows(spec, q, levels, codes)
             samples_checked += _cross_check_samples(
-                spec, q, levels, codes, strict, collinear, admissible
+                spec, q, matrix, levels, codes, strict, collinear, admissible
             )
             strata_summaries.append(
                 _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance)

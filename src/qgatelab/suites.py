@@ -501,7 +501,14 @@ def constraints_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
     label = _convention_label(cfg)
     records = []
-    sweep_q = tuple(q for q in cfg.q_values if q != 1.0) or (2.0,)
+    # q = 1 is undeformed (the brackets divide by q - 1/q), so the sweep drops it
+    sweep_q = tuple(q for q in cfg.q_values if q != 1.0)
+    q_note = ""
+    if not sweep_q:
+        sweep_q = (2.0,)
+        q_note = "; q = 1 cannot be swept, so the sweep ran at q = 2 in its place"
+    elif len(sweep_q) < len(cfg.q_values):
+        q_note = "; q = 1 cannot be swept and was left out of the sweep q values"
 
     for kind in _GATE_ORDER:
         spec = GateSpec(kind, _DISCOVERY_PHI if kind is GateKind.PS else 0.0)
@@ -519,7 +526,7 @@ def constraints_suite(cfg: RunConfig) -> list:
                 residual=residual,
                 threshold=thr,
                 passed=passed,
-                notes=f"verdict: {result.verdict}; {result.notes}",
+                notes=f"verdict: {result.verdict}; {result.notes}{q_note}",
             )
         )
 

@@ -12,14 +12,17 @@ from qgatelab import (
     GateKind,
     GateSpec,
     NegativeRadicandError,
+    QubitEmbedding,
     canonical_json,
     discover_constraints,
+    gate_matrix,
     hadamard_closure_ratio,
     identity_residual,
 )
 from qgatelab import constraints
 from qgatelab.constraints import (
     _candidate_patterns,
+    _dense_residuals,
     _grid_levels,
     _satisfies,
     _slot_map,
@@ -170,6 +173,11 @@ class TestDiscoverConstraints:
         assert rep.totals["skipped"] == skipped
         assert rep.totals["cross_checked"] > 0
 
+    def test_every_gate_cross_checks_six_rows_per_stratum_and_q(self, reports):
+        for kind, rep in reports.items():
+            expected = 120 if GateSpec(kind).arity == 3 else 72
+            assert rep.totals["cross_checked"] == expected, kind
+
     def test_inadmissible_points_record_an_exemplar(self, reports):
         rep = reports[GateKind.NOT]
         with_skips = [s for s in rep.strata if s["skipped"] > 0]
@@ -260,27 +268,80 @@ class TestLevelCodes:
         for name, pattern in _candidate_patterns(CLAIMS[GateKind.NOT], 1):
             assert np.array_equal(_satisfies(codes, pattern), _float_equalities(rows, pattern)), name
 
-    def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch):
-        spec = GateSpec(GateKind.HAD)
+    @pytest.mark.parametrize(
+        ("kind", "stratum"), [(GateKind.HAD, "free"), (GateKind.TOFFOLI, "aux"), (GateKind.FREDKIN, "aux")]
+    )
+    def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch, kind, stratum):
+        spec = GateSpec(kind)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
-        codes = _stratum_codes(1, "free", levels, grid_codes)
+        codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
         whole = _sweep_rows(spec, 2.0, levels, codes)
+        assert whole[2].any() and not whole[2].all()
         monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
         blocked = _sweep_rows(spec, 2.0, levels, codes)
         for expected, got in zip(whole, blocked):
             assert np.array_equal(expected, got)
 
-    def test_sweep_rows_agree_with_the_dense_path_on_every_row(self):
-        spec = GateSpec(GateKind.HAD)
-        levels, grid_codes = _grid_levels((0.25, 1.0, 4.0))
-        codes = _stratum_codes(1, "free", levels, grid_codes)
-        strict, collinear, admissible = _sweep_rows(spec, 2.0, levels, codes)
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_sweep_rows_agree_with_the_dense_path_on_every_row(self, kind, q):
+        # every row of a stratum that mixes admissible and inadmissible rows;
+        # three-qubit gates use a qubit-pair block with the middle qubit pinned
+        spec = GateSpec(kind, math.pi / 3)
+        grid = (0.25, 1.0, 4.0) if spec.arity == 1 else (0.25, 4.0)
+        stratum = "free-q1q3" if spec.arity == 3 else "free"
+        levels, grid_codes = _grid_levels(grid)
+        codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
+        strict, collinear, admissible = _sweep_rows(spec, q, levels, codes)
         assert admissible.any() and not admissible.all()
+        assert not strict[~admissible].any() and not collinear[~admissible].any()
+        matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
         for index, row in enumerate(levels[codes]):
-            params = DeformationParams(2.0, tuple(float(v) for v in row))
+            params = DeformationParams(q, tuple(float(v) for v in row))
             if admissible[index]:
-                assert abs(identity_residual(spec, 2.0, params) - strict[index]) <= 1e-12
-                assert abs(identity_residual(spec, 2.0, params, "collinear") - collinear[index]) <= 1e-12
+                dense_strict, dense_collinear = _dense_residuals(spec, q, params, matrix)
+                assert abs(dense_strict - strict[index]) <= 1e-12
+                assert abs(dense_collinear - collinear[index]) <= 1e-12
             else:
                 with pytest.raises(NegativeRadicandError):
-                    identity_residual(spec, 2.0, params)
+                    _dense_residuals(spec, q, params, matrix)
+
+
+class TestSweepGuards:
+    def test_overflowing_grid_raises_naming_gate_q_and_levels(self):
+        with pytest.raises(OverflowError, match=r"cnot sweep at q=2\.0.*psi_a=1e\+300"):
+            discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
+
+    def test_single_qubit_amplitudes_of_the_same_grid_stay_finite(self):
+        rep = discover_constraints(GateKind.NOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
+        assert math.isfinite(rep.totals["max_strict"])
+        assert math.isfinite(rep.totals["max_collinear"])
+
+    @staticmethod
+    def _tamper(monkeypatch, edit):
+        """Run discover_constraints with edit applied to row 0 (always picked, always admissible)."""
+        sweep = constraints._sweep_rows
+
+        def tampered(spec, q, levels, codes):
+            strict, collinear, admissible = sweep(spec, q, levels, codes)
+            assert admissible[0]
+            edit(strict, collinear, admissible)
+            return strict, collinear, admissible
+
+        monkeypatch.setattr(constraints, "_sweep_rows", tampered)
+        return discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))
+
+    @pytest.mark.parametrize("array", [0, 1], ids=["strict", "collinear"])
+    def test_cross_check_catches_a_perturbed_residual(self, monkeypatch, array):
+        def edit(*arrays):
+            arrays[array][0] += 1e-6
+
+        with pytest.raises(RuntimeError, match="disagrees with the dense path"):
+            self._tamper(monkeypatch, edit)
+
+    def test_cross_check_catches_an_admissible_row_marked_inadmissible(self, monkeypatch):
+        def edit(strict, collinear, admissible):
+            admissible[0] = False
+
+        with pytest.raises(RuntimeError, match="marked an admissible point as skipped"):
+            self._tamper(monkeypatch, edit)

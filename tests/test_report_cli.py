@@ -122,6 +122,13 @@ class TestSerialization:
         assert main(["discover", "--q", "0.5,2", "--psi", "1,1,2,0.5", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "report_discover_duplicates.json").read_bytes()
 
+    def test_discover_on_mixed_admissibility_grid_matches_golden_json(self, tmp_path):
+        # rows are inadmissible at q < 1 and at q > 1, so the golden pins the
+        # residuals of the admissible rows next to the skipped ones
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "0.5,2", "--psi", "0.25,1.5,6", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "report_discover_mixed.json").read_bytes()
+
 
 class TestRunConfig:
     def test_rejects_unknown_suite(self):
@@ -235,6 +242,41 @@ class TestCli:
     def test_non_finite_threshold_exits_two(self, capsys):
         assert main(self.ARGS + ["--threshold", "nan"]) == 2
         assert "thresholds must be positive finite reals" in capsys.readouterr().err
+
+    def test_overflowing_psi_grid_exits_two_naming_the_sweep(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "2", "--psi", "1e200,1e300,2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "psi grid 1e+200,1e+300,2.0" in err
+        assert "cnot sweep at q=2.0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def _verdict_notes(path) -> dict:
+        records = json.loads(path.read_bytes())["records"]
+        return {
+            r["check_id"]: (r["params"]["q_values"], r["notes"])
+            for r in records
+            if r["check_id"].startswith("constraints/verdict/")
+        }
+
+    def test_discover_at_q_one_records_the_substituted_sweep_q(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "1", "--psi", "0.5,2", "--out", str(out)]) in (0, 1)
+        verdicts = self._verdict_notes(out)
+        assert len(verdicts) == 7
+        for q_values, notes in verdicts.values():
+            assert q_values == [2.0]
+            assert notes.endswith("q = 1 cannot be swept, so the sweep ran at q = 2 in its place")
+
+    def test_discover_drops_q_one_from_a_mixed_list_and_says_so(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "1,2", "--psi", "0.5,2", "--out", str(out)]) in (0, 1)
+        for q_values, notes in self._verdict_notes(out).values():
+            assert q_values == [2.0]
+            assert notes.endswith("q = 1 cannot be swept and was left out of the sweep q values")
 
     def test_overflowing_q_exits_two_naming_the_value(self, tmp_path, capsys):
         out = tmp_path / "report.json"
