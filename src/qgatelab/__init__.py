@@ -20,7 +20,6 @@ from .fock import (
     ModeOperators,
     MultiModeState,
     basis_state,
-    index_occupation,
     lift,
     make_mode_ops,
     occupation_index,
@@ -49,7 +48,6 @@ from .qnum import (
     DeformationParams,
     NegativeRadicandError,
     q_bracket,
-    q_factorial,
     psi_bracket,
 )
 from .report import (
@@ -69,7 +67,6 @@ from .schwinger import (
     decode,
     deformed_qubit_state,
     encode_basis,
-    jm_state,
     qubit_amplitude,
 )
 from .suites import RunConfig, SUITE_NAMES, run_suites
@@ -116,15 +113,12 @@ __all__ = [
     "gate_matrix",
     "hadamard_closure_ratio",
     "identity_residual",
-    "index_occupation",
-    "jm_state",
     "lift",
     "make_deformed_ops",
     "make_mode_ops",
     "occupation_index",
     "psi_bracket",
     "q_bracket",
-    "q_factorial",
     "qubit_amplitude",
     "run_suites",
     "serialize_report",

@@ -9,48 +9,34 @@ directory (keeping the configured file name).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
+from .qdeform import OperatorConvention
 from .report import serialize_report
+from .schwinger import ExponentConvention
 from .suites import RunConfig, run_suites
 
 __all__ = ["build_parser", "main"]
 
 ENV_OUT_DIR = "QGATELAB_OUT_DIR"
 
-_COMMAND_SUITES = {
-    "verify-algebra": "algebra",
-    "verify-gates": "gates",
-    "discover": "constraints",
-    "limit-study": "limits",
-    "all": "all",
+# command -> (suite it runs, help text)
+_COMMANDS = {
+    "verify-algebra": ("algebra", "check the deformed ladder-operator relations"),
+    "verify-gates": ("gates", "check gate tables, involutions and deformed closures"),
+    "discover": ("constraints", "sweep psi grids and score the claimed parameter constraints"),
+    "limit-study": ("limits", "study the q -> 1 classical limit"),
+    "all": ("all", "run every suite"),
 }
 
-_COMMAND_HELP = {
-    "verify-algebra": "check the deformed ladder-operator relations",
-    "verify-gates": "check gate tables, involutions and deformed closures",
-    "discover": "sweep psi grids and score the claimed parameter constraints",
-    "limit-study": "study the q -> 1 classical limit",
-    "all": "run every suite",
-}
+# the subcommand picks the suite, so a config file sets every other RunConfig field
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(RunConfig)} - {"suite"}
 
-_CONFIG_KEYS = {
-    "q_values",
-    "cutoff",
-    "psi_grid",
-    "limit_q",
-    "operator",
-    "exponent",
-    "identity_threshold",
-    "limit_threshold",
-    "out",
-    "format",
-}
-
-_OPERATOR_TOKENS = ("matrix-element", "left-scaling")
-_EXPONENT_TOKENS = ("result", "vacuum")
+_OPERATOR_TOKENS = tuple(convention.value for convention in OperatorConvention)
+_EXPONENT_TOKENS = tuple(convention.value for convention in ExponentConvention)
 
 
 class ConfigError(Exception):
@@ -65,7 +51,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--convention",
         metavar="TOKENS",
-        help="comma-separated tokens from matrix-element|left-scaling and result|vacuum",
+        help=f"comma-separated tokens from {'|'.join(_OPERATOR_TOKENS)} and {'|'.join(_EXPONENT_TOKENS)}",
     )
     parser.add_argument("--out", metavar="PATH", help="report path (default report.<format>)")
     parser.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
@@ -81,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify deformed oscillator relations and the qubit gates built from them.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, text in _COMMAND_HELP.items():
+    for command, (_, text) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=text, description=text)
         _add_common_flags(sub)
     return parser
@@ -132,7 +118,7 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, then flags into a validated RunConfig."""
-    settings = {"suite": _COMMAND_SUITES[args.command]}
+    settings = {"suite": _COMMANDS[args.command][0]}
     if args.config:
         settings.update(_load_config_file(args.config))
     if args.q is not None:

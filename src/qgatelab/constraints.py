@@ -248,7 +248,7 @@ def _stratum_codes(arity: int, stratum: str, levels: np.ndarray, grid_codes: np.
     return codes.reshape(-1, 12)
 
 
-def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray):
+def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, codes: np.ndarray):
     """Vectorized residuals for many psi rows, given as level codes, at one q.
 
     Returns (strict, collinear, admissible) arrays.  Residuals are computed
@@ -261,8 +261,11 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
     the same factor order, is skipped: both of its gaps are exactly 0.  That
     holds while every product and its square is finite, so a q whose largest
     admissible amplitude could overflow them raises OverflowError before any
-    row runs.  Mode brackets come from a table over (psi_a, psi_b) level
-    pairs, gathered by code; rows run in blocks of _BLOCK_ROWS.
+    row runs.  That amplitude is taken over the level pairs a row can hold:
+    both levels from the grid (grid_codes), since the 1.0 filler only pairs
+    with itself and has amplitude 1.  Mode brackets come from a table over
+    (psi_a, psi_b) level pairs, gathered by code; rows run in blocks of
+    _BLOCK_ROWS.
     """
     arity = spec.arity
     denominator = q - 1.0 / q
@@ -294,7 +297,9 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, codes: np.ndarray)
             continue
         plan.append((c_in, np.asarray(weights)[:, None], c_outs))
 
-    admissible_amps = np.where(admissible_table, amp_table, 0.0)
+    in_grid = np.zeros(levels.size, dtype=bool)
+    in_grid[grid_codes] = True
+    admissible_amps = np.where(admissible_table & np.outer(in_grid, in_grid), amp_table, 0.0)
     peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
     largest_amp = float(admissible_amps[peak])
     largest_product = math.prod([largest_amp] * arity)
@@ -543,7 +548,7 @@ def discover_constraints(
     for name in _stratum_names(spec.arity):
         codes = _stratum_codes(spec.arity, name, levels, grid_codes)
         for q in q_values:
-            strict, collinear, admissible = _sweep_rows(spec, q, levels, codes)
+            strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
             samples_checked += _cross_check_samples(
                 spec, q, matrix, levels, codes, strict, collinear, admissible
             )

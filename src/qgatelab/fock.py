@@ -13,7 +13,6 @@ __all__ = [
     "ModeOperators",
     "MultiModeState",
     "basis_state",
-    "index_occupation",
     "lift",
     "make_mode_ops",
     "occupation_index",
@@ -71,18 +70,6 @@ def occupation_index(occ, d: int) -> int:
             raise ValueError(f"occupation {n} outside 0..{d - 1}")
         idx = idx * d + n
     return idx
-
-
-def index_occupation(index: int, mode_count: int, d: int) -> tuple:
-    """Occupation tuple of a basis index; inverse of occupation_index."""
-    index = int(index)
-    if not 0 <= index < d**mode_count:
-        raise ValueError(f"index {index} outside 0..{d ** mode_count - 1}")
-    occ = []
-    for _ in range(mode_count):
-        index, rem = divmod(index, d)
-        occ.append(rem)
-    return tuple(reversed(occ))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ import numpy as np
 from .fock import lift, make_mode_ops
 from .qnum import DeformationParams
 from .schwinger import (
+    CUTOFF,
     DeformedQubitSpec,
     ExponentConvention,
     QubitEmbedding,
@@ -199,14 +200,14 @@ class _DyadBuilder:
 
     def ket(self, bits) -> np.ndarray:
         spec = DeformedQubitSpec(bits, self.params, self.exponent)
-        return deformed_qubit_state(spec, self.q, self.emb.cutoff).vector
+        return deformed_qubit_state(spec, self.q).vector
 
     def dyad(self, out_bits, in_bits, coeff=1.0) -> np.ndarray:
         self.trace.append(f"dyad {complex(coeff):g}*|{_bits_label(out_bits)}><{_bits_label(in_bits)}|")
         return complex(coeff) * np.outer(self.ket(out_bits), self.ket(in_bits).conj())
 
     def number_op(self, mode_index: int) -> np.ndarray:
-        ops = make_mode_ops(self.emb.cutoff)
+        ops = make_mode_ops(CUTOFF)
         return lift(ops.n_op, mode_index, self.emb.mode_count)
 
     def projected(self, op: np.ndarray, label: str) -> np.ndarray:
@@ -241,7 +242,7 @@ def deformed_gate_matrix(
     elif kind is GateKind.NOT:
         matrix = sum(b.dyad((1 - x,), (x,)) for x in (0, 1))
     elif kind is GateKind.HAD:
-        parity = lift(np.diag((-1.0) ** np.arange(emb.cutoff)).astype(complex), 1, emb.mode_count)
+        parity = lift(np.diag((-1.0) ** np.arange(CUTOFF)).astype(complex), 1, emb.mode_count)
         matrix = b.projected(parity, "parity(mode 1)")
         matrix = matrix + sum(b.dyad((1 - x,), (x,)) for x in (0, 1))
     elif kind is GateKind.SWAP:

@@ -46,12 +46,8 @@ class OperatorConvention(str, Enum):
 
 @dataclass(frozen=True)
 class DeformedModeOperators:
-    """Deformed ladder matrices for one truncated mode.
-
-    n_q is the shifted number operator N - (ln psi_b / ln q) I when that shift
-    is defined (q != 1 and psi_b > 0) and None otherwise; deformed_number_op
-    recomputes it with full validation.
-    """
+    """Deformed ladder matrices for one truncated mode; deformed_number_op
+    builds the matching shifted number operator."""
 
     mode: ModeOperators
     q: float
@@ -60,7 +56,6 @@ class DeformedModeOperators:
     convention: OperatorConvention
     a_q: np.ndarray
     a_q_dag: np.ndarray
-    n_q: np.ndarray | None
 
 
 def _brackets(d: int, q: float, psi_a: float, psi_b: float) -> list:
@@ -97,10 +92,6 @@ def make_deformed_ops(
         f_of_n = np.diag(scale).astype(complex)
         a_q = f_of_n @ mode.a
         a_q_dag = f_of_n @ mode.a_dag
-    n_q = None
-    if q != 1.0 and psi_b > 0.0:
-        shift = math.log(psi_b) / math.log(q)
-        n_q = mode.n_op - shift * np.eye(d, dtype=complex)
     return DeformedModeOperators(
         mode=mode,
         q=q,
@@ -109,7 +100,6 @@ def make_deformed_ops(
         convention=convention,
         a_q=a_q,
         a_q_dag=a_q_dag,
-        n_q=n_q,
     )
 
 

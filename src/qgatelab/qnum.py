@@ -1,4 +1,4 @@
-"""Scalar q-number arithmetic: deformed integers, two-parameter brackets, factorials.
+"""Scalar q-number arithmetic: deformed integers and two-parameter brackets.
 
 The deformed integer [n] = (q^n - q^(-n)) / (q - q^(-1)) underlies every matrix
 element in this package.  The two-parameter variant weights the numerator with a
@@ -17,7 +17,6 @@ __all__ = [
     "NegativeRadicandError",
     "q_bracket",
     "psi_bracket",
-    "q_factorial",
 ]
 
 MODE_COUNT = 6
@@ -82,16 +81,6 @@ def psi_bracket(n, q, psi_a, psi_b) -> float:
             )
         return float(n) * psi_a
     return (q**n * psi_a - q**-n * psi_b) / (q - 1.0 / q)
-
-
-def q_factorial(n, q) -> float:
-    """Product [1][2]...[n]; the empty product 1 for n = 0."""
-    n = _check_level(n)
-    q = _check_q(q)
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= q_bracket(k, q)
-    return out
 
 
 @dataclass(frozen=True)

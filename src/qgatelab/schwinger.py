@@ -26,9 +26,11 @@ __all__ = [
     "decode",
     "deformed_qubit_state",
     "encode_basis",
-    "jm_state",
     "qubit_amplitude",
 ]
+
+# levels per mode in the pair encoding: each mode holds no excitation or one
+CUTOFF = 2
 
 
 class ExponentConvention(str, Enum):
@@ -54,16 +56,13 @@ def _check_bits(bits) -> tuple:
 
 @dataclass(frozen=True)
 class QubitEmbedding:
-    """Shape data for qubit_count qubits over 2*qubit_count modes at a cutoff."""
+    """Shape data for qubit_count qubits over 2*qubit_count two-level modes."""
 
     qubit_count: int
-    cutoff: int = 2
 
     def __post_init__(self):
         if self.qubit_count < 1:
             raise ValueError("at least one qubit is required")
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
 
     @property
     def mode_count(self) -> int:
@@ -71,7 +70,7 @@ class QubitEmbedding:
 
     @property
     def dim(self) -> int:
-        return self.cutoff**self.mode_count
+        return CUTOFF**self.mode_count
 
     def occupation(self, bits) -> tuple:
         """Occupation tuple (x, 1-x) per qubit, modes in ascending order."""
@@ -84,7 +83,7 @@ class QubitEmbedding:
         return tuple(occ)
 
     def basis_index(self, bits) -> int:
-        return occupation_index(self.occupation(bits), self.cutoff)
+        return occupation_index(self.occupation(bits), CUTOFF)
 
     def all_bits(self):
         """Every bit tuple in lexicographic order."""
@@ -99,10 +98,10 @@ class QubitEmbedding:
         return proj
 
 
-def encode_basis(bits, cutoff: int = 2) -> MultiModeState:
+def encode_basis(bits) -> MultiModeState:
     """Undeformed basis ket of a bit string under the pair encoding."""
-    emb = QubitEmbedding(len(_check_bits(bits)), cutoff)
-    return basis_state(emb.occupation(bits), cutoff)
+    emb = QubitEmbedding(len(_check_bits(bits)))
+    return basis_state(emb.occupation(bits), CUTOFF)
 
 
 def decode(occ) -> tuple:
@@ -124,28 +123,6 @@ def decode(occ) -> tuple:
         else:
             raise ValueError(f"modes {i + 1},{i + 2} hold {pair}, not one shared excitation")
     return tuple(bits)
-
-
-def jm_state(j, m, d: int) -> MultiModeState:
-    """Two-mode angular-momentum basis ket with occupations (j+m, j-m).
-
-    j and m are half-integers with |m| <= j and j + m integral.  The ordinary
-    creation-ladder normalization 1/sqrt((j+m)!(j-m)!) cancels exactly, so the
-    state has unit amplitude on its single occupation tuple.
-    """
-    two_j = float(2 * j)
-    two_m = float(2 * m)
-    if two_j != int(two_j) or two_m != int(two_m):
-        raise ValueError(f"j and m must be half-integers, got j={j!r}, m={m!r}")
-    if (int(two_j) - int(two_m)) % 2 != 0:
-        raise ValueError(f"j + m must be an integer, got j={j!r}, m={m!r}")
-    n_first = (int(two_j) + int(two_m)) // 2
-    n_second = (int(two_j) - int(two_m)) // 2
-    if n_first < 0 or n_second < 0:
-        raise ValueError(f"|m| must not exceed j, got j={j!r}, m={m!r}")
-    if n_first >= d or n_second >= d:
-        raise ValueError(f"occupations ({n_first}, {n_second}) exceed cutoff {d}")
-    return basis_state((n_first, n_second), d)
 
 
 def closing_params(q, bits, exponent: ExponentConvention = ExponentConvention.RESULT) -> DeformationParams:
@@ -200,7 +177,7 @@ class DeformedQubitSpec:
         object.__setattr__(self, "exponent", ExponentConvention(self.exponent))
 
 
-def deformed_qubit_state(spec: DeformedQubitSpec, q, cutoff: int = 2) -> MultiModeState:
+def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
     """Deformed multi-qubit ket: the encoded basis ket times one amplitude per qubit."""
     q = float(q)
     if spec.params is not None and spec.params.q != q:
@@ -209,5 +186,5 @@ def deformed_qubit_state(spec: DeformedQubitSpec, q, cutoff: int = 2) -> MultiMo
     amp = 1.0
     for i, x in enumerate(spec.bits, start=1):
         amp *= qubit_amplitude(x, i, q, params)
-    base = encode_basis(spec.bits, cutoff)
+    base = encode_basis(spec.bits)
     return MultiModeState(base.mode_count, base.cutoff, amp * base.vector)

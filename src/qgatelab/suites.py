@@ -7,7 +7,9 @@ parameter set and note is derived from the configuration alone.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .gates import (
     toffoli_literal_matrix,
 )
 from .qdeform import (
+    AlgebraResiduals,
     OperatorConvention,
     algebra_residuals,
     deformed_number_op,
@@ -86,8 +89,12 @@ class RunConfig:
         if not self.q_values or any(not math.isfinite(q) or q <= 0.0 for q in self.q_values):
             raise ValueError(f"q values must be positive finite reals, got {self.q_values!r}")
         self.cutoff = int(self.cutoff)
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
+        if self.cutoff < 3:
+            raise ValueError(
+                f"cutoff must be at least 3, got {self.cutoff}: the top level is a truncation "
+                "artifact and the generalized algebra checks also drop level 0, so cutoff 2 "
+                "leaves them no level to test"
+            )
         self.psi_grid = tuple(float(p) for p in self.psi_grid)
         if len(self.psi_grid) < 2 or any(not math.isfinite(p) or p <= 0.0 for p in self.psi_grid):
             raise ValueError(f"psi grid needs at least two positive finite reals, got {self.psi_grid!r}")
@@ -107,18 +114,16 @@ class RunConfig:
     def public_config(self) -> dict:
         """Config block embedded in reports; excludes the output path so two runs
         writing to different files still produce byte-identical payloads."""
-        return {
-            "suite": self.suite,
-            "q_values": list(self.q_values),
-            "cutoff": self.cutoff,
-            "psi_grid": list(self.psi_grid),
-            "limit_q": list(self.limit_q),
-            "operator": self.operator.value,
-            "exponent": self.exponent.value,
-            "identity_threshold": self.identity_threshold,
-            "limit_threshold": self.limit_threshold,
-            "format": self.format,
-        }
+        config = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            config[f.name] = value
+        del config["out"]
+        return config
 
 
 def _conventions_block(cfg: RunConfig) -> dict:
@@ -141,39 +146,49 @@ def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
 
+def _check(check_id, relation, params, residual, notes, passed=None, *, convention, threshold):
+    """The one record builder.  A record passes when residual <= threshold, unless
+    the check states its own outcome in passed (audits, verdicts, limit trends).
+
+    Each suite binds its convention label and threshold once with partial; a
+    record that differs passes its own as keywords.
+    """
+    if passed is None:
+        passed = residual <= threshold
+    return CheckRecord(check_id, relation, convention, params, residual, threshold, passed, notes)
+
+
 # --- algebra -----------------------------------------------------------------
+
+
+def _algebra_records(check, result: AlgebraResiduals, keys, prefix: str) -> list:
+    """One record per relation key of an algebra_residuals result, naming the tested levels."""
+    point = {"q": result.q, "cutoff": result.cutoff, "psi_a": result.psi_a, "psi_b": result.psi_b}
+    records = []
+    for key in keys:
+        levels = result.levels[key]
+        records.append(
+            check(
+                f"{prefix}/{key}",
+                _RELATION_BY_KEY[key],
+                {**point, "levels": [int(n) for n in levels]},
+                result.residuals[key],
+                f"levels {levels[0]}..{levels[-1]}"
+                + ("; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""),
+            )
+        )
+    return records
 
 
 def algebra_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
     mode = make_mode_ops(cfg.cutoff)
-    label = f"operator={cfg.operator.value}"
+    check = partial(_check, convention=f"operator={cfg.operator.value}", threshold=thr)
     records = []
 
     for q in cfg.q_values:
-        ops = make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator)
-        result = algebra_residuals(ops)
-        for key in sorted(result.residuals):
-            levels = result.levels[key]
-            value = result.residuals[key]
-            records.append(
-                CheckRecord(
-                    check_id=f"algebra/uniform/q={q:g}/{key}",
-                    relation=_RELATION_BY_KEY[key],
-                    convention=label,
-                    params={
-                        "q": q,
-                        "cutoff": cfg.cutoff,
-                        "psi_a": 1.0,
-                        "psi_b": 1.0,
-                        "levels": [int(n) for n in levels],
-                    },
-                    residual=value,
-                    threshold=thr,
-                    passed=value <= thr,
-                    notes=f"levels {levels[0]}..{levels[-1]}",
-                )
-            )
+        result = algebra_residuals(make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator))
+        records += _algebra_records(check, result, sorted(result.residuals), f"algebra/uniform/q={q:g}")
 
     for q, psi_b in _GENERALIZED_POINTS:
         worst = max(
@@ -181,43 +196,20 @@ def algebra_suite(cfg: RunConfig) -> list:
             for n in range(7)
         )
         records.append(
-            CheckRecord(
-                check_id=f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}",
-                relation="bracket-shift",
+            check(
+                f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}",
+                "bracket-shift",
+                {"q": q, "psi_a": 1.0, "psi_b": psi_b, "levels": list(range(7))},
+                worst,
+                "scalar recurrence bracket(n+1) - q*bracket(n) = psi_b * q^(-n)",
                 convention="scalar",
-                params={"q": q, "psi_a": 1.0, "psi_b": psi_b, "levels": list(range(7))},
-                residual=worst,
-                threshold=thr,
-                passed=worst <= thr,
-                notes="scalar recurrence bracket(n+1) - q*bracket(n) = psi_b * q^(-n)",
             )
         )
 
     for q, psi_b in _GENERALIZED_POINTS:
-        ops = make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator)
-        result = algebra_residuals(ops)
-        for key in ("deformed_commutation", "lowering_product_diagonal"):
-            levels = result.levels[key]
-            value = result.residuals[key]
-            records.append(
-                CheckRecord(
-                    check_id=f"algebra/generalized/q={q:g}/psi_b={psi_b:g}/{key}",
-                    relation=_RELATION_BY_KEY[key],
-                    convention=label,
-                    params={
-                        "q": q,
-                        "cutoff": cfg.cutoff,
-                        "psi_a": 1.0,
-                        "psi_b": psi_b,
-                        "levels": [int(n) for n in levels],
-                    },
-                    residual=value,
-                    threshold=thr,
-                    passed=value <= thr,
-                    notes=f"levels {levels[0]}..{levels[-1]}"
-                    + ("; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""),
-                )
-            )
+        result = algebra_residuals(make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator))
+        keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
+        records += _algebra_records(check, result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}")
 
     shift_cases = (
         ("psi_b-one", 2.0, 1.0, 0.0),
@@ -227,17 +219,13 @@ def algebra_suite(cfg: RunConfig) -> list:
     eye = np.eye(cfg.cutoff, dtype=complex)
     for case, q, psi_b, shift in shift_cases:
         ops = make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator)
-        value = _max_abs(deformed_number_op(ops) - (mode.n_op - shift * eye))
         records.append(
-            CheckRecord(
-                check_id=f"algebra/number-shift/{case}",
-                relation="number-shift",
-                convention=label,
-                params={"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff},
-                residual=value,
-                threshold=thr,
-                passed=value <= thr,
-                notes=f"shifted number operator equals N - {shift:g}*I",
+            check(
+                f"algebra/number-shift/{case}",
+                "number-shift",
+                {"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff},
+                _max_abs(deformed_number_op(ops) - (mode.n_op - shift * eye)),
+                f"shifted number operator equals N - {shift:g}*I",
             )
         )
 
@@ -246,17 +234,13 @@ def algebra_suite(cfg: RunConfig) -> list:
             continue
         forward = make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator)
         backward = make_deformed_ops(mode, 1.0 / q, 1.0, 1.0, cfg.operator)
-        value = _max_abs(forward.a_q - backward.a_q)
         records.append(
-            CheckRecord(
-                check_id=f"algebra/bracket-symmetry/q={q:g}",
-                relation="bracket-symmetry",
-                convention=label,
-                params={"q": q, "mirror_q": 1.0 / q, "cutoff": cfg.cutoff},
-                residual=value,
-                threshold=thr,
-                passed=value <= thr,
-                notes="lowering operators at q and 1/q coincide at unit psi",
+            check(
+                f"algebra/bracket-symmetry/q={q:g}",
+                "bracket-symmetry",
+                {"q": q, "mirror_q": 1.0 / q, "cutoff": cfg.cutoff},
+                _max_abs(forward.a_q - backward.a_q),
+                "lowering operators at q and 1/q coincide at unit psi",
             )
         )
 
@@ -265,21 +249,20 @@ def algebra_suite(cfg: RunConfig) -> list:
     literal_res = algebra_residuals(literal).residuals["lowering_product_diagonal"]
     hermitian_res = algebra_residuals(hermitian).residuals["lowering_product_diagonal"]
     records.append(
-        CheckRecord(
-            check_id="algebra/convention-audit/q=2",
-            relation="convention-audit",
-            convention="operator=both",
-            params={
+        check(
+            "algebra/convention-audit/q=2",
+            "convention-audit",
+            {
                 "q": 2.0,
                 "cutoff": cfg.cutoff,
                 "matrix_element_residual": hermitian_res,
                 "left_scaling_residual": literal_res,
             },
-            residual=literal_res,
-            threshold=thr,
-            passed=literal_res > thr and hermitian_res <= thr,
-            notes="the literal scaled-lowering reading zeroes its singular vacuum scale and "
+            literal_res,
+            "the literal scaled-lowering reading zeroes its singular vacuum scale and "
             "misses the level-1 product diagonal; the matrix-element reading satisfies it",
+            passed=literal_res > thr and hermitian_res <= thr,
+            convention="operator=both",
         )
     )
     return records
@@ -336,7 +319,7 @@ def _closure_residual(spec: GateSpec, q: float, exponent: ExponentConvention) ->
 
 def gates_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
-    label = _convention_label(cfg)
+    check = partial(_check, convention=_convention_label(cfg), threshold=thr)
     records = []
 
     for spec in _gate_specs():
@@ -349,15 +332,12 @@ def gates_suite(cfg: RunConfig) -> list:
                 expected[emb.basis_index(out_bits)] += coeff
             worst = max(worst, float(np.linalg.norm(matrix[:, emb.basis_index(bits)] - expected)))
         records.append(
-            CheckRecord(
-                check_id=f"gates/table/{spec.kind.value}",
-                relation="gate-table",
-                convention=label,
-                params={"gate": spec.kind.value, "phi": spec.phi},
-                residual=worst,
-                threshold=thr,
-                passed=worst <= thr,
-                notes="matrix columns match an independently transcribed truth table",
+            check(
+                f"gates/table/{spec.kind.value}",
+                "gate-table",
+                {"gate": spec.kind.value, "phi": spec.phi},
+                worst,
+                "matrix columns match an independently transcribed truth table",
             )
         )
 
@@ -367,17 +347,13 @@ def gates_suite(cfg: RunConfig) -> list:
         emb = QubitEmbedding(spec.arity)
         matrix = gate_matrix(spec, emb)
         factor = 2.0 if spec.kind is GateKind.HAD else 1.0
-        value = _max_abs(matrix @ matrix - factor * emb.projector())
         records.append(
-            CheckRecord(
-                check_id=f"gates/involution/{spec.kind.value}",
-                relation="gate-involution",
-                convention=label,
-                params={"gate": spec.kind.value, "square_factor": factor},
-                residual=value,
-                threshold=thr,
-                passed=value <= thr,
-                notes="squares to twice the valid-subspace projector"
+            check(
+                f"gates/involution/{spec.kind.value}",
+                "gate-involution",
+                {"gate": spec.kind.value, "square_factor": factor},
+                _max_abs(matrix @ matrix - factor * emb.projector()),
+                "squares to twice the valid-subspace projector"
                 if factor == 2.0
                 else "squares to the valid-subspace projector",
             )
@@ -387,33 +363,25 @@ def gates_suite(cfg: RunConfig) -> list:
     for phi in (0.0, math.pi / 3, math.pi):
         forward = gate_matrix(GateSpec(GateKind.PS, phi), emb1)
         backward = gate_matrix(GateSpec(GateKind.PS, -phi), emb1)
-        value = _max_abs(forward @ backward - emb1.projector())
         records.append(
-            CheckRecord(
-                check_id=f"gates/phase-inverse/phi={phi:g}",
-                relation="phase-inverse",
-                convention=label,
-                params={"phi": phi},
-                residual=value,
-                threshold=thr,
-                passed=value <= thr,
-                notes="opposite phases compose to the valid-subspace projector",
+            check(
+                f"gates/phase-inverse/phi={phi:g}",
+                "phase-inverse",
+                {"phi": phi},
+                _max_abs(forward @ backward - emb1.projector()),
+                "opposite phases compose to the valid-subspace projector",
             )
         )
 
     for q in cfg.q_values:
         for spec in _gate_specs():
-            value = _closure_residual(spec, q, cfg.exponent)
             records.append(
-                CheckRecord(
-                    check_id=f"gates/closure/{spec.kind.value}/q={q:g}",
-                    relation="gate-closure",
-                    convention=label,
-                    params={"gate": spec.kind.value, "phi": spec.phi, "q": q, "assignment": "closing"},
-                    residual=value,
-                    threshold=thr,
-                    passed=value <= thr,
-                    notes="deformed gate reproduces its table on fixed-parameter kets",
+                check(
+                    f"gates/closure/{spec.kind.value}/q={q:g}",
+                    "gate-closure",
+                    {"gate": spec.kind.value, "phi": spec.phi, "q": q, "assignment": "closing"},
+                    _closure_residual(spec, q, cfg.exponent),
+                    "deformed gate reproduces its table on fixed-parameter kets",
                 )
             )
 
@@ -421,34 +389,29 @@ def gates_suite(cfg: RunConfig) -> list:
     for spec in _gate_specs():
         emb = QubitEmbedding(spec.arity)
         deformed = deformed_gate_matrix(spec, q_near_one, None, cfg.exponent, emb)
-        value = _max_abs(deformed.matrix - gate_matrix(spec, emb))
         records.append(
-            CheckRecord(
-                check_id=f"gates/reduction/{spec.kind.value}",
-                relation="gate-closure",
-                convention=label,
-                params={"gate": spec.kind.value, "phi": spec.phi, "q": q_near_one, "assignment": "closing"},
-                residual=value,
+            check(
+                f"gates/reduction/{spec.kind.value}",
+                "gate-closure",
+                {"gate": spec.kind.value, "phi": spec.phi, "q": q_near_one, "assignment": "closing"},
+                _max_abs(deformed.matrix - gate_matrix(spec, emb)),
+                "deformed matrix at q near 1 matches the undeformed gate elementwise",
                 threshold=cfg.limit_threshold,
-                passed=value <= cfg.limit_threshold,
-                notes="deformed matrix at q near 1 matches the undeformed gate elementwise",
             )
         )
 
     result_res = _closure_residual(GateSpec(GateKind.NOT), 2.0, ExponentConvention.RESULT)
     vacuum_res = _closure_residual(GateSpec(GateKind.NOT), 2.0, ExponentConvention.VACUUM)
     records.append(
-        CheckRecord(
-            check_id="gates/exponent-compare/not/q=2",
-            relation="convention-audit",
-            convention="exponent=both",
-            params={"gate": "not", "q": 2.0, "result_residual": result_res, "vacuum_residual": vacuum_res},
-            residual=result_res,
-            threshold=thr,
-            passed=result_res <= thr,
-            notes="reading the parameter-fixing exponents on the created state closes the "
+        check(
+            "gates/exponent-compare/not/q=2",
+            "convention-audit",
+            {"gate": "not", "q": 2.0, "result_residual": result_res, "vacuum_residual": vacuum_res},
+            result_res,
+            "reading the parameter-fixing exponents on the created state closes the "
             "identity exactly; reading them on the vacuum leaves a finite mismatch on "
             "excited qubits",
+            convention="exponent=both",
         )
     )
 
@@ -456,17 +419,13 @@ def gates_suite(cfg: RunConfig) -> list:
         emb = QubitEmbedding(spec.arity)
         forward = deformed_gate_matrix(spec, 2.0, DeformationParams.uniform(2.0), cfg.exponent, emb)
         backward = deformed_gate_matrix(spec, 0.5, DeformationParams.uniform(0.5), cfg.exponent, emb)
-        value = _max_abs(forward.matrix - backward.matrix)
         records.append(
-            CheckRecord(
-                check_id=f"gates/symmetry/{spec.kind.value}",
-                relation="bracket-symmetry",
-                convention=label,
-                params={"gate": spec.kind.value, "phi": spec.phi, "q": 2.0, "mirror_q": 0.5, "psi": 1.0},
-                residual=value,
-                threshold=thr,
-                passed=value <= thr,
-                notes="deformed matrices at q and 1/q coincide at unit psi",
+            check(
+                f"gates/symmetry/{spec.kind.value}",
+                "bracket-symmetry",
+                {"gate": spec.kind.value, "phi": spec.phi, "q": 2.0, "mirror_q": 0.5, "psi": 1.0},
+                _max_abs(forward.matrix - backward.matrix),
+                "deformed matrices at q and 1/q coincide at unit psi",
             )
         )
 
@@ -479,16 +438,14 @@ def gates_suite(cfg: RunConfig) -> list:
     literal_gap = _max_abs(literal - table)
     faithful_gap = _max_abs(faithful - table)
     records.append(
-        CheckRecord(
-            check_id="gates/toffoli-literal-audit/q=2",
-            relation="toffoli-literal-audit",
-            convention=label,
-            params={"q": 2.0, "psi": 1.0, "literal_gap": literal_gap, "table_faithful_gap": faithful_gap},
-            residual=literal_gap,
-            threshold=thr,
-            passed=literal_gap > thr and faithful_gap <= thr,
-            notes="the literal control brackets sum to the identity and flip the target "
+        check(
+            "gates/toffoli-literal-audit/q=2",
+            "toffoli-literal-audit",
+            {"q": 2.0, "psi": 1.0, "literal_gap": literal_gap, "table_faithful_gap": faithful_gap},
+            literal_gap,
+            "the literal control brackets sum to the identity and flip the target "
             "unconditionally; the table-faithful build matches the truth table",
+            passed=literal_gap > thr and faithful_gap <= thr,
         )
     )
     return records
@@ -499,7 +456,7 @@ def gates_suite(cfg: RunConfig) -> list:
 
 def constraints_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
-    label = _convention_label(cfg)
+    check = partial(_check, convention=_convention_label(cfg), threshold=thr)
     records = []
     # q = 1 is undeformed (the brackets divide by q - 1/q), so the sweep drops it
     sweep_q = tuple(q for q in cfg.q_values if q != 1.0)
@@ -510,56 +467,45 @@ def constraints_suite(cfg: RunConfig) -> list:
     elif len(sweep_q) < len(cfg.q_values):
         q_note = "; q = 1 cannot be swept and was left out of the sweep q values"
 
-    for kind in _GATE_ORDER:
-        spec = GateSpec(kind, _DISCOVERY_PHI if kind is GateKind.PS else 0.0)
+    for spec in _gate_specs():
         result = discover_constraints(
             spec, sweep_q, cfg.psi_grid, thr, operator=cfg.operator, exponent=cfg.exponent
         )
         residual = max(result.totals["claim_max_strict"], result.totals["claim_max_collinear"])
-        passed = result.verdict != "confirmed" or residual <= thr
         records.append(
-            CheckRecord(
-                check_id=f"constraints/verdict/{kind.value}",
-                relation="constraint-verdict",
-                convention=label,
-                params=result.as_dict(),
-                residual=residual,
-                threshold=thr,
-                passed=passed,
-                notes=f"verdict: {result.verdict}; {result.notes}{q_note}",
+            check(
+                f"constraints/verdict/{spec.kind.value}",
+                "constraint-verdict",
+                result.as_dict(),
+                residual,
+                f"verdict: {result.verdict}; {result.notes}{q_note}",
+                passed=result.verdict != "confirmed" or residual <= thr,
             )
         )
 
+    ratio_check = partial(check, convention="scalar", threshold=1e-14)
     ratio_q = tuple(sorted(set(cfg.q_values) | {1.0}))
     for q in ratio_q:
         value = hadamard_closure_ratio(0, q)
-        gap = abs(value - 1.0)
         records.append(
-            CheckRecord(
-                check_id=f"constraints/ratio-audit/n1=0/q={q:g}",
-                relation="ratio-audit",
-                convention="scalar",
-                params={"n1": 0, "q": q, "value": value},
-                residual=gap,
-                threshold=1e-14,
-                passed=gap <= 1e-14,
-                notes="the closure ratio at occupation 0 equals 1 as claimed",
+            ratio_check(
+                f"constraints/ratio-audit/n1=0/q={q:g}",
+                "ratio-audit",
+                {"n1": 0, "q": q, "value": value},
+                abs(value - 1.0),
+                "the closure ratio at occupation 0 equals 1 as claimed",
             )
         )
     for q in ratio_q:
         value = hadamard_closure_ratio(1, q)
-        literal_gap = abs(value - q * q)
         claim_gap = abs(value - 1.0)
         records.append(
-            CheckRecord(
-                check_id=f"constraints/ratio-audit/n1=1/q={q:g}",
-                relation="ratio-audit",
-                convention="scalar",
-                params={"n1": 1, "q": q, "value": value, "claim_gap": claim_gap},
-                residual=literal_gap,
-                threshold=1e-14,
-                passed=literal_gap <= 1e-14,
-                notes="matches the always-1 claim"
+            ratio_check(
+                f"constraints/ratio-audit/n1=1/q={q:g}",
+                "ratio-audit",
+                {"n1": 1, "q": q, "value": value, "claim_gap": claim_gap},
+                abs(value - q * q),
+                "matches the always-1 claim"
                 if claim_gap <= 1e-14
                 else f"literal value equals q^2 and differs from the always-1 claim by {claim_gap:.6g}",
             )
@@ -571,9 +517,8 @@ def constraints_suite(cfg: RunConfig) -> list:
 
 
 def limits_suite(cfg: RunConfig) -> list:
-    thr = cfg.limit_threshold
     mode = make_mode_ops(cfg.cutoff)
-    label = f"operator={cfg.operator.value}"
+    check = partial(_check, convention=f"operator={cfg.operator.value}", threshold=cfg.limit_threshold)
     records = []
 
     ordered = sorted(cfg.limit_q, key=lambda q: abs(q - 1.0), reverse=True)
@@ -582,15 +527,14 @@ def limits_suite(cfg: RunConfig) -> list:
         ops = make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator)
         gaps[q] = float(np.linalg.norm(ops.a_q - mode.a, 2))
         records.append(
-            CheckRecord(
-                check_id=f"limits/lowering-gap/q={q:g}",
-                relation="classical-limit",
-                convention=label,
-                params={"q": q, "eps": abs(q - 1.0), "cutoff": cfg.cutoff},
-                residual=gaps[q],
-                threshold=None,
+            check(
+                f"limits/lowering-gap/q={q:g}",
+                "classical-limit",
+                {"q": q, "eps": abs(q - 1.0), "cutoff": cfg.cutoff},
+                gaps[q],
+                "operator-norm distance of the deformed lowering operator from its limit",
                 passed=True,
-                notes="operator-norm distance of the deformed lowering operator from its limit",
+                threshold=None,
             )
         )
 
@@ -598,13 +542,11 @@ def limits_suite(cfg: RunConfig) -> list:
         shrink = abs(coarse - 1.0) / abs(fine - 1.0)
         ratio = gaps[coarse] / gaps[fine] if gaps[fine] > 0.0 else math.inf
         order = math.log(ratio) / math.log(shrink) if ratio not in (0.0, math.inf) else math.inf
-        passed = ratio >= 0.9 * shrink
         records.append(
-            CheckRecord(
-                check_id=f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}",
-                relation="classical-limit",
-                convention=label,
-                params={
+            check(
+                f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}",
+                "classical-limit",
+                {
                     "q_coarse": coarse,
                     "q_fine": fine,
                     "gap_coarse": gaps[coarse],
@@ -613,28 +555,24 @@ def limits_suite(cfg: RunConfig) -> list:
                     "ratio": ratio if math.isfinite(ratio) else None,
                     "measured_order": order if math.isfinite(order) else None,
                 },
-                residual=None,
-                threshold=None,
-                passed=passed,
-                notes=f"gap must shrink at least linearly in |q-1|; measured order {order:.6g}"
+                None,
+                f"gap must shrink at least linearly in |q-1|; measured order {order:.6g}"
                 if math.isfinite(order)
                 else "gap must shrink at least linearly in |q-1|",
+                passed=ratio >= 0.9 * shrink,
+                threshold=None,
             )
         )
 
     q_near = 1.0 + 1e-8
     near = make_deformed_ops(mode, q_near, 1.0, 1.0, cfg.operator)
-    value = _max_abs(near.a_q - mode.a)
     records.append(
-        CheckRecord(
-            check_id="limits/lowering-continuity",
-            relation="classical-limit",
-            convention=label,
-            params={"q": q_near, "cutoff": cfg.cutoff},
-            residual=value,
-            threshold=thr,
-            passed=value <= thr,
-            notes="deformed lowering operator is elementwise continuous at q = 1",
+        check(
+            "limits/lowering-continuity",
+            "classical-limit",
+            {"q": q_near, "cutoff": cfg.cutoff},
+            _max_abs(near.a_q - mode.a),
+            "deformed lowering operator is elementwise continuous at q = 1",
         )
     )
 
@@ -643,22 +581,18 @@ def limits_suite(cfg: RunConfig) -> list:
     undeformed = mode.a @ mode.a_dag - mode.a_dag @ mode.a - eye
     undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
     deformed_res = algebra_residuals(near).residuals["deformed_commutation"]
-    value = abs(deformed_res - undeformed_res)
     records.append(
-        CheckRecord(
-            check_id="limits/commutation-continuity",
-            relation="classical-limit",
-            convention=label,
-            params={
+        check(
+            "limits/commutation-continuity",
+            "classical-limit",
+            {
                 "q": q_near,
                 "cutoff": cfg.cutoff,
                 "deformed_residual": deformed_res,
                 "undeformed_residual": undeformed_res,
             },
-            residual=value,
-            threshold=thr,
-            passed=value <= thr,
-            notes="deformed commutation residual is continuous against the undeformed relation",
+            abs(deformed_res - undeformed_res),
+            "deformed commutation residual is continuous against the undeformed relation",
         )
     )
     return records

@@ -275,10 +275,10 @@ class TestLevelCodes:
         spec = GateSpec(kind)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
         codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
-        whole = _sweep_rows(spec, 2.0, levels, codes)
+        whole = _sweep_rows(spec, 2.0, levels, grid_codes, codes)
         assert whole[2].any() and not whole[2].all()
         monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
-        blocked = _sweep_rows(spec, 2.0, levels, codes)
+        blocked = _sweep_rows(spec, 2.0, levels, grid_codes, codes)
         for expected, got in zip(whole, blocked):
             assert np.array_equal(expected, got)
 
@@ -292,7 +292,7 @@ class TestLevelCodes:
         stratum = "free-q1q3" if spec.arity == 3 else "free"
         levels, grid_codes = _grid_levels(grid)
         codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
-        strict, collinear, admissible = _sweep_rows(spec, q, levels, codes)
+        strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
         matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
@@ -309,7 +309,7 @@ class TestLevelCodes:
 
 class TestSweepGuards:
     def test_overflowing_grid_raises_naming_gate_q_and_levels(self):
-        with pytest.raises(OverflowError, match=r"cnot sweep at q=2\.0.*psi_a=1e\+300"):
+        with pytest.raises(OverflowError, match=r"cnot sweep at q=2\.0.*psi_a=1e\+300, psi_b=2\.0"):
             discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
 
     def test_single_qubit_amplitudes_of_the_same_grid_stay_finite(self):
@@ -322,8 +322,8 @@ class TestSweepGuards:
         """Run discover_constraints with edit applied to row 0 (always picked, always admissible)."""
         sweep = constraints._sweep_rows
 
-        def tampered(spec, q, levels, codes):
-            strict, collinear, admissible = sweep(spec, q, levels, codes)
+        def tampered(spec, q, levels, grid_codes, codes):
+            strict, collinear, admissible = sweep(spec, q, levels, grid_codes, codes)
             assert admissible[0]
             edit(strict, collinear, admissible)
             return strict, collinear, admissible

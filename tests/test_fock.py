@@ -1,12 +1,13 @@
 """Tests for truncated single-mode operators and multi-mode embedding."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qgatelab import (
     MultiModeState,
     basis_state,
-    index_occupation,
     lift,
     make_mode_ops,
     occupation_index,
@@ -98,9 +99,9 @@ class TestIndexing:
 
     @pytest.mark.parametrize("cutoff", [2, 3])
     def test_round_trip(self, cutoff):
-        mode_count = 3
-        for flat in range(cutoff**mode_count):
-            occ = index_occupation(flat, mode_count, cutoff)
+        # row-major with mode 1 slowest is itertools.product order
+        occupations = itertools.product(range(cutoff), repeat=3)
+        for flat, occ in enumerate(occupations):
             assert occupation_index(occ, cutoff) == flat
 
     def test_rejects_occupation_at_or_above_cutoff(self):

@@ -142,18 +142,14 @@ class TestDeformedNumberOp:
         n_q = deformed_number_op(ops)
         expected = np.diag(np.arange(4, dtype=float)) - shift * np.eye(4)
         assert np.max(np.abs(n_q - expected)) <= 1e-12
-        assert ops.n_q is not None
-        assert np.array_equal(ops.n_q, n_q)
 
     def test_rejected_at_q_one(self):
         ops = make_deformed_ops(make_mode_ops(4), 1.0)
-        assert ops.n_q is None
         with pytest.raises(ValueError):
             deformed_number_op(ops)
 
     def test_rejected_for_nonpositive_weight(self):
         ops = make_deformed_ops(make_mode_ops(4), 2.0, 1.0, -1.0)
-        assert ops.n_q is None
         with pytest.raises(ValueError):
             deformed_number_op(ops)
 

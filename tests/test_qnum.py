@@ -10,7 +10,6 @@ from qgatelab import (
     DeformationParams,
     psi_bracket,
     q_bracket,
-    q_factorial,
 )
 
 
@@ -100,18 +99,6 @@ class TestPsiBracket:
         for n in range(6):
             lhs = psi_bracket(n + 1, q, wa, wb) - q * psi_bracket(n, q, wa, wb)
             assert lhs == pytest.approx(wb * q ** (-n), rel=1e-12)
-
-
-class TestQFactorial:
-    def test_known_value(self):
-        # [1] * [2] * [3] at q=2 is 1 * 2.5 * 5.25.
-        assert q_factorial(3, 2.0) == pytest.approx(13.125, abs=1e-12)
-
-    def test_empty_product(self):
-        assert q_factorial(0, 2.0) == 1.0
-
-    def test_reduces_to_plain_factorial(self):
-        assert q_factorial(5, 1.0) == pytest.approx(math.factorial(5), abs=1e-12)
 
 
 class TestDeformationParams:

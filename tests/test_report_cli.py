@@ -18,6 +18,15 @@ from qgatelab.cli import ENV_OUT_DIR, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# checks that state their own outcome instead of residual <= threshold
+_OWN_OUTCOME_CHECKS = (
+    "algebra/convention-audit/q=2",
+    "gates/toffoli-literal-audit/q=2",
+    "constraints/verdict/",
+    "limits/lowering-gap/",
+    "limits/shrink-ratio/",
+)
+
 
 def _golden_config() -> RunConfig:
     return RunConfig(suite="algebra", q_values=(2.0,), cutoff=4)
@@ -116,6 +125,21 @@ class TestSerialization:
         assert code == 0
         assert payload == (GOLDEN_DIR / "report_all.json").read_bytes()
 
+    def test_nondefault_full_run_matches_golden_json(self, tmp_path):
+        # pins what the default run does not reach: failing records, the q = 1
+        # symmetry skip, the left-scaling and vacuum branches, the claim-gap note
+        out = tmp_path / "report.json"
+        argv = ["all", "--convention", "left-scaling,vacuum", "--q", "1,0.7,2", "--psi", "0.5,2"]
+        assert main(argv + ["--cutoff", "3", "--out", str(out)]) == 1
+        assert out.read_bytes() == (GOLDEN_DIR / "report_all_nondefault.json").read_bytes()
+
+    def test_records_pass_exactly_within_their_threshold(self, all_report):
+        records = json.loads(all_report[1])["records"]
+        ruled = [r for r in records if not r["check_id"].startswith(_OWN_OUTCOME_CHECKS)]
+        assert 0 < len(ruled) < len(records)
+        for record in ruled:
+            assert record["passed"] == (record["residual"] <= record["threshold"]), record["check_id"]
+
     def test_discover_on_duplicate_grid_matches_golden_json(self, tmp_path):
         # duplicate psi values and a grid that contains the 1.0 filler value
         out = tmp_path / "report.json"
@@ -141,6 +165,7 @@ class TestRunConfig:
             {"q_values": ()},
             {"q_values": (0.0,)},
             {"cutoff": 1},
+            {"cutoff": 2},
             {"psi_grid": (2.0,)},
             {"limit_q": (1.0, 1.1)},
             {"identity_threshold": 0.0},
@@ -174,6 +199,15 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(self.ARGS + ["--out", str(out), "--threshold", "1e-30"]) == 1
         assert json.loads(out.read_bytes())["summary"]["failed"] > 0
+
+    @pytest.mark.parametrize("command", ["verify-algebra", "all"])
+    def test_cutoff_two_exits_two_saying_why(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        assert main([command, "--cutoff", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cutoff must be at least 3" in err and "no level to test" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["verify-algebra", "--q", "zebra"]) == 2

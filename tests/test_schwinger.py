@@ -15,7 +15,6 @@ from qgatelab import (
     decode,
     deformed_qubit_state,
     encode_basis,
-    jm_state,
     qubit_amplitude,
 )
 
@@ -61,36 +60,6 @@ class TestEncoding:
             encode_basis((0, 2))
         with pytest.raises(ValueError):
             encode_basis(())
-
-
-class TestJmState:
-    @pytest.mark.parametrize(
-        ("j", "m", "occ"),
-        [
-            (0.5, 0.5, (1, 0)),
-            (0.5, -0.5, (0, 1)),
-            (1, 1, (2, 0)),
-            (1, 0, (1, 1)),
-            (1.5, 0.5, (2, 1)),
-        ],
-    )
-    def test_occupations(self, j, m, occ):
-        d = max(occ) + 1
-        state = jm_state(j, m, d)
-        assert state.amplitude(occ) == 1.0
-        assert state.norm == 1.0
-
-    def test_rejects_m_larger_than_j(self):
-        with pytest.raises(ValueError):
-            jm_state(0.5, 1.5, 4)
-
-    def test_rejects_incompatible_half_integers(self):
-        with pytest.raises(ValueError):
-            jm_state(1, 0.5, 4)
-
-    def test_rejects_occupations_beyond_cutoff(self):
-        with pytest.raises(ValueError):
-            jm_state(1, 1, 2)
 
 
 class TestDeformedStates:
