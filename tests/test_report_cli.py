@@ -1,5 +1,6 @@
 """Tests for canonical serialization, suite records, and the command line."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from qgatelab import (
     CSV_COLUMNS,
     CheckRecord,
+    ExponentConvention,
+    OperatorConvention,
     RunConfig,
     VerificationReport,
     canonical_json,
@@ -112,6 +115,14 @@ class TestSerialization:
         data = json.loads(serialize_report(run_suites(cfg), "json"))
         assert "out" not in data["config"]
 
+    def test_config_block_holds_every_other_field_as_json_values(self):
+        cfg = RunConfig(suite="algebra", q_values=(2.0,), cutoff=4)
+        config = cfg.public_config()
+        assert list(config) == [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
+        assert config["operator"] == cfg.operator.value
+        assert config["exponent"] == cfg.exponent.value
+        assert config["q_values"] == [2.0]
+
     def test_matches_golden_json(self):
         payload = serialize_report(run_suites(_golden_config()), "json")
         assert payload == (GOLDEN_DIR / "report_algebra.json").read_bytes()
@@ -125,13 +136,14 @@ class TestSerialization:
         assert code == 0
         assert payload == (GOLDEN_DIR / "report_all.json").read_bytes()
 
-    def test_nondefault_full_run_matches_golden_json(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nondefault_full_run_matches_golden(self, tmp_path, fmt):
         # pins what the default run does not reach: failing records, the q = 1
         # symmetry skip, the left-scaling and vacuum branches, the claim-gap note
-        out = tmp_path / "report.json"
+        out = tmp_path / f"report.{fmt}"
         argv = ["all", "--convention", "left-scaling,vacuum", "--q", "1,0.7,2", "--psi", "0.5,2"]
-        assert main(argv + ["--cutoff", "3", "--out", str(out)]) == 1
-        assert out.read_bytes() == (GOLDEN_DIR / "report_all_nondefault.json").read_bytes()
+        assert main(argv + ["--cutoff", "3", "--format", fmt, "--out", str(out)]) == 1
+        assert out.read_bytes() == (GOLDEN_DIR / f"report_all_nondefault.{fmt}").read_bytes()
 
     def test_records_pass_exactly_within_their_threshold(self, all_report):
         records = json.loads(all_report[1])["records"]
@@ -200,7 +212,7 @@ class TestCli:
         assert main(self.ARGS + ["--out", str(out), "--threshold", "1e-30"]) == 1
         assert json.loads(out.read_bytes())["summary"]["failed"] > 0
 
-    @pytest.mark.parametrize("command", ["verify-algebra", "all"])
+    @pytest.mark.parametrize("command", ["verify-algebra", "all", "verify-gates", "discover", "limit-study"])
     def test_cutoff_two_exits_two_saying_why(self, tmp_path, capsys, command):
         out = tmp_path / "report.json"
         assert main([command, "--cutoff", "2", "--out", str(out)]) == 2
@@ -218,6 +230,16 @@ class TestCli:
         config.write_text('{"suite": "algebra"}')
         assert main(["verify-algebra", "--config", str(config)]) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_config_file_accepts_every_field_but_the_suite(self, tmp_path):
+        # a report's own config block, plus an output path, is a valid config file
+        config = tmp_path / "config.json"
+        settings = RunConfig(suite="algebra", q_values=(2.0,), cutoff=4).public_config()
+        del settings["suite"]
+        out = tmp_path / "report.json"
+        config.write_text(json.dumps({**settings, "out": str(out)}))
+        assert main(["verify-algebra", "--config", str(config)]) == 0
+        assert json.loads(out.read_bytes())["config"] == {"suite": "algebra", **settings}
 
     def test_invalid_json_config_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
@@ -272,6 +294,11 @@ class TestCli:
 
     def test_unknown_convention_token_exits_two(self):
         assert main(self.ARGS + ["--convention", "sideways"]) == 2
+
+    def test_unknown_convention_token_lists_every_convention(self, capsys):
+        assert main(self.ARGS + ["--convention", "sideways"]) == 2
+        tokens = [c.value for c in OperatorConvention] + [c.value for c in ExponentConvention]
+        assert f"expected one of {', '.join(tokens)}" in capsys.readouterr().err
 
     def test_non_finite_threshold_exits_two(self, capsys):
         assert main(self.ARGS + ["--threshold", "nan"]) == 2
