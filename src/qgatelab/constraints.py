@@ -5,7 +5,9 @@ required for the deformed identity to close, together with the auxiliary
 equalities the claim is conditioned on.  identity_residual measures how far a
 single (q, psi) point is from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
-the minimal sufficient equality pattern, and scores the claim.
+the minimal sufficient equality pattern, and scores the claim.  Each
+(stratum, q) block of rows is reduced to counts and maxima per equality
+pattern as soon as it is swept, and all scoring reads those tallies.
 
 Residual definition: the gate matrix is applied to the deformed input ket, and
 the result is compared against the gate's traced action where each carried slot
@@ -22,15 +24,16 @@ tested grid in both modes; refuted otherwise, with notes recording which half
 failed; convention-dependent iff the two residual modes disagree.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
-from .qnum import DeformationParams, NegativeRadicandError
+from .qnum import PSI_COUNT, DeformationParams, NegativeRadicandError
 from .schwinger import (
     DeformedQubitSpec,
     ExponentConvention,
@@ -177,41 +180,29 @@ def _dense_residuals(
     return worst_strict, worst_collinear
 
 
-def _stratum_names(arity: int) -> tuple:
-    """Sweep strata: cross-mode (auxiliary) equalities, within-mode equalities, free.
+def _strata(arity: int) -> dict:
+    """Sweep strata in sweep order: name -> per free grid slot, the 0-based psi columns it fills.
 
-    The free stratum for three qubits would need 4^12 rows; it is replaced by
-    three qubit-pair blocks (all 4^8 combinations for two qubits, third qubit
-    pinned at 1), which distinguishes the same per-qubit equality patterns
-    because amplitudes factor qubit by qubit.
+    Cross-mode (auxiliary) equalities, within-mode equalities, then free
+    combinations.  The free stratum for three qubits would need 4^12 rows; it
+    is replaced by one block per qubit pair (all 4^8 combinations for the two
+    qubits, the third pinned at 1), which distinguishes the same per-qubit
+    equality patterns because amplitudes factor qubit by qubit.
     """
+
+    def free(qubits) -> tuple:
+        return tuple((4 * j + i,) for j in qubits for i in range(4))
+
+    strata = {
+        "aux": tuple((4 * j + k, 4 * j + k + 2) for j in range(arity) for k in (0, 1)),
+        "mode-pairs": tuple((4 * j + k, 4 * j + k + 1) for j in range(arity) for k in (0, 2)),
+    }
     if arity <= 2:
-        return ("aux", "mode-pairs", "free")
-    return ("aux", "mode-pairs", "free-q1q2", "free-q1q3", "free-q2q3")
-
-
-def _slot_map(arity: int, stratum: str) -> list:
-    """Per free grid slot, the list of 0-based psi indices it fills."""
-    if stratum == "aux":
-        slots = []
-        for j in range(arity):
-            slots.append([4 * j + 0, 4 * j + 2])
-            slots.append([4 * j + 1, 4 * j + 3])
-        return slots
-    if stratum == "mode-pairs":
-        slots = []
-        for j in range(arity):
-            slots.append([4 * j + 0, 4 * j + 1])
-            slots.append([4 * j + 2, 4 * j + 3])
-        return slots
-    if stratum == "free":
-        return [[i] for i in range(4 * arity)]
-    if stratum.startswith("free-q"):
-        first, second = int(stratum[6]) - 1, int(stratum[8]) - 1
-        slots = [[4 * first + i] for i in range(4)]
-        slots += [[4 * second + i] for i in range(4)]
-        return slots
-    raise ValueError(f"unknown stratum {stratum!r}")
+        strata["free"] = free(range(arity))
+    else:
+        for first, second in itertools.combinations(range(arity), 2):
+            strata[f"free-q{first + 1}q{second + 1}"] = free((first, second))
+    return strata
 
 
 # Rows per residual block.  Every sweep operation is per row, so blocking only
@@ -231,21 +222,22 @@ def _grid_levels(grid) -> tuple:
     return levels, codes
 
 
-def _stratum_codes(arity: int, stratum: str, levels: np.ndarray, grid_codes: np.ndarray) -> np.ndarray:
-    """Level codes (P x 12) of one stratum's psi rows, the 1.0 code everywhere else.
+def _stratum_codes(slots: tuple, levels: np.ndarray, grid_codes: np.ndarray) -> np.ndarray:
+    """Level codes (P x PSI_COUNT) of one stratum's psi rows, the 1.0 code everywhere else.
 
-    Rows come in itertools.product order over the grid (last slot fastest):
-    slot k of the row grid is axis k of a (len(grid),) * slots array.
+    slots is the stratum's entry in _strata.  Rows come in itertools.product
+    order over the grid (last slot fastest): slot k of the row grid is axis k
+    of a (len(grid),) * slots array.
     """
-    slots = _slot_map(arity, stratum)
     width = grid_codes.size
-    codes = np.full((width,) * len(slots) + (12,), np.searchsorted(levels, 1.0), dtype=grid_codes.dtype)
+    filler = np.searchsorted(levels, 1.0)
+    codes = np.full((width,) * len(slots) + (PSI_COUNT,), filler, dtype=grid_codes.dtype)
     for position, indices in enumerate(slots):
         axis_shape = [1] * len(slots)
         axis_shape[position] = width
         for index in indices:
             codes[..., index] = grid_codes.reshape(axis_shape)
-    return codes.reshape(-1, 12)
+    return codes.reshape(-1, PSI_COUNT)
 
 
 def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, codes: np.ndarray):
@@ -436,70 +428,61 @@ class ConstraintReport:
     notes: str
 
     def as_dict(self) -> dict:
-        return {
-            "gate": self.gate,
-            "phi": self.phi,
-            "q_values": list(self.q_values),
-            "grid": list(self.grid),
-            "tolerance": self.tolerance,
-            "conventions": dict(self.conventions),
-            "claim": dict(self.claim),
-            "strata": [dict(s) for s in self.strata],
-            "totals": dict(self.totals),
-            "minimal_pattern": dict(self.minimal_pattern),
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
-def _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance) -> dict:
-    adm = admissible
-    zero_strict = adm & (strict <= tolerance)
-    zero_collinear = adm & (collinear <= tolerance)
-    exemplars = []
-    seen = set()
+def _tally(rows: np.ndarray, strict: np.ndarray, collinear: np.ndarray, tolerance: float) -> dict:
+    """Points, maxima and zero counts of both residual modes over the rows in a mask.
 
-    def add_exemplar(index):
-        index = int(index)
-        if index in seen or not adm[index]:
-            return
-        seen.add(index)
-        exemplars.append(
-            {
-                "psi": [float(v) for v in levels[codes[index]]],
-                "strict": float(strict[index]),
-                "collinear": float(collinear[index]),
-            }
-        )
+    Residuals are >= 0, so a tally over no rows has maxima 0.0.
+    """
+    return {
+        "admissible": int(np.count_nonzero(rows)),
+        "zero_strict": int(np.count_nonzero(rows & (strict <= tolerance))),
+        "zero_collinear": int(np.count_nonzero(rows & (collinear <= tolerance))),
+        "max_strict": float(strict.max(initial=0.0, where=rows)),
+        "max_collinear": float(collinear.max(initial=0.0, where=rows)),
+    }
 
-    adm_indices = np.flatnonzero(adm)
+
+def _closes(tally: dict, mode: str, tolerance: float) -> bool:
+    """At least two points, and the identity closes at all of them in this residual mode."""
+    return tally["admissible"] >= 2 and tally[f"max_{mode}"] <= tolerance
+
+
+def _merge_tallies(first: dict, second: dict) -> dict:
+    return {
+        key: max(first[key], second[key]) if key.startswith("max_") else first[key] + second[key]
+        for key in first
+    }
+
+
+def _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance, tally) -> dict:
+    """One (stratum, q) block: its row counts, tally over the admissible rows, and exemplars."""
+
+    def psi(index) -> list:
+        return [float(v) for v in levels[codes[index]]]
+
+    picks = []
+    adm_indices = np.flatnonzero(admissible)
     if adm_indices.size:
-        add_exemplar(adm_indices[0])
-        add_exemplar(adm_indices[np.argmax(strict[adm_indices])])
-        zero_indices = np.flatnonzero(zero_strict)
-        if zero_indices.size:
-            add_exemplar(zero_indices[0])
-        nonzero_indices = np.flatnonzero(adm & (strict > tolerance))
-        if nonzero_indices.size:
-            add_exemplar(nonzero_indices[0])
-    skipped_indices = np.flatnonzero(~adm)
-    skipped_exemplar = (
-        {"psi": [float(v) for v in levels[codes[skipped_indices[0]]]]} if skipped_indices.size else None
-    )
+        picks = [adm_indices[0], adm_indices[np.argmax(strict[adm_indices])]]
+        for rows in (admissible & (strict <= tolerance), admissible & (strict > tolerance)):
+            picks += np.flatnonzero(rows)[:1].tolist()
     summary = {
         "stratum": name,
         "q": float(q),
         "rows": int(codes.shape[0]),
-        "admissible": int(adm.sum()),
-        "skipped": int((~adm).sum()),
-        "zero_strict": int(zero_strict.sum()),
-        "zero_collinear": int(zero_collinear.sum()),
-        "max_strict": float(strict[adm].max()) if adm.any() else 0.0,
-        "max_collinear": float(collinear[adm].max()) if adm.any() else 0.0,
-        "exemplars": exemplars[:4],
+        "skipped": int(codes.shape[0]) - tally["admissible"],
+        **tally,
+        "exemplars": [
+            {"psi": psi(index), "strict": float(strict[index]), "collinear": float(collinear[index])}
+            for index in dict.fromkeys(int(pick) for pick in picks)
+        ],
     }
-    if skipped_exemplar is not None:
-        summary["skipped_exemplar"] = skipped_exemplar
+    skipped_indices = np.flatnonzero(~admissible)
+    if skipped_indices.size:
+        summary["skipped_exemplar"] = {"psi": psi(skipped_indices[0])}
     return summary
 
 
@@ -515,11 +498,13 @@ def discover_constraints(
 
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi = pi/3
     so the sweep is not the identity gate).  q values must be positive and
-    not 1; grid values must be positive.  The sweep runs the vectorized engine
-    over every stratum and q, cross-checks deterministic samples against the
+    not 1; grid values must be positive.  Each (stratum, q) block runs the
+    vectorized engine, has deterministic samples cross-checked against the
     dense path (both residual modes in one pass, the gate matrix built once
-    per call), then classifies the zero set.  Raises OverflowError when a q
-    and the grid's largest amplitude overflow the sweep's products.
+    per call), and is tallied per candidate pattern before the next block
+    runs.  Summaries, totals, the minimal-pattern search and the verdicts
+    read only the tallies.  Raises OverflowError when a q and the grid's
+    largest amplitude overflow the sweep's products.
     """
     spec = gate if isinstance(gate, GateSpec) else GateSpec(GateKind(gate), 0.0)
     if not isinstance(gate, GateSpec) and spec.kind is GateKind.PS:
@@ -539,66 +524,62 @@ def discover_constraints(
 
     levels, grid_codes = _grid_levels(grid)
     matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
+    candidates = _candidate_patterns(claim, spec.arity)
+    # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
+    claimed = claim.equalities + claim.auxiliary
+    patterns = {pattern for _, pattern in candidates}
+    block_tallies = []
     strata_summaries = []
-    pooled_codes = []
-    pooled_strict = []
-    pooled_collinear = []
-    pooled_admissible = []
     samples_checked = 0
-    for name in _stratum_names(spec.arity):
-        codes = _stratum_codes(spec.arity, name, levels, grid_codes)
+    for name, slots in _strata(spec.arity).items():
+        codes = _stratum_codes(slots, levels, grid_codes)
         for q in q_values:
             strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
             samples_checked += _cross_check_samples(
                 spec, q, matrix, levels, codes, strict, collinear, admissible
             )
+            block = {
+                pattern: _tally(admissible & _satisfies(codes, pattern), strict, collinear, tolerance)
+                for pattern in patterns
+            }
             strata_summaries.append(
-                _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance)
+                _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance, block[()])
             )
-            pooled_codes.append(codes)
-            pooled_strict.append(strict)
-            pooled_collinear.append(collinear)
-            pooled_admissible.append(admissible)
-    codes_all = np.concatenate(pooled_codes)
-    strict_all = np.concatenate(pooled_strict)
-    collinear_all = np.concatenate(pooled_collinear)
-    admissible_all = np.concatenate(pooled_admissible)
+            block_tallies.append(block)
+    rows = sum(summary["rows"] for summary in strata_summaries)
+    tallies = {
+        pattern: functools.reduce(_merge_tallies, (block[pattern] for block in block_tallies))
+        for pattern in patterns
+    }
 
-    candidates = _candidate_patterns(claim, spec.arity)
     minimal = {}
-    for mode, residual_all in (("strict", strict_all), ("collinear", collinear_all)):
-        found_name, found_pattern = "unresolved", None
-        for cand_name, pattern in candidates:
-            mask = _satisfies(codes_all, pattern) & admissible_all
-            if int(mask.sum()) >= 2 and bool(np.all(residual_all[mask] <= tolerance)):
-                found_name, found_pattern = cand_name, pattern
-                break
-        minimal[mode] = {
-            "name": found_name,
-            "equalities": _pattern_text(found_pattern) if found_pattern is not None else "unresolved",
-        }
+    for mode in ("strict", "collinear"):
+        closing = [(cand, p) for cand, p in candidates if _closes(tallies[p], mode, tolerance)]
+        cand, pattern = closing[0] if closing else ("unresolved", None)
+        equalities = "unresolved" if pattern is None else _pattern_text(pattern)
+        minimal[mode] = {"name": cand, "equalities": equalities}
 
     verdicts = {}
     note_parts = []
-    claim_mask_pool = _satisfies(codes_all, claim.equalities) & _satisfies(codes_all, claim.auxiliary)
-    claim_mask_pool &= admissible_all
-    for mode, residual_all in (("strict", strict_all), ("collinear", collinear_all)):
+    admissible_tally, with_claim = tallies[()], tallies[claimed]
+    for mode in ("strict", "collinear"):
         if not claim.equalities:
-            ok = bool(admissible_all.any()) and bool(np.all(residual_all[admissible_all] <= tolerance))
+            ok = admissible_tally["admissible"] > 0 and admissible_tally[f"max_{mode}"] <= tolerance
             verdicts[mode] = "confirmed" if ok else "refuted"
             continue
-        aux_mask = _satisfies(codes_all, claim.auxiliary) & admissible_all
-        with_claim = aux_mask & _satisfies(codes_all, claim.equalities)
-        without_claim = aux_mask & ~_satisfies(codes_all, claim.equalities)
-        sufficient = int(with_claim.sum()) >= 2 and bool(np.all(residual_all[with_claim] <= tolerance))
-        zero_without = without_claim & (residual_all <= tolerance)
-        necessary = int(without_claim.sum()) > 0 and int(zero_without.sum()) == 0
+        # rows meeting only the auxiliary assumptions: the claimed rows are a subset of
+        # the auxiliary rows, so their tally is the difference of the two
+        auxiliary = tallies[claim.auxiliary]
+        without_claim = auxiliary["admissible"] - with_claim["admissible"]
+        zero_without = auxiliary[f"zero_{mode}"] - with_claim[f"zero_{mode}"]
+        sufficient = _closes(with_claim, mode, tolerance)
+        necessary = without_claim > 0 and zero_without == 0
         verdicts[mode] = "confirmed" if (sufficient and necessary) else "refuted"
         if sufficient and not necessary:
             note_parts.append(
-                f"{mode}: claimed equalities hold the identity at all {int(with_claim.sum())} "
+                f"{mode}: claimed equalities hold the identity at all {with_claim['admissible']} "
                 f"tested points but are not necessary, the identity already closes at "
-                f"{int(zero_without.sum())} admissible points satisfying only the auxiliary "
+                f"{zero_without} admissible points satisfying only the auxiliary "
                 "assumptions"
             )
         elif not sufficient:
@@ -612,19 +593,17 @@ def discover_constraints(
             f"strict verdict {verdicts['strict']}, collinear verdict {verdicts['collinear']}"
         )
 
-    admissible_count = int(admissible_all.sum())
+    admissible_count = admissible_tally["admissible"]
     totals = {
-        "rows": int(codes_all.shape[0]),
+        "rows": rows,
         "admissible": admissible_count,
-        "skipped": int(codes_all.shape[0]) - admissible_count,
-        "max_strict": float(strict_all[admissible_all].max()) if admissible_count else 0.0,
-        "max_collinear": float(collinear_all[admissible_all].max()) if admissible_count else 0.0,
-        "claim_points": int(claim_mask_pool.sum()),
-        "claim_max_strict": float(strict_all[claim_mask_pool].max()) if claim_mask_pool.any() else 0.0,
-        "claim_max_collinear": float(collinear_all[claim_mask_pool].max())
-        if claim_mask_pool.any()
-        else 0.0,
-        "cross_checked": int(samples_checked),
+        "skipped": rows - admissible_count,
+        "max_strict": admissible_tally["max_strict"],
+        "max_collinear": admissible_tally["max_collinear"],
+        "claim_points": with_claim["admissible"],
+        "claim_max_strict": with_claim["max_strict"],
+        "claim_max_collinear": with_claim["max_collinear"],
+        "cross_checked": samples_checked,
     }
     if not claim.equalities and verdict == "confirmed":
         note_parts.insert(

@@ -102,10 +102,6 @@ class VerificationReport:
         passed = sum(1 for r in self.records if r.passed)
         return {"total": len(self.records), "passed": passed, "failed": len(self.records) - passed}
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
     def as_dict(self) -> dict:
         return {
             "tool": "qgatelab",

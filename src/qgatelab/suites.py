@@ -7,6 +7,7 @@ parameter set and note is derived from the configuration alone.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
@@ -66,6 +67,28 @@ _RELATION_BY_KEY = {
 }
 
 
+def _real(name: str, value) -> float:
+    """value as a float; a bool or a string is refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, values) -> tuple:
+    """values as a tuple of floats; a string is refused rather than read character by character."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(f"each of the {name}", value) for value in values)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; an integral float such as 8.0 is read as 8, 3.9 or a bool is refused."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
     """Settings shared by every suite; flags and config files both land here."""
@@ -85,26 +108,26 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES and self.suite != "all":
             raise ValueError(f"unknown suite {self.suite!r}")
-        self.q_values = tuple(float(q) for q in self.q_values)
+        self.q_values = _reals("q values", self.q_values)
         if not self.q_values or any(not math.isfinite(q) or q <= 0.0 for q in self.q_values):
             raise ValueError(f"q values must be positive finite reals, got {self.q_values!r}")
-        self.cutoff = int(self.cutoff)
+        self.cutoff = _integer("cutoff", self.cutoff)
         if self.cutoff < 3:
             raise ValueError(
                 f"cutoff must be at least 3, got {self.cutoff}: the top level is a truncation "
                 "artifact and the generalized algebra checks also drop level 0, so cutoff 2 "
                 "leaves them no level to test"
             )
-        self.psi_grid = tuple(float(p) for p in self.psi_grid)
+        self.psi_grid = _reals("psi grid", self.psi_grid)
         if len(self.psi_grid) < 2 or any(not math.isfinite(p) or p <= 0.0 for p in self.psi_grid):
             raise ValueError(f"psi grid needs at least two positive finite reals, got {self.psi_grid!r}")
-        self.limit_q = tuple(float(q) for q in self.limit_q)
+        self.limit_q = _reals("limit q values", self.limit_q)
         if len(self.limit_q) < 2 or any(not math.isfinite(q) or q <= 0.0 or q == 1.0 for q in self.limit_q):
             raise ValueError(f"limit q values must be at least two positive reals different from 1, got {self.limit_q!r}")
         self.operator = OperatorConvention(self.operator)
         self.exponent = ExponentConvention(self.exponent)
-        self.identity_threshold = float(self.identity_threshold)
-        self.limit_threshold = float(self.limit_threshold)
+        self.identity_threshold = _real("identity threshold", self.identity_threshold)
+        self.limit_threshold = _real("limit threshold", self.limit_threshold)
         for threshold in (self.identity_threshold, self.limit_threshold):
             if not math.isfinite(threshold) or threshold <= 0.0:
                 raise ValueError(f"thresholds must be positive finite reals, got {threshold!r}")

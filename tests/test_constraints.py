@@ -9,6 +9,7 @@ import pytest
 from qgatelab import (
     CLAIMS,
     DeformationParams,
+    ExponentConvention,
     GateKind,
     GateSpec,
     NegativeRadicandError,
@@ -25,9 +26,8 @@ from qgatelab.constraints import (
     _dense_residuals,
     _grid_levels,
     _satisfies,
-    _slot_map,
+    _strata,
     _stratum_codes,
-    _stratum_names,
     _sweep_rows,
 )
 
@@ -178,6 +178,19 @@ class TestDiscoverConstraints:
             expected = 120 if GateSpec(kind).arity == 3 else 72
             assert rep.totals["cross_checked"] == expected, kind
 
+    def test_totals_aggregate_the_strata(self, reports):
+        vacuum = {
+            kind: discover_constraints(kind, (0.7, 2.0), exponent=ExponentConvention.VACUUM)
+            for kind in GateKind
+        }
+        for run in (reports, vacuum):
+            for kind, rep in run.items():
+                for key in ("rows", "admissible", "skipped"):
+                    assert rep.totals[key] == sum(s[key] for s in rep.strata), (kind, key)
+                for key in ("max_strict", "max_collinear"):
+                    assert rep.totals[key] == max(s[key] for s in rep.strata), (kind, key)
+        assert vacuum[GateKind.HAD].totals["max_strict"] > 0.0
+
     def test_inadmissible_points_record_an_exemplar(self, reports):
         rep = reports[GateKind.NOT]
         with_skips = [s for s in rep.strata if s["skipped"] > 0]
@@ -212,9 +225,8 @@ class TestDiscoverConstraints:
             discover_constraints(GateKind.NOT, grid=(2.0, -1.0))
 
 
-def _reference_rows(arity, stratum, grid):
+def _reference_rows(slots, grid):
     """Float psi rows as itertools.product builds them, ones outside the stratum's slots."""
-    slots = _slot_map(arity, stratum)
     combos = np.asarray(list(itertools.product(grid, repeat=len(slots))), dtype=float)
     rows = np.ones((combos.shape[0], 12))
     for position, indices in enumerate(slots):
@@ -230,12 +242,40 @@ def _float_equalities(rows, pattern):
     return mask
 
 
+# sweep strata per register width, in sweep order: per free grid slot, the
+# 0-based psi columns it fills
+_STRATA = {
+    1: {
+        "aux": ((0, 2), (1, 3)),
+        "mode-pairs": ((0, 1), (2, 3)),
+        "free": ((0,), (1,), (2,), (3,)),
+    },
+    2: {
+        "aux": ((0, 2), (1, 3), (4, 6), (5, 7)),
+        "mode-pairs": ((0, 1), (2, 3), (4, 5), (6, 7)),
+        "free": ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)),
+    },
+    3: {
+        "aux": ((0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11)),
+        "mode-pairs": ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)),
+        "free-q1q2": ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)),
+        "free-q1q3": ((0,), (1,), (2,), (3,), (8,), (9,), (10,), (11,)),
+        "free-q2q3": ((4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,)),
+    },
+}
+
 _KINDS_BY_ARITY = {
     arity: [kind for kind in GateKind if GateSpec(kind).arity == arity] for arity in (1, 2, 3)
 }
 
 
 class TestLevelCodes:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_strata_match_the_hand_written_table(self, arity):
+        strata = _strata(arity)
+        assert list(strata) == list(_STRATA[arity])
+        assert strata == _STRATA[arity]
+
     @pytest.mark.parametrize("arity", [1, 2, 3])
     @pytest.mark.parametrize(
         "grid",
@@ -244,9 +284,9 @@ class TestLevelCodes:
     )
     def test_codes_rebuild_product_rows_and_equality_masks(self, arity, grid):
         levels, grid_codes = _grid_levels(grid)
-        for stratum in _stratum_names(arity):
-            codes = _stratum_codes(arity, stratum, levels, grid_codes)
-            rows = _reference_rows(arity, stratum, grid)
+        for stratum, slots in _strata(arity).items():
+            codes = _stratum_codes(slots, levels, grid_codes)
+            rows = _reference_rows(slots, grid)
             assert codes.dtype == np.uint8
             assert np.array_equal(levels[codes], rows), stratum
             for kind in _KINDS_BY_ARITY[arity]:
@@ -260,8 +300,8 @@ class TestLevelCodes:
         levels, grid_codes = _grid_levels(grid)
         assert levels.size == 301  # 300 grid values plus the 1.0 filler
         assert grid_codes.dtype == np.uint16
-        codes = _stratum_codes(1, "aux", levels, grid_codes)
-        rows = _reference_rows(1, "aux", grid)
+        codes = _stratum_codes(_strata(1)["aux"], levels, grid_codes)
+        rows = _reference_rows(_strata(1)["aux"], grid)
         assert codes.dtype == np.uint16
         assert int(codes.max()) == 300
         assert np.array_equal(levels[codes], rows)
@@ -274,7 +314,7 @@ class TestLevelCodes:
     def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch, kind, stratum):
         spec = GateSpec(kind)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
-        codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
+        codes = _stratum_codes(_strata(spec.arity)[stratum], levels, grid_codes)
         whole = _sweep_rows(spec, 2.0, levels, grid_codes, codes)
         assert whole[2].any() and not whole[2].all()
         monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
@@ -291,7 +331,7 @@ class TestLevelCodes:
         grid = (0.25, 1.0, 4.0) if spec.arity == 1 else (0.25, 4.0)
         stratum = "free-q1q3" if spec.arity == 3 else "free"
         levels, grid_codes = _grid_levels(grid)
-        codes = _stratum_codes(spec.arity, stratum, levels, grid_codes)
+        codes = _stratum_codes(_strata(spec.arity)[stratum], levels, grid_codes)
         strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()

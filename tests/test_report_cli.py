@@ -185,11 +185,26 @@ class TestRunConfig:
             {"identity_threshold": float("nan")},
             {"identity_threshold": float("inf")},
             {"limit_threshold": float("nan")},
+            {"q_values": "25"},
+            {"psi_grid": "48"},
+            {"limit_q": "25"},
+            {"q_values": (True, 2.0)},
+            {"psi_grid": ("0.5", 2.0)},
+            {"cutoff": 3.9},
+            {"cutoff": True},
+            {"cutoff": "8"},
+            {"cutoff": float("inf")},
+            {"identity_threshold": True},
+            {"limit_threshold": "1e-6"},
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_integral_float_cutoff_is_read_as_an_integer(self):
+        cfg = RunConfig(cutoff=8.0)
+        assert cfg.cutoff == 8 and isinstance(cfg.cutoff, int)
 
     def test_full_run_covers_every_suite(self):
         report = run_suites(RunConfig(suite="all", cutoff=4))
@@ -240,6 +255,25 @@ class TestCli:
         config.write_text(json.dumps({**settings, "out": str(out)}))
         assert main(["verify-algebra", "--config", str(config)]) == 0
         assert json.loads(out.read_bytes())["config"] == {"suite": "algebra", **settings}
+
+    @pytest.mark.parametrize(
+        ("setting", "message"),
+        [
+            ('{"q_values": "25"}', "q values must be a list of numbers"),
+            ('{"psi_grid": "48"}', "psi grid must be a list of numbers"),
+            ('{"cutoff": 3.9}', "cutoff must be an integer"),
+            ('{"identity_threshold": true}', "identity threshold must be a number"),
+        ],
+    )
+    def test_config_file_value_of_the_wrong_type_exits_two(self, tmp_path, capsys, setting, message):
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_json_config_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
