@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
 problem (bad flags, unreadable or invalid config file, q values or psi grids
-whose brackets or amplitude products overflow double precision), 3 output I/O
-failure.
+whose brackets or amplitude products overflow double precision, a cutoff whose
+matrices do not fit in memory), 3 output I/O failure.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -175,6 +175,13 @@ def main(argv=None) -> int:
             f"qgatelab: configuration error: {' or '.join(culprits)} overflow "
             f"double-precision arithmetic ({reason}); use q values closer to 1"
             + (" or smaller psi values" if sweeps else ""),
+            file=sys.stderr,
+        )
+        return 2
+    except MemoryError:
+        print(
+            f"qgatelab: configuration error: cutoff {cfg.cutoff} needs more memory than is "
+            "available for its dense mode matrices; use a smaller cutoff",
             file=sys.stderr,
         )
         return 2

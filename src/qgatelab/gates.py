@@ -29,6 +29,7 @@ output bit's own mode pair.  The constraint lab is built on those traces.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -207,13 +208,21 @@ class _DyadBuilder:
         return complex(coeff) * np.outer(self.ket(out_bits), self.ket(in_bits).conj())
 
     def number_op(self, mode_index: int) -> np.ndarray:
-        ops = make_mode_ops(CUTOFF)
-        return lift(ops.n_op, mode_index, self.emb.mode_count)
+        return _number_op(mode_index, self.emb.mode_count)
 
     def projected(self, op: np.ndarray, label: str) -> np.ndarray:
         self.trace.append(f"projected {label}")
         proj = self.emb.projector()
         return proj @ op @ proj
+
+
+# registers of 1 to 3 qubits carry 2, 4 or 6 modes: 2 + 4 + 6 = 12 (mode, mode count) pairs
+@functools.lru_cache(maxsize=12)
+def _number_op(mode_index: int, mode_count: int) -> np.ndarray:
+    """Number operator of one mode lifted to mode_count modes, built once, read-only."""
+    op = lift(make_mode_ops(CUTOFF).n_op, mode_index, mode_count)
+    op.flags.writeable = False
+    return op
 
 
 def deformed_gate_matrix(

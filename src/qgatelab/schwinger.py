@@ -8,6 +8,7 @@ single-excitation sector, which is why deformed states stay collinear with
 their undeformed counterparts.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,11 @@ __all__ = [
 
 # levels per mode in the pair encoding: each mode holds no excitation or one
 CUTOFF = 2
+
+# Registers hold 1 to 3 qubits, so one q needs 2 + 4 + 8 = 14 closing-assignment
+# kets per exponent convention, 2 * 14 = 28 under both: a gate sweep over many q
+# values then builds each ket once per q.
+_CLOSING_KET_CACHE_SIZE = 28
 
 
 class ExponentConvention(str, Enum):
@@ -90,12 +96,18 @@ class QubitEmbedding:
         return itertools.product((0, 1), repeat=self.qubit_count)
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the valid-encoding subspace."""
-        proj = np.zeros((self.dim, self.dim), dtype=complex)
-        for bits in self.all_bits():
-            idx = self.basis_index(bits)
-            proj[idx, idx] = 1.0
-        return proj
+        """Orthogonal projector onto the valid-encoding subspace, built once, read-only."""
+        return _projector(self)
+
+
+@functools.lru_cache(maxsize=3)  # one per register of 1 to 3 qubits
+def _projector(emb: QubitEmbedding) -> np.ndarray:
+    proj = np.zeros((emb.dim, emb.dim), dtype=complex)
+    for bits in emb.all_bits():
+        idx = emb.basis_index(bits)
+        proj[idx, idx] = 1.0
+    proj.flags.writeable = False
+    return proj
 
 
 def encode_basis(bits) -> MultiModeState:
@@ -178,13 +190,29 @@ class DeformedQubitSpec:
 
 
 def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
-    """Deformed multi-qubit ket: the encoded basis ket times one amplitude per qubit."""
+    """Deformed multi-qubit ket: the encoded basis ket times one amplitude per qubit.
+
+    Closing-assignment kets (params None) are memoized per (bits, q, exponent)
+    in a cache bounded by one q's kets for registers of 1 to 3 qubits under
+    both exponents; kets with explicit params are built on every call.  The
+    returned state is immutable, so a shared ket cannot be corrupted.
+    """
     q = float(q)
-    if spec.params is not None and spec.params.q != q:
+    if spec.params is None:
+        return _closing_ket(spec.bits, q, spec.exponent)
+    if spec.params.q != q:
         raise ValueError(f"params carry q={spec.params.q!r} but the state was requested at q={q!r}")
-    params = spec.params if spec.params is not None else closing_params(q, spec.bits, spec.exponent)
+    return _build_ket(spec.bits, q, spec.params)
+
+
+@functools.lru_cache(maxsize=_CLOSING_KET_CACHE_SIZE)
+def _closing_ket(bits: tuple, q: float, exponent: ExponentConvention) -> MultiModeState:
+    return _build_ket(bits, q, closing_params(q, bits, exponent))
+
+
+def _build_ket(bits: tuple, q: float, params: DeformationParams) -> MultiModeState:
     amp = 1.0
-    for i, x in enumerate(spec.bits, start=1):
+    for i, x in enumerate(bits, start=1):
         amp *= qubit_amplitude(x, i, q, params)
-    base = encode_basis(spec.bits)
+    base = encode_basis(bits)
     return MultiModeState(base.mode_count, base.cutoff, amp * base.vector)

@@ -21,6 +21,8 @@ from qgatelab import (
     gate_matrix,
     toffoli_literal_matrix,
 )
+from qgatelab.fock import lift, make_mode_ops
+from qgatelab.gates import _number_op
 
 # Independent transcription of the truth tables, written out literally so the
 # implementation cannot be compared against itself.
@@ -227,6 +229,16 @@ class TestDeformedGates:
             flipped = encode_basis((bits[0], bits[1], 1 - bits[2])).vector
             assert np.max(np.abs(literal @ ket - flipped)) <= 1e-12
         assert np.max(np.abs(literal - faithful.matrix)) > 0.5
+
+    @pytest.mark.parametrize("mode_count", [2, 4, 6])
+    def test_number_operators_are_cached_read_only_lifts(self, mode_count):
+        for mode in range(1, mode_count + 1):
+            op = _number_op(mode, mode_count)
+            assert _number_op(mode, mode_count) is op
+            assert np.array_equal(op, lift(make_mode_ops(2).n_op, mode, mode_count))
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+        assert _number_op.cache_info().currsize <= 12
 
     def test_trace_records_the_build(self):
         op = deformed_gate_matrix(GateSpec(GateKind.CNOT), 2.0)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,14 @@ class TestSerialization:
         argv = ["all", "--convention", "left-scaling,vacuum", "--q", "1,0.7,2", "--psi", "0.5,2"]
         assert main(argv + ["--cutoff", "3", "--format", fmt, "--out", str(out)]) == 1
         assert out.read_bytes() == (GOLDEN_DIR / f"report_all_nondefault.{fmt}").read_bytes()
+
+    def test_vacuum_exponent_gates_run_matches_golden_json(self, tmp_path):
+        # pins closure records under the vacuum exponent, whose residuals are
+        # nonzero and depend on every deformed ket value
+        out = tmp_path / "report.json"
+        argv = ["verify-gates", "--convention", "vacuum", "--q", "0.5,0.77,1.3,2,3.7"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == (GOLDEN_DIR / "report_gates_vacuum.json").read_bytes()
 
     def test_records_pass_exactly_within_their_threshold(self, all_report):
         records = json.loads(all_report[1])["records"]
@@ -372,6 +383,35 @@ class TestCli:
         for q_values, notes in self._verdict_notes(out).values():
             assert q_values == [2.0]
             assert notes.endswith("q = 1 cannot be swept and was left out of the sweep q values")
+
+    def test_out_of_memory_exits_two_naming_the_cutoff(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr("qgatelab.cli.run_suites", exhausted)
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--cutoff", "100000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cutoff 100000" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_module_entry_point_writes_the_same_bytes_as_main(self, tmp_path):
+        reference = tmp_path / "main.json"
+        assert main(["verify-gates", "--out", str(reference)]) == 0
+        out = tmp_path / "module.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop(ENV_OUT_DIR, None)
+        result = subprocess.run(
+            [sys.executable, "-m", "qgatelab", "verify-gates", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_overflowing_q_exits_two_naming_the_value(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -17,6 +17,7 @@ from qgatelab import (
     encode_basis,
     qubit_amplitude,
 )
+from qgatelab.schwinger import _CLOSING_KET_CACHE_SIZE, _closing_ket
 
 
 class TestEncoding:
@@ -54,6 +55,13 @@ class TestEncoding:
         for bits in emb.all_bits():
             ket = encode_basis(bits).vector
             assert np.array_equal(proj @ ket, ket)
+
+    def test_projector_is_built_once_and_read_only(self):
+        proj = QubitEmbedding(2).projector()
+        assert QubitEmbedding(2).projector() is proj
+        with pytest.raises(ValueError):
+            proj[0, 0] = 1.0
+        assert not proj[0, 0]
 
     def test_rejects_non_binary_bits(self):
         with pytest.raises(ValueError):
@@ -112,6 +120,36 @@ class TestDeformedStates:
         params = DeformationParams.uniform(2.0)
         with pytest.raises(ValueError):
             deformed_qubit_state(DeformedQubitSpec((0,), params), 3.0)
+
+
+class TestClosingKetCache:
+    def test_cached_kets_equal_explicit_closing_params_bit_for_bit(self):
+        for q in np.geomspace(0.5, 2.0, 200):
+            for exponent in ExponentConvention:
+                for arity in (1, 2, 3):
+                    for bits in QubitEmbedding(arity).all_bits():
+                        explicit = DeformedQubitSpec(bits, closing_params(q, bits, exponent), exponent)
+                        expected = deformed_qubit_state(explicit, q).vector
+                        cached = DeformedQubitSpec(bits, None, exponent)
+                        first = deformed_qubit_state(cached, q)
+                        assert deformed_qubit_state(cached, q) is first
+                        assert np.array_equal(first.vector, expected), (q, exponent, bits)
+        assert _closing_ket.cache_info().currsize <= _CLOSING_KET_CACHE_SIZE
+
+    def test_cached_ket_is_read_only(self):
+        state = deformed_qubit_state(DeformedQubitSpec((1, 0), None, ExponentConvention.VACUUM), 2.0)
+        with pytest.raises(ValueError):
+            state.vector[0] = 1.0
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_q_raises_every_time_and_is_not_cached(self, q):
+        spec = DeformedQubitSpec((1, 0))
+        size = _closing_ket.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive finite real"):
+                deformed_qubit_state(spec, q)
+        assert _closing_ket.cache_info().currsize == size
+        assert deformed_qubit_state(spec, 2.0).norm == pytest.approx(1.0, abs=1e-15)
 
 
 class TestClosingRule:
