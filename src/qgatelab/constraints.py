@@ -34,14 +34,7 @@ import numpy as np
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
 from .qnum import PSI_COUNT, DeformationParams, NegativeRadicandError
-from .schwinger import (
-    DeformedQubitSpec,
-    ExponentConvention,
-    QubitEmbedding,
-    closing_params,
-    deformed_qubit_state,
-    qubit_amplitude,
-)
+from .schwinger import ExponentConvention, QubitEmbedding, closing_params, qubit_amplitude
 
 __all__ = [
     "CLAIMS",
@@ -156,24 +149,33 @@ def _dense_residuals(
     """(strict, collinear) worst-case gaps from one pass over the input bit strings.
 
     matrix is the undeformed gate matrix on the spec's embedding, so a caller
-    checking many points builds it once.
+    checking many points builds it once.  A deformed input ket has one nonzero
+    entry, its qubit amplitudes multiplied in deformed_qubit_state's order, so
+    matrix @ ket is that column of matrix times the product, bit for bit.
+    Amplitudes come from a [slot][bit] table per assignment: params None fills
+    one per closing assignment, explicit params one per pass, every entry of
+    which some input reads, so an inadmissible point still raises.
     """
     emb = QubitEmbedding(spec.arity)
+
+    def amplitudes(point: DeformationParams) -> list:
+        return [[qubit_amplitude(bit, slot + 1, q, point) for bit in (0, 1)] for slot in range(spec.arity)]
+
+    fixed = None if params is None else amplitudes(params)
     worst_strict = 0.0
     worst_collinear = 0.0
     for bits in emb.all_bits():
-        state = deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q)
-        lhs = matrix @ state.vector
-        in_params = params if params is not None else closing_params(q, bits, exponent)
+        in_amps = fixed or amplitudes(closing_params(q, bits, exponent))
+        in_amp = 1.0
+        for slot, bit in enumerate(bits):
+            in_amp *= in_amps[slot][bit]
+        lhs = matrix[:, emb.basis_index(bits)] * in_amp
         rhs = np.zeros(emb.dim, dtype=complex)
         for term in gate_action_traced(spec, bits):
-            out_params = params if params is not None else closing_params(q, term.bits, exponent)
+            out_amps = fixed or amplitudes(closing_params(q, term.bits, exponent))
             amp = 1.0
             for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits)):
-                if src is None:
-                    amp *= qubit_amplitude(out_bit, slot + 1, q, out_params)
-                else:
-                    amp *= qubit_amplitude(bits[src], src + 1, q, in_params)
+                amp *= out_amps[slot][out_bit] if src is None else in_amps[src][bits[src]]
             rhs[emb.basis_index(term.bits)] += term.coeff * amp
         worst_strict = max(worst_strict, float(np.linalg.norm(lhs - rhs)))
         worst_collinear = max(worst_collinear, _collinear_gap(lhs, rhs))
@@ -256,12 +258,13 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nda
     row runs.  That amplitude is taken over the level pairs a row can hold:
     both levels from the grid (grid_codes), since the 1.0 filler only pairs
     with itself and has amplitude 1.  Mode brackets come from a table over
-    (psi_a, psi_b) level pairs, gathered by code; rows run in blocks of
-    _BLOCK_ROWS.
+    (psi_a, psi_b) level pairs, written as psi_bracket writes them (q - 1/q
+    can be a few ulp), gathered by the pair code code_a * levels.size + code_b
+    in a dtype that holds every pair code; rows run in blocks of _BLOCK_ROWS.
     """
     arity = spec.arity
     denominator = q - 1.0 / q
-    brackets = (q * levels[:, None] - levels[None, :] / q) / denominator
+    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / denominator
     amp_table = np.sqrt(np.clip(brackets, 0.0, None))
     admissible_table = brackets >= 0.0
 
@@ -308,6 +311,8 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nda
             value = value * amp_mode[row]
         return value
 
+    pair_dtype = np.min_scalar_type(levels.size**2 - 1)
+    admissible_pairs, amp_pairs = admissible_table.ravel(), amp_table.ravel()
     count = codes.shape[0]
     strict = np.zeros(count)
     collinear = np.zeros(count)
@@ -315,10 +320,10 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nda
     for start in range(0, count, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         mode_codes = codes[block, : 4 * arity].T
-        codes_a, codes_b = mode_codes[0::2], mode_codes[1::2]
-        admissible[block] = np.all(admissible_table[codes_a, codes_b], axis=0)
+        pairs = mode_codes[0::2].astype(pair_dtype) * levels.size + mode_codes[1::2]
+        admissible[block] = admissible_pairs[pairs].all(axis=0)
         kept = np.flatnonzero(admissible[block])
-        amp_mode = amp_table[codes_a[:, kept], codes_b[:, kept]]
+        amp_mode = amp_pairs[pairs[:, kept]]
         strict_block = np.zeros(kept.size)
         collinear_block = np.zeros(kept.size)
         for c_in_rows, weights, c_out_rows in plan:

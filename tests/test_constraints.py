@@ -9,16 +9,19 @@ import pytest
 from qgatelab import (
     CLAIMS,
     DeformationParams,
+    DeformedQubitSpec,
     ExponentConvention,
     GateKind,
     GateSpec,
     NegativeRadicandError,
     QubitEmbedding,
     canonical_json,
+    deformed_qubit_state,
     discover_constraints,
     gate_matrix,
     hadamard_closure_ratio,
     identity_residual,
+    psi_bracket,
 )
 from qgatelab import constraints
 from qgatelab.constraints import (
@@ -100,6 +103,37 @@ class TestIdentityResidual:
     def test_rejects_unknown_residual_mode(self):
         with pytest.raises(ValueError):
             identity_residual(GateSpec(GateKind.NOT), 2.0, None, "angular")
+
+    @pytest.mark.parametrize("exponent", list(ExponentConvention))
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_one_column_oracle_matches_the_full_ket_product(self, monkeypatch, kind, exponent):
+        # the dense pass hands each input's lhs to _collinear_gap, in all_bits order
+        seen = []
+        gap = constraints._collinear_gap
+
+        def spy(lhs, rhs):
+            seen.append(lhs)
+            return gap(lhs, rhs)
+
+        monkeypatch.setattr(constraints, "_collinear_gap", spy)
+        spec = GateSpec(kind, math.pi / 3)
+        emb = QubitEmbedding(spec.arity)
+        matrix = gate_matrix(spec, emb)
+        rng = np.random.default_rng(7)
+        for q in (0.5, 2.0):
+            # pair ratios of at most 4 keep every bracket nonnegative at q = 0.5 and 2
+            points = [None, DeformationParams.uniform(q, 3.0)]
+            points += [DeformationParams(q, tuple(rng.choice((0.5, 1.0, 2.0), 12))) for _ in range(3)]
+            for params in points:
+                seen.clear()
+                _dense_residuals(spec, q, params, matrix, exponent)
+                assert len(seen) == 2**spec.arity
+                for bits, lhs in zip(emb.all_bits(), seen):
+                    ket = deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q)
+                    assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
+        # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
+        with pytest.raises(NegativeRadicandError):
+            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), matrix, exponent)
 
 
 class TestClosureRatio:
@@ -309,6 +343,36 @@ class TestLevelCodes:
             assert np.array_equal(_satisfies(codes, pattern), _float_equalities(rows, pattern)), name
 
     @pytest.mark.parametrize(
+        ("values", "pair_dtype"), [(15, np.uint8), (16, np.uint16), (255, np.uint16), (256, np.uint32)]
+    )
+    def test_pair_codes_address_every_level_pair(self, values, pair_dtype):
+        # with the 1.0 filler the grid makes 16, 17, 256 and 257 levels, on both
+        # sides of the largest pair code a uint8 and a uint16 can hold
+        grid = tuple(float(v) for v in np.geomspace(0.05, 30.0, values))
+        levels, grid_codes = _grid_levels(grid)
+        assert levels.size == values + 1
+        assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
+        spec, q = GateSpec(GateKind.NOT), 2.0
+        codes = _stratum_codes(_strata(1)["aux"], levels, grid_codes)
+        strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
+        rows = levels[codes]
+        expected = [
+            psi_bracket(1, q, a, b) >= 0.0 and psi_bracket(1, q, c, d) >= 0.0 for a, b, c, d in rows[:, :4]
+        ]
+        assert np.array_equal(admissible, expected)
+        assert admissible.any() and not admissible.all()
+        matrix = gate_matrix(spec, QubitEmbedding(1))
+        for index in np.linspace(0, codes.shape[0] - 1, 52).astype(int):
+            params = DeformationParams(q, tuple(float(v) for v in rows[index]))
+            if admissible[index]:
+                dense_strict, dense_collinear = _dense_residuals(spec, q, params, matrix)
+                assert abs(dense_strict - strict[index]) <= 1e-12
+                assert abs(dense_collinear - collinear[index]) <= 1e-12
+            else:
+                with pytest.raises(NegativeRadicandError):
+                    _dense_residuals(spec, q, params, matrix)
+
+    @pytest.mark.parametrize(
         ("kind", "stratum"), [(GateKind.HAD, "free"), (GateKind.TOFFOLI, "aux"), (GateKind.FREDKIN, "aux")]
     )
     def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch, kind, stratum):
@@ -356,6 +420,18 @@ class TestSweepGuards:
         rep = discover_constraints(GateKind.NOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
         assert math.isfinite(rep.totals["max_strict"])
         assert math.isfinite(rep.totals["max_collinear"])
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_sweep_agrees_with_the_dense_path_within_40_ulp_of_one(self, kind):
+        # divided by q - 1/q ~ 1e-16, a one-ulp gap between the sweep's bracket
+        # table and psi_bracket becomes a bracket gap of order 1
+        q_values = []
+        above = below = 1.0
+        for _ in range(40):
+            above, below = math.nextafter(above, 2.0), math.nextafter(below, 0.0)
+            q_values += [above, below]
+        rep = discover_constraints(kind, q_values=q_values, grid=(0.5, 1.0, 2.0))
+        assert rep.totals["cross_checked"] == 6 * len(rep.strata)
 
     @staticmethod
     def _tamper(monkeypatch, edit):

@@ -396,22 +396,29 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _run_module(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop(ENV_OUT_DIR, None)
+        return subprocess.run(
+            [sys.executable, "-m", "qgatelab", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
     def test_module_entry_point_writes_the_same_bytes_as_main(self, tmp_path):
         reference = tmp_path / "main.json"
         assert main(["verify-gates", "--out", str(reference)]) == 0
         out = tmp_path / "module.json"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop(ENV_OUT_DIR, None)
-        result = subprocess.run(
-            [sys.executable, "-m", "qgatelab", "verify-gates", "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = self._run_module("verify-gates", "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == reference.read_bytes()
+
+    def test_discover_one_ulp_below_q_one_exits_zero(self, tmp_path):
+        out = tmp_path / "report.json"
+        result = self._run_module("discover", "--q", "0.9999999999999999", "--psi", "1,2", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert out.exists()
 
     def test_overflowing_q_exits_two_naming_the_value(self, tmp_path, capsys):
         out = tmp_path / "report.json"
