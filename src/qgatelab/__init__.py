@@ -14,7 +14,6 @@ from .constraints import (
     ConstraintReport,
     discover_constraints,
     hadamard_closure_ratio,
-    identity_residual,
 )
 from .fock import (
     ModeOperators,
@@ -23,15 +22,12 @@ from .fock import (
     lift,
     make_mode_ops,
     occupation_index,
-    vacuum,
 )
 from .gates import (
-    DeformedGateOperator,
     GateKind,
     GateSpec,
     GateTerm,
     deformed_gate_matrix,
-    gate_action,
     gate_action_traced,
     gate_matrix,
     toffoli_literal_matrix,
@@ -64,7 +60,6 @@ from .schwinger import (
     ExponentConvention,
     QubitEmbedding,
     closing_params,
-    decode,
     deformed_qubit_state,
     encode_basis,
     qubit_amplitude,
@@ -81,7 +76,6 @@ __all__ = [
     "ConstraintClaim",
     "ConstraintReport",
     "DeformationParams",
-    "DeformedGateOperator",
     "DeformedModeOperators",
     "DeformedQubitSpec",
     "ExponentConvention",
@@ -102,17 +96,14 @@ __all__ = [
     "basis_state",
     "canonical_json",
     "closing_params",
-    "decode",
     "deformed_gate_matrix",
     "deformed_number_op",
     "deformed_qubit_state",
     "discover_constraints",
     "encode_basis",
-    "gate_action",
     "gate_action_traced",
     "gate_matrix",
     "hadamard_closure_ratio",
-    "identity_residual",
     "lift",
     "make_deformed_ops",
     "make_mode_ops",
@@ -123,5 +114,4 @@ __all__ = [
     "run_suites",
     "serialize_report",
     "toffoli_literal_matrix",
-    "vacuum",
 ]

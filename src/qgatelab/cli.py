@@ -83,6 +83,13 @@ def _parse_floats(text: str, flag: str) -> tuple:
     return values
 
 
+def _parse_float(text: str, flag: str) -> float:
+    values = _parse_floats(text, flag)
+    if len(values) != 1:
+        raise ConfigError(f"{flag} expects one number, got {text!r}")
+    return values[0]
+
+
 def _parse_convention(text: str) -> dict:
     settings = {}
     for token in (part.strip() for part in text.split(",")):
@@ -137,9 +144,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         settings["format"] = args.format
     if args.threshold is not None:
-        settings["identity_threshold"] = _parse_floats(args.threshold, "--threshold")[0]
+        settings["identity_threshold"] = _parse_float(args.threshold, "--threshold")
     if args.limit_threshold is not None:
-        settings["limit_threshold"] = _parse_floats(args.limit_threshold, "--limit-threshold")[0]
+        settings["limit_threshold"] = _parse_float(args.limit_threshold, "--limit-threshold")
     try:
         return RunConfig(**settings)
     except (TypeError, ValueError) as exc:

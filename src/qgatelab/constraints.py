@@ -2,7 +2,7 @@
 
 For each gate the claim table records which psi equalities are said to be
 required for the deformed identity to close, together with the auxiliary
-equalities the claim is conditioned on.  identity_residual measures how far a
+equalities the claim is conditioned on.  _dense_residuals measures how far a
 single (q, psi) point is from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
 the minimal sufficient equality pattern, and scores the claim.  Each
@@ -34,7 +34,7 @@ import numpy as np
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
 from .qnum import PSI_COUNT, DeformationParams, NegativeRadicandError
-from .schwinger import ExponentConvention, QubitEmbedding, closing_params, qubit_amplitude
+from .schwinger import ExponentConvention, QubitEmbedding, qubit_amplitude
 
 __all__ = [
     "CLAIMS",
@@ -42,11 +42,12 @@ __all__ = [
     "ConstraintReport",
     "discover_constraints",
     "hadamard_closure_ratio",
-    "identity_residual",
 ]
 
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_Q_VALUES = (0.5, 0.9, 1.1, 2.0)
+# phase of the phase-shift gate wherever the gates are swept or checked, so it is not the identity
+DISCOVERY_PHI = math.pi / 3
 
 
 @dataclass(frozen=True)
@@ -117,65 +118,32 @@ def _collinear_gap(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, float(np.linalg.norm(rejection)) / nv)
 
 
-def identity_residual(
-    spec: GateSpec,
-    q,
-    params: DeformationParams | None,
-    residual_mode: str = "strict",
-    exponent: ExponentConvention = ExponentConvention.RESULT,
-) -> float:
-    """Worst-case gap of the deformed gate identity over all input bit strings.
-
-    params None uses the closing assignment per input ket.  Raises
-    NegativeRadicandError when the point does not admit real amplitudes.
-    Deformed kets are creation-built, so the value does not depend on the
-    lowering-operator reading.  Both modes come from one dense pass
-    (_dense_residuals); this picks the requested one.
-    """
-    if residual_mode not in ("strict", "collinear"):
-        raise ValueError(f"residual_mode must be 'strict' or 'collinear', got {residual_mode!r}")
-    matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
-    strict, collinear = _dense_residuals(spec, float(q), params, matrix, exponent)
-    return strict if residual_mode == "strict" else collinear
-
-
-def _dense_residuals(
-    spec: GateSpec,
-    q: float,
-    params: DeformationParams | None,
-    matrix: np.ndarray,
-    exponent: ExponentConvention = ExponentConvention.RESULT,
-) -> tuple:
-    """(strict, collinear) worst-case gaps from one pass over the input bit strings.
+def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, matrix: np.ndarray) -> tuple:
+    """(strict, collinear) worst-case gaps of one (q, psi) point over the input bit strings.
 
     matrix is the undeformed gate matrix on the spec's embedding, so a caller
     checking many points builds it once.  A deformed input ket has one nonzero
     entry, its qubit amplitudes multiplied in deformed_qubit_state's order, so
     matrix @ ket is that column of matrix times the product, bit for bit.
-    Amplitudes come from a [slot][bit] table per assignment: params None fills
-    one per closing assignment, explicit params one per pass, every entry of
-    which some input reads, so an inadmissible point still raises.
+    Amplitudes come from a [slot][bit] table, every entry of which some input
+    reads, so a point that does not admit real amplitudes raises
+    NegativeRadicandError.  Deformed kets are creation-built, so the gaps do
+    not depend on the lowering-operator reading.
     """
     emb = QubitEmbedding(spec.arity)
-
-    def amplitudes(point: DeformationParams) -> list:
-        return [[qubit_amplitude(bit, slot + 1, q, point) for bit in (0, 1)] for slot in range(spec.arity)]
-
-    fixed = None if params is None else amplitudes(params)
+    amps = [[qubit_amplitude(bit, slot + 1, q, params) for bit in (0, 1)] for slot in range(spec.arity)]
     worst_strict = 0.0
     worst_collinear = 0.0
     for bits in emb.all_bits():
-        in_amps = fixed or amplitudes(closing_params(q, bits, exponent))
         in_amp = 1.0
         for slot, bit in enumerate(bits):
-            in_amp *= in_amps[slot][bit]
+            in_amp *= amps[slot][bit]
         lhs = matrix[:, emb.basis_index(bits)] * in_amp
         rhs = np.zeros(emb.dim, dtype=complex)
         for term in gate_action_traced(spec, bits):
-            out_amps = fixed or amplitudes(closing_params(q, term.bits, exponent))
             amp = 1.0
             for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits)):
-                amp *= out_amps[slot][out_bit] if src is None else in_amps[src][bits[src]]
+                amp *= amps[slot][out_bit] if src is None else amps[src][bits[src]]
             rhs[emb.basis_index(term.bits)] += term.coeff * amp
         worst_strict = max(worst_strict, float(np.linalg.norm(lhs - rhs)))
         worst_collinear = max(worst_collinear, _collinear_gap(lhs, rhs))
@@ -501,19 +469,19 @@ def discover_constraints(
 ) -> ConstraintReport:
     """Sweep the psi grid for one gate and score its claimed constraint.
 
-    gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi = pi/3
-    so the sweep is not the identity gate).  q values must be positive and
-    not 1; grid values must be positive.  Each (stratum, q) block runs the
-    vectorized engine, has deterministic samples cross-checked against the
-    dense path (both residual modes in one pass, the gate matrix built once
-    per call), and is tallied per candidate pattern before the next block
-    runs.  Summaries, totals, the minimal-pattern search and the verdicts
+    gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
+    DISCOVERY_PHI).  q values must be positive and not 1; grid values must
+    be positive.  Each (stratum, q) block runs the vectorized engine, has
+    deterministic samples cross-checked against the dense path (both
+    residual modes in one pass, the gate matrix built once per call), and is
+    tallied per candidate pattern before the next block runs.  Summaries, totals, the minimal-pattern search and the verdicts
     read only the tallies.  Raises OverflowError when a q and the grid's
     largest amplitude overflow the sweep's products.
     """
-    spec = gate if isinstance(gate, GateSpec) else GateSpec(GateKind(gate), 0.0)
-    if not isinstance(gate, GateSpec) and spec.kind is GateKind.PS:
-        spec = GateSpec(GateKind.PS, math.pi / 3)
+    spec = gate
+    if not isinstance(gate, GateSpec):
+        kind = GateKind(gate)
+        spec = GateSpec(kind, DISCOVERY_PHI if kind is GateKind.PS else 0.0)
     q_values = tuple(float(q) for q in q_values)
     if not q_values:
         raise ValueError("at least one q value is required")
@@ -528,7 +496,7 @@ def discover_constraints(
     exponent = ExponentConvention(exponent)
 
     levels, grid_codes = _grid_levels(grid)
-    matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
+    matrix = gate_matrix(spec)
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary

@@ -16,7 +16,6 @@ __all__ = [
     "lift",
     "make_mode_ops",
     "occupation_index",
-    "vacuum",
 ]
 
 
@@ -102,13 +101,6 @@ class MultiModeState:
         if len(occ) != self.mode_count:
             raise ValueError(f"expected {self.mode_count} occupations, got {len(occ)}")
         return complex(self.vector[occupation_index(occ, self.cutoff)])
-
-
-def vacuum(mode_count: int, d: int) -> MultiModeState:
-    """Every mode in level 0."""
-    vec = np.zeros(d**mode_count, dtype=complex)
-    vec[0] = 1.0
-    return MultiModeState(mode_count, d, vec)
 
 
 def basis_state(occ, d: int) -> MultiModeState:

@@ -48,12 +48,10 @@ from .schwinger import (
 )
 
 __all__ = [
-    "DeformedGateOperator",
     "GateKind",
     "GateSpec",
     "GateTerm",
     "deformed_gate_matrix",
-    "gate_action",
     "gate_action_traced",
     "gate_matrix",
     "toffoli_literal_matrix",
@@ -150,16 +148,9 @@ def gate_action_traced(spec: GateSpec, bits) -> tuple:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def gate_action(spec: GateSpec, bits) -> list:
-    """(coefficient, output bits) pairs for one input bit string."""
-    return [(term.coeff, term.bits) for term in gate_action_traced(spec, bits)]
-
-
-def gate_matrix(spec: GateSpec, embedding: QubitEmbedding | None = None) -> np.ndarray:
+def gate_matrix(spec: GateSpec) -> np.ndarray:
     """Undeformed gate as a dense matrix on the encoded space, zero off the valid subspace."""
-    emb = embedding if embedding is not None else QubitEmbedding(spec.arity)
-    if emb.qubit_count != spec.arity:
-        raise ValueError(f"{spec.kind.value} needs {spec.arity} qubits, embedding has {emb.qubit_count}")
+    emb = QubitEmbedding(spec.arity)
     matrix = np.zeros((emb.dim, emb.dim), dtype=complex)
     for bits in emb.all_bits():
         col = emb.basis_index(bits)
@@ -168,52 +159,16 @@ def gate_matrix(spec: GateSpec, embedding: QubitEmbedding | None = None) -> np.n
     return matrix
 
 
-@dataclass(frozen=True)
-class DeformedGateOperator:
-    """A deformed gate matrix plus the record of how it was assembled.
+def _dyad_builder(q, params, exponent):
+    """dyad(out_bits, in_bits, coeff): coeff |out><in| over deformed kets of these parameters."""
 
-    assignment names the parameter source ("closing" or "explicit"); trace
-    lists the dyad and operator terms in build order so reports can show the
-    exact construction.
-    """
+    def ket(bits) -> np.ndarray:
+        return deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q).vector
 
-    spec: GateSpec
-    q: float
-    exponent: ExponentConvention
-    assignment: str
-    matrix: np.ndarray
-    trace: tuple
+    def dyad(out_bits, in_bits, coeff=1.0) -> np.ndarray:
+        return complex(coeff) * np.outer(ket(out_bits), ket(in_bits).conj())
 
-
-def _bits_label(bits) -> str:
-    return "".join(str(b) for b in bits)
-
-
-class _DyadBuilder:
-    """Shared plumbing for the deformed constructions."""
-
-    def __init__(self, q, params, exponent, embedding):
-        self.q = float(q)
-        self.params = params
-        self.exponent = ExponentConvention(exponent)
-        self.emb = embedding
-        self.trace = []
-
-    def ket(self, bits) -> np.ndarray:
-        spec = DeformedQubitSpec(bits, self.params, self.exponent)
-        return deformed_qubit_state(spec, self.q).vector
-
-    def dyad(self, out_bits, in_bits, coeff=1.0) -> np.ndarray:
-        self.trace.append(f"dyad {complex(coeff):g}*|{_bits_label(out_bits)}><{_bits_label(in_bits)}|")
-        return complex(coeff) * np.outer(self.ket(out_bits), self.ket(in_bits).conj())
-
-    def number_op(self, mode_index: int) -> np.ndarray:
-        return _number_op(mode_index, self.emb.mode_count)
-
-    def projected(self, op: np.ndarray, label: str) -> np.ndarray:
-        self.trace.append(f"projected {label}")
-        proj = self.emb.projector()
-        return proj @ op @ proj
+    return dyad
 
 
 # registers of 1 to 3 qubits carry 2, 4 or 6 modes: 2 + 4 + 6 = 12 (mode, mode count) pairs
@@ -230,8 +185,7 @@ def deformed_gate_matrix(
     q,
     params: DeformationParams | None = None,
     exponent: ExponentConvention = ExponentConvention.RESULT,
-    embedding: QubitEmbedding | None = None,
-) -> DeformedGateOperator:
+) -> np.ndarray:
     """Deformed gate built from dyads over deformed kets plus projected operator terms.
 
     params None uses the closing assignment per ket (each dyad's bra and ket
@@ -239,59 +193,41 @@ def deformed_gate_matrix(
     shared by every ket.  Diagonal number operators multiply dyad sums on the
     right so control values are read off the incoming ket.
     """
-    emb = embedding if embedding is not None else QubitEmbedding(spec.arity)
-    if emb.qubit_count != spec.arity:
-        raise ValueError(f"{spec.kind.value} needs {spec.arity} qubits, embedding has {emb.qubit_count}")
-    b = _DyadBuilder(q, params, exponent, emb)
+    emb = QubitEmbedding(spec.arity)
+    dyad = _dyad_builder(q, params, exponent)
+    proj = emb.projector()
     kind = spec.kind
     eye = np.eye(emb.dim, dtype=complex)
 
     if kind is GateKind.PS:
-        matrix = sum(b.dyad((x,), (x,), cmath.exp(1j * spec.phi * x)) for x in (0, 1))
-    elif kind is GateKind.NOT:
-        matrix = sum(b.dyad((1 - x,), (x,)) for x in (0, 1))
-    elif kind is GateKind.HAD:
+        return sum(dyad((x,), (x,), cmath.exp(1j * spec.phi * x)) for x in (0, 1))
+    if kind is GateKind.NOT:
+        return sum(dyad((1 - x,), (x,)) for x in (0, 1))
+    if kind is GateKind.HAD:
         parity = lift(np.diag((-1.0) ** np.arange(CUTOFF)).astype(complex), 1, emb.mode_count)
-        matrix = b.projected(parity, "parity(mode 1)")
-        matrix = matrix + sum(b.dyad((1 - x,), (x,)) for x in (0, 1))
-    elif kind is GateKind.SWAP:
-        matrix = sum(b.dyad((y, x), (x, y)) for x in (0, 1) for y in (0, 1))
-    elif kind is GateKind.CNOT:
-        n1 = b.number_op(1)
-        matrix = b.projected(eye - n1, "1 - N(mode 1)")
-        flips = sum(b.dyad((x, 1 - y), (x, y)) for x in (0, 1) for y in (0, 1))
-        b.trace.append("flip dyads * N(mode 1)")
-        matrix = matrix + flips @ n1
-    elif kind is GateKind.FREDKIN:
-        n1 = b.number_op(1)
-        matrix = b.projected(eye - n1, "1 - N(mode 1)")
-        swaps = sum(b.dyad((x, z, y), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        b.trace.append("swap dyads * N(mode 1)")
-        matrix = matrix + swaps @ n1
-    elif kind is GateKind.TOFFOLI:
-        control = b.number_op(1) @ b.number_op(3)
-        flips = sum(b.dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        holds = sum(b.dyad((x, y, z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        b.trace.append("flip dyads * N(mode 1) N(mode 3); hold dyads * (1 - N(mode 1) N(mode 3))")
-        matrix = flips @ control + holds @ (eye - control)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-
-    return DeformedGateOperator(
-        spec=spec,
-        q=float(q),
-        exponent=ExponentConvention(exponent),
-        assignment="explicit" if params is not None else "closing",
-        matrix=matrix,
-        trace=tuple(b.trace),
-    )
+        return proj @ parity @ proj + sum(dyad((1 - x,), (x,)) for x in (0, 1))
+    if kind is GateKind.SWAP:
+        return sum(dyad((y, x), (x, y)) for x in (0, 1) for y in (0, 1))
+    if kind is GateKind.CNOT:
+        n1 = _number_op(1, emb.mode_count)
+        flips = sum(dyad((x, 1 - y), (x, y)) for x in (0, 1) for y in (0, 1))
+        return proj @ (eye - n1) @ proj + flips @ n1
+    if kind is GateKind.FREDKIN:
+        n1 = _number_op(1, emb.mode_count)
+        swaps = sum(dyad((x, z, y), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        return proj @ (eye - n1) @ proj + swaps @ n1
+    if kind is GateKind.TOFFOLI:
+        control = _number_op(1, emb.mode_count) @ _number_op(3, emb.mode_count)
+        flips = sum(dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        holds = sum(dyad((x, y, z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        return flips @ control + holds @ (eye - control)
+    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def toffoli_literal_matrix(
     q,
     params: DeformationParams | None = None,
     exponent: ExponentConvention = ExponentConvention.RESULT,
-    embedding: QubitEmbedding | None = None,
 ) -> np.ndarray:
     """The doubly controlled gate with flip dyads on every control bracket, as printed.
 
@@ -301,14 +237,12 @@ def toffoli_literal_matrix(
     input.  Kept solely for audit records; deformed_gate_matrix builds the
     table-faithful version.
     """
-    emb = embedding if embedding is not None else QubitEmbedding(3)
-    if emb.qubit_count != 3:
-        raise ValueError(f"the doubly controlled gate needs 3 qubits, embedding has {emb.qubit_count}")
-    b = _DyadBuilder(q, params, exponent, emb)
+    emb = QubitEmbedding(3)
+    dyad = _dyad_builder(q, params, exponent)
     eye = np.eye(emb.dim, dtype=complex)
-    n1 = b.number_op(1)
-    m1 = b.number_op(3)
-    flips = sum(b.dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+    n1 = _number_op(1, emb.mode_count)
+    m1 = _number_op(3, emb.mode_count)
+    flips = sum(dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
     bracket_one = n1 @ m1 + (eye - n1) @ m1
     bracket_two = (eye - m1) @ n1 + (eye - n1) @ (eye - m1)
     return flips @ bracket_one + flips @ bracket_two

@@ -134,9 +134,6 @@ class AlgebraResiduals:
     residuals: dict
     levels: dict
 
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
 
 def _masked_max(matrix: np.ndarray, levels) -> float:
     sub = matrix[np.ix_(levels, levels)]

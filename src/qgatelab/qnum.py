@@ -89,7 +89,7 @@ class DeformationParams:
 
     Mode m (1-based, six modes) owns the ordered pair (psi[2m-2], psi[2m-1]);
     qubit i is carried by modes (2i-1, 2i), so one qubit consumes four
-    consecutive psi values.  s = ln q is derived from q, never stored.
+    consecutive psi values.
     """
 
     q: float
@@ -103,10 +103,6 @@ class DeformationParams:
         if not all(math.isfinite(p) for p in psi):
             raise ValueError("psi values must be finite")
         object.__setattr__(self, "psi", psi)
-
-    @property
-    def s(self) -> float:
-        return math.log(self.q)
 
     def pair(self, mode: int) -> tuple:
         """Ordered (psi_a, psi_b) pair of the given 1-based mode."""

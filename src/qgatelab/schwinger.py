@@ -24,7 +24,6 @@ __all__ = [
     "ExponentConvention",
     "QubitEmbedding",
     "closing_params",
-    "decode",
     "deformed_qubit_state",
     "encode_basis",
     "qubit_amplitude",
@@ -114,27 +113,6 @@ def encode_basis(bits) -> MultiModeState:
     """Undeformed basis ket of a bit string under the pair encoding."""
     emb = QubitEmbedding(len(_check_bits(bits)))
     return basis_state(emb.occupation(bits), CUTOFF)
-
-
-def decode(occ) -> tuple:
-    """Bit string of a valid occupation tuple; rejects anything off the encoding.
-
-    Valid means an even number of modes with each consecutive pair summing to
-    one excitation, (1, 0) for bit 1 and (0, 1) for bit 0.
-    """
-    occ = tuple(int(n) for n in occ)
-    if not occ or len(occ) % 2 != 0:
-        raise ValueError(f"expected an even, nonempty number of modes, got {len(occ)}")
-    bits = []
-    for i in range(0, len(occ), 2):
-        pair = occ[i : i + 2]
-        if pair == (1, 0):
-            bits.append(1)
-        elif pair == (0, 1):
-            bits.append(0)
-        else:
-            raise ValueError(f"modes {i + 1},{i + 2} hold {pair}, not one shared excitation")
-    return tuple(bits)
 
 
 def closing_params(q, bits, exponent: ExponentConvention = ExponentConvention.RESULT) -> DeformationParams:

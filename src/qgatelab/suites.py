@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .constraints import discover_constraints, hadamard_closure_ratio
+from .constraints import DISCOVERY_PHI, discover_constraints, hadamard_closure_ratio
 from .fock import make_mode_ops
 from .gates import (
     GateKind,
@@ -44,18 +44,6 @@ __all__ = ["RunConfig", "SUITE_NAMES", "run_suites"]
 
 SUITE_NAMES = ("algebra", "gates", "constraints", "limits")
 
-_GATE_ORDER = (
-    GateKind.PS,
-    GateKind.HAD,
-    GateKind.NOT,
-    GateKind.CNOT,
-    GateKind.SWAP,
-    GateKind.FREDKIN,
-    GateKind.TOFFOLI,
-)
-
-_DISCOVERY_PHI = math.pi / 3
-
 _GENERALIZED_POINTS = ((2.0, 1.0), (2.0, 3.0), (0.5, 0.7))
 
 _RELATION_BY_KEY = {
@@ -79,6 +67,19 @@ def _reals(name: str, values) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list of numbers, got {values!r}")
     return tuple(_real(f"each of the {name}", value) for value in values)
+
+
+def _distinct_labels(name: str, values) -> None:
+    """Refuse values that print alike under %g, the form check ids give them."""
+    seen = {}
+    for value in values:
+        label = f"{value:g}"
+        if label in seen:
+            raise ValueError(
+                f"{name} {seen[label]!r} and {value!r} both print as {label} in check ids; "
+                "give values that differ within 6 significant digits"
+            )
+        seen[label] = value
 
 
 def _integer(name: str, value) -> int:
@@ -111,6 +112,7 @@ class RunConfig:
         self.q_values = _reals("q values", self.q_values)
         if not self.q_values or any(not math.isfinite(q) or q <= 0.0 for q in self.q_values):
             raise ValueError(f"q values must be positive finite reals, got {self.q_values!r}")
+        _distinct_labels("q values", self.q_values)
         self.cutoff = _integer("cutoff", self.cutoff)
         if self.cutoff < 3:
             raise ValueError(
@@ -124,6 +126,15 @@ class RunConfig:
         self.limit_q = _reals("limit q values", self.limit_q)
         if len(self.limit_q) < 2 or any(not math.isfinite(q) or q <= 0.0 or q == 1.0 for q in self.limit_q):
             raise ValueError(f"limit q values must be at least two positive reals different from 1, got {self.limit_q!r}")
+        _distinct_labels("limit q values", self.limit_q)
+        by_distance = {}
+        for q in self.limit_q:
+            if abs(q - 1.0) in by_distance:
+                raise ValueError(
+                    f"limit q values {by_distance[abs(q - 1.0)]!r} and {q!r} are equally far from 1, "
+                    "so the gap shrink between them is undefined; give each a different distance from 1"
+                )
+            by_distance[abs(q - 1.0)] = q
         self.operator = OperatorConvention(self.operator)
         self.exponent = ExponentConvention(self.exponent)
         self.identity_threshold = _real("identity threshold", self.identity_threshold)
@@ -295,9 +306,8 @@ def algebra_suite(cfg: RunConfig) -> list:
 
 
 def _gate_specs() -> tuple:
-    return tuple(
-        GateSpec(kind, _DISCOVERY_PHI if kind is GateKind.PS else 0.0) for kind in _GATE_ORDER
-    )
+    """Every gate in GateKind's declaration order, the phase shift at DISCOVERY_PHI."""
+    return tuple(GateSpec(kind, DISCOVERY_PHI if kind is GateKind.PS else 0.0) for kind in GateKind)
 
 
 def _table_action(kind: str, bits: tuple, phi: float) -> list:
@@ -329,10 +339,10 @@ def _table_action(kind: str, bits: tuple, phi: float) -> list:
 def _closure_residual(spec: GateSpec, q: float, exponent: ExponentConvention) -> float:
     """Worst gap between the deformed gate applied to fixed-parameter kets and its table."""
     emb = QubitEmbedding(spec.arity)
-    operator = deformed_gate_matrix(spec, q, None, exponent, emb)
+    matrix = deformed_gate_matrix(spec, q, None, exponent)
     worst = 0.0
     for bits in emb.all_bits():
-        lhs = operator.matrix @ deformed_qubit_state(DeformedQubitSpec(bits, None, exponent), q).vector
+        lhs = matrix @ deformed_qubit_state(DeformedQubitSpec(bits, None, exponent), q).vector
         rhs = np.zeros(emb.dim, dtype=complex)
         for term in gate_action_traced(spec, bits):
             rhs += term.coeff * deformed_qubit_state(DeformedQubitSpec(term.bits, None, exponent), q).vector
@@ -347,7 +357,7 @@ def gates_suite(cfg: RunConfig) -> list:
 
     for spec in _gate_specs():
         emb = QubitEmbedding(spec.arity)
-        matrix = gate_matrix(spec, emb)
+        matrix = gate_matrix(spec)
         worst = 0.0
         for bits in emb.all_bits():
             expected = np.zeros(emb.dim, dtype=complex)
@@ -367,31 +377,29 @@ def gates_suite(cfg: RunConfig) -> list:
     for spec in _gate_specs():
         if spec.kind is GateKind.PS:
             continue
-        emb = QubitEmbedding(spec.arity)
-        matrix = gate_matrix(spec, emb)
+        matrix = gate_matrix(spec)
         factor = 2.0 if spec.kind is GateKind.HAD else 1.0
         records.append(
             check(
                 f"gates/involution/{spec.kind.value}",
                 "gate-involution",
                 {"gate": spec.kind.value, "square_factor": factor},
-                _max_abs(matrix @ matrix - factor * emb.projector()),
+                _max_abs(matrix @ matrix - factor * QubitEmbedding(spec.arity).projector()),
                 "squares to twice the valid-subspace projector"
                 if factor == 2.0
                 else "squares to the valid-subspace projector",
             )
         )
 
-    emb1 = QubitEmbedding(1)
     for phi in (0.0, math.pi / 3, math.pi):
-        forward = gate_matrix(GateSpec(GateKind.PS, phi), emb1)
-        backward = gate_matrix(GateSpec(GateKind.PS, -phi), emb1)
+        forward = gate_matrix(GateSpec(GateKind.PS, phi))
+        backward = gate_matrix(GateSpec(GateKind.PS, -phi))
         records.append(
             check(
                 f"gates/phase-inverse/phi={phi:g}",
                 "phase-inverse",
                 {"phi": phi},
-                _max_abs(forward @ backward - emb1.projector()),
+                _max_abs(forward @ backward - QubitEmbedding(1).projector()),
                 "opposite phases compose to the valid-subspace projector",
             )
         )
@@ -410,14 +418,13 @@ def gates_suite(cfg: RunConfig) -> list:
 
     q_near_one = 1.0 + 1e-7
     for spec in _gate_specs():
-        emb = QubitEmbedding(spec.arity)
-        deformed = deformed_gate_matrix(spec, q_near_one, None, cfg.exponent, emb)
+        deformed = deformed_gate_matrix(spec, q_near_one, None, cfg.exponent)
         records.append(
             check(
                 f"gates/reduction/{spec.kind.value}",
                 "gate-closure",
                 {"gate": spec.kind.value, "phi": spec.phi, "q": q_near_one, "assignment": "closing"},
-                _max_abs(deformed.matrix - gate_matrix(spec, emb)),
+                _max_abs(deformed - gate_matrix(spec)),
                 "deformed matrix at q near 1 matches the undeformed gate elementwise",
                 threshold=cfg.limit_threshold,
             )
@@ -439,25 +446,22 @@ def gates_suite(cfg: RunConfig) -> list:
     )
 
     for spec in _gate_specs():
-        emb = QubitEmbedding(spec.arity)
-        forward = deformed_gate_matrix(spec, 2.0, DeformationParams.uniform(2.0), cfg.exponent, emb)
-        backward = deformed_gate_matrix(spec, 0.5, DeformationParams.uniform(0.5), cfg.exponent, emb)
+        forward = deformed_gate_matrix(spec, 2.0, DeformationParams.uniform(2.0), cfg.exponent)
+        backward = deformed_gate_matrix(spec, 0.5, DeformationParams.uniform(0.5), cfg.exponent)
         records.append(
             check(
                 f"gates/symmetry/{spec.kind.value}",
                 "bracket-symmetry",
                 {"gate": spec.kind.value, "phi": spec.phi, "q": 2.0, "mirror_q": 0.5, "psi": 1.0},
-                _max_abs(forward.matrix - backward.matrix),
+                _max_abs(forward - backward),
                 "deformed matrices at q and 1/q coincide at unit psi",
             )
         )
 
-    emb3 = QubitEmbedding(3)
-    table = gate_matrix(GateSpec(GateKind.TOFFOLI), emb3)
-    literal = toffoli_literal_matrix(2.0, DeformationParams.uniform(2.0), cfg.exponent, emb3)
-    faithful = deformed_gate_matrix(
-        GateSpec(GateKind.TOFFOLI), 2.0, DeformationParams.uniform(2.0), cfg.exponent, emb3
-    ).matrix
+    toffoli, uniform = GateSpec(GateKind.TOFFOLI), DeformationParams.uniform(2.0)
+    table = gate_matrix(toffoli)
+    literal = toffoli_literal_matrix(2.0, uniform, cfg.exponent)
+    faithful = deformed_gate_matrix(toffoli, 2.0, uniform, cfg.exponent)
     literal_gap = _max_abs(literal - table)
     faithful_gap = _max_abs(faithful - table)
     records.append(

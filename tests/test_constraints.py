@@ -20,7 +20,6 @@ from qgatelab import (
     discover_constraints,
     gate_matrix,
     hadamard_closure_ratio,
-    identity_residual,
     psi_bracket,
 )
 from qgatelab import constraints
@@ -41,6 +40,11 @@ def _params(q, *prefix):
     return DeformationParams.from_values(q, prefix)
 
 
+def _residuals(spec, q, params) -> tuple:
+    """(strict, collinear) gaps of one point through the dense path."""
+    return _dense_residuals(spec, q, params, gate_matrix(spec))
+
+
 class TestIdentityResidual:
     @pytest.mark.parametrize(
         "kind", [GateKind.PS, GateKind.HAD, GateKind.NOT, GateKind.CNOT, GateKind.SWAP]
@@ -49,7 +53,7 @@ class TestIdentityResidual:
         spec = GateSpec(kind, math.pi / 3)
         for q in (0.5, 2.0):
             params = DeformationParams.uniform(q, 3.0)
-            assert identity_residual(spec, q, params) <= 1e-14
+            assert _residuals(spec, q, params)[0] <= 1e-14
 
     @pytest.mark.parametrize(
         "prefix",
@@ -60,53 +64,43 @@ class TestIdentityResidual:
     )
     def test_swap_closes_for_arbitrary_weights(self, prefix):
         params = _params(2.0, *prefix)
-        assert identity_residual(GateSpec(GateKind.SWAP), 2.0, params) <= 1e-14
-        assert identity_residual(GateSpec(GateKind.SWAP), 2.0, params, "collinear") <= 1e-14
+        strict, collinear = _residuals(GateSpec(GateKind.SWAP), 2.0, params)
+        assert strict <= 1e-14
+        assert collinear <= 1e-14
 
     def test_permutation_gates_close_for_arbitrary_weights(self):
         params = _params(2.0, 2.0, 0.5, 1.0, 4.0, 0.5, 0.5, 2.0, 1.0, 4.0, 1.0, 0.5, 2.0)
-        assert identity_residual(GateSpec(GateKind.FREDKIN), 2.0, params) <= 1e-14
+        assert _residuals(GateSpec(GateKind.FREDKIN), 2.0, params)[0] <= 1e-14
 
     def test_bit_flip_residual_is_amplitude_gap(self):
         # With pairs (a, a) on the odd mode and (b, b) on the even mode the
         # only mismatch is between the two creation amplitudes.
         params = _params(2.0, 4.0, 4.0, 1.0, 1.0)
-        assert identity_residual(GateSpec(GateKind.NOT), 2.0, params) == pytest.approx(
-            1.0, abs=1e-14
-        )
-        assert identity_residual(GateSpec(GateKind.NOT), 2.0, params, "collinear") <= 1e-14
+        strict, collinear = _residuals(GateSpec(GateKind.NOT), 2.0, params)
+        assert strict == pytest.approx(1.0, abs=1e-14)
+        assert collinear <= 1e-14
 
     def test_parity_sum_closes_under_auxiliary_equalities_alone(self):
         # psi1 = psi3 and psi2 = psi4 with psi1 != psi2: the claimed equality
         # is violated yet the identity closes, the seed of the refuted verdict.
         params = _params(2.0, 2.0, 1.0, 2.0, 1.0)
-        assert identity_residual(GateSpec(GateKind.HAD), 2.0, params) == 0.0
+        assert _residuals(GateSpec(GateKind.HAD), 2.0, params)[0] == 0.0
 
     def test_parity_sum_strict_residual_scales_as_root_of_weights(self):
-        base = identity_residual(GateSpec(GateKind.HAD), 2.0, _params(2.0, 1.0, 1.0, 2.0, 2.0))
-        scaled = identity_residual(GateSpec(GateKind.HAD), 2.0, _params(2.0, 2.0, 2.0, 4.0, 4.0))
+        base = _residuals(GateSpec(GateKind.HAD), 2.0, _params(2.0, 1.0, 1.0, 2.0, 2.0))[0]
+        scaled = _residuals(GateSpec(GateKind.HAD), 2.0, _params(2.0, 2.0, 2.0, 4.0, 4.0))[0]
         assert base == pytest.approx(SQRT2 - 1.0, abs=1e-14)
         assert scaled == pytest.approx(SQRT2 * base, rel=1e-12)
 
     def test_collinear_residual_ignores_overall_rescaling(self):
         spec = GateSpec(GateKind.HAD)
-        base = identity_residual(spec, 2.0, _params(2.0, 1.0, 1.0, 2.0, 2.0), "collinear")
-        scaled = identity_residual(spec, 2.0, _params(2.0, 2.0, 2.0, 4.0, 4.0), "collinear")
+        base = _residuals(spec, 2.0, _params(2.0, 1.0, 1.0, 2.0, 2.0))[1]
+        scaled = _residuals(spec, 2.0, _params(2.0, 2.0, 2.0, 4.0, 4.0))[1]
         assert base > 1e-3
         assert scaled == pytest.approx(base, abs=1e-14)
 
-    def test_closing_assignment_closes_every_gate(self):
-        for kind in GateKind:
-            spec = GateSpec(kind, math.pi / 3)
-            assert identity_residual(spec, 2.0, None) <= 1e-14
-
-    def test_rejects_unknown_residual_mode(self):
-        with pytest.raises(ValueError):
-            identity_residual(GateSpec(GateKind.NOT), 2.0, None, "angular")
-
-    @pytest.mark.parametrize("exponent", list(ExponentConvention))
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_one_column_oracle_matches_the_full_ket_product(self, monkeypatch, kind, exponent):
+    def test_one_column_oracle_matches_the_full_ket_product(self, monkeypatch, kind):
         # the dense pass hands each input's lhs to _collinear_gap, in all_bits order
         seen = []
         gap = constraints._collinear_gap
@@ -118,22 +112,22 @@ class TestIdentityResidual:
         monkeypatch.setattr(constraints, "_collinear_gap", spy)
         spec = GateSpec(kind, math.pi / 3)
         emb = QubitEmbedding(spec.arity)
-        matrix = gate_matrix(spec, emb)
+        matrix = gate_matrix(spec)
         rng = np.random.default_rng(7)
         for q in (0.5, 2.0):
             # pair ratios of at most 4 keep every bracket nonnegative at q = 0.5 and 2
-            points = [None, DeformationParams.uniform(q, 3.0)]
+            points = [DeformationParams.uniform(q, 3.0)]
             points += [DeformationParams(q, tuple(rng.choice((0.5, 1.0, 2.0), 12))) for _ in range(3)]
             for params in points:
                 seen.clear()
-                _dense_residuals(spec, q, params, matrix, exponent)
+                _dense_residuals(spec, q, params, matrix)
                 assert len(seen) == 2**spec.arity
                 for bits, lhs in zip(emb.all_bits(), seen):
-                    ket = deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q)
+                    ket = deformed_qubit_state(DeformedQubitSpec(bits, params), q)
                     assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
         # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
         with pytest.raises(NegativeRadicandError):
-            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), matrix, exponent)
+            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), matrix)
 
 
 class TestClosureRatio:
@@ -361,7 +355,7 @@ class TestLevelCodes:
         ]
         assert np.array_equal(admissible, expected)
         assert admissible.any() and not admissible.all()
-        matrix = gate_matrix(spec, QubitEmbedding(1))
+        matrix = gate_matrix(spec)
         for index in np.linspace(0, codes.shape[0] - 1, 52).astype(int):
             params = DeformationParams(q, tuple(float(v) for v in rows[index]))
             if admissible[index]:
@@ -399,7 +393,7 @@ class TestLevelCodes:
         strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
-        matrix = gate_matrix(spec, QubitEmbedding(spec.arity))
+        matrix = gate_matrix(spec)
         for index, row in enumerate(levels[codes]):
             params = DeformationParams(q, tuple(float(v) for v in row))
             if admissible[index]:

@@ -11,7 +11,6 @@ from qgatelab import (
     lift,
     make_mode_ops,
     occupation_index,
-    vacuum,
 )
 
 
@@ -111,14 +110,14 @@ class TestIndexing:
 
 class TestMultiModeState:
     def test_vacuum_is_annihilated_by_every_mode(self):
-        state = vacuum(2, 3)
+        state = basis_state((0, 0), 3)
         ops = make_mode_ops(3)
         for mode in (1, 2):
             out = lift(ops.a, mode, 2) @ state.vector
             assert np.max(np.abs(out)) == 0.0
 
     def test_vacuum_has_unit_norm(self):
-        assert vacuum(3, 2).norm == 1.0
+        assert basis_state((0, 0, 0), 2).norm == 1.0
 
     def test_amplitude_lookup(self):
         state = basis_state((0, 1, 1, 0), 2)
@@ -130,7 +129,7 @@ class TestMultiModeState:
         assert state.norm == pytest.approx(2.0, abs=1e-15)
 
     def test_vector_is_read_only(self):
-        state = vacuum(1, 2)
+        state = basis_state((0,), 2)
         with pytest.raises(ValueError):
             state.vector[0] = 5.0
 

@@ -105,7 +105,6 @@ class TestDeformationParams:
     def test_defaults_are_uniform(self):
         params = DeformationParams(q=2.0)
         assert params.psi == (1.0,) * 12
-        assert params.s == pytest.approx(math.log(2.0))
 
     def test_pair_indexing_is_one_based(self):
         params = DeformationParams.from_values(2.0, [1, 2, 3, 4])

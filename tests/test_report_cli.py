@@ -207,6 +207,12 @@ class TestRunConfig:
             {"cutoff": float("inf")},
             {"identity_threshold": True},
             {"limit_threshold": "1e-6"},
+            {"q_values": (2.0, 2.0)},
+            {"q_values": (0.5, 2.0, 2.0000001)},
+            {"limit_q": (1.1, 1.1)},
+            {"limit_q": (1.1, 1.1000001, 1.01)},
+            {"limit_q": (1.5, 0.5)},
+            {"limit_q": (1.1, 1.01, 0.99)},
         ],
     )
     def test_rejects_invalid_settings(self, kwargs):
@@ -281,6 +287,28 @@ class TestCli:
         config.write_text(setting)
         out = tmp_path / "report.json"
         assert main(["verify-algebra", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "argv", "setting", "message"),
+        [
+            ("limit-study", [], '{"limit_q": [1.5, 0.5]}', "limit q values 1.5 and 0.5 are equally far from 1"),
+            ("all", [], '{"limit_q": [1.1, 1.1]}', "limit q values 1.1 and 1.1 both print as 1.1"),
+            ("all", [], '{"limit_q": [1.1, 1.1000001]}', "limit q values 1.1 and 1.1000001 both print as 1.1"),
+            ("all", ["--q", "2,2"], "{}", "q values 2.0 and 2.0 both print as 2 in check ids"),
+            ("verify-gates", ["--q", "2,2.0000001"], "{}", "q values 2.0 and 2.0000001 both print as 2"),
+            ("limit-study", ["--threshold", "1e-12,5"], "{}", "--threshold expects one number, got '1e-12,5'"),
+            ("all", ["--limit-threshold", "1e-6,1"], "{}", "--limit-threshold expects one number"),
+        ],
+    )
+    def test_ambiguous_values_exit_two_naming_them(self, tmp_path, capsys, command, argv, setting, message):
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(config), *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert "Traceback" not in err

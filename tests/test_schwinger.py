@@ -12,7 +12,6 @@ from qgatelab import (
     NegativeRadicandError,
     QubitEmbedding,
     closing_params,
-    decode,
     deformed_qubit_state,
     encode_basis,
     qubit_amplitude,
@@ -35,17 +34,6 @@ class TestEncoding:
         emb = QubitEmbedding(1)
         assert emb.basis_index((0,)) == 1
         assert emb.basis_index((1,)) == 2
-
-    @pytest.mark.parametrize("qubit_count", [1, 2, 3])
-    def test_decode_round_trip(self, qubit_count):
-        emb = QubitEmbedding(qubit_count)
-        for bits in emb.all_bits():
-            assert decode(emb.occupation(bits)) == bits
-
-    @pytest.mark.parametrize("occ", [(0, 0), (1, 1), (2, 0), (0, 1, 1)])
-    def test_decode_rejects_invalid_occupations(self, occ):
-        with pytest.raises(ValueError):
-            decode(occ)
 
     def test_projector_selects_exactly_the_encoded_kets(self):
         emb = QubitEmbedding(2)
