@@ -27,6 +27,7 @@ failed; convention-dependent iff the two residual modes disagree.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -100,6 +101,10 @@ def hadamard_closure_ratio(n1: int, q) -> float:
     return numerator / denominator
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _collinear_gap(u: np.ndarray, v: np.ndarray) -> float:
     """Sine of the angle between two vectors; 0 for two zeros, 1 for exactly one zero.
 
@@ -107,45 +112,57 @@ def _collinear_gap(u: np.ndarray, v: np.ndarray) -> float:
     which stays accurate near perfect alignment (the 1 - cos^2 form loses half
     the significant digits there).
     """
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    nu, nv = _norm(u), _norm(v)
     if nu == 0.0 and nv == 0.0:
         return 0.0
     if nu == 0.0 or nv == 0.0:
         return 1.0
     coefficient = np.vdot(u, v) / (nu * nu)
-    rejection = v - coefficient * u
-    return min(1.0, float(np.linalg.norm(rejection)) / nv)
+    return min(1.0, _norm(v - coefficient * u) / nv)
 
 
-def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, matrix: np.ndarray) -> tuple:
+def _term_picks(bits: tuple, term) -> list:
+    """Per output slot of a traced term, the (qubit, bit) whose amplitude it holds: the
+    source qubit's input bit on a carried slot, the slot's own output bit on a flipped one."""
+    return [
+        (slot, out_bit) if src is None else (src, bits[src])
+        for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits))
+    ]
+
+
+def _oracle_plan(spec: GateSpec) -> list:
+    """Per input bit string: the bits, that column of the undeformed gate matrix, and each
+    traced output term's basis index, coefficient and amplitude picks."""
+    emb, matrix = QubitEmbedding(spec.arity), gate_matrix(spec)
+    plan = []
+    for bits in emb.all_bits():
+        terms = gate_action_traced(spec, bits)
+        terms = [(emb.basis_index(term.bits), term.coeff, _term_picks(bits, term)) for term in terms]
+        plan.append((bits, matrix[:, emb.basis_index(bits)], terms))
+    return plan
+
+
+def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, plan: list) -> tuple:
     """(strict, collinear) worst-case gaps of one (q, psi) point over the input bit strings.
 
-    matrix is the undeformed gate matrix on the spec's embedding, so a caller
-    checking many points builds it once.  A deformed input ket has one nonzero
-    entry, its qubit amplitudes multiplied in deformed_qubit_state's order, so
-    matrix @ ket is that column of matrix times the product, bit for bit.
+    plan is _oracle_plan(spec), built once by a caller checking many points.
+    A deformed input ket has one nonzero entry, its qubit amplitudes
+    multiplied in deformed_qubit_state's order, so the gate matrix applied to
+    it is that column of the matrix times the product, bit for bit.
     Amplitudes come from a [slot][bit] table, every entry of which some input
     reads, so a point that does not admit real amplitudes raises
     NegativeRadicandError.  Deformed kets are creation-built, so the gaps do
     not depend on the lowering-operator reading.
     """
-    emb = QubitEmbedding(spec.arity)
     amps = [[qubit_amplitude(bit, slot + 1, q, params) for bit in (0, 1)] for slot in range(spec.arity)]
     worst_strict = 0.0
     worst_collinear = 0.0
-    for bits in emb.all_bits():
-        in_amp = 1.0
-        for slot, bit in enumerate(bits):
-            in_amp *= amps[slot][bit]
-        lhs = matrix[:, emb.basis_index(bits)] * in_amp
-        rhs = np.zeros(emb.dim, dtype=complex)
-        for term in gate_action_traced(spec, bits):
-            amp = 1.0
-            for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits)):
-                amp *= amps[slot][out_bit] if src is None else amps[src][bits[src]]
-            rhs[emb.basis_index(term.bits)] += term.coeff * amp
-        worst_strict = max(worst_strict, float(np.linalg.norm(lhs - rhs)))
+    for bits, column, terms in plan:
+        lhs = column * math.prod(amps[slot][bit] for slot, bit in enumerate(bits))
+        rhs = np.zeros(column.size, dtype=complex)
+        for index, coeff, picks in terms:
+            rhs[index] += coeff * math.prod(amps[slot][bit] for slot, bit in picks)
+        worst_strict = max(worst_strict, _norm(lhs - rhs))
         worst_collinear = max(worst_collinear, _collinear_gap(lhs, rhs))
     return worst_strict, worst_collinear
 
@@ -153,6 +170,7 @@ def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, matrix
 def _strata(arity: int) -> dict:
     """Sweep strata in sweep order: name -> per free grid slot, the 0-based psi columns it fills.
 
+    A stratum's rows form a grid with one axis per slot (see _stratum_columns).
     Cross-mode (auxiliary) equalities, within-mode equalities, then free
     combinations.  The free stratum for three qubits would need 4^12 rows; it
     is replaced by one block per qubit pair (all 4^8 combinations for the two
@@ -175,9 +193,9 @@ def _strata(arity: int) -> dict:
     return strata
 
 
-# Rows per residual block.  Every sweep operation is per row, so blocking only
-# keeps the temporaries in cache and leaves the results bit-identical.
-_BLOCK_ROWS = 16384
+# Most rows per slice of the leading grid axis (at least one index of it).  Every sweep
+# operation is per row, so slicing only bounds the temporaries, bit for bit.
+_SLICE_ROWS = 1 << 16
 
 
 def _grid_levels(grid) -> tuple:
@@ -192,73 +210,75 @@ def _grid_levels(grid) -> tuple:
     return levels, codes
 
 
-def _stratum_codes(slots: tuple, levels: np.ndarray, grid_codes: np.ndarray) -> np.ndarray:
-    """Level codes (P x PSI_COUNT) of one stratum's psi rows, the 1.0 code everywhere else.
+def _stratum_columns(slots: tuple, levels: np.ndarray, grid_codes: np.ndarray) -> list:
+    """Level codes of the PSI_COUNT psi columns over one stratum's (len(grid),) * len(slots) grid.
 
-    slots is the stratum's entry in _strata.  Rows come in itertools.product
-    order over the grid (last slot fastest): slot k of the row grid is axis k
-    of a (len(grid),) * slots array.
+    slots is the stratum's entry in _strata; raveled in C order the grid's rows come in
+    itertools.product order (last slot fastest).  A column filled by slot k holds the
+    grid's codes along axis k; a column no slot fills holds the 1.0 filler's code, 0-d.
     """
-    width = grid_codes.size
-    filler = np.searchsorted(levels, 1.0)
-    codes = np.full((width,) * len(slots) + (PSI_COUNT,), filler, dtype=grid_codes.dtype)
+    filler = np.asarray(np.searchsorted(levels, 1.0), dtype=grid_codes.dtype)
+    columns = [filler] * PSI_COUNT
     for position, indices in enumerate(slots):
         axis_shape = [1] * len(slots)
-        axis_shape[position] = width
+        axis_shape[position] = grid_codes.size
         for index in indices:
-            codes[..., index] = grid_codes.reshape(axis_shape)
-    return codes.reshape(-1, PSI_COUNT)
+            columns[index] = grid_codes.reshape(axis_shape)
+    return columns
 
 
-def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, codes: np.ndarray):
-    """Vectorized residuals for many psi rows, given as level codes, at one q.
+def _pair_codes(columns: list, levels: np.ndarray) -> list:
+    """Per mode m, code_a * levels.size + code_b of psi columns 2m and 2m + 1, in a dtype that
+    holds every pair code and on the broadcast shape of the two columns."""
+    pair_dtype = np.min_scalar_type(levels.size**2 - 1)
+    return [columns[a].astype(pair_dtype) * levels.size + columns[a + 1] for a in range(0, len(columns), 2)]
 
-    Returns (strict, collinear, admissible) arrays.  Residuals are computed
-    for admissible rows only; inadmissible rows hold 0.0.  The formulation
-    mirrors the dense path exactly: per input bit string the gate's output
-    terms live on distinct basis kets, so the strict gap is the root sum of
-    squared per-term amplitude gaps and the collinear gap comes from the
-    cosine between the two coefficient vectors.  An input bit string whose
-    only output term has weight 1 and the input's own amplitude product, in
-    the same factor order, is skipped: both of its gaps are exactly 0.  That
-    holds while every product and its square is finite, so a q whose largest
-    admissible amplitude could overflow them raises OverflowError before any
-    row runs.  That amplitude is taken over the level pairs a row can hold:
-    both levels from the grid (grid_codes), since the 1.0 filler only pairs
-    with itself and has amplitude 1.  Mode brackets come from a table over
-    (psi_a, psi_b) level pairs, written as psi_bracket writes them (q - 1/q
-    can be a few ulp), gathered by the pair code code_a * levels.size + code_b
-    in a dtype that holds every pair code; rows run in blocks of _BLOCK_ROWS.
+
+def _pattern_mask(columns: list, pattern) -> np.ndarray:
+    """Rows meeting every psi_i = psi_j equality (equal psi values share a code), broadcastable."""
+    mask = np.True_
+    for i, j in pattern:
+        mask = mask & (columns[i - 1] == columns[j - 1])
+    return mask
+
+
+def _sweep_pairs(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, pairs: list):
+    """Vectorized residuals at one q on the row grid that per-mode pair codes span.
+
+    pairs holds each mode's pair codes (_pair_codes), each a scalar or of the grid's full
+    rank; flat rows are the 1-D case.  Returns (strict, collinear, admissible) arrays of the
+    grid's shape, 0.0 on inadmissible rows.  The formulation mirrors the dense path exactly:
+    per input bit string the gate's output terms live on distinct basis kets, so the strict
+    gap is the root sum of squared per-term amplitude gaps and the collinear gap comes from
+    the cosine between the two coefficient vectors.  Each bit string computes on the
+    broadcast shape of the modes it reads, the same operations in the same order for every
+    row; only the running maxima and the admissibility mask span the grid, in slices of
+    its leading axis.  A bit string whose only output term has weight 1 and the input's own
+    amplitude product, in the same factor order, is skipped as an exact zero.  That holds
+    while every product and its square is finite, so a q whose largest admissible amplitude
+    (both levels from the grid: the 1.0 filler only pairs with itself, amplitude 1) could
+    overflow them raises OverflowError first.  Mode brackets come from a table over level
+    pairs, written as psi_bracket writes them (q - 1/q can be a few ulp), read by pair code.
     """
     arity = spec.arity
-    denominator = q - 1.0 / q
-    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / denominator
+    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / (q - 1.0 / q)
     amp_table = np.sqrt(np.clip(brackets, 0.0, None))
     admissible_table = brackets >= 0.0
 
-    def amp_row(qubit: int, bit: int) -> int:
-        return 2 * qubit + (0 if bit else 1)
-
-    # per input bit string that can leave a gap: amplitude rows of the input
-    # product, term weights, and amplitude rows of each output term's product
+    # per input bit string that can leave a gap: the input product's modes, the weight sum,
+    # and each output term's weight and product modes (qubit j, bit b reads mode 2j + 1 - b)
     plan = []
     largest_weight_sum = 0.0
     for bits in itertools.product((0, 1), repeat=arity):
-        c_outs = []
-        weights = []
-        for term in gate_action_traced(spec, bits):
-            c_outs.append(
-                [
-                    amp_row(slot, out_bit) if src is None else amp_row(src, bits[src])
-                    for slot, (src, out_bit) in enumerate(zip(term.sources, term.bits))
-                ]
-            )
-            weights.append(abs(term.coeff) ** 2)
-        c_in = [amp_row(qubit, bit) for qubit, bit in enumerate(bits)]
-        largest_weight_sum = max(largest_weight_sum, sum(weights))
-        if weights == [1.0] and c_outs == [c_in]:
-            continue
-        plan.append((c_in, np.asarray(weights)[:, None], c_outs))
+        c_in = [2 * j + 1 - b for j, b in enumerate(bits)]
+        terms = [
+            (abs(term.coeff) ** 2, [2 * j + 1 - b for j, b in _term_picks(bits, term)])
+            for term in gate_action_traced(spec, bits)
+        ]
+        weight_sum = sum(weight for weight, _ in terms)
+        largest_weight_sum = max(largest_weight_sum, weight_sum)
+        if terms != [(1.0, c_in)]:
+            plan.append((c_in, weight_sum, terms))
 
     in_grid = np.zeros(levels.size, dtype=bool)
     in_grid[grid_codes] = True
@@ -273,91 +293,71 @@ def _sweep_rows(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nda
             f"psi_b={float(levels[peak[1]])!r}) raised to the power {2 * arity} is not finite"
         )
 
-    def product(amp_mode: np.ndarray, amp_rows: list) -> np.ndarray:
-        value = amp_mode[amp_rows[0]]
-        for row in amp_rows[1:]:
-            value = value * amp_mode[row]
-        return value
+    def product(amps: list, modes: list):
+        return functools.reduce(operator.mul, [amps[mode] for mode in modes])
 
-    pair_dtype = np.min_scalar_type(levels.size**2 - 1)
     admissible_pairs, amp_pairs = admissible_table.ravel(), amp_table.ravel()
-    count = codes.shape[0]
-    strict = np.zeros(count)
-    collinear = np.zeros(count)
-    admissible = np.empty(count, dtype=bool)
-    for start in range(0, count, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        mode_codes = codes[block, : 4 * arity].T
-        pairs = mode_codes[0::2].astype(pair_dtype) * levels.size + mode_codes[1::2]
-        admissible[block] = admissible_pairs[pairs].all(axis=0)
-        kept = np.flatnonzero(admissible[block])
-        amp_mode = amp_pairs[pairs[:, kept]]
-        strict_block = np.zeros(kept.size)
-        collinear_block = np.zeros(kept.size)
-        for c_in_rows, weights, c_out_rows in plan:
-            c_in = product(amp_mode, c_in_rows)
-            c_outs = np.stack([product(amp_mode, rows) for rows in c_out_rows])
-            strict_here = np.sqrt((weights * (c_in[None, :] - c_outs) ** 2).sum(axis=0))
-            lhs_sq = float(weights.sum()) * c_in**2
-            rhs_sq = (weights * c_outs**2).sum(axis=0)
-            dot = c_in * (weights * c_outs).sum(axis=0)
+    pairs = pairs[: 2 * arity]
+    shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
+    strict, collinear, admissible = np.zeros(shape), np.zeros(shape), np.empty(shape, dtype=bool)
+    step = max(1, _SLICE_ROWS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        window = slice(start, start + step)
+        sliced = [p[window] if np.ndim(p) and np.shape(p)[0] > 1 else p for p in pairs]
+        admissible[window] = functools.reduce(np.logical_and, [admissible_pairs[p] for p in sliced])
+        amps = [amp_pairs[p] for p in sliced]
+        for c_in_modes, weight_sum, term_modes in plan:
+            c_in = product(amps, c_in_modes)
+            terms = [(weight, product(amps, modes)) for weight, modes in term_modes]
+            strict_here = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
+            lhs_sq = weight_sum * c_in**2
+            rhs_sq = sum(weight * c_out**2 for weight, c_out in terms)
+            dot = c_in * sum(weight * c_out for weight, c_out in terms)
             both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
             one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
             # rejection form of the sine, mirroring _collinear_gap
             coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
-            rejection_sq = (weights * (c_outs - coefficient[None, :] * c_in[None, :]) ** 2).sum(axis=0)
+            rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
             safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
             collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
             collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
-            strict_block = np.maximum(strict_block, strict_here)
-            collinear_block = np.maximum(collinear_block, collinear_here)
-        strict[start + kept] = strict_block
-        collinear[start + kept] = collinear_block
+            np.maximum(strict[window], strict_here, out=strict[window])
+            np.maximum(collinear[window], collinear_here, out=collinear[window])
+        inadmissible = ~admissible[window]
+        strict[window][inadmissible] = collinear[window][inadmissible] = 0.0
     return strict, collinear, admissible
 
 
-def _cross_check_samples(spec, q, matrix, levels, codes, strict, collinear, admissible) -> int:
-    """Recompute deterministic sample rows through the dense path; raise on mismatch.
+def _row_psi(levels: np.ndarray, columns: list, index: int) -> list:
+    """Float psi values of row index of a stratum, columns broadcast to its row grid."""
+    at = np.unravel_index(index, columns[0].shape)
+    return [float(v) for v in levels[[column[at] for column in columns]]]
 
-    matrix is the spec's undeformed gate matrix; each pick takes one dense
-    pass that yields both residual modes.
-    """
-    count = codes.shape[0]
+
+def _cross_check_samples(spec, q, plan, psi_of, strict, collinear, admissible) -> int:
+    """Recompute deterministic sample rows (psi_of maps a row to its psi) through the dense
+    path, one pass per pick for both residual modes, with the spec's _oracle_plan; raise on mismatch."""
+    strict, collinear, admissible = strict.ravel(), collinear.ravel(), admissible.ravel()
+    count = admissible.size
     step = max(1, count // 5)
     picks = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
     checked = 0
     for index in picks:
-        psi = tuple(float(v) for v in levels[codes[index]])
-        point = DeformationParams(q, psi)
+        psi = tuple(psi_of(index))
+        point, where = DeformationParams(q, psi), f"{spec.kind.value}, q={q!r}, psi={psi!r}"
         if admissible[index]:
-            dense_strict, dense_collinear = _dense_residuals(spec, q, point, matrix)
-            if abs(dense_strict - float(strict[index])) > 1e-10 or abs(
-                dense_collinear - float(collinear[index])
-            ) > 1e-10:
-                raise RuntimeError(
-                    f"sweep engine disagrees with the dense path at {spec.kind.value}, "
-                    f"q={q!r}, psi={psi!r}"
-                )
+            dense_strict, dense_collinear = _dense_residuals(spec, q, point, plan)
+            if abs(dense_strict - strict[index]) > 1e-10 or abs(dense_collinear - collinear[index]) > 1e-10:
+                raise RuntimeError(f"sweep engine disagrees with the dense path at {where}")
         else:
             try:
-                _dense_residuals(spec, q, point, matrix)
+                _dense_residuals(spec, q, point, plan)
             except NegativeRadicandError:
                 pass
             else:
-                raise RuntimeError(
-                    f"sweep engine marked an admissible point as skipped at {spec.kind.value}, "
-                    f"q={q!r}, psi={psi!r}"
-                )
+                raise RuntimeError(f"sweep engine marked an admissible point as skipped at {where}")
         checked += 1
     return checked
-
-
-def _satisfies(codes: np.ndarray, pattern) -> np.ndarray:
-    """Boolean mask of rows meeting every psi_i = psi_j equality (equal psi values share a code)."""
-    mask = np.ones(codes.shape[0], dtype=bool)
-    for i, j in pattern:
-        mask &= codes[:, i - 1] == codes[:, j - 1]
-    return mask
 
 
 def _pattern_text(pattern) -> str:
@@ -405,10 +405,7 @@ class ConstraintReport:
 
 
 def _tally(rows: np.ndarray, strict: np.ndarray, collinear: np.ndarray, tolerance: float) -> dict:
-    """Points, maxima and zero counts of both residual modes over the rows in a mask.
-
-    Residuals are >= 0, so a tally over no rows has maxima 0.0.
-    """
+    """Points, maxima and zero counts of both residual modes over the rows in a mask (maxima 0.0 if none)."""
     return {
         "admissible": int(np.count_nonzero(rows)),
         "zero_strict": int(np.count_nonzero(rows & (strict <= tolerance))),
@@ -430,32 +427,29 @@ def _merge_tallies(first: dict, second: dict) -> dict:
     }
 
 
-def _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance, tally) -> dict:
+def _stratum_summary(name, q, psi_of, strict, collinear, admissible, tolerance, tally) -> dict:
     """One (stratum, q) block: its row counts, tally over the admissible rows, and exemplars."""
-
-    def psi(index) -> list:
-        return [float(v) for v in levels[codes[index]]]
-
+    strict, collinear, admissible = strict.ravel(), collinear.ravel(), admissible.ravel()
     picks = []
-    adm_indices = np.flatnonzero(admissible)
-    if adm_indices.size:
-        picks = [adm_indices[0], adm_indices[np.argmax(strict[adm_indices])]]
+    if tally["admissible"]:
+        # inadmissible rows hold 0.0, so a positive largest residual is on an admissible row
+        first, peak = int(np.argmax(admissible)), int(np.argmax(strict))
+        picks = [first, peak if strict[peak] > 0.0 else first]
         for rows in (admissible & (strict <= tolerance), admissible & (strict > tolerance)):
-            picks += np.flatnonzero(rows)[:1].tolist()
+            picks += [int(np.argmax(rows))] if rows.any() else []
     summary = {
         "stratum": name,
         "q": float(q),
-        "rows": int(codes.shape[0]),
-        "skipped": int(codes.shape[0]) - tally["admissible"],
+        "rows": admissible.size,
+        "skipped": admissible.size - tally["admissible"],
         **tally,
         "exemplars": [
-            {"psi": psi(index), "strict": float(strict[index]), "collinear": float(collinear[index])}
-            for index in dict.fromkeys(int(pick) for pick in picks)
+            {"psi": psi_of(i), "strict": float(strict[i]), "collinear": float(collinear[i])}
+            for i in dict.fromkeys(picks)
         ],
     }
-    skipped_indices = np.flatnonzero(~admissible)
-    if skipped_indices.size:
-        summary["skipped_exemplar"] = {"psi": psi(skipped_indices[0])}
+    if summary["skipped"]:
+        summary["skipped_exemplar"] = {"psi": psi_of(int(np.argmin(admissible)))}
     return summary
 
 
@@ -471,12 +465,14 @@ def discover_constraints(
 
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
-    be positive.  Each (stratum, q) block runs the vectorized engine, has
-    deterministic samples cross-checked against the dense path (both
-    residual modes in one pass, the gate matrix built once per call), and is
-    tallied per candidate pattern before the next block runs.  Summaries, totals, the minimal-pattern search and the verdicts
-    read only the tallies.  Raises OverflowError when a q and the grid's
-    largest amplitude overflow the sweep's products.
+    be positive.  Each (stratum, q) block runs the vectorized engine on the
+    stratum's row grid, has deterministic samples cross-checked against the
+    dense path (both residual modes in one pass, the oracle plan built once
+    per call), and is tallied per candidate pattern, whose masks are built
+    once per stratum, before the next block runs.  Summaries, totals, the
+    minimal-pattern search and the verdicts read only the tallies.  Raises
+    OverflowError when a q and the grid's largest amplitude overflow the
+    sweep's products.
     """
     spec = gate
     if not isinstance(gate, GateSpec):
@@ -496,29 +492,27 @@ def discover_constraints(
     exponent = ExponentConvention(exponent)
 
     levels, grid_codes = _grid_levels(grid)
-    matrix = gate_matrix(spec)
+    oracle = _oracle_plan(spec)
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary
     patterns = {pattern for _, pattern in candidates}
-    block_tallies = []
-    strata_summaries = []
-    samples_checked = 0
+    block_tallies, strata_summaries, samples_checked = [], [], 0
     for name, slots in _strata(spec.arity).items():
-        codes = _stratum_codes(slots, levels, grid_codes)
+        columns = _stratum_columns(slots, levels, grid_codes)
+        pairs = _pair_codes(columns, levels)
+        masks = {pattern: _pattern_mask(columns, pattern) for pattern in patterns}
+        psi_of = functools.partial(_row_psi, levels, np.broadcast_arrays(*columns))
         for q in q_values:
-            strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
-            samples_checked += _cross_check_samples(
-                spec, q, matrix, levels, codes, strict, collinear, admissible
-            )
-            block = {
-                pattern: _tally(admissible & _satisfies(codes, pattern), strict, collinear, tolerance)
-                for pattern in patterns
-            }
+            strict, collinear, admissible = _sweep_pairs(spec, q, levels, grid_codes, pairs)
+            samples_checked += _cross_check_samples(spec, q, oracle, psi_of, strict, collinear, admissible)
+            block = {p: _tally(admissible & mask, strict, collinear, tolerance) for p, mask in masks.items()}
             strata_summaries.append(
-                _stratum_summary(name, q, levels, codes, strict, collinear, admissible, tolerance, block[()])
+                _stratum_summary(name, q, psi_of, strict, collinear, admissible, tolerance, block[()])
             )
             block_tallies.append(block)
+            # free this block's residuals before the next block allocates its own
+            del strict, collinear, admissible
     rows = sum(summary["rows"] for summary in strata_summaries)
     tallies = {
         pattern: functools.reduce(_merge_tallies, (block[pattern] for block in block_tallies))

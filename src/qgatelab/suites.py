@@ -113,6 +113,12 @@ class RunConfig:
         if not self.q_values or any(not math.isfinite(q) or q <= 0.0 for q in self.q_values):
             raise ValueError(f"q values must be positive finite reals, got {self.q_values!r}")
         _distinct_labels("q values", self.q_values)
+        near_one = [q for q in self.q_values if q != 1.0 and f"{q:g}" == "1"]
+        if near_one and self.suite in ("constraints", "all"):
+            raise ValueError(
+                f"q value {near_one[0]!r} prints as 1 in check ids, like the closure-ratio audit at q = 1; "
+                "give a q that differs from 1 within 6 significant digits"
+            )
         self.cutoff = _integer("cutoff", self.cutoff)
         if self.cutoff < 3:
             raise ValueError(

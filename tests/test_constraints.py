@@ -27,10 +27,12 @@ from qgatelab.constraints import (
     _candidate_patterns,
     _dense_residuals,
     _grid_levels,
-    _satisfies,
+    _oracle_plan,
+    _pair_codes,
+    _pattern_mask,
     _strata,
-    _stratum_codes,
-    _sweep_rows,
+    _stratum_columns,
+    _sweep_pairs,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -42,7 +44,7 @@ def _params(q, *prefix):
 
 def _residuals(spec, q, params) -> tuple:
     """(strict, collinear) gaps of one point through the dense path."""
-    return _dense_residuals(spec, q, params, gate_matrix(spec))
+    return _dense_residuals(spec, q, params, _oracle_plan(spec))
 
 
 class TestIdentityResidual:
@@ -113,6 +115,7 @@ class TestIdentityResidual:
         spec = GateSpec(kind, math.pi / 3)
         emb = QubitEmbedding(spec.arity)
         matrix = gate_matrix(spec)
+        plan = _oracle_plan(spec)
         rng = np.random.default_rng(7)
         for q in (0.5, 2.0):
             # pair ratios of at most 4 keep every bracket nonnegative at q = 0.5 and 2
@@ -120,14 +123,14 @@ class TestIdentityResidual:
             points += [DeformationParams(q, tuple(rng.choice((0.5, 1.0, 2.0), 12))) for _ in range(3)]
             for params in points:
                 seen.clear()
-                _dense_residuals(spec, q, params, matrix)
+                _dense_residuals(spec, q, params, plan)
                 assert len(seen) == 2**spec.arity
                 for bits, lhs in zip(emb.all_bits(), seen):
                     ket = deformed_qubit_state(DeformedQubitSpec(bits, params), q)
                     assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
         # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
         with pytest.raises(NegativeRadicandError):
-            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), matrix)
+            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), plan)
 
 
 class TestClosureRatio:
@@ -263,6 +266,11 @@ def _reference_rows(slots, grid):
     return rows
 
 
+def _column_rows(columns, shape):
+    """Level codes (rows x 12) of a stratum: each column broadcast to the row grid and raveled."""
+    return np.stack([np.broadcast_to(column, shape).ravel() for column in columns], axis=1)
+
+
 def _float_equalities(rows, pattern):
     mask = np.ones(rows.shape[0], dtype=bool)
     for i, j in pattern:
@@ -313,28 +321,32 @@ class TestLevelCodes:
     def test_codes_rebuild_product_rows_and_equality_masks(self, arity, grid):
         levels, grid_codes = _grid_levels(grid)
         for stratum, slots in _strata(arity).items():
-            codes = _stratum_codes(slots, levels, grid_codes)
+            columns = _stratum_columns(slots, levels, grid_codes)
+            shape = (len(grid),) * len(slots)
+            codes = _column_rows(columns, shape)
             rows = _reference_rows(slots, grid)
             assert codes.dtype == np.uint8
             assert np.array_equal(levels[codes], rows), stratum
             for kind in _KINDS_BY_ARITY[arity]:
                 for name, pattern in _candidate_patterns(CLAIMS[kind], arity):
-                    assert np.array_equal(
-                        _satisfies(codes, pattern), _float_equalities(rows, pattern)
-                    ), (stratum, kind, name)
+                    mask = np.broadcast_to(_pattern_mask(columns, pattern), shape).ravel()
+                    assert np.array_equal(mask, _float_equalities(rows, pattern)), (stratum, kind, name)
 
     def test_more_than_256_levels_widen_the_codes(self):
         grid = tuple(2.0 + 0.01 * k for k in range(300))
         levels, grid_codes = _grid_levels(grid)
         assert levels.size == 301  # 300 grid values plus the 1.0 filler
         assert grid_codes.dtype == np.uint16
-        codes = _stratum_codes(_strata(1)["aux"], levels, grid_codes)
+        columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
+        shape = (len(grid),) * 2
+        codes = _column_rows(columns, shape)
         rows = _reference_rows(_strata(1)["aux"], grid)
         assert codes.dtype == np.uint16
         assert int(codes.max()) == 300
         assert np.array_equal(levels[codes], rows)
         for name, pattern in _candidate_patterns(CLAIMS[GateKind.NOT], 1):
-            assert np.array_equal(_satisfies(codes, pattern), _float_equalities(rows, pattern)), name
+            mask = np.broadcast_to(_pattern_mask(columns, pattern), shape).ravel()
+            assert np.array_equal(mask, _float_equalities(rows, pattern)), name
 
     @pytest.mark.parametrize(
         ("values", "pair_dtype"), [(15, np.uint8), (16, np.uint16), (255, np.uint16), (256, np.uint32)]
@@ -347,38 +359,48 @@ class TestLevelCodes:
         assert levels.size == values + 1
         assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
         spec, q = GateSpec(GateKind.NOT), 2.0
-        codes = _stratum_codes(_strata(1)["aux"], levels, grid_codes)
-        strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
-        rows = levels[codes]
+        columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
+        sweep = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(columns, levels))
+        strict, collinear, admissible = (a.ravel() for a in sweep)
+        rows = levels[_column_rows(columns, (values, values))]
         expected = [
             psi_bracket(1, q, a, b) >= 0.0 and psi_bracket(1, q, c, d) >= 0.0 for a, b, c, d in rows[:, :4]
         ]
         assert np.array_equal(admissible, expected)
         assert admissible.any() and not admissible.all()
-        matrix = gate_matrix(spec)
-        for index in np.linspace(0, codes.shape[0] - 1, 52).astype(int):
+        plan = _oracle_plan(spec)
+        for index in np.linspace(0, rows.shape[0] - 1, 52).astype(int):
             params = DeformationParams(q, tuple(float(v) for v in rows[index]))
             if admissible[index]:
-                dense_strict, dense_collinear = _dense_residuals(spec, q, params, matrix)
+                dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
                 assert abs(dense_strict - strict[index]) <= 1e-12
                 assert abs(dense_collinear - collinear[index]) <= 1e-12
             else:
                 with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, params, matrix)
+                    _dense_residuals(spec, q, params, plan)
 
-    @pytest.mark.parametrize(
-        ("kind", "stratum"), [(GateKind.HAD, "free"), (GateKind.TOFFOLI, "aux"), (GateKind.FREDKIN, "aux")]
-    )
-    def test_blocked_sweep_matches_one_block_bit_for_bit(self, monkeypatch, kind, stratum):
-        spec = GateSpec(kind)
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_grid_sweep_matches_flat_rows_and_smallest_slices_bit_for_bit(self, monkeypatch, kind, q):
+        # the row grid's broadcast pair codes, the same pairs as flat rows, and
+        # the grid swept one index of its leading axis at a time
+        spec = GateSpec(kind, math.pi / 3)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
-        codes = _stratum_codes(_strata(spec.arity)[stratum], levels, grid_codes)
-        whole = _sweep_rows(spec, 2.0, levels, grid_codes, codes)
-        assert whole[2].any() and not whole[2].all()
-        monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
-        blocked = _sweep_rows(spec, 2.0, levels, grid_codes, codes)
-        for expected, got in zip(whole, blocked):
-            assert np.array_equal(expected, got)
+        mixed = False
+        for stratum, slots in _strata(spec.arity).items():
+            pairs = _pair_codes(_stratum_columns(slots, levels, grid_codes), levels)
+            shape = (grid_codes.size,) * len(slots)
+            whole = _sweep_pairs(spec, q, levels, grid_codes, pairs)
+            flat = _sweep_pairs(spec, q, levels, grid_codes, [np.broadcast_to(p, shape).ravel() for p in pairs])
+            with monkeypatch.context() as patch:
+                patch.setattr(constraints, "_SLICE_ROWS", 1)
+                sliced = _sweep_pairs(spec, q, levels, grid_codes, pairs)
+            for expected, got_flat, got_sliced in zip(whole, flat, sliced):
+                assert expected.shape == shape, stratum
+                assert np.array_equal(expected.ravel(), got_flat), stratum
+                assert np.array_equal(expected, got_sliced), stratum
+            mixed |= whole[2].any() and not whole[2].all()
+        assert mixed
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("kind", list(GateKind))
@@ -387,22 +409,23 @@ class TestLevelCodes:
         # three-qubit gates use a qubit-pair block with the middle qubit pinned
         spec = GateSpec(kind, math.pi / 3)
         grid = (0.25, 1.0, 4.0) if spec.arity == 1 else (0.25, 4.0)
-        stratum = "free-q1q3" if spec.arity == 3 else "free"
+        slots = _strata(spec.arity)["free-q1q3" if spec.arity == 3 else "free"]
         levels, grid_codes = _grid_levels(grid)
-        codes = _stratum_codes(_strata(spec.arity)[stratum], levels, grid_codes)
-        strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
+        columns = _stratum_columns(slots, levels, grid_codes)
+        sweep = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(columns, levels))
+        strict, collinear, admissible = (a.ravel() for a in sweep)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
-        matrix = gate_matrix(spec)
-        for index, row in enumerate(levels[codes]):
+        plan = _oracle_plan(spec)
+        for index, row in enumerate(levels[_column_rows(columns, (len(grid),) * len(slots))]):
             params = DeformationParams(q, tuple(float(v) for v in row))
             if admissible[index]:
-                dense_strict, dense_collinear = _dense_residuals(spec, q, params, matrix)
+                dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
                 assert abs(dense_strict - strict[index]) <= 1e-12
                 assert abs(dense_collinear - collinear[index]) <= 1e-12
             else:
                 with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, params, matrix)
+                    _dense_residuals(spec, q, params, plan)
 
 
 class TestSweepGuards:
@@ -430,15 +453,16 @@ class TestSweepGuards:
     @staticmethod
     def _tamper(monkeypatch, edit):
         """Run discover_constraints with edit applied to row 0 (always picked, always admissible)."""
-        sweep = constraints._sweep_rows
+        sweep = constraints._sweep_pairs
 
-        def tampered(spec, q, levels, grid_codes, codes):
-            strict, collinear, admissible = sweep(spec, q, levels, grid_codes, codes)
-            assert admissible[0]
-            edit(strict, collinear, admissible)
+        def tampered(spec, q, levels, grid_codes, pairs):
+            strict, collinear, admissible = sweep(spec, q, levels, grid_codes, pairs)
+            assert admissible.flat[0]
+            # raveled views of the row grid, so the edits reach the arrays returned
+            edit(strict.ravel(), collinear.ravel(), admissible.ravel())
             return strict, collinear, admissible
 
-        monkeypatch.setattr(constraints, "_sweep_rows", tampered)
+        monkeypatch.setattr(constraints, "_sweep_pairs", tampered)
         return discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))
 
     @pytest.mark.parametrize("array", [0, 1], ids=["strict", "collinear"])

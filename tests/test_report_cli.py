@@ -300,6 +300,7 @@ class TestCli:
             ("all", [], '{"limit_q": [1.1, 1.1000001]}', "limit q values 1.1 and 1.1000001 both print as 1.1"),
             ("all", ["--q", "2,2"], "{}", "q values 2.0 and 2.0 both print as 2 in check ids"),
             ("verify-gates", ["--q", "2,2.0000001"], "{}", "q values 2.0 and 2.0000001 both print as 2"),
+            ("all", ["--q", "1.0000001,2"], "{}", "q value 1.0000001 prints as 1 in check ids, like the closure-ratio"),
             ("limit-study", ["--threshold", "1e-12,5"], "{}", "--threshold expects one number, got '1e-12,5'"),
             ("all", ["--limit-threshold", "1e-6,1"], "{}", "--limit-threshold expects one number"),
         ],
@@ -441,12 +442,14 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == reference.read_bytes()
 
-    def test_discover_one_ulp_below_q_one_exits_zero(self, tmp_path):
+    def test_discover_one_ulp_below_q_one_exits_two(self, tmp_path):
+        # the value prints as 1, the label of the closure-ratio audit at q = 1
         out = tmp_path / "report.json"
         result = self._run_module("discover", "--q", "0.9999999999999999", "--psi", "1,2", "--out", str(out))
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == 2, result.stderr
+        assert "configuration error: q value 0.9999999999999999 prints as 1 in check ids" in result.stderr
         assert "Traceback" not in result.stderr
-        assert out.exists()
+        assert not out.exists()
 
     def test_overflowing_q_exits_two_naming_the_value(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -15,8 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError, gate_matrix  # noqa: E402
-from qgatelab.constraints import _dense_residuals, _grid_levels, _sweep_rows  # noqa: E402
+from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError  # noqa: E402
+from qgatelab.constraints import _dense_residuals, _grid_levels, _oracle_plan, _pair_codes, _sweep_pairs  # noqa: E402
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
@@ -58,17 +58,18 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     rows = np.asarray(rows)
     levels, grid_codes = _grid_levels(np.unique(rows))
+    # a flat list of rows is the engine's 1-D case: one pair code per row and mode
     codes = np.searchsorted(levels, rows).astype(grid_codes.dtype)
-    strict, collinear, admissible = _sweep_rows(spec, q, levels, grid_codes, codes)
-    matrix = gate_matrix(spec)
+    strict, collinear, admissible = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(list(codes.T), levels))
+    plan = _oracle_plan(spec)
     for index, (row, bad_mode) in enumerate(zip(rows, bad_modes)):
         # a gate reads only the modes of its own qubits
         assert admissible[index] == (bad_mode is None or bad_mode >= 2 * spec.arity)
         params = DeformationParams(q, tuple(float(v) for v in row))
         if admissible[index]:
-            dense_strict, dense_collinear = _dense_residuals(spec, q, params, matrix)
+            dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
             assert abs(dense_strict - strict[index]) <= 1e-12
             assert abs(dense_collinear - collinear[index]) <= 1e-12
         else:
             with pytest.raises(NegativeRadicandError):
-                _dense_residuals(spec, q, params, matrix)
+                _dense_residuals(spec, q, params, plan)
