@@ -35,7 +35,7 @@ import numpy as np
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
 from .qnum import PSI_COUNT, DeformationParams, NegativeRadicandError
-from .schwinger import ExponentConvention, QubitEmbedding, qubit_amplitude
+from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table
 
 __all__ = [
     "CLAIMS",
@@ -154,7 +154,7 @@ def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, plan: 
     NegativeRadicandError.  Deformed kets are creation-built, so the gaps do
     not depend on the lowering-operator reading.
     """
-    amps = [[qubit_amplitude(bit, slot + 1, q, params) for bit in (0, 1)] for slot in range(spec.arity)]
+    amps = amplitude_table(q, spec.arity, params)
     worst_strict = 0.0
     worst_collinear = 0.0
     for bits, column, terms in plan:
@@ -205,7 +205,7 @@ def _grid_levels(grid) -> tuple:
     fits every rank, so equal psi values get equal codes and no code wraps.
     """
     grid = np.asarray(grid, dtype=float)
-    levels = np.unique(np.append(grid, 1.0))
+    levels = np.array(sorted(set(grid.tolist()) | {1.0}))
     codes = np.searchsorted(levels, grid).astype(np.min_scalar_type(levels.size - 1))
     return levels, codes
 

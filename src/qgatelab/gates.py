@@ -16,6 +16,14 @@ kets and bras; additive number-operator terms are sandwiched with the
 valid-subspace projector so they vanish there too, which keeps matrix
 comparisons between deformed and undeformed builds exact.
 
+A deformed ket has one nonzero entry, the product of its qubits' creation
+amplitudes (schwinger.amplitude_table), so a dyad |out><in| is one entry,
+coeff * (a_out * a_in).  A lifted number operator is a 0/1 occupation
+diagonal, so a control on the right scales the dyad sum's columns and a
+projected hold term is a diagonal.  Every entry of the outer-product, lift
+and matmul build has at most one nonzero term, with the same factors in the
+same order, so for finite amplitudes the two builds agree bit for bit.
+
 Bras are ordered to absorb the incoming ket directly.  The doubly controlled
 gate is built to reproduce the table above; the flip-on-every-branch reading
 of its control brackets is kept in a separate literal builder for audit
@@ -37,15 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import lift, make_mode_ops
 from .qnum import DeformationParams
-from .schwinger import (
-    CUTOFF,
-    DeformedQubitSpec,
-    ExponentConvention,
-    QubitEmbedding,
-    deformed_qubit_state,
-)
+from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table, ket_amplitudes
 
 __all__ = [
     "GateKind",
@@ -159,25 +160,37 @@ def gate_matrix(spec: GateSpec) -> np.ndarray:
     return matrix
 
 
-def _dyad_builder(q, params, exponent):
-    """dyad(out_bits, in_bits, coeff): coeff |out><in| over deformed kets of these parameters."""
+def _dyad_builder(spec: GateSpec, q, params, exponent):
+    """dyads(triples): the sum of coeff |out><in| over (out_bits, in_bits, coeff) triples of
+    deformed kets.  params None uses the closing assignment per ket (each dyad's bra and
+    ket fix their own parameters from their own bits).  A non-finite amplitude raises
+    OverflowError."""
+    exponent = ExponentConvention(exponent)
+    table = amplitude_table(q, spec.arity, params, exponent)
+    if not all(math.isfinite(amp) for pair in table for amp in pair):
+        raise OverflowError(
+            f"{spec.kind.value} gate at q={float(q)!r} under the {exponent.value} exponent "
+            f"has a non-finite creation amplitude in {table}"
+        )
+    emb = QubitEmbedding(spec.arity)
+    index, amps = emb.basis_indices(), ket_amplitudes(table)
 
-    def ket(bits) -> np.ndarray:
-        return deformed_qubit_state(DeformedQubitSpec(bits, params, exponent), q).vector
+    def dyads(triples) -> np.ndarray:
+        matrix = np.zeros((emb.dim, emb.dim), dtype=complex)
+        for out_bits, in_bits, coeff in triples:
+            matrix[index[out_bits], index[in_bits]] += complex(coeff) * (amps[out_bits] * amps[in_bits])
+        return matrix
 
-    def dyad(out_bits, in_bits, coeff=1.0) -> np.ndarray:
-        return complex(coeff) * np.outer(ket(out_bits), ket(in_bits).conj())
-
-    return dyad
+    return dyads
 
 
-# registers of 1 to 3 qubits carry 2, 4 or 6 modes: 2 + 4 + 6 = 12 (mode, mode count) pairs
-@functools.lru_cache(maxsize=12)
-def _number_op(mode_index: int, mode_count: int) -> np.ndarray:
-    """Number operator of one mode lifted to mode_count modes, built once, read-only."""
-    op = lift(make_mode_ops(CUTOFF).n_op, mode_index, mode_count)
-    op.flags.writeable = False
-    return op
+@functools.cache
+def _occupation(mode_index: int, mode_count: int) -> np.ndarray:
+    """Diagonal of one mode's number operator lifted to mode_count modes: the mode's 0/1
+    occupation at each basis index (mode 1 is the slowest digit), built once, read-only."""
+    occupation = ((np.arange(2**mode_count) >> (mode_count - mode_index)) & 1).astype(float)
+    occupation.flags.writeable = False
+    return occupation
 
 
 def deformed_gate_matrix(
@@ -188,39 +201,38 @@ def deformed_gate_matrix(
 ) -> np.ndarray:
     """Deformed gate built from dyads over deformed kets plus projected operator terms.
 
-    params None uses the closing assignment per ket (each dyad's bra and ket
-    each fix their own parameters from their own bits); an explicit params is
+    params None uses the closing assignment per ket; an explicit params is
     shared by every ket.  Diagonal number operators multiply dyad sums on the
-    right so control values are read off the incoming ket.
+    right, scaling their columns, so control values are read off the incoming
+    ket.
     """
     emb = QubitEmbedding(spec.arity)
-    dyad = _dyad_builder(q, params, exponent)
-    proj = emb.projector()
+    dyads = _dyad_builder(spec, q, params, exponent)
+    valid = np.diag(emb.projector())
     kind = spec.kind
-    eye = np.eye(emb.dim, dtype=complex)
 
     if kind is GateKind.PS:
-        return sum(dyad((x,), (x,), cmath.exp(1j * spec.phi * x)) for x in (0, 1))
+        return dyads(((x,), (x,), cmath.exp(1j * spec.phi * x)) for x in (0, 1))
     if kind is GateKind.NOT:
-        return sum(dyad((1 - x,), (x,)) for x in (0, 1))
+        return dyads(((1 - x,), (x,), 1.0) for x in (0, 1))
     if kind is GateKind.HAD:
-        parity = lift(np.diag((-1.0) ** np.arange(CUTOFF)).astype(complex), 1, emb.mode_count)
-        return proj @ parity @ proj + sum(dyad((1 - x,), (x,)) for x in (0, 1))
+        parity = 1.0 - 2.0 * _occupation(1, emb.mode_count)
+        return np.diag(valid * parity) + dyads(((1 - x,), (x,), 1.0) for x in (0, 1))
     if kind is GateKind.SWAP:
-        return sum(dyad((y, x), (x, y)) for x in (0, 1) for y in (0, 1))
+        return dyads(((y, x), (x, y), 1.0) for x in (0, 1) for y in (0, 1))
     if kind is GateKind.CNOT:
-        n1 = _number_op(1, emb.mode_count)
-        flips = sum(dyad((x, 1 - y), (x, y)) for x in (0, 1) for y in (0, 1))
-        return proj @ (eye - n1) @ proj + flips @ n1
+        n1 = _occupation(1, emb.mode_count)
+        flips = dyads(((x, 1 - y), (x, y), 1.0) for x in (0, 1) for y in (0, 1))
+        return np.diag(valid * (1.0 - n1)) + flips * n1
     if kind is GateKind.FREDKIN:
-        n1 = _number_op(1, emb.mode_count)
-        swaps = sum(dyad((x, z, y), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        return proj @ (eye - n1) @ proj + swaps @ n1
+        n1 = _occupation(1, emb.mode_count)
+        swaps = dyads(((x, z, y), (x, y, z), 1.0) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        return np.diag(valid * (1.0 - n1)) + swaps * n1
     if kind is GateKind.TOFFOLI:
-        control = _number_op(1, emb.mode_count) @ _number_op(3, emb.mode_count)
-        flips = sum(dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        holds = sum(dyad((x, y, z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-        return flips @ control + holds @ (eye - control)
+        control = _occupation(1, emb.mode_count) * _occupation(3, emb.mode_count)
+        flips = dyads(((x, y, 1 - z), (x, y, z), 1.0) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        holds = dyads(((x, y, z), (x, y, z), 1.0) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+        return flips * control + holds * (1.0 - control)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -237,12 +249,11 @@ def toffoli_literal_matrix(
     input.  Kept solely for audit records; deformed_gate_matrix builds the
     table-faithful version.
     """
-    emb = QubitEmbedding(3)
-    dyad = _dyad_builder(q, params, exponent)
-    eye = np.eye(emb.dim, dtype=complex)
-    n1 = _number_op(1, emb.mode_count)
-    m1 = _number_op(3, emb.mode_count)
-    flips = sum(dyad((x, y, 1 - z), (x, y, z)) for x in (0, 1) for y in (0, 1) for z in (0, 1))
-    bracket_one = n1 @ m1 + (eye - n1) @ m1
-    bracket_two = (eye - m1) @ n1 + (eye - n1) @ (eye - m1)
-    return flips @ bracket_one + flips @ bracket_two
+    spec = GateSpec(GateKind.TOFFOLI)
+    dyads = _dyad_builder(spec, q, params, exponent)
+    mode_count = QubitEmbedding(spec.arity).mode_count
+    n1, m1 = _occupation(1, mode_count), _occupation(3, mode_count)
+    flips = dyads(((x, y, 1 - z), (x, y, z), 1.0) for x in (0, 1) for y in (0, 1) for z in (0, 1))
+    bracket_one = n1 * m1 + (1.0 - n1) * m1
+    bracket_two = (1.0 - m1) * n1 + (1.0 - n1) * (1.0 - m1)
+    return flips * bracket_one + flips * bracket_two

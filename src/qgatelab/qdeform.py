@@ -92,15 +92,7 @@ def make_deformed_ops(
         f_of_n = np.diag(scale).astype(complex)
         a_q = f_of_n @ mode.a
         a_q_dag = f_of_n @ mode.a_dag
-    return DeformedModeOperators(
-        mode=mode,
-        q=q,
-        psi_a=psi_a,
-        psi_b=psi_b,
-        convention=convention,
-        a_q=a_q,
-        a_q_dag=a_q_dag,
-    )
+    return DeformedModeOperators(mode, q, psi_a, psi_b, convention, a_q, a_q_dag)
 
 
 def deformed_number_op(ops: DeformedModeOperators) -> np.ndarray:
@@ -168,26 +160,13 @@ def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
     lowering_diag = aqd @ aq - np.diag(np.asarray(brackets[:d], dtype=complex))
     raising_diag = aq @ aqd - np.diag(np.asarray(brackets[1 : d + 1], dtype=complex))
 
-    residuals = {
-        "deformed_commutation": _masked_max(commutation, guarded),
-        "lowering_number_commutator": _masked_max(lowering_number, base),
-        "raising_number_commutator": _masked_max(raising_number, base),
-        "lowering_product_diagonal": _masked_max(lowering_diag, guarded),
-        "raising_product_diagonal": _masked_max(raising_diag, base),
+    relations = {
+        "deformed_commutation": (commutation, guarded),
+        "lowering_number_commutator": (lowering_number, base),
+        "raising_number_commutator": (raising_number, base),
+        "lowering_product_diagonal": (lowering_diag, guarded),
+        "raising_product_diagonal": (raising_diag, base),
     }
-    levels = {
-        "deformed_commutation": guarded,
-        "lowering_number_commutator": base,
-        "raising_number_commutator": base,
-        "lowering_product_diagonal": guarded,
-        "raising_product_diagonal": base,
-    }
-    return AlgebraResiduals(
-        q=q,
-        psi_a=ops.psi_a,
-        psi_b=ops.psi_b,
-        convention=ops.convention.value,
-        cutoff=d,
-        residuals=residuals,
-        levels=levels,
-    )
+    residuals = {key: _masked_max(matrix, tested) for key, (matrix, tested) in relations.items()}
+    levels = {key: tested for key, (_, tested) in relations.items()}
+    return AlgebraResiduals(q, ops.psi_a, ops.psi_b, ops.convention.value, d, residuals, levels)

@@ -50,6 +50,7 @@ RELATION_TAGS = frozenset(
     }
 )
 
+# the fields of a record, in CSV column order; JSON records carry the same keys
 CSV_COLUMNS = (
     "check_id",
     "relation",
@@ -109,19 +110,7 @@ class VerificationReport:
             "config": dict(self.config),
             "conventions": dict(self.conventions),
             "summary": self.summary(),
-            "records": [
-                {
-                    "check_id": r.check_id,
-                    "relation": r.relation,
-                    "convention": r.convention,
-                    "params": r.params,
-                    "residual": r.residual,
-                    "threshold": r.threshold,
-                    "passed": r.passed,
-                    "notes": r.notes,
-                }
-                for r in self.records
-            ],
+            "records": [{column: getattr(r, column) for column in CSV_COLUMNS} for r in self.records],
         }
 
 
@@ -194,17 +183,6 @@ def serialize_report(report: VerificationReport, fmt: str) -> bytes:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for record in report.records:
-            writer.writerow(
-                [
-                    record.check_id,
-                    record.relation,
-                    record.convention,
-                    canonical_json(record.params),
-                    _csv_cell(record.residual),
-                    _csv_cell(record.threshold),
-                    _csv_cell(record.passed),
-                    record.notes,
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(record, column)) for column in CSV_COLUMNS])
         return buffer.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

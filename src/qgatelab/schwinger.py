@@ -5,7 +5,10 @@ Qubit i is carried by modes (2i-1, 2i): bit value x occupies the pair as
 mode.  A deformed qubit ket is the matching basis ket rescaled by one creation
 amplitude sqrt(B(1)) per qubit, the whole of the deformation in the
 single-excitation sector, which is why deformed states stay collinear with
-their undeformed counterparts.
+their undeformed counterparts.  Those amplitudes form a [slot][bit] table
+(amplitude_table), and a ket's one nonzero entry is the product of its
+qubits' table entries (ket_amplitudes): every deformed ket and gate is built
+from that table.
 """
 
 import functools
@@ -13,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,19 +27,16 @@ __all__ = [
     "DeformedQubitSpec",
     "ExponentConvention",
     "QubitEmbedding",
+    "amplitude_table",
     "closing_params",
     "deformed_qubit_state",
     "encode_basis",
+    "ket_amplitudes",
     "qubit_amplitude",
 ]
 
 # levels per mode in the pair encoding: each mode holds no excitation or one
 CUTOFF = 2
-
-# Registers hold 1 to 3 qubits, so one q needs 2 + 4 + 8 = 14 closing-assignment
-# kets per exponent convention, 2 * 14 = 28 under both: a gate sweep over many q
-# values then builds each ket once per q.
-_CLOSING_KET_CACHE_SIZE = 28
 
 
 class ExponentConvention(str, Enum):
@@ -93,6 +94,11 @@ class QubitEmbedding:
     def all_bits(self):
         """Every bit tuple in lexicographic order."""
         return itertools.product((0, 1), repeat=self.qubit_count)
+
+    @functools.cache
+    def basis_indices(self) -> MappingProxyType:
+        """basis_index of every bit tuple, in all_bits order, built once, read-only."""
+        return MappingProxyType({bits: self.basis_index(bits) for bits in self.all_bits()})
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the valid-encoding subspace, built once, read-only."""
@@ -167,30 +173,40 @@ class DeformedQubitSpec:
         object.__setattr__(self, "exponent", ExponentConvention(self.exponent))
 
 
-def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
-    """Deformed multi-qubit ket: the encoded basis ket times one amplitude per qubit.
+def amplitude_table(q, qubit_count: int, params=None, exponent=ExponentConvention.RESULT) -> tuple:
+    """Per qubit slot, the creation amplitudes (bit 0, bit 1) of qubit_amplitude.
 
-    Closing-assignment kets (params None) are memoized per (bits, q, exponent)
-    in a cache bounded by one q's kets for registers of 1 to 3 qubits under
-    both exponents; kets with explicit params are built on every call.  The
-    returned state is immutable, so a shared ket cannot be corrupted.
+    params None means the closing assignment.  closing_params fixes each
+    qubit's modes from that qubit's own bit, so a closing amplitude depends
+    only on (bit, q, exponent): every slot shares one pair, computed once per
+    (q, exponent).  An explicit params is shared by every slot and needs real
+    amplitudes on all 2 * qubit_count modes.
     """
     q = float(q)
-    if spec.params is None:
-        return _closing_ket(spec.bits, q, spec.exponent)
-    if spec.params.q != q:
-        raise ValueError(f"params carry q={spec.params.q!r} but the state was requested at q={q!r}")
-    return _build_ket(spec.bits, q, spec.params)
+    if params is None:
+        return (_closing_amplitudes(q, ExponentConvention(exponent)),) * qubit_count
+    if params.q != q:
+        raise ValueError(f"params carry q={params.q!r} but the amplitudes were requested at q={q!r}")
+    return tuple(tuple(qubit_amplitude(bit, slot, q, params) for bit in (0, 1)) for slot in range(1, qubit_count + 1))
 
 
-@functools.lru_cache(maxsize=_CLOSING_KET_CACHE_SIZE)
-def _closing_ket(bits: tuple, q: float, exponent: ExponentConvention) -> MultiModeState:
-    return _build_ket(bits, q, closing_params(q, bits, exponent))
+@functools.lru_cache(maxsize=2)  # one q under both exponents
+def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
+    return tuple(qubit_amplitude(bit, 1, q, closing_params(q, (bit,), exponent)) for bit in (0, 1))
 
 
-def _build_ket(bits: tuple, q: float, params: DeformationParams) -> MultiModeState:
-    amp = 1.0
-    for i, x in enumerate(bits, start=1):
-        amp *= qubit_amplitude(x, i, q, params)
-    base = encode_basis(bits)
-    return MultiModeState(base.mode_count, base.cutoff, amp * base.vector)
+def ket_amplitudes(table: tuple) -> dict:
+    """Per bit tuple of the table's register, in all_bits order, the one nonzero entry of
+    its deformed ket: its qubits' table amplitudes multiplied in slot order."""
+    every_bits = itertools.product((0, 1), repeat=len(table))
+    return {bits: math.prod(table[slot][bit] for slot, bit in enumerate(bits)) for bits in every_bits}
+
+
+def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
+    """Deformed multi-qubit ket: the encoded basis ket times its amplitude_table product.
+
+    The returned state is immutable, so a shared ket cannot be corrupted.
+    """
+    table = amplitude_table(q, len(spec.bits), spec.params, spec.exponent)
+    base = encode_basis(spec.bits)
+    return MultiModeState(base.mode_count, base.cutoff, ket_amplitudes(table)[spec.bits] * base.vector)

@@ -33,12 +33,7 @@ from .qdeform import (
 )
 from .qnum import DeformationParams, psi_bracket
 from .report import VERSION, CheckRecord, VerificationReport
-from .schwinger import (
-    DeformedQubitSpec,
-    ExponentConvention,
-    QubitEmbedding,
-    deformed_qubit_state,
-)
+from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table, ket_amplitudes
 
 __all__ = ["RunConfig", "SUITE_NAMES", "run_suites"]
 
@@ -343,16 +338,26 @@ def _table_action(kind: str, bits: tuple, phi: float) -> list:
 
 
 def _closure_residual(spec: GateSpec, q: float, exponent: ExponentConvention) -> float:
-    """Worst gap between the deformed gate applied to fixed-parameter kets and its table."""
+    """Worst gap between the deformed gate applied to fixed-parameter kets and its table.
+
+    A fixed-parameter ket has one nonzero entry, so the gate applied to it is
+    that column of the matrix times the ket's amplitude, bit for bit.  A
+    non-finite gap raises OverflowError.
+    """
     emb = QubitEmbedding(spec.arity)
     matrix = deformed_gate_matrix(spec, q, None, exponent)
+    index, amps = emb.basis_indices(), ket_amplitudes(amplitude_table(q, spec.arity, None, exponent))
     worst = 0.0
-    for bits in emb.all_bits():
-        lhs = matrix @ deformed_qubit_state(DeformedQubitSpec(bits, None, exponent), q).vector
+    for bits, col in index.items():
+        lhs = matrix[:, col] * amps[bits]
         rhs = np.zeros(emb.dim, dtype=complex)
         for term in gate_action_traced(spec, bits):
-            rhs += term.coeff * deformed_qubit_state(DeformedQubitSpec(term.bits, None, exponent), q).vector
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+            rhs[index[term.bits]] += term.coeff * amps[term.bits]
+        gap = float(np.linalg.norm(lhs - rhs))
+        if not math.isfinite(gap):
+            name = f"{spec.kind.value} closure residual at q={q!r} under the {exponent.value} exponent"
+            raise OverflowError(f"{name} is {gap!r} on input bits {bits}")
+        worst = max(worst, gap)
     return worst
 
 

@@ -12,16 +12,19 @@ from qgatelab import (
     GateKind,
     GateSpec,
     QubitEmbedding,
+    closing_params,
     deformed_gate_matrix,
     deformed_qubit_state,
     DeformedQubitSpec,
     encode_basis,
     gate_action_traced,
     gate_matrix,
+    qubit_amplitude,
     toffoli_literal_matrix,
 )
 from qgatelab.fock import lift, make_mode_ops
-from qgatelab.gates import _number_op
+from qgatelab.gates import _occupation
+from qgatelab.suites import _closure_residual
 
 # Independent transcription of the truth tables, written out literally so the
 # implementation cannot be compared against itself.
@@ -74,6 +77,74 @@ def _action(spec: GateSpec, bits) -> list:
 
 def _spec(kind: GateKind) -> GateSpec:
     return GateSpec(kind, math.pi / 3) if kind is GateKind.PS else GateSpec(kind)
+
+
+def _dense_ket(bits, q, params, exponent) -> np.ndarray:
+    """A deformed ket built in full: the encoded basis ket times one qubit_amplitude per
+    qubit, from explicit params or from closing_params of the ket's own bits."""
+    params = closing_params(q, bits, exponent) if params is None else params
+    amp = 1.0
+    for i, x in enumerate(bits, start=1):
+        amp *= qubit_amplitude(x, i, q, params)
+    return amp * encode_basis(bits).vector
+
+
+def _dense_gate(spec: GateSpec, q, params, exponent, literal=False) -> np.ndarray:
+    """Dense oracle of the deformed gates: dyads as outer products of full kets, number
+    operators as lifted matrices, controls and projections as matrix products."""
+    emb = QubitEmbedding(spec.arity)
+    proj = emb.projector()
+    eye = np.eye(emb.dim, dtype=complex)
+
+    def dyad(out_bits, in_bits, coeff=1.0):
+        ket_out, ket_in = (_dense_ket(bits, q, params, exponent) for bits in (out_bits, in_bits))
+        return complex(coeff) * np.outer(ket_out, ket_in.conj())
+
+    def number(mode):
+        return lift(make_mode_ops(2).n_op, mode, emb.mode_count)
+
+    def over_bits(build):
+        return sum(build(bits) for bits in QubitEmbedding(spec.arity).all_bits())
+
+    kind = spec.kind
+    if kind is GateKind.PS:
+        return over_bits(lambda b: dyad(b, b, cmath.exp(1j * spec.phi * b[0])))
+    if kind is GateKind.NOT:
+        return over_bits(lambda b: dyad((1 - b[0],), b))
+    if kind is GateKind.HAD:
+        parity = lift(np.diag([1.0, -1.0]).astype(complex), 1, emb.mode_count)
+        return proj @ parity @ proj + over_bits(lambda b: dyad((1 - b[0],), b))
+    if kind is GateKind.SWAP:
+        return over_bits(lambda b: dyad(b[::-1], b))
+    if kind is GateKind.CNOT:
+        flips = over_bits(lambda b: dyad((b[0], 1 - b[1]), b))
+        return proj @ (eye - number(1)) @ proj + flips @ number(1)
+    if kind is GateKind.FREDKIN:
+        swaps = over_bits(lambda b: dyad((b[0], b[2], b[1]), b))
+        return proj @ (eye - number(1)) @ proj + swaps @ number(1)
+    flips = over_bits(lambda b: dyad((b[0], b[1], 1 - b[2]), b))
+    n1, m1 = number(1), number(3)
+    if literal:
+        bracket_one = n1 @ m1 + (eye - n1) @ m1
+        bracket_two = (eye - m1) @ n1 + (eye - n1) @ (eye - m1)
+        return flips @ bracket_one + flips @ bracket_two
+    holds = over_bits(lambda b: dyad(b, b))
+    return flips @ (n1 @ m1) + holds @ (eye - n1 @ m1)
+
+
+def _dense_closure_residual(spec: GateSpec, q, exponent) -> float:
+    """The closure residual with full kets: the dense gate times each input ket, against the
+    table's output kets."""
+    matrix = _dense_gate(spec, q, None, exponent)
+    worst = 0.0
+    for bits in QubitEmbedding(spec.arity).all_bits():
+        lhs = matrix @ _dense_ket(bits, q, None, exponent)
+        rhs = sum(term.coeff * _dense_ket(term.bits, q, None, exponent) for term in gate_action_traced(spec, bits))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+ORACLE_Q = (0.5, 0.9, 1.0 + 1e-7, 2.0, 1e20)
 
 
 class TestGateAction:
@@ -227,11 +298,52 @@ class TestDeformedGates:
         assert np.max(np.abs(literal - faithful)) > 0.5
 
     @pytest.mark.parametrize("mode_count", [2, 4, 6])
-    def test_number_operators_are_cached_read_only_lifts(self, mode_count):
+    def test_occupation_diagonals_are_read_only_number_operator_diagonals(self, mode_count):
         for mode in range(1, mode_count + 1):
-            op = _number_op(mode, mode_count)
-            assert _number_op(mode, mode_count) is op
-            assert np.array_equal(op, lift(make_mode_ops(2).n_op, mode, mode_count))
+            occupation = _occupation(mode, mode_count)
+            assert np.array_equal(occupation, np.diag(lift(make_mode_ops(2).n_op, mode, mode_count)))
             with pytest.raises(ValueError):
-                op[0, 0] = 1.0
-        assert _number_op.cache_info().currsize <= 12
+                occupation[0] = 1.0
+
+    def test_non_finite_amplitudes_raise_overflow_naming_the_gate(self):
+        with pytest.raises(OverflowError, match=r"cnot gate at q=1e\+300 under the vacuum exponent"):
+            deformed_gate_matrix(GateSpec(GateKind.CNOT), 1e300, exponent=ExponentConvention.VACUUM)
+
+
+class TestDenseOracle:
+    """The one-entry dyad build against the outer-product, lift and matmul build, bit for bit."""
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("exponent", list(ExponentConvention))
+    @pytest.mark.parametrize("q", ORACLE_Q)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_deformed_gate_matrix_equals_the_dense_build(self, kind, q, exponent, uniform):
+        spec = _spec(kind)
+        params = DeformationParams.uniform(q) if uniform else None
+        expected = _dense_gate(spec, q, params, exponent)
+        assert np.array_equal(deformed_gate_matrix(spec, q, params, exponent), expected)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("exponent", list(ExponentConvention))
+    @pytest.mark.parametrize("q", ORACLE_Q)
+    def test_toffoli_literal_matrix_equals_the_dense_build(self, q, exponent, uniform):
+        params = DeformationParams.uniform(q) if uniform else None
+        expected = _dense_gate(GateSpec(GateKind.TOFFOLI), q, params, exponent, literal=True)
+        assert np.array_equal(toffoli_literal_matrix(q, params, exponent), expected)
+
+    def test_general_weights_equal_the_dense_build(self):
+        q = 2.0
+        params = DeformationParams(q, (1.0, 1.5, 2.0, 0.5, 3.0, 3.0, 0.7, 0.9, 1.2, 1.1, 4.0, 2.5))
+        for kind in ALL_KINDS:
+            spec = _spec(kind)
+            expected = _dense_gate(spec, q, params, ExponentConvention.RESULT)
+            assert np.array_equal(deformed_gate_matrix(spec, q, params), expected), kind
+        expected = _dense_gate(GateSpec(GateKind.TOFFOLI), q, params, ExponentConvention.RESULT, literal=True)
+        assert np.array_equal(toffoli_literal_matrix(q, params), expected)
+
+    @pytest.mark.parametrize("exponent", list(ExponentConvention))
+    @pytest.mark.parametrize("q", ORACLE_Q)
+    def test_closure_residual_equals_the_full_ket_product(self, q, exponent):
+        for kind in ALL_KINDS:
+            spec = _spec(kind)
+            assert _closure_residual(spec, q, exponent) == _dense_closure_residual(spec, q, exponent), kind

@@ -426,13 +426,16 @@ class TestCli:
         assert not out.exists()
 
     @staticmethod
-    def _run_module(*args):
+    def _run_python(*args):
+        """A fresh interpreter importing qgatelab from this checkout's src/."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop(ENV_OUT_DIR, None)
-        return subprocess.run(
-            [sys.executable, "-m", "qgatelab", *args], env=env, capture_output=True, text=True, timeout=120
-        )
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    @classmethod
+    def _run_module(cls, *args):
+        return cls._run_python("-m", "qgatelab", *args)
 
     def test_module_entry_point_writes_the_same_bytes_as_main(self, tmp_path):
         reference = tmp_path / "main.json"
@@ -458,3 +461,31 @@ class TestCli:
         assert "configuration error" in err
         assert "1e+160" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "q, culprit",
+        [
+            # every vacuum-exponent ket has an infinite amplitude
+            ("1e300", "ps gate at q=1e+300 under the vacuum exponent has a non-finite creation amplitude"),
+            # the amplitudes are finite, but the controlled swap's closure norm overflows
+            ("1e40", "fredkin closure residual at q=1e+40 under the vacuum exponent is inf"),
+        ],
+    )
+    def test_non_finite_vacuum_gates_exit_two_naming_the_gate(self, tmp_path, capsys, q, culprit):
+        out = tmp_path / "report.json"
+        assert main(["verify-gates", "--q", q, "--convention", "vacuum", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and culprit in err
+        assert not out.exists()
+
+    def test_discover_does_not_import_numpy_ma(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from qgatelab.cli import main\n"
+            f"assert main(['discover', '--q', '2', '--psi', '0.5,2', '--out', {str(out)!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        result = self._run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert out.exists()

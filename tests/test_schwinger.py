@@ -16,7 +16,7 @@ from qgatelab import (
     encode_basis,
     qubit_amplitude,
 )
-from qgatelab.schwinger import _CLOSING_KET_CACHE_SIZE, _closing_ket
+from qgatelab.schwinger import _closing_amplitudes, amplitude_table, ket_amplitudes
 
 
 class TestEncoding:
@@ -110,21 +110,18 @@ class TestDeformedStates:
             deformed_qubit_state(DeformedQubitSpec((0,), params), 3.0)
 
 
-class TestClosingKetCache:
-    def test_cached_kets_equal_explicit_closing_params_bit_for_bit(self):
+class TestAmplitudeTable:
+    def test_closing_kets_equal_explicit_closing_params_kets_bit_for_bit(self):
         for q in np.geomspace(0.5, 2.0, 200):
             for exponent in ExponentConvention:
                 for arity in (1, 2, 3):
                     for bits in QubitEmbedding(arity).all_bits():
                         explicit = DeformedQubitSpec(bits, closing_params(q, bits, exponent), exponent)
                         expected = deformed_qubit_state(explicit, q).vector
-                        cached = DeformedQubitSpec(bits, None, exponent)
-                        first = deformed_qubit_state(cached, q)
-                        assert deformed_qubit_state(cached, q) is first
-                        assert np.array_equal(first.vector, expected), (q, exponent, bits)
-        assert _closing_ket.cache_info().currsize <= _CLOSING_KET_CACHE_SIZE
+                        closing = deformed_qubit_state(DeformedQubitSpec(bits, None, exponent), q)
+                        assert np.array_equal(closing.vector, expected), (q, exponent, bits)
 
-    def test_cached_ket_is_read_only(self):
+    def test_closing_ket_is_read_only(self):
         state = deformed_qubit_state(DeformedQubitSpec((1, 0), None, ExponentConvention.VACUUM), 2.0)
         with pytest.raises(ValueError):
             state.vector[0] = 1.0
@@ -132,12 +129,22 @@ class TestClosingKetCache:
     @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_q_raises_every_time_and_is_not_cached(self, q):
         spec = DeformedQubitSpec((1, 0))
-        size = _closing_ket.cache_info().currsize
+        size = _closing_amplitudes.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match="positive finite real"):
                 deformed_qubit_state(spec, q)
-        assert _closing_ket.cache_info().currsize == size
+        assert _closing_amplitudes.cache_info().currsize == size
         assert deformed_qubit_state(spec, 2.0).norm == pytest.approx(1.0, abs=1e-15)
+
+    def test_explicit_params_table_reads_qubit_amplitude_per_slot_and_bit(self):
+        params = DeformationParams.from_values(2.0, [2.0, 0.5, 1.0, 4.0, 3.0, 3.0, 0.5, 0.5])
+        table = amplitude_table(2.0, 2, params)
+        assert table == tuple(tuple(qubit_amplitude(bit, slot, 2.0, params) for bit in (0, 1)) for slot in (1, 2))
+        amps = ket_amplitudes(table)
+        assert list(amps) == list(QubitEmbedding(2).all_bits())
+        assert amps[(1, 0)] == table[0][1] * table[1][0]
+        with pytest.raises(ValueError, match="params carry q=2.0"):
+            amplitude_table(3.0, 2, params)
 
 
 class TestClosingRule:
