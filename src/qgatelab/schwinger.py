@@ -100,19 +100,14 @@ class QubitEmbedding:
         """basis_index of every bit tuple, in all_bits order, built once, read-only."""
         return MappingProxyType({bits: self.basis_index(bits) for bits in self.all_bits()})
 
+    @functools.cache
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the valid-encoding subspace, built once, read-only."""
-        return _projector(self)
-
-
-@functools.lru_cache(maxsize=3)  # one per register of 1 to 3 qubits
-def _projector(emb: QubitEmbedding) -> np.ndarray:
-    proj = np.zeros((emb.dim, emb.dim), dtype=complex)
-    for bits in emb.all_bits():
-        idx = emb.basis_index(bits)
-        proj[idx, idx] = 1.0
-    proj.flags.writeable = False
-    return proj
+        proj = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx in self.basis_indices().values():
+            proj[idx, idx] = 1.0
+        proj.flags.writeable = False
+        return proj
 
 
 def encode_basis(bits) -> MultiModeState:

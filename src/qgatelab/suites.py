@@ -353,7 +353,8 @@ def _closure_residual(spec: GateSpec, q: float, exponent: ExponentConvention) ->
         rhs = np.zeros(emb.dim, dtype=complex)
         for term in gate_action_traced(spec, bits):
             rhs[index[term.bits]] += term.coeff * amps[term.bits]
-        gap = float(np.linalg.norm(lhs - rhs))
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below, naming the input
+            gap = float(np.linalg.norm(lhs - rhs))
         if not math.isfinite(gap):
             name = f"{spec.kind.value} closure residual at q={q!r} under the {exponent.value} exponent"
             raise OverflowError(f"{name} is {gap!r} on input bits {bits}")

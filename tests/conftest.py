@@ -1,11 +1,17 @@
-"""Shared pytest hooks and fixtures: a one-line summary per acceptance check, and
-one default `qgatelab all` run shared by the tests that compare its bytes."""
+"""Shared pytest hooks and fixtures: RuntimeWarnings raised as errors, a one-line
+summary per acceptance check, and one default `qgatelab all` run shared by the
+tests that compare its bytes."""
 
 import pytest
 
 from qgatelab.cli import main
 
 _ACCEPTANCE_RESULTS = {}
+
+
+def pytest_configure(config):
+    # a numpy overflow or invalid-value warning fails the run instead of scrolling past
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 def pytest_runtest_logreport(report):

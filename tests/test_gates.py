@@ -23,7 +23,6 @@ from qgatelab import (
     toffoli_literal_matrix,
 )
 from qgatelab.fock import lift, make_mode_ops
-from qgatelab.gates import _occupation
 from qgatelab.suites import _closure_residual
 
 # Independent transcription of the truth tables, written out literally so the
@@ -65,6 +64,47 @@ FLIP_TABLES = {
         (1, 0, 1): [(1.0, (1, 0, 1))],
         (1, 1, 0): [(1.0, (1, 1, 1))],
         (1, 1, 1): [(1.0, (1, 1, 0))],
+    },
+}
+
+# Independent transcription of each output term's per-slot provenance, in term
+# order: the input slot whose bit (and deformed amplitude) an output slot
+# carries, or None for a flipped slot.
+SOURCE_TABLES = {
+    GateKind.PS: {(0,): [(0,)], (1,): [(0,)]},
+    GateKind.HAD: {(0,): [(0,), (None,)], (1,): [(0,), (None,)]},
+    GateKind.NOT: {(0,): [(None,)], (1,): [(None,)]},
+    GateKind.CNOT: {
+        (0, 0): [(0, 1)],
+        (0, 1): [(0, 1)],
+        (1, 0): [(0, None)],
+        (1, 1): [(0, None)],
+    },
+    GateKind.SWAP: {
+        (0, 0): [(1, 0)],
+        (0, 1): [(1, 0)],
+        (1, 0): [(1, 0)],
+        (1, 1): [(1, 0)],
+    },
+    GateKind.FREDKIN: {
+        (0, 0, 0): [(0, 1, 2)],
+        (0, 0, 1): [(0, 1, 2)],
+        (0, 1, 0): [(0, 1, 2)],
+        (0, 1, 1): [(0, 1, 2)],
+        (1, 0, 0): [(0, 2, 1)],
+        (1, 0, 1): [(0, 2, 1)],
+        (1, 1, 0): [(0, 2, 1)],
+        (1, 1, 1): [(0, 2, 1)],
+    },
+    GateKind.TOFFOLI: {
+        (0, 0, 0): [(0, 1, 2)],
+        (0, 0, 1): [(0, 1, 2)],
+        (0, 1, 0): [(0, 1, 2)],
+        (0, 1, 1): [(0, 1, 2)],
+        (1, 0, 0): [(0, 1, 2)],
+        (1, 0, 1): [(0, 1, 2)],
+        (1, 1, 0): [(0, 1, None)],
+        (1, 1, 1): [(0, 1, None)],
     },
 }
 
@@ -164,15 +204,13 @@ class TestGateAction:
         assert bits == (1,)
         assert coeff == pytest.approx(cmath.exp(1j * phi), abs=1e-15)
 
-    def test_traced_sources_mark_flips_and_carries(self):
-        assert gate_action_traced(GateSpec(GateKind.NOT), (0,))[0].sources == (None,)
-        assert gate_action_traced(GateSpec(GateKind.SWAP), (0, 1))[0].sources == (1, 0)
-        assert gate_action_traced(GateSpec(GateKind.FREDKIN), (1, 0, 1))[0].sources == (0, 2, 1)
-        assert gate_action_traced(GateSpec(GateKind.TOFFOLI), (1, 1, 0))[0].sources == (0, 1, None)
-        assert gate_action_traced(GateSpec(GateKind.TOFFOLI), (0, 1, 0))[0].sources == (0, 1, 2)
-        carried, flipped = gate_action_traced(GateSpec(GateKind.HAD), (1,))
-        assert carried.sources == (0,)
-        assert flipped.sources == (None,)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_traced_sources_mark_flips_and_carries(self, kind):
+        table = SOURCE_TABLES[kind]
+        spec = _spec(kind)
+        assert sorted(table) == list(QubitEmbedding(spec.arity).all_bits())
+        for bits, expected in table.items():
+            assert [term.sources for term in gate_action_traced(spec, bits)] == expected, bits
 
     def test_rejects_wrong_bit_count(self):
         with pytest.raises(ValueError):
@@ -296,14 +334,6 @@ class TestDeformedGates:
             flipped = encode_basis((bits[0], bits[1], 1 - bits[2])).vector
             assert np.max(np.abs(literal @ ket - flipped)) <= 1e-12
         assert np.max(np.abs(literal - faithful)) > 0.5
-
-    @pytest.mark.parametrize("mode_count", [2, 4, 6])
-    def test_occupation_diagonals_are_read_only_number_operator_diagonals(self, mode_count):
-        for mode in range(1, mode_count + 1):
-            occupation = _occupation(mode, mode_count)
-            assert np.array_equal(occupation, np.diag(lift(make_mode_ops(2).n_op, mode, mode_count)))
-            with pytest.raises(ValueError):
-                occupation[0] = 1.0
 
     def test_non_finite_amplitudes_raise_overflow_naming_the_gate(self):
         with pytest.raises(OverflowError, match=r"cnot gate at q=1e\+300 under the vacuum exponent"):
