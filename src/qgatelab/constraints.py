@@ -2,8 +2,8 @@
 
 For each gate the claim table records which psi equalities are said to be
 required for the deformed identity to close, together with the auxiliary
-equalities the claim is conditioned on.  _dense_residuals measures how far a
-single (q, psi) point is from closing the identity; discover_constraints sweeps
+equalities the claim is conditioned on.  _dense_residuals measures how far
+(q, psi) points are from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
 the minimal sufficient equality pattern, and scores the claim.  Each
 (stratum, q) block of rows is reduced to counts and maxima per equality
@@ -101,24 +101,23 @@ def hadamard_closure_ratio(n1: int, q) -> float:
     return numerator / denominator
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(np.vdot(v, v).real)
-
-
-def _collinear_gap(u: np.ndarray, v: np.ndarray) -> float:
-    """Sine of the angle between two vectors; 0 for two zeros, 1 for exactly one zero.
+def _collinear_gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row (last axis), the sine of the angle between u and v; 0 for two zero rows, 1 for
+    exactly one.
 
     Computed as the norm of v's component orthogonal to u over the norm of v,
     which stays accurate near perfect alignment (the 1 - cos^2 form loses half
     the significant digits there).
     """
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0.0 and nv == 0.0:
-        return 0.0
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    coefficient = np.vdot(u, v) / (nu * nu)
-    return min(1.0, _norm(v - coefficient * u) / nv)
+    nu, nv = _row_norms(u), _row_norms(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows are settled below
+        coefficient = np.sum(u.conj() * v, axis=-1) / (nu * nu)
+        sine = np.minimum(1.0, _row_norms(v - coefficient[..., None] * u) / nv)
+    return np.where((nu == 0.0) & (nv == 0.0), 0.0, np.where((nu == 0.0) | (nv == 0.0), 1.0, sine))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
 
 
 def _term_picks(bits: tuple, term) -> list:
@@ -130,41 +129,44 @@ def _term_picks(bits: tuple, term) -> list:
     ]
 
 
-def _oracle_plan(spec: GateSpec) -> list:
-    """Per input bit string: the bits, that column of the undeformed gate matrix, and each
-    traced output term's basis index, coefficient and amplitude picks."""
+def _oracle_plan(spec: GateSpec) -> tuple:
+    """The input bit strings (all_bits order) and those columns of the undeformed gate matrix;
+    per traced output term, its input's position, basis index, coefficient, and the qubits and
+    bits of its amplitude picks."""
     emb, matrix = QubitEmbedding(spec.arity), gate_matrix(spec)
-    plan = []
-    for bits in emb.all_bits():
-        terms = gate_action_traced(spec, bits)
-        terms = [(emb.basis_index(term.bits), term.coeff, _term_picks(bits, term)) for term in terms]
-        plan.append((bits, matrix[:, emb.basis_index(bits)], terms))
-    return plan
+    every_bits = list(emb.all_bits())
+    terms = [
+        (k, emb.basis_index(term.bits), term.coeff, *zip(*_term_picks(bits, term)))
+        for k, bits in enumerate(every_bits)
+        for term in gate_action_traced(spec, bits)
+    ]
+    columns = matrix[:, [emb.basis_index(bits) for bits in every_bits]].T
+    return (np.array(every_bits), columns, *map(np.array, zip(*terms)))
 
 
-def _dense_residuals(spec: GateSpec, q: float, params: DeformationParams, plan: list) -> tuple:
-    """(strict, collinear) worst-case gaps of one (q, psi) point over the input bit strings.
+def _dense_sides(spec: GateSpec, q: float, points, plan: tuple) -> tuple:
+    """Per (q, psi) point and input bit string, the gate applied to the deformed input ket and the
+    traced action on deformed output kets: (len(points), 2**arity, dim) arrays.  A deformed ket
+    has one nonzero entry, its amplitudes multiplied in slot order, so the gate applied to it is
+    that column times the product, bit for bit.  A point whose [slot][bit] amplitude table is
+    not real raises NegativeRadicandError.  plan is _oracle_plan(spec)."""
+    bits, columns, inputs, rows, coeffs, pick_qubits, pick_bits = plan
+    tables = np.array([amplitude_table(q, spec.arity, point) for point in points]).reshape(-1, spec.arity, 2)
 
-    plan is _oracle_plan(spec), built once by a caller checking many points.
-    A deformed input ket has one nonzero entry, its qubit amplitudes
-    multiplied in deformed_qubit_state's order, so the gate matrix applied to
-    it is that column of the matrix times the product, bit for bit.
-    Amplitudes come from a [slot][bit] table, every entry of which some input
-    reads, so a point that does not admit real amplitudes raises
-    NegativeRadicandError.  Deformed kets are creation-built, so the gaps do
-    not depend on the lowering-operator reading.
-    """
-    amps = amplitude_table(q, spec.arity, params)
-    worst_strict = 0.0
-    worst_collinear = 0.0
-    for bits, column, terms in plan:
-        lhs = column * math.prod(amps[slot][bit] for slot, bit in enumerate(bits))
-        rhs = np.zeros(column.size, dtype=complex)
-        for index, coeff, picks in terms:
-            rhs[index] += coeff * math.prod(amps[slot][bit] for slot, bit in picks)
-        worst_strict = max(worst_strict, _norm(lhs - rhs))
-        worst_collinear = max(worst_collinear, _collinear_gap(lhs, rhs))
-    return worst_strict, worst_collinear
+    def products(qubits, picked) -> np.ndarray:
+        return functools.reduce(operator.mul, np.moveaxis(tables[:, qubits, picked], -1, 0))
+
+    lhs = columns * products(np.arange(spec.arity), bits)[..., None]
+    rhs = np.zeros_like(lhs)
+    rhs[:, inputs, rows] = coeffs * products(pick_qubits, pick_bits)
+    return lhs, rhs
+
+
+def _dense_residuals(spec: GateSpec, q: float, points, plan: tuple) -> tuple:
+    """Per (q, psi) point, the worst (strict, collinear) gaps over the input bit strings.
+    Deformed kets are creation-built, so they do not depend on the lowering-operator reading."""
+    lhs, rhs = _dense_sides(spec, q, points, plan)
+    return _row_norms(lhs - rhs).max(axis=-1, initial=0.0), _collinear_gaps(lhs, rhs).max(axis=-1, initial=0.0)
 
 
 def _strata(arity: int) -> dict:
@@ -315,7 +317,7 @@ def _sweep_pairs(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nd
             dot = c_in * sum(weight * c_out for weight, c_out in terms)
             both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
             one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
-            # rejection form of the sine, mirroring _collinear_gap
+            # rejection form of the sine, mirroring _collinear_gaps
             coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
             rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
             safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
@@ -336,28 +338,27 @@ def _row_psi(levels: np.ndarray, columns: list, index: int) -> list:
 
 def _cross_check_samples(spec, q, plan, psi_of, strict, collinear, admissible) -> int:
     """Recompute deterministic sample rows (psi_of maps a row to its psi) through the dense
-    path, one pass per pick for both residual modes, with the spec's _oracle_plan; raise on mismatch."""
+    path with the spec's _oracle_plan, every admissible pick in one pass for both residual
+    modes; raise on mismatch."""
     strict, collinear, admissible = strict.ravel(), collinear.ravel(), admissible.ravel()
     count = admissible.size
     step = max(1, count // 5)
     picks = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
-    checked = 0
+    points = {index: DeformationParams(q, tuple(psi_of(index))) for index in picks}
+    where = {index: f"{spec.kind.value}, q={q!r}, psi={point.psi!r}" for index, point in points.items()}
     for index in picks:
-        psi = tuple(psi_of(index))
-        point, where = DeformationParams(q, psi), f"{spec.kind.value}, q={q!r}, psi={psi!r}"
-        if admissible[index]:
-            dense_strict, dense_collinear = _dense_residuals(spec, q, point, plan)
-            if abs(dense_strict - strict[index]) > 1e-10 or abs(dense_collinear - collinear[index]) > 1e-10:
-                raise RuntimeError(f"sweep engine disagrees with the dense path at {where}")
-        else:
+        if not admissible[index]:
             try:
-                _dense_residuals(spec, q, point, plan)
+                _dense_residuals(spec, q, [points[index]], plan)
             except NegativeRadicandError:
-                pass
-            else:
-                raise RuntimeError(f"sweep engine marked an admissible point as skipped at {where}")
-        checked += 1
-    return checked
+                continue
+            raise RuntimeError(f"sweep engine marked an admissible point as skipped at {where[index]}")
+    kept = [index for index in picks if admissible[index]]
+    dense = _dense_residuals(spec, q, [points[index] for index in kept], plan)
+    for index, dense_strict, dense_collinear in zip(kept, *dense):
+        if abs(dense_strict - strict[index]) > 1e-10 or abs(dense_collinear - collinear[index]) > 1e-10:
+            raise RuntimeError(f"sweep engine disagrees with the dense path at {where[index]}")
+    return len(picks)
 
 
 def _pattern_text(pattern) -> str:
@@ -404,15 +405,24 @@ class ConstraintReport:
         return asdict(self)
 
 
-def _tally(rows: np.ndarray, strict: np.ndarray, collinear: np.ndarray, tolerance: float) -> dict:
-    """Points, maxima and zero counts of both residual modes over the rows in a mask (maxima 0.0 if none)."""
-    return {
-        "admissible": int(np.count_nonzero(rows)),
-        "zero_strict": int(np.count_nonzero(rows & (strict <= tolerance))),
-        "zero_collinear": int(np.count_nonzero(rows & (collinear <= tolerance))),
-        "max_strict": float(strict.max(initial=0.0, where=rows)),
-        "max_collinear": float(collinear.max(initial=0.0, where=rows)),
+def _block_tallies(masks: dict, strict, collinear, admissible, tolerance: float) -> dict:
+    """Per pattern mask of one (stratum, q) block, the points, maxima and zero counts of both
+    residual modes over the admissible rows it selects (maxima 0.0 if none).  Each mode's
+    within-tolerance rows are found once and shared by every pattern; inadmissible rows hold
+    0.0, so the maxima need only the pattern mask."""
+    tallies = {
+        pattern: {
+            "admissible": int(np.count_nonzero(admissible & mask)),
+            "max_strict": float(strict.max(initial=0.0, where=mask)),
+            "max_collinear": float(collinear.max(initial=0.0, where=mask)),
+        }
+        for pattern, mask in masks.items()
     }
+    for mode, residual in (("strict", strict), ("collinear", collinear)):
+        zero = admissible & (residual <= tolerance)  # one mode's mask at a time bounds the memory
+        for pattern, mask in masks.items():
+            tallies[pattern][f"zero_{mode}"] = int(np.count_nonzero(zero & mask))
+    return tallies
 
 
 def _closes(tally: dict, mode: str, tolerance: float) -> bool:
@@ -506,7 +516,7 @@ def discover_constraints(
         for q in q_values:
             strict, collinear, admissible = _sweep_pairs(spec, q, levels, grid_codes, pairs)
             samples_checked += _cross_check_samples(spec, q, oracle, psi_of, strict, collinear, admissible)
-            block = {p: _tally(admissible & mask, strict, collinear, tolerance) for p, mask in masks.items()}
+            block = _block_tallies(masks, strict, collinear, admissible, tolerance)
             strata_summaries.append(
                 _stratum_summary(name, q, psi_of, strict, collinear, admissible, tolerance, block[()])
             )

@@ -23,7 +23,9 @@ the undeformed coeff: each gate's project_holds flag records which form its
 construction uses.  The two differ off the closing assignment.  Every entry
 of the outer-product, lift and matmul build has at most one nonzero term,
 with the same factors in the same order, so for finite amplitudes the two
-builds agree bit for bit.
+builds agree bit for bit.  Each gate's terms are laid out once per phase as an
+entry plan (row, column, coefficient, output and input ket), which fills the
+undeformed matrix, the deformed one and the closure gaps of many q at once.
 
 The doubly controlled gate is built to reproduce its table; the flip-on-
 every-branch reading of its control brackets is kept in a separate literal
@@ -37,6 +39,7 @@ output bit's own mode pair.  The constraint lab is built on those traces.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -157,36 +160,107 @@ def gate_action_traced(spec: GateSpec, bits) -> tuple:
     return _terms(_GATES[spec.kind], spec.phi, bits)
 
 
-def gate_matrix(spec: GateSpec) -> np.ndarray:
-    """Undeformed gate as a dense matrix on the encoded space, zero off the valid subspace."""
-    emb = QubitEmbedding(spec.arity)
-    matrix = np.zeros((emb.dim, emb.dim), dtype=complex)
-    for bits in emb.all_bits():
-        col = emb.basis_index(bits)
-        for term in gate_action_traced(spec, bits):
-            matrix[emb.basis_index(term.bits), col] += term.coeff
+class _EntryPlan(NamedTuple):
+    """Per traced term, inputs in all_bits order: its dyad's matrix row and column, coefficient,
+    output and input kets (ket_amplitudes positions), and whether it is a projected hold."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    outs: np.ndarray
+    ins: np.ndarray
+    projected: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_plan(gate: _Gate, phi: float) -> _EntryPlan:
+    index = QubitEmbedding(gate.arity).basis_indices()
+    position = {bits: k for k, bits in enumerate(index)}
+    held = tuple(range(gate.arity)) if gate.project_holds else None  # None matches no term's sources
+    terms = [
+        (index[t.bits], index[bits], t.coeff, position[t.bits], position[bits], t.sources == held)
+        for bits in index
+        for t in _terms(gate, phi, bits)
+    ]
+    plan = _EntryPlan(*map(np.array, zip(*terms)))
+    for array in plan:
+        array.flags.writeable = False  # the cache hands the same arrays to every caller
+    return plan
+
+
+def _matrix(gate: _Gate, plan: _EntryPlan, entries) -> np.ndarray:
+    """The gate's dense matrix on the encoded space: one entry per traced term, zero elsewhere."""
+    dim = QubitEmbedding(gate.arity).dim
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[plan.rows, plan.cols] = entries
     return matrix
 
 
-def _deformed(spec: GateSpec, gate: _Gate, q, params, exponent) -> np.ndarray:
-    """One entry per traced term of gate: the dyad coeff * (a_out * a_in) over deformed kets,
-    or coeff for a projected hold.  A non-finite amplitude raises OverflowError."""
+def gate_matrix(spec: GateSpec) -> np.ndarray:
+    """Undeformed gate as a dense matrix on the encoded space, zero off the valid subspace."""
+    gate = _GATES[spec.kind]
+    plan = _entry_plan(gate, spec.phi)
+    return _matrix(gate, plan, plan.coeffs)
+
+
+def _entries(plan: _EntryPlan, kets: np.ndarray) -> np.ndarray:
+    """Each traced term's matrix entry, coeff * (a_out * a_in) or coeff for a projected hold,
+    over any leading axes of kets (ket_amplitudes of a table)."""
+    return np.where(plan.projected, plan.coeffs, plan.coeffs * (kets[..., plan.outs] * kets[..., plan.ins]))
+
+
+def _finite_table(spec: GateSpec, q, params, exponent) -> tuple:
+    """amplitude_table of spec's register; OverflowError naming spec and q if an amplitude is not finite."""
     exponent = ExponentConvention(exponent)
-    table = amplitude_table(q, gate.arity, params, exponent)
+    table = amplitude_table(q, spec.arity, params, exponent)
     if not all(math.isfinite(amp) for pair in table for amp in pair):
         raise OverflowError(
             f"{spec.kind.value} gate at q={float(q)!r} under the {exponent.value} exponent "
             f"has a non-finite creation amplitude in {table}"
         )
-    emb = QubitEmbedding(gate.arity)
-    index, amps = emb.basis_indices(), ket_amplitudes(table)
-    held = tuple(range(gate.arity))
-    matrix = np.zeros((emb.dim, emb.dim), dtype=complex)
-    for bits, col in index.items():
-        for term in _terms(gate, spec.phi, bits):
-            projected = gate.project_holds and term.sources == held
-            matrix[index[term.bits], col] += term.coeff if projected else term.coeff * (amps[term.bits] * amps[bits])
-    return matrix
+    return table
+
+
+def _deformed(spec: GateSpec, gate: _Gate, q, params, exponent) -> np.ndarray:
+    """The _entries of gate's traced terms.  A non-finite amplitude raises OverflowError."""
+    plan, kets = _entry_plan(gate, spec.phi), ket_amplitudes(_finite_table(spec, q, params, exponent))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan entries, as Python floats give them
+        return _matrix(gate, plan, _entries(plan, kets))
+
+
+def _closure_residuals(specs, q_values, exponent) -> np.ndarray:
+    """(len(q_values), len(specs)) worst gaps over the input kets between each deformed gate
+    applied to a fixed-parameter ket (its column times the ket's amplitude, term by term) and
+    the table's output kets.  An input's squared gap adds its terms' real-part squares, then
+    imaginary-part squares, as np.linalg.norm does.  The first failing (q, gate), q-major,
+    raises OverflowError: a non-finite amplitude, named for the first gate, or else the first
+    input whose gap is not finite."""
+    exponent = ExponentConvention(exponent)
+
+    def closing(q) -> tuple:
+        try:
+            return _finite_table(specs[0], q, None, exponent)[0]
+        except OverflowError:  # nan gaps, so the scan below raises it again in its turn
+            return (math.nan, math.nan)
+
+    pairs, gaps = np.array([closing(q) for q in q_values]).reshape(-1, 1, 2), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in specs:
+            plan = _entry_plan(_GATES[spec.kind], spec.phi)
+            kets = ket_amplitudes(np.repeat(pairs, spec.arity, axis=1))
+            gap = _entries(plan, kets) * kets[:, plan.ins] - plan.coeffs * kets[:, plan.outs]
+            first = np.flatnonzero(np.diff(plan.ins, prepend=-1))  # each input's first term
+            squares = np.add.reduceat(gap.real**2, first, axis=1) + np.add.reduceat(gap.imag**2, first, axis=1)
+            gaps.append(np.sqrt(squares))
+    failing = np.argwhere(~np.transpose([np.isfinite(gap).all(axis=1) for gap in gaps]))  # (q, gate), q-major
+    if failing.size:
+        (row, col), q = failing[0], q_values[failing[0][0]]
+        _finite_table(specs[col], q, None, exponent)  # raises for a q without finite amplitudes
+        inputs = zip(QubitEmbedding(specs[col].arity).all_bits(), gaps[col][row].tolist())
+        bits, gap = next((bits, gap) for bits, gap in inputs if not math.isfinite(gap))
+        name = f"{specs[col].kind.value} closure residual at q={q!r} under the {exponent.value} exponent"
+        raise OverflowError(f"{name} is {gap!r} on input bits {bits}")
+    return np.stack([gap.max(axis=1, initial=0.0) for gap in gaps], axis=1)
 
 
 def deformed_gate_matrix(

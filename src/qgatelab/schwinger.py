@@ -190,11 +190,16 @@ def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
     return tuple(qubit_amplitude(bit, 1, q, closing_params(q, (bit,), exponent)) for bit in (0, 1))
 
 
-def ket_amplitudes(table: tuple) -> dict:
-    """Per bit tuple of the table's register, in all_bits order, the one nonzero entry of
-    its deformed ket: its qubits' table amplitudes multiplied in slot order."""
-    every_bits = itertools.product((0, 1), repeat=len(table))
-    return {bits: math.prod(table[slot][bit] for slot, bit in enumerate(bits)) for bits in every_bits}
+def ket_amplitudes(table) -> np.ndarray:
+    """Per ket of the table's register, in all_bits order, the one nonzero entry of its
+    deformed ket: its qubits' table amplitudes multiplied in slot order, as math.prod
+    multiplies them.  table is [slot][bit] with any leading axes, which the result keeps."""
+    table = np.asarray(table, dtype=float)
+    kets = table[..., 0, :]
+    with np.errstate(over="ignore"):  # a product overflows to inf, as with Python floats
+        for slot in range(1, table.shape[-2]):
+            kets = (kets[..., :, None] * table[..., slot, None, :]).reshape(*kets.shape[:-1], 2 * kets.shape[-1])
+    return kets
 
 
 def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
@@ -204,4 +209,5 @@ def deformed_qubit_state(spec: DeformedQubitSpec, q) -> MultiModeState:
     """
     table = amplitude_table(q, len(spec.bits), spec.params, spec.exponent)
     base = encode_basis(spec.bits)
-    return MultiModeState(base.mode_count, base.cutoff, ket_amplitudes(table)[spec.bits] * base.vector)
+    amplitude = ket_amplitudes(table).reshape((2,) * len(spec.bits))[spec.bits]
+    return MultiModeState(base.mode_count, base.cutoff, amplitude * base.vector)

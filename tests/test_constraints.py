@@ -26,6 +26,7 @@ from qgatelab import constraints
 from qgatelab.constraints import (
     _candidate_patterns,
     _dense_residuals,
+    _dense_sides,
     _grid_levels,
     _oracle_plan,
     _pair_codes,
@@ -44,7 +45,8 @@ def _params(q, *prefix):
 
 def _residuals(spec, q, params) -> tuple:
     """(strict, collinear) gaps of one point through the dense path."""
-    return _dense_residuals(spec, q, params, _oracle_plan(spec))
+    strict, collinear = _dense_residuals(spec, q, [params], _oracle_plan(spec))
+    return strict[0], collinear[0]
 
 
 class TestIdentityResidual:
@@ -102,16 +104,8 @@ class TestIdentityResidual:
         assert scaled == pytest.approx(base, abs=1e-14)
 
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_one_column_oracle_matches_the_full_ket_product(self, monkeypatch, kind):
-        # the dense pass hands each input's lhs to _collinear_gap, in all_bits order
-        seen = []
-        gap = constraints._collinear_gap
-
-        def spy(lhs, rhs):
-            seen.append(lhs)
-            return gap(lhs, rhs)
-
-        monkeypatch.setattr(constraints, "_collinear_gap", spy)
+    def test_one_column_oracle_matches_the_full_ket_product(self, kind):
+        # the dense pass compares each input's lhs row, in all_bits order
         spec = GateSpec(kind, math.pi / 3)
         emb = QubitEmbedding(spec.arity)
         matrix = gate_matrix(spec)
@@ -122,15 +116,14 @@ class TestIdentityResidual:
             points = [DeformationParams.uniform(q, 3.0)]
             points += [DeformationParams(q, tuple(rng.choice((0.5, 1.0, 2.0), 12))) for _ in range(3)]
             for params in points:
-                seen.clear()
-                _dense_residuals(spec, q, params, plan)
+                (seen,), _ = _dense_sides(spec, q, [params], plan)
                 assert len(seen) == 2**spec.arity
                 for bits, lhs in zip(emb.all_bits(), seen):
                     ket = deformed_qubit_state(DeformedQubitSpec(bits, params), q)
                     assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
         # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
         with pytest.raises(NegativeRadicandError):
-            _dense_residuals(spec, 2.0, _params(2.0, 1.0, 8.0), plan)
+            _dense_residuals(spec, 2.0, [_params(2.0, 1.0, 8.0)], plan)
 
 
 class TestClosureRatio:
@@ -372,12 +365,12 @@ class TestLevelCodes:
         for index in np.linspace(0, rows.shape[0] - 1, 52).astype(int):
             params = DeformationParams(q, tuple(float(v) for v in rows[index]))
             if admissible[index]:
-                dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
+                (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
                 assert abs(dense_strict - strict[index]) <= 1e-12
                 assert abs(dense_collinear - collinear[index]) <= 1e-12
             else:
                 with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, params, plan)
+                    _dense_residuals(spec, q, [params], plan)
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("kind", list(GateKind))
@@ -420,12 +413,12 @@ class TestLevelCodes:
         for index, row in enumerate(levels[_column_rows(columns, (len(grid),) * len(slots))]):
             params = DeformationParams(q, tuple(float(v) for v in row))
             if admissible[index]:
-                dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
+                (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
                 assert abs(dense_strict - strict[index]) <= 1e-12
                 assert abs(dense_collinear - collinear[index]) <= 1e-12
             else:
                 with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, params, plan)
+                    _dense_residuals(spec, q, [params], plan)
 
 
 class TestSweepGuards:

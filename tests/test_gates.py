@@ -22,8 +22,10 @@ from qgatelab import (
     qubit_amplitude,
     toffoli_literal_matrix,
 )
+from qgatelab import gates
 from qgatelab.fock import lift, make_mode_ops
-from qgatelab.suites import _closure_residual
+from qgatelab.gates import _closure_residuals
+from qgatelab.suites import _square
 
 # Independent transcription of the truth tables, written out literally so the
 # implementation cannot be compared against itself.
@@ -185,6 +187,8 @@ def _dense_closure_residual(spec: GateSpec, q, exponent) -> float:
 
 
 ORACLE_Q = (0.5, 0.9, 1.0 + 1e-7, 2.0, 1e20)
+# one closure batch: the oracle q values and 24 log-spaced q values in [0.5, 2]
+BATCH_Q = ORACLE_Q + tuple(float(f"{0.5 * 4 ** (k / 23):.6g}") for k in range(24))
 
 
 class TestGateAction:
@@ -335,6 +339,12 @@ class TestDeformedGates:
             assert np.max(np.abs(literal @ ket - flipped)) <= 1e-12
         assert np.max(np.abs(literal - faithful)) > 0.5
 
+    def test_entry_plan_is_built_once_and_read_only(self):
+        gate = gates._GATES[GateKind.HAD]
+        plan = gates._entry_plan(gate, 0.0)
+        assert gates._entry_plan(gate, 0.0) is plan
+        assert not any(array.flags.writeable for array in plan)
+
     def test_non_finite_amplitudes_raise_overflow_naming_the_gate(self):
         with pytest.raises(OverflowError, match=r"cnot gate at q=1e\+300 under the vacuum exponent"):
             deformed_gate_matrix(GateSpec(GateKind.CNOT), 1e300, exponent=ExponentConvention.VACUUM)
@@ -372,8 +382,15 @@ class TestDenseOracle:
         assert np.array_equal(toffoli_literal_matrix(q, params), expected)
 
     @pytest.mark.parametrize("exponent", list(ExponentConvention))
-    @pytest.mark.parametrize("q", ORACLE_Q)
-    def test_closure_residual_equals_the_full_ket_product(self, q, exponent):
-        for kind in ALL_KINDS:
-            spec = _spec(kind)
-            assert _closure_residual(spec, q, exponent) == _dense_closure_residual(spec, q, exponent), kind
+    def test_closure_residual_equals_the_full_ket_product(self, exponent):
+        specs = [_spec(kind) for kind in ALL_KINDS]
+        residuals = _closure_residuals(specs, BATCH_Q, exponent)
+        assert residuals.shape == (len(BATCH_Q), len(specs))
+        for q, row in zip(BATCH_Q, residuals.tolist()):
+            for spec, residual in zip(specs, row):
+                assert residual == _dense_closure_residual(spec, q, exponent), (spec.kind, q)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_index_composed_square_equals_the_matrix_product(self, kind):
+        matrix = gate_matrix(_spec(kind))
+        assert np.array_equal(_square(matrix), matrix @ matrix)

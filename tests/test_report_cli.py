@@ -156,6 +156,17 @@ class TestSerialization:
         assert main(argv + ["--out", str(out)]) == 1
         assert out.read_bytes() == (GOLDEN_DIR / "report_gates_vacuum.json").read_bytes()
 
+    def test_many_q_vacuum_gates_run_matches_golden_csv(self, tmp_path):
+        # pins closure records over 25 q values, every gate's residuals computed in one batch
+        out = tmp_path / "report.csv"
+        q = (
+            "0.5,0.529732,0.561231,0.594604,0.629961,0.66742,0.707107,0.749154,0.793701,0.840896,0.890899,"
+            "0.943874,1,1.05946,1.12246,1.18921,1.25992,1.33484,1.41421,1.49831,1.5874,1.68179,1.7818,1.88775,2"
+        )
+        argv = ["verify-gates", "--convention", "vacuum", "--q", q, "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == (GOLDEN_DIR / "report_gates_many_q.csv").read_bytes()
+
     def test_records_pass_exactly_within_their_threshold(self, all_report):
         records = json.loads(all_report[1])["records"]
         ruled = [r for r in records if not r["check_id"].startswith(_OWN_OUTCOME_CHECKS)]
@@ -469,6 +480,14 @@ class TestCli:
             ("1e300", "ps gate at q=1e+300 under the vacuum exponent has a non-finite creation amplitude"),
             # the amplitudes are finite, but the controlled swap's closure norm overflows
             ("1e40", "fredkin closure residual at q=1e+40 under the vacuum exponent is inf"),
+            # closures are checked q by q, so the first failing record is named, not a later q's
+            (
+                "1e40,1e300",
+                "fredkin closure residual at q=1e+40 under the vacuum exponent is inf on input bits (1, 1, 1)",
+            ),
+            ("1e300,1e40", "ps gate at q=1e+300 under the vacuum exponent has a non-finite creation amplitude"),
+            # a q whose amplitudes cannot be computed at all does not pre-empt an earlier failing q
+            ("1e40,5e-324", "fredkin closure residual at q=1e+40 under the vacuum exponent is inf"),
         ],
     )
     def test_non_finite_vacuum_gates_exit_two_naming_the_gate(self, tmp_path, q, culprit):

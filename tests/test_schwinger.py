@@ -141,10 +141,22 @@ class TestAmplitudeTable:
         table = amplitude_table(2.0, 2, params)
         assert table == tuple(tuple(qubit_amplitude(bit, slot, 2.0, params) for bit in (0, 1)) for slot in (1, 2))
         amps = ket_amplitudes(table)
-        assert list(amps) == list(QubitEmbedding(2).all_bits())
-        assert amps[(1, 0)] == table[0][1] * table[1][0]
+        assert amps.shape == (4,)
+        assert amps[0b10] == table[0][1] * table[1][0]
         with pytest.raises(ValueError, match="params carry q=2.0"):
             amplitude_table(3.0, 2, params)
+
+
+    def test_ket_amplitudes_keep_leading_axes_and_multiply_in_slot_order(self):
+        tables = np.random.default_rng(3).uniform(0.1, 10.0, size=(5, 3, 2))
+        kets = ket_amplitudes(tables)
+        assert kets.shape == (5, 8)
+        for table, row in zip(tables, kets):
+            every_bits = QubitEmbedding(3).all_bits()
+            assert row.tolist() == [math.prod(table[slot][bit] for slot, bit in enumerate(bits)) for bits in every_bits]
+
+    def test_ket_amplitudes_overflow_to_inf_without_a_warning(self):
+        assert ket_amplitudes(((1e200, 1.0), (1e200, 1.0))).tolist() == [math.inf, 1e200, 1e200, 1.0]
 
 
 class TestClosingRule:

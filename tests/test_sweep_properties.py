@@ -67,9 +67,9 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
         assert admissible[index] == (bad_mode is None or bad_mode >= 2 * spec.arity)
         params = DeformationParams(q, tuple(float(v) for v in row))
         if admissible[index]:
-            dense_strict, dense_collinear = _dense_residuals(spec, q, params, plan)
+            (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
             assert abs(dense_strict - strict[index]) <= 1e-12
             assert abs(dense_collinear - collinear[index]) <= 1e-12
         else:
             with pytest.raises(NegativeRadicandError):
-                _dense_residuals(spec, q, params, plan)
+                _dense_residuals(spec, q, [params], plan)
