@@ -5,9 +5,9 @@ required for the deformed identity to close, together with the auxiliary
 equalities the claim is conditioned on.  _dense_residuals measures how far
 (q, psi) points are from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
-the minimal sufficient equality pattern, and scores the claim.  Each
-(stratum, q) block of rows is reduced to counts and maxima per equality
-pattern as soon as it is swept, and all scoring reads those tallies.
+the minimal sufficient equality pattern, and scores the claim.  Each (stratum,
+q) block is swept slice by slice into reused buffers, each slice reduced to
+counts, maxima and first rows per equality pattern; scoring reads only those.
 
 Residual definition: the gate matrix is applied to the deformed input ket, and
 the result is compared against the gate's traced action where each carried slot
@@ -24,11 +24,12 @@ tested grid in both modes; refuted otherwise, with notes recording which half
 failed; convention-dependent iff the two residual modes disagree.
 """
 
+import bisect
 import functools
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -195,9 +196,19 @@ def _strata(arity: int) -> dict:
     return strata
 
 
-# Most rows per slice of the leading grid axis (at least one index of it).  Every sweep
-# operation is per row, so slicing only bounds the temporaries, bit for bit.
+# Most rows per slice of a stratum's grid (at least one index of its last axis).  Every sweep
+# operation is per row and every reduction a count, a maximum or a first row, so slicing only
+# bounds the working set, bit for bit.
 _SLICE_ROWS = 1 << 16
+
+
+def _slice_geometry(shape: tuple) -> tuple:
+    """(axis, step, rows): a slice fixes the axes before axis, the first whose trailing axes fit
+    in _SLICE_ROWS, takes up to step indices of it and all after it: at most rows rows."""
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _SLICE_ROWS or k == len(shape) - 1)
+    trailing = math.prod(shape[axis + 1 :])
+    step = max(1, _SLICE_ROWS // trailing)
+    return axis, step, min(step, shape[axis]) * trailing
 
 
 def _grid_levels(grid) -> tuple:
@@ -236,42 +247,62 @@ def _pair_codes(columns: list, levels: np.ndarray) -> list:
     return [columns[a].astype(pair_dtype) * levels.size + columns[a + 1] for a in range(0, len(columns), 2)]
 
 
-def _pattern_mask(columns: list, pattern) -> np.ndarray:
-    """Rows meeting every psi_i = psi_j equality (equal psi values share a code), broadcastable."""
-    mask = np.True_
-    for i, j in pattern:
-        mask = mask & (columns[i - 1] == columns[j - 1])
-    return mask
+def _pattern_rows(slots: tuple, patterns, grid_codes: np.ndarray, filler: int) -> tuple:
+    """Per pattern, a key naming the rows of one stratum's grid meeting its psi_i = psi_j
+    equalities (None: every row), and per key those rows as (head, starts, inner) arrays.
 
-
-def _sweep_pairs(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, pairs: list):
-    """Vectorized residuals at one q on the row grid that per-mode pair codes span.
-
-    pairs holds each mode's pair codes (_pair_codes), each a scalar or of the grid's full
-    rank; flat rows are the 1-D case.  Returns (strict, collinear, admissible) arrays of the
-    grid's shape, 0.0 on inadmissible rows.  The formulation mirrors the dense path exactly:
-    per input bit string the gate's output terms live on distinct basis kets, so the strict
-    gap is the root sum of squared per-term amplitude gaps and the collinear gap comes from
-    the cosine between the two coefficient vectors.  Each bit string computes on the
-    broadcast shape of the modes it reads, the same operations in the same order for every
-    row; only the running maxima and the admissibility mask span the grid, in slices of
-    its leading axis.  A bit string whose only output term has weight 1 and the input's own
-    amplitude product, in the same factor order, is skipped as an exact zero.  That holds
-    while every product and its square is finite, so a q whose largest admissible amplitude
-    (both levels from the grid: the 1.0 filler only pairs with itself, amplitude 1) could
-    overflow them raises OverflowError first.  Mode brackets come from a table over level
-    pairs, written as psi_bracket writes them (q - 1/q can be a few ulp), read by pair code.
+    Equalities partition the slot axes and the 1.0 filler (one index of the filler's code);
+    a part allows the index tuples of one code, so duplicate grid values stay exact.  Rows
+    are the outer sum of the parts' offsets: inner over the parts within a slice's trailing
+    axes (_slice_geometry), head over the others, sorted by starts, their slice's first row.
     """
-    arity = spec.arity
-    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / (q - 1.0 / q)
-    amp_table = np.sqrt(np.clip(brackets, 0.0, None))
-    admissible_table = brackets >= 0.0
+    shape = (grid_codes.size,) * len(slots)
+    axis = _slice_geometry(shape)[0]
+    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))] + [0])
+    node = {index: position for position, indices in enumerate(slots) for index in indices}
+    by_code = {code: np.flatnonzero(grid_codes == code).tolist() for code in set(grid_codes.tolist()) | {filler}}
 
-    # per input bit string that can leave a gap: the input product's modes, the weight sum,
-    # and each output term's weight and product modes (qubit j, bit b reads mode 2j + 1 - b)
-    plan = []
-    largest_weight_sum = 0.0
-    for bits in itertools.product((0, 1), repeat=arity):
+    def key(pattern):
+        label = list(range(len(slots) + 1))
+        for i, j in pattern:
+            tied = label[node.get(i - 1, len(slots))], label[node.get(j - 1, len(slots))]
+            label = [tied[0] if x == tied[1] else x for x in label]
+        parts = tuple(sorted({tuple(k for k in range(len(label)) if label[k] == x) for x in label}))
+        return parts if len(parts) < len(label) else None
+
+    def row_set(parts) -> tuple:
+        inner, head, starts = (np.zeros(1, dtype=np.intp) for _ in range(3))
+        for part in parts:
+            # per code, the tuples of the part's indices holding it (the filler's one index: 0)
+            same = [[[0] * (c == filler) if k == len(slots) else by_code[c] for k in part] for c in by_code]
+            tuples = [t for indices in same for t in itertools.product(*indices)]
+            tuples = np.array(tuples, dtype=np.intp).reshape(-1, len(part))
+            offsets, heads = tuples @ strides[list(part)], sum(k <= axis for k in part)
+            if heads:
+                head = np.add.outer(offsets, head).ravel()
+                starts = np.add.outer(tuples[:, :heads] @ strides[list(part[:heads])], starts).ravel()
+            else:
+                inner = np.add.outer(offsets, inner).ravel()
+        order = np.argsort(starts)
+        return head[order], starts[order], inner
+
+    keys = {pattern: key(pattern) for pattern in patterns}
+    return keys, {k: row_set(k) for k in set(keys.values()) - {None}}
+
+
+def _slice_rows(row_set: tuple, first: int, count: int) -> np.ndarray:
+    """The rows of a _pattern_rows row set in the slice of count rows from first, from first."""
+    head, starts, inner = row_set
+    low, high = np.searchsorted(starts, (first, first + count))
+    return np.add.outer(head[low:high] - first, inner).ravel()
+
+
+def _sweep_plan(spec: GateSpec) -> tuple:
+    """(arity, largest weight sum, per input bit string that can leave a gap: the input modes,
+    the weight sum, and each output term's weight and modes); qubit j holding bit b reads mode
+    2j + 1 - b.  A lone weight-1 term on the input's own modes, in order, is an exact zero."""
+    plan, largest_weight_sum = [], 0.0
+    for bits in itertools.product((0, 1), repeat=spec.arity):
         c_in = [2 * j + 1 - b for j, b in enumerate(bits)]
         terms = [
             (abs(term.coeff) ** 2, [2 * j + 1 - b for j, b in _term_picks(bits, term)])
@@ -281,9 +312,23 @@ def _sweep_pairs(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nd
         largest_weight_sum = max(largest_weight_sum, weight_sum)
         if terms != [(1.0, c_in)]:
             plan.append((c_in, weight_sum, terms))
+    return spec.arity, largest_weight_sum, plan
 
-    in_grid = np.zeros(levels.size, dtype=bool)
-    in_grid[grid_codes] = True
+
+def _level_tables(q: float, levels: np.ndarray) -> tuple:
+    """Per level pair, whether its mode bracket is admissible and its amplitude; the bracket
+    is written as psi_bracket writes it (q - 1/q can be a few ulp)."""
+    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / (q - 1.0 / q)
+    return brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
+
+
+def _check_overflow(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, plan: tuple) -> None:
+    """Raise OverflowError unless the largest admissible amplitude of two grid levels (the 1.0
+    filler only pairs with itself, amplitude 1) to the power 2 * arity, times the largest
+    weight sum, is finite: the sweep's exact zeros hold while every product and square is."""
+    arity, largest_weight_sum, _ = plan
+    admissible_table, amp_table = _level_tables(q, levels)
+    in_grid = np.bincount(grid_codes, minlength=levels.size) > 0
     admissible_amps = np.where(admissible_table & np.outer(in_grid, in_grid), amp_table, 0.0)
     peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
     largest_amp = float(admissible_amps[peak])
@@ -295,70 +340,119 @@ def _sweep_pairs(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nd
             f"psi_b={float(levels[peak[1]])!r}) raised to the power {2 * arity} is not finite"
         )
 
-    def product(amps: list, modes: list):
+
+def _sweep_pairs(plan: tuple, q: float, levels: np.ndarray, pairs: list, buffers: tuple):
+    """Vectorized residuals at one q on the row grid that per-mode pair codes (_pair_codes, each
+    a scalar or of the grid's full rank; flat rows are the 1-D case) span, a slice at a time
+    in C order (_slice_geometry): yields (first row, strict, collinear, admissible), flat
+    views into buffers that the next slice overwrites, 0.0 on inadmissible rows.  plan is
+    _sweep_plan(spec), checked by _check_overflow at q."""
+    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
+    pairs = pairs[: 2 * plan[0]]  # the gate's own modes
+    shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
+    axis, step, _ = _slice_geometry(shape)
+    first = 0
+    for prefix in np.ndindex(*shape[:axis]):
+        for start in range(0, shape[axis], step):
+            window = (*(slice(i, i + 1) for i in prefix), slice(start, start + step))
+            sliced = [p[tuple(w if n > 1 else slice(None) for w, n in zip(window, p.shape))] for p in pairs]
+            view_shape = (1,) * axis + (min(step, shape[axis] - start),) + shape[axis + 1 :]
+            flat = [buffer[: math.prod(view_shape)] for buffer in buffers]
+            views = [view.reshape(view_shape) for view in flat]
+            _slice_residuals(plan[2], [amp_table[p] for p in sliced], [admissible_table[p] for p in sliced], *views)
+            yield first, *flat
+            first += flat[0].size
+
+
+def _slice_residuals(bit_plans: list, amps: list, admissibles: list, strict, collinear, admissible) -> None:
+    """Write one slice's residuals into its views, from its modes' amplitudes and admissibility;
+    a function of its own so that its temporaries are freed before the slice is reduced.
+
+    The formulation mirrors the dense path exactly: per input bit string the output terms live
+    on distinct basis kets, so the strict gap is the root sum of squared per-term amplitude
+    gaps and the collinear gap comes from the cosine between the two coefficient vectors.
+    Each bit string computes on the broadcast shape of the modes it reads, the same
+    operations in the same order for every row."""
+
+    def product(modes: list):
         return functools.reduce(operator.mul, [amps[mode] for mode in modes])
 
-    admissible_pairs, amp_pairs = admissible_table.ravel(), amp_table.ravel()
-    pairs = pairs[: 2 * arity]
-    shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
-    strict, collinear, admissible = np.zeros(shape), np.zeros(shape), np.empty(shape, dtype=bool)
-    step = max(1, _SLICE_ROWS // math.prod(shape[1:]))
-    for start in range(0, shape[0], step):
-        window = slice(start, start + step)
-        sliced = [p[window] if np.ndim(p) and np.shape(p)[0] > 1 else p for p in pairs]
-        admissible[window] = functools.reduce(np.logical_and, [admissible_pairs[p] for p in sliced])
-        amps = [amp_pairs[p] for p in sliced]
-        for c_in_modes, weight_sum, term_modes in plan:
-            c_in = product(amps, c_in_modes)
-            terms = [(weight, product(amps, modes)) for weight, modes in term_modes]
-            strict_here = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
-            lhs_sq = weight_sum * c_in**2
-            rhs_sq = sum(weight * c_out**2 for weight, c_out in terms)
-            dot = c_in * sum(weight * c_out for weight, c_out in terms)
-            both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
-            one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
-            # rejection form of the sine, mirroring _collinear_gaps
-            coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
-            rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
-            safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
-            collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
-            collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
-            np.maximum(strict[window], strict_here, out=strict[window])
-            np.maximum(collinear[window], collinear_here, out=collinear[window])
-        inadmissible = ~admissible[window]
-        strict[window][inadmissible] = collinear[window][inadmissible] = 0.0
-    return strict, collinear, admissible
+    np.copyto(admissible, functools.reduce(np.logical_and, admissibles))
+    strict[...] = collinear[...] = 0.0
+    for c_in_modes, weight_sum, term_modes in bit_plans:
+        c_in = product(c_in_modes)
+        terms = [(weight, product(modes)) for weight, modes in term_modes]
+        strict_here = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
+        lhs_sq = weight_sum * c_in**2
+        rhs_sq = sum(weight * c_out**2 for weight, c_out in terms)
+        dot = c_in * sum(weight * c_out for weight, c_out in terms)
+        both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
+        one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
+        # rejection form of the sine, mirroring _collinear_gaps
+        coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
+        rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
+        safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
+        collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
+        collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
+        np.maximum(strict, strict_here, out=strict)
+        np.maximum(collinear, collinear_here, out=collinear)
+    inadmissible = ~admissible
+    strict[inadmissible] = collinear[inadmissible] = 0.0
 
 
-def _row_psi(levels: np.ndarray, columns: list, index: int) -> list:
-    """Float psi values of row index of a stratum, columns broadcast to its row grid."""
-    at = np.unravel_index(index, columns[0].shape)
-    return [float(v) for v in levels[[column[at] for column in columns]]]
+def _reduce_block(slices, rows_of: dict, samples: list, tolerance: float) -> tuple:
+    """Reduce one (stratum, q) block's slices (_sweep_pairs) as they come, exactly: per row set
+    of _pattern_rows by key (None: every row), the points, maxima and zero counts of both modes
+    over its admissible rows; the exemplar rows (first admissible, first largest positive
+    strict residual, first admissible rows that do and do not close it); the first
+    inadmissible row or None; row -> (strict, collinear, admissible) there and at samples."""
+    tallies, marks, peak, seen = {}, dict.fromkeys(("first", "peak", "zero", "open", "skipped")), 0.0, {}
+    for first, strict, collinear, admissible in slices:
+        zero = {"strict": admissible & (strict <= tolerance), "collinear": admissible & (collinear <= tolerance)}
+        for key in (None, *rows_of):
+            rows = slice(None) if key is None else _slice_rows(rows_of[key], first, admissible.size)
+            part = {"admissible": int(np.count_nonzero(admissible[rows]))}
+            for mode, residual in (("strict", strict), ("collinear", collinear)):
+                part[f"max_{mode}"] = float(residual[rows].max(initial=0.0))
+                part[f"zero_{mode}"] = int(np.count_nonzero(zero[mode][rows]))
+            tallies[key] = _merge_tallies(tallies[key], part) if key in tallies else part
+        opened = admissible > zero["strict"]
+        for mark, rows in (("first", admissible), ("zero", zero["strict"]), ("open", opened), ("skipped", ~admissible)):
+            at = int(np.argmax(rows))
+            marks[mark] = first + at if marks[mark] is None and rows[at] else marks[mark]
+        at = int(np.argmax(strict))
+        if strict[at] > peak:
+            peak, marks["peak"] = float(strict[at]), first + at
+        in_slice = samples[bisect.bisect_left(samples, first) : bisect.bisect_left(samples, first + admissible.size)]
+        for row in (*in_slice, *marks.values()):
+            if row is not None and first <= row < first + admissible.size:
+                seen[row] = float(strict[row - first]), float(collinear[row - first]), bool(admissible[row - first])
+    picks = (marks["first"], marks["first"] if marks["peak"] is None else marks["peak"], marks["zero"], marks["open"])
+    exemplars = list(dict.fromkeys(row for row in picks if row is not None))
+    return tallies, exemplars, marks["skipped"], seen
 
 
-def _cross_check_samples(spec, q, plan, psi_of, strict, collinear, admissible) -> int:
-    """Recompute deterministic sample rows (psi_of maps a row to its psi) through the dense
-    path with the spec's _oracle_plan, every admissible pick in one pass for both residual
-    modes; raise on mismatch."""
-    strict, collinear, admissible = strict.ravel(), collinear.ravel(), admissible.ravel()
-    count = admissible.size
-    step = max(1, count // 5)
-    picks = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
-    points = {index: DeformationParams(q, tuple(psi_of(index))) for index in picks}
-    where = {index: f"{spec.kind.value}, q={q!r}, psi={point.psi!r}" for index, point in points.items()}
-    for index in picks:
-        if not admissible[index]:
-            try:
-                _dense_residuals(spec, q, [points[index]], plan)
-            except NegativeRadicandError:
-                continue
-            raise RuntimeError(f"sweep engine marked an admissible point as skipped at {where[index]}")
-    kept = [index for index in picks if admissible[index]]
+def _cross_check_samples(spec, q, plan, samples) -> int:
+    """Recompute sample rows, (psi, strict, collinear, admissible) each, through the dense path
+    with the spec's _oracle_plan, every admissible one in one pass for both residual modes;
+    an inadmissible one must fail its amplitude table.  Raise on mismatch."""
+    points = [DeformationParams(q, tuple(psi)) for psi, *_ in samples]
+    where = [f"{spec.kind.value}, q={q!r}, psi={point.psi!r}" for point in points]
+    for point, at, (*_, admissible) in zip(points, where, samples):
+        if admissible:
+            continue
+        try:
+            amplitude_table(q, spec.arity, point)
+        except NegativeRadicandError:
+            continue
+        raise RuntimeError(f"sweep engine marked an admissible point as skipped at {at}")
+    kept = [index for index, sample in enumerate(samples) if sample[3]]
     dense = _dense_residuals(spec, q, [points[index] for index in kept], plan)
     for index, dense_strict, dense_collinear in zip(kept, *dense):
-        if abs(dense_strict - strict[index]) > 1e-10 or abs(dense_collinear - collinear[index]) > 1e-10:
+        _, strict, collinear, _ = samples[index]
+        if abs(dense_strict - strict) > 1e-10 or abs(dense_collinear - collinear) > 1e-10:
             raise RuntimeError(f"sweep engine disagrees with the dense path at {where[index]}")
-    return len(picks)
+    return len(samples)
 
 
 def _pattern_text(pattern) -> str:
@@ -402,27 +496,7 @@ class ConstraintReport:
     notes: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _block_tallies(masks: dict, strict, collinear, admissible, tolerance: float) -> dict:
-    """Per pattern mask of one (stratum, q) block, the points, maxima and zero counts of both
-    residual modes over the admissible rows it selects (maxima 0.0 if none).  Each mode's
-    within-tolerance rows are found once and shared by every pattern; inadmissible rows hold
-    0.0, so the maxima need only the pattern mask."""
-    tallies = {
-        pattern: {
-            "admissible": int(np.count_nonzero(admissible & mask)),
-            "max_strict": float(strict.max(initial=0.0, where=mask)),
-            "max_collinear": float(collinear.max(initial=0.0, where=mask)),
-        }
-        for pattern, mask in masks.items()
-    }
-    for mode, residual in (("strict", strict), ("collinear", collinear)):
-        zero = admissible & (residual <= tolerance)  # one mode's mask at a time bounds the memory
-        for pattern, mask in masks.items():
-            tallies[pattern][f"zero_{mode}"] = int(np.count_nonzero(zero & mask))
-    return tallies
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def _closes(tally: dict, mode: str, tolerance: float) -> bool:
@@ -431,36 +505,7 @@ def _closes(tally: dict, mode: str, tolerance: float) -> bool:
 
 
 def _merge_tallies(first: dict, second: dict) -> dict:
-    return {
-        key: max(first[key], second[key]) if key.startswith("max_") else first[key] + second[key]
-        for key in first
-    }
-
-
-def _stratum_summary(name, q, psi_of, strict, collinear, admissible, tolerance, tally) -> dict:
-    """One (stratum, q) block: its row counts, tally over the admissible rows, and exemplars."""
-    strict, collinear, admissible = strict.ravel(), collinear.ravel(), admissible.ravel()
-    picks = []
-    if tally["admissible"]:
-        # inadmissible rows hold 0.0, so a positive largest residual is on an admissible row
-        first, peak = int(np.argmax(admissible)), int(np.argmax(strict))
-        picks = [first, peak if strict[peak] > 0.0 else first]
-        for rows in (admissible & (strict <= tolerance), admissible & (strict > tolerance)):
-            picks += [int(np.argmax(rows))] if rows.any() else []
-    summary = {
-        "stratum": name,
-        "q": float(q),
-        "rows": admissible.size,
-        "skipped": admissible.size - tally["admissible"],
-        **tally,
-        "exemplars": [
-            {"psi": psi_of(i), "strict": float(strict[i]), "collinear": float(collinear[i])}
-            for i in dict.fromkeys(picks)
-        ],
-    }
-    if summary["skipped"]:
-        summary["skipped_exemplar"] = {"psi": psi_of(int(np.argmin(admissible)))}
-    return summary
+    return {key: (max if key.startswith("max_") else operator.add)(first[key], second[key]) for key in first}
 
 
 def discover_constraints(
@@ -475,14 +520,15 @@ def discover_constraints(
 
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
-    be positive.  Each (stratum, q) block runs the vectorized engine on the
-    stratum's row grid, has deterministic samples cross-checked against the
-    dense path (both residual modes in one pass, the oracle plan built once
-    per call), and is tallied per candidate pattern, whose masks are built
-    once per stratum, before the next block runs.  Summaries, totals, the
-    minimal-pattern search and the verdicts read only the tallies.  Raises
-    OverflowError when a q and the grid's largest amplitude overflow the
-    sweep's products.
+    be positive.  Both plans and the slice buffers are built once per call,
+    and every q is checked for overflow before the first block.  Each
+    (stratum, q) block runs the vectorized engine on the stratum's row grid
+    slice by slice, each slice tallied per candidate pattern's row set, and
+    has deterministic sample rows cross-checked against the dense path (both
+    residual modes in one pass) before the next block runs.  Summaries,
+    totals, the minimal-pattern search and the verdicts read only the
+    tallies.  Raises OverflowError when a q and the grid's largest amplitude
+    overflow the sweep's products.
     """
     spec = gate
     if not isinstance(gate, GateSpec):
@@ -502,32 +548,41 @@ def discover_constraints(
     exponent = ExponentConvention(exponent)
 
     levels, grid_codes = _grid_levels(grid)
-    oracle = _oracle_plan(spec)
+    oracle, plan = _oracle_plan(spec), _sweep_plan(spec)
+    for q in q_values:
+        _check_overflow(spec, q, levels, grid_codes, plan)
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary
     patterns = {pattern for _, pattern in candidates}
-    block_tallies, strata_summaries, samples_checked = [], [], 0
-    for name, slots in _strata(spec.arity).items():
+    strata = _strata(spec.arity)
+    largest = max(_slice_geometry((grid_codes.size,) * len(slots))[2] for slots in strata.values())
+    buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
+    tallies, strata_summaries, samples_checked = {}, [], 0
+    for name, slots in strata.items():
         columns = _stratum_columns(slots, levels, grid_codes)
         pairs = _pair_codes(columns, levels)
-        masks = {pattern: _pattern_mask(columns, pattern) for pattern in patterns}
-        psi_of = functools.partial(_row_psi, levels, np.broadcast_arrays(*columns))
+        keys, rows_of = _pattern_rows(slots, patterns, grid_codes, int(np.searchsorted(levels, 1.0)))
+        columns = np.broadcast_arrays(*columns)
+        count = columns[0].size
+        step = max(1, count // 5)
+        samples = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
         for q in q_values:
-            strict, collinear, admissible = _sweep_pairs(spec, q, levels, grid_codes, pairs)
-            samples_checked += _cross_check_samples(spec, q, oracle, psi_of, strict, collinear, admissible)
-            block = _block_tallies(masks, strict, collinear, admissible, tolerance)
-            strata_summaries.append(
-                _stratum_summary(name, q, psi_of, strict, collinear, admissible, tolerance, block[()])
-            )
-            block_tallies.append(block)
-            # free this block's residuals before the next block allocates its own
-            del strict, collinear, admissible
+            slices = _sweep_pairs(plan, q, levels, pairs, buffers)
+            block, exemplars, skipped, seen = _reduce_block(slices, rows_of, samples, tolerance)
+            wanted = [*samples, *exemplars, *([] if skipped is None else [skipped])]
+            at = np.unravel_index(wanted, columns[0].shape)
+            psi = dict(zip(wanted, levels[np.stack([column[at] for column in columns], axis=-1)].tolist()))
+            samples_checked += _cross_check_samples(spec, q, oracle, [(psi[i], *seen[i]) for i in samples])
+            summary = {"stratum": name, "q": float(q), "rows": count, "skipped": count - block[None]["admissible"]}
+            exemplars = [{"psi": psi[i], "strict": seen[i][0], "collinear": seen[i][1]} for i in exemplars]
+            summary.update(block[None], exemplars=exemplars)
+            if skipped is not None:
+                summary["skipped_exemplar"] = {"psi": psi[skipped]}
+            strata_summaries.append(summary)
+            for pattern, key in keys.items():
+                tallies[pattern] = _merge_tallies(tallies[pattern], block[key]) if pattern in tallies else block[key]
     rows = sum(summary["rows"] for summary in strata_summaries)
-    tallies = {
-        pattern: functools.reduce(_merge_tallies, (block[pattern] for block in block_tallies))
-        for pattern in patterns
-    }
 
     minimal = {}
     for mode in ("strict", "collinear"):

@@ -59,7 +59,7 @@ def q_bracket(n, q) -> float:
     q = _check_q(q)
     if q == 1.0:
         return float(n)
-    return (q**n - q**-n) / (q - 1.0 / q)
+    return _bracket("q", n, q, 1.0, 1.0)  # psi_a = psi_b = 1 multiplies exactly
 
 
 def psi_bracket(n, q, psi_a, psi_b) -> float:
@@ -80,7 +80,15 @@ def psi_bracket(n, q, psi_a, psi_b) -> float:
                 f"got psi_a={psi_a!r}, psi_b={psi_b!r}"
             )
         return float(n) * psi_a
-    return (q**n * psi_a - q**-n * psi_b) / (q - 1.0 / q)
+    return _bracket("psi", n, q, psi_a, psi_b)
+
+
+def _bracket(name: str, n: int, q: float, psi_a: float, psi_b: float) -> float:
+    try:
+        return (q**n * psi_a - q**-n * psi_b) / (q - 1.0 / q)
+    except OverflowError:
+        power = f"q**{-n if q < 1.0 else n}"
+        raise OverflowError(f"the {name} bracket at n={n}, q={q!r} overflows double precision at {power}") from None
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ plumbing rather than a relation from the verified construction.
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "CSV_COLUMNS",
@@ -120,46 +120,32 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(value, parts: list) -> None:
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        parts.append(_format_float(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for pos, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            if pos:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(":")
-            _emit(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for pos, item in enumerate(value):
-            if pos:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
-
-
 def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, ASCII, %.17g floats, no whitespace."""
-    parts = []
-    _emit(value, parts)
-    return "".join(parts)
+    """Deterministic JSON: sorted keys, ASCII, %.17g floats, no whitespace.  Each container is
+    joined from its members' strings, so no token list spans the whole document."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _format_float(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(_member(key, value[key]) for key in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, value)) + "]"
+    raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+
+
+def _member(key, value) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be strings, got {key!r}")
+    return encode_basestring_ascii(key) + ":" + canonical_json(value)
 
 
 def _csv_cell(value) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,11 +31,16 @@ from qgatelab.constraints import (
     _grid_levels,
     _oracle_plan,
     _pair_codes,
-    _pattern_mask,
+    _pattern_rows,
+    _reduce_block,
+    _slice_geometry,
+    _slice_rows,
     _strata,
     _stratum_columns,
     _sweep_pairs,
+    _sweep_plan,
 )
+from sweep_oracle import pattern_mask, whole_block, whole_sweep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -322,7 +328,7 @@ class TestLevelCodes:
             assert np.array_equal(levels[codes], rows), stratum
             for kind in _KINDS_BY_ARITY[arity]:
                 for name, pattern in _candidate_patterns(CLAIMS[kind], arity):
-                    mask = np.broadcast_to(_pattern_mask(columns, pattern), shape).ravel()
+                    mask = np.broadcast_to(pattern_mask(columns, pattern), shape).ravel()
                     assert np.array_equal(mask, _float_equalities(rows, pattern)), (stratum, kind, name)
 
     def test_more_than_256_levels_widen_the_codes(self):
@@ -338,7 +344,7 @@ class TestLevelCodes:
         assert int(codes.max()) == 300
         assert np.array_equal(levels[codes], rows)
         for name, pattern in _candidate_patterns(CLAIMS[GateKind.NOT], 1):
-            mask = np.broadcast_to(_pattern_mask(columns, pattern), shape).ravel()
+            mask = np.broadcast_to(pattern_mask(columns, pattern), shape).ravel()
             assert np.array_equal(mask, _float_equalities(rows, pattern)), name
 
     @pytest.mark.parametrize(
@@ -353,7 +359,7 @@ class TestLevelCodes:
         assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
         spec, q = GateSpec(GateKind.NOT), 2.0
         columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
-        sweep = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(columns, levels))
+        sweep = whole_sweep(spec, q, levels, _pair_codes(columns, levels))
         strict, collinear, admissible = (a.ravel() for a in sweep)
         rows = levels[_column_rows(columns, (values, values))]
         expected = [
@@ -376,18 +382,22 @@ class TestLevelCodes:
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_grid_sweep_matches_flat_rows_and_smallest_slices_bit_for_bit(self, monkeypatch, kind, q):
         # the row grid's broadcast pair codes, the same pairs as flat rows, and
-        # the grid swept one index of its leading axis at a time
+        # the grid swept in small slices: one row each on a two-axis grid, else
+        # fixing the two leading axes and taking three indices of the third,
+        # then the one left (1-row slices of every stratum: TestStreamedBlocks)
         spec = GateSpec(kind, math.pi / 3)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
         mixed = False
         for stratum, slots in _strata(spec.arity).items():
             pairs = _pair_codes(_stratum_columns(slots, levels, grid_codes), levels)
             shape = (grid_codes.size,) * len(slots)
-            whole = _sweep_pairs(spec, q, levels, grid_codes, pairs)
-            flat = _sweep_pairs(spec, q, levels, grid_codes, [np.broadcast_to(p, shape).ravel() for p in pairs])
+            whole = whole_sweep(spec, q, levels, pairs)
+            flat = whole_sweep(spec, q, levels, [np.broadcast_to(p, shape).ravel() for p in pairs])
             with monkeypatch.context() as patch:
-                patch.setattr(constraints, "_SLICE_ROWS", 1)
-                sliced = _sweep_pairs(spec, q, levels, grid_codes, pairs)
+                small = len(slots) == 2
+                patch.setattr(constraints, "_SLICE_ROWS", 1 if small else 3 * grid_codes.size ** (len(slots) - 3))
+                assert _slice_geometry(shape)[:2] == ((1, 1) if small else (2, 3))
+                sliced = whole_sweep(spec, q, levels, pairs)
             for expected, got_flat, got_sliced in zip(whole, flat, sliced):
                 assert expected.shape == shape, stratum
                 assert np.array_equal(expected.ravel(), got_flat), stratum
@@ -405,7 +415,7 @@ class TestLevelCodes:
         slots = _strata(spec.arity)["free-q1q3" if spec.arity == 3 else "free"]
         levels, grid_codes = _grid_levels(grid)
         columns = _stratum_columns(slots, levels, grid_codes)
-        sweep = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(columns, levels))
+        sweep = whole_sweep(spec, q, levels, _pair_codes(columns, levels))
         strict, collinear, admissible = (a.ravel() for a in sweep)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
@@ -419,6 +429,77 @@ class TestLevelCodes:
             else:
                 with pytest.raises(NegativeRadicandError):
                     _dense_residuals(spec, q, [params], plan)
+
+
+class TestStreamedBlocks:
+    """The slice-by-slice block reduction against whole-grid reductions built from broadcast
+    equality masks (sweep_oracle), on every gate and stratum, down to 1-row slices."""
+
+    @pytest.mark.parametrize("slice_rows", [1, 7])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_streamed_tallies_exemplars_and_samples_match_whole_grid_reductions(self, monkeypatch, kind, slice_rows):
+        # duplicate grid values, the 1.0 filler inside the grid, and pair ratios above
+        # q^2 = 4, so that blocks mix admissible and inadmissible rows
+        spec = GateSpec(kind, math.pi / 3)
+        grids = [(0.5, 4.0, 0.5, 1.0)] if spec.arity == 1 else [(1.0, 8.0), (8.0, 8.0)]
+        patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
+        q, tolerance = 2.0, 1e-12
+        mixed = partial = False
+        for grid in grids:
+            levels, grid_codes = _grid_levels(grid)
+            filler = int(np.searchsorted(levels, 1.0))
+            for stratum, slots in _strata(spec.arity).items():
+                columns = _stratum_columns(slots, levels, grid_codes)
+                pairs = _pair_codes(columns, levels)
+                shape = (len(grid),) * len(slots)
+                whole = whole_sweep(spec, q, levels, pairs)
+                expected, exemplars, skipped = whole_block(columns, patterns, *whole, tolerance)
+                masks = {p: np.broadcast_to(pattern_mask(columns, p), shape).ravel() for p in patterns}
+
+                def checked(slices):
+                    # each pattern's rows in a slice are exactly its mask's, once each
+                    for first, *parts in slices:
+                        size = parts[0].size
+                        assert size <= max(slice_rows, len(grid))
+                        for pattern, key in keys.items():
+                            got = np.arange(size) if key is None else np.sort(_slice_rows(rows_of[key], first, size))
+                            assert np.array_equal(got, np.flatnonzero(masks[pattern][first : first + size]))
+                        yield first, *parts
+
+                # every row is a sample row, so every row's values are compared
+                samples = list(range(math.prod(shape)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(constraints, "_SLICE_ROWS", slice_rows)
+                    keys, rows_of = _pattern_rows(slots, patterns, grid_codes, filler)
+                    largest = _slice_geometry(shape)[2]
+                    buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
+                    slices = _sweep_pairs(_sweep_plan(spec), q, levels, pairs, buffers)
+                    tallies, got_exemplars, got_skipped, seen = _reduce_block(
+                        checked(slices), rows_of, samples, tolerance
+                    )
+                where = (grid, stratum)
+                for pattern, key in keys.items():
+                    assert tallies[key] == expected[pattern], (*where, pattern)
+                assert got_exemplars == exemplars, where
+                assert got_skipped == skipped, where
+                strict, collinear, admissible = (a.ravel() for a in whole)
+                assert seen == {
+                    row: (strict[row], collinear[row], admissible[row]) for row in samples
+                }, where
+                mixed |= skipped is not None and admissible.any()
+                partial |= any(0 < t["admissible"] < expected[()]["admissible"] for t in expected.values())
+        assert mixed and partial
+
+    def test_seven_value_grid_holds_no_block_size_array(self):
+        # one free stratum of 7**8 = 5,764,801 rows: full-size strict, collinear and
+        # admissible arrays would take 98 MB
+        tracemalloc.start()
+        try:
+            discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(0.3, 0.7, 1.71, 2.02, 4.62, 5.94, 7.03))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSweepGuards:
@@ -448,12 +529,13 @@ class TestSweepGuards:
         """Run discover_constraints with edit applied to row 0 (always picked, always admissible)."""
         sweep = constraints._sweep_pairs
 
-        def tampered(spec, q, levels, grid_codes, pairs):
-            strict, collinear, admissible = sweep(spec, q, levels, grid_codes, pairs)
-            assert admissible.flat[0]
-            # raveled views of the row grid, so the edits reach the arrays returned
-            edit(strict.ravel(), collinear.ravel(), admissible.ravel())
-            return strict, collinear, admissible
+        def tampered(*args):
+            for first, strict, collinear, admissible in sweep(*args):
+                if first == 0:
+                    assert admissible[0]
+                    # the slice's own views, so the edits reach what the block reduces
+                    edit(strict, collinear, admissible)
+                yield first, strict, collinear, admissible
 
         monkeypatch.setattr(constraints, "_sweep_pairs", tampered)
         return discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))

@@ -101,6 +101,20 @@ class TestPsiBracket:
             assert lhs == pytest.approx(wb * q ** (-n), rel=1e-12)
 
 
+class TestBracketOverflow:
+    # 5e-324 is the smallest subnormal double: 1 / q is beyond the largest one
+    @pytest.mark.parametrize(
+        ("bracket", "call"),
+        [("q", lambda n, q: q_bracket(n, q)), ("psi", lambda n, q: psi_bracket(n, q, 1.0, 2.0))],
+    )
+    @pytest.mark.parametrize(("n", "q", "power"), [(1, 5e-324, "q**-1"), (3, 1e200, "q**3")])
+    def test_overflow_names_the_bracket_level_and_q(self, bracket, call, n, q, power):
+        message = f"the {bracket} bracket at n={n}, q={q!r} overflows double precision at {power}"
+        with pytest.raises(OverflowError) as caught:
+            call(n, q)
+        assert str(caught.value) == message
+
+
 class TestDeformationParams:
     def test_defaults_are_uniform(self):
         params = DeformationParams(q=2.0)

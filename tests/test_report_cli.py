@@ -473,6 +473,19 @@ class TestCli:
         assert "1e+160" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify-gates", "verify-algebra"])
+    def test_smallest_subnormal_q_exits_two_naming_the_bracket(self, tmp_path, capsys, command):
+        # q = 5e-324 leaves q**-1 beyond the largest double in the first bracket built
+        out = tmp_path / "report.json"
+        assert main([command, "--q", "5e-324", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "qgatelab: configuration error: q values 5e-324 overflow double-precision arithmetic "
+            "(the psi bracket at n=1, q=5e-324 overflows double precision at q**-1); "
+            "use q values closer to 1\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "q, culprit",
         [

@@ -16,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError  # noqa: E402
-from qgatelab.constraints import _dense_residuals, _grid_levels, _oracle_plan, _pair_codes, _sweep_pairs  # noqa: E402
+from qgatelab.constraints import _dense_residuals, _grid_levels, _oracle_plan, _pair_codes  # noqa: E402
+from sweep_oracle import whole_sweep  # noqa: E402
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
@@ -60,7 +61,7 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
     levels, grid_codes = _grid_levels(np.unique(rows))
     # a flat list of rows is the engine's 1-D case: one pair code per row and mode
     codes = np.searchsorted(levels, rows).astype(grid_codes.dtype)
-    strict, collinear, admissible = _sweep_pairs(spec, q, levels, grid_codes, _pair_codes(list(codes.T), levels))
+    strict, collinear, admissible = whole_sweep(spec, q, levels, _pair_codes(list(codes.T), levels))
     plan = _oracle_plan(spec)
     for index, (row, bad_mode) in enumerate(zip(rows, bad_modes)):
         # a gate reads only the modes of its own qubits
