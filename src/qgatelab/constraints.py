@@ -5,9 +5,13 @@ required for the deformed identity to close, together with the auxiliary
 equalities the claim is conditioned on.  _dense_residuals measures how far
 (q, psi) points are from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
-the minimal sufficient equality pattern, and scores the claim.  Each (stratum,
-q) block is swept slice by slice into reused buffers, each slice reduced to
-counts, maxima and first rows per equality pattern; scoring reads only those.
+the minimal sufficient equality pattern, and scores the claim.  No (stratum, q)
+block computes its rows: each input bit string gets strict and collinear tables
+over the grid axes of the modes it reads, and each qubit an admissibility table
+over its own axes.  A block's counts, maxima, zero counts and first rows per
+equality pattern come from those small tables, exactly as a row sweep would
+give them; scoring reads only those.  tests/sweep_oracle.py keeps the row sweep
+as the bit-for-bit oracle.
 
 Residual definition: the gate matrix is applied to the deformed input ket, and
 the result is compared against the gate's traced action where each carried slot
@@ -24,7 +28,6 @@ tested grid in both modes; refuted otherwise, with notes recording which half
 failed; convention-dependent iff the two residual modes disagree.
 """
 
-import bisect
 import functools
 import itertools
 import math
@@ -97,8 +100,17 @@ def hadamard_closure_ratio(n1: int, q) -> float:
     q = float(q)
     if not math.isfinite(q) or q <= 0.0:
         raise ValueError(f"q must be a positive finite real, got {q!r}")
-    numerator = (1 - n1) * q**-n1 - n1 * q ** (n1 + 1)
-    denominator = (1 - n1) * q**n1 - n1 * q ** (n1 - 1)
+
+    def power(n: int) -> float:
+        try:
+            return q**n
+        except OverflowError:
+            raise OverflowError(
+                f"the closure ratio audit at n1={n1}, q={q!r} overflows double precision at q**{n}"
+            ) from None
+
+    numerator = (1 - n1) * power(-n1) - n1 * power(n1 + 1)
+    denominator = (1 - n1) * power(n1) - n1 * power(n1 - 1)
     return numerator / denominator
 
 
@@ -196,21 +208,6 @@ def _strata(arity: int) -> dict:
     return strata
 
 
-# Most rows per slice of a stratum's grid (at least one index of its last axis).  Every sweep
-# operation is per row and every reduction a count, a maximum or a first row, so slicing only
-# bounds the working set, bit for bit.
-_SLICE_ROWS = 1 << 16
-
-
-def _slice_geometry(shape: tuple) -> tuple:
-    """(axis, step, rows): a slice fixes the axes before axis, the first whose trailing axes fit
-    in _SLICE_ROWS, takes up to step indices of it and all after it: at most rows rows."""
-    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _SLICE_ROWS or k == len(shape) - 1)
-    trailing = math.prod(shape[axis + 1 :])
-    step = max(1, _SLICE_ROWS // trailing)
-    return axis, step, min(step, shape[axis]) * trailing
-
-
 def _grid_levels(grid) -> tuple:
     """Sorted distinct psi levels (the grid plus the 1.0 filler) and each grid value's code.
 
@@ -247,56 +244,6 @@ def _pair_codes(columns: list, levels: np.ndarray) -> list:
     return [columns[a].astype(pair_dtype) * levels.size + columns[a + 1] for a in range(0, len(columns), 2)]
 
 
-def _pattern_rows(slots: tuple, patterns, grid_codes: np.ndarray, filler: int) -> tuple:
-    """Per pattern, a key naming the rows of one stratum's grid meeting its psi_i = psi_j
-    equalities (None: every row), and per key those rows as (head, starts, inner) arrays.
-
-    Equalities partition the slot axes and the 1.0 filler (one index of the filler's code);
-    a part allows the index tuples of one code, so duplicate grid values stay exact.  Rows
-    are the outer sum of the parts' offsets: inner over the parts within a slice's trailing
-    axes (_slice_geometry), head over the others, sorted by starts, their slice's first row.
-    """
-    shape = (grid_codes.size,) * len(slots)
-    axis = _slice_geometry(shape)[0]
-    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))] + [0])
-    node = {index: position for position, indices in enumerate(slots) for index in indices}
-    by_code = {code: np.flatnonzero(grid_codes == code).tolist() for code in set(grid_codes.tolist()) | {filler}}
-
-    def key(pattern):
-        label = list(range(len(slots) + 1))
-        for i, j in pattern:
-            tied = label[node.get(i - 1, len(slots))], label[node.get(j - 1, len(slots))]
-            label = [tied[0] if x == tied[1] else x for x in label]
-        parts = tuple(sorted({tuple(k for k in range(len(label)) if label[k] == x) for x in label}))
-        return parts if len(parts) < len(label) else None
-
-    def row_set(parts) -> tuple:
-        inner, head, starts = (np.zeros(1, dtype=np.intp) for _ in range(3))
-        for part in parts:
-            # per code, the tuples of the part's indices holding it (the filler's one index: 0)
-            same = [[[0] * (c == filler) if k == len(slots) else by_code[c] for k in part] for c in by_code]
-            tuples = [t for indices in same for t in itertools.product(*indices)]
-            tuples = np.array(tuples, dtype=np.intp).reshape(-1, len(part))
-            offsets, heads = tuples @ strides[list(part)], sum(k <= axis for k in part)
-            if heads:
-                head = np.add.outer(offsets, head).ravel()
-                starts = np.add.outer(tuples[:, :heads] @ strides[list(part[:heads])], starts).ravel()
-            else:
-                inner = np.add.outer(offsets, inner).ravel()
-        order = np.argsort(starts)
-        return head[order], starts[order], inner
-
-    keys = {pattern: key(pattern) for pattern in patterns}
-    return keys, {k: row_set(k) for k in set(keys.values()) - {None}}
-
-
-def _slice_rows(row_set: tuple, first: int, count: int) -> np.ndarray:
-    """The rows of a _pattern_rows row set in the slice of count rows from first, from first."""
-    head, starts, inner = row_set
-    low, high = np.searchsorted(starts, (first, first + count))
-    return np.add.outer(head[low:high] - first, inner).ravel()
-
-
 def _sweep_plan(spec: GateSpec) -> tuple:
     """(arity, largest weight sum, per input bit string that can leave a gap: the input modes,
     the weight sum, and each output term's weight and modes); qubit j holding bit b reads mode
@@ -318,7 +265,11 @@ def _sweep_plan(spec: GateSpec) -> tuple:
 def _level_tables(q: float, levels: np.ndarray) -> tuple:
     """Per level pair, whether its mode bracket is admissible and its amplitude; the bracket
     is written as psi_bracket writes it (q - 1/q can be a few ulp)."""
-    brackets = (q * levels[:, None] - q**-1 * levels[None, :]) / (q - 1.0 / q)
+    try:
+        inverse = q**-1
+    except OverflowError:
+        raise OverflowError(f"the sweep's bracket table at q={q!r} overflows double precision at q**-1") from None
+    brackets = (q * levels[:, None] - inverse * levels[None, :]) / (q - 1.0 / q)
     return brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
 
 
@@ -341,95 +292,221 @@ def _check_overflow(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np
         )
 
 
-def _sweep_pairs(plan: tuple, q: float, levels: np.ndarray, pairs: list, buffers: tuple):
-    """Vectorized residuals at one q on the row grid that per-mode pair codes (_pair_codes, each
-    a scalar or of the grid's full rank; flat rows are the 1-D case) span, a slice at a time
-    in C order (_slice_geometry): yields (first row, strict, collinear, admissible), flat
-    views into buffers that the next slice overwrites, 0.0 on inadmissible rows.  plan is
-    _sweep_plan(spec), checked by _check_overflow at q."""
-    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
-    pairs = pairs[: 2 * plan[0]]  # the gate's own modes
-    shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
-    axis, step, _ = _slice_geometry(shape)
-    first = 0
-    for prefix in np.ndindex(*shape[:axis]):
-        for start in range(0, shape[axis], step):
-            window = (*(slice(i, i + 1) for i in prefix), slice(start, start + step))
-            sliced = [p[tuple(w if n > 1 else slice(None) for w, n in zip(window, p.shape))] for p in pairs]
-            view_shape = (1,) * axis + (min(step, shape[axis] - start),) + shape[axis + 1 :]
-            flat = [buffer[: math.prod(view_shape)] for buffer in buffers]
-            views = [view.reshape(view_shape) for view in flat]
-            _slice_residuals(plan[2], [amp_table[p] for p in sliced], [admissible_table[p] for p in sliced], *views)
-            yield first, *flat
-            first += flat[0].size
+def _stratum_plan(slots: tuple, arity: int, columns: list, levels: np.ndarray, patterns) -> tuple:
+    """What every q's block of one stratum shares: (the grid's shape; per qubit, its grid axes;
+    the pair codes of the gate's modes, each of the grid's rank; per qubit, its distinct
+    pattern restrictions stacked, the first one ()'s, which allows every index tuple; per
+    pattern, the index of its restriction).  columns is _stratum_columns(slots, ...).
+
+    A slot fills psi columns of one qubit, and _strata gives each qubit consecutive axes in
+    qubit order, so a row's C-order index takes the qubits' index tuples in turn.  Every
+    candidate pattern ties psi columns of one qubit, so its rows are the product of one
+    restriction per qubit: the tuples whose tied columns hold equal codes, so duplicate grid
+    values stay exact, and a column the 1.0 filler fills holds the filler's code.
+    """
+    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+    qubit_axes = [tuple(k for k, indices in enumerate(slots) if indices[0] // 4 == j) for j in range(arity)]
+    pairs = [np.reshape(pair, np.shape(pair) or (1,) * len(shape)) for pair in _pair_codes(columns, levels)]
+    distinct, index = {}, {}
+    for pattern in sorted(patterns, key=lambda pattern: (len(pattern), pattern)):
+        masks = [np.ones([n if k in axes else 1 for k, n in enumerate(shape)], dtype=bool) for axes in qubit_axes]
+        for i, j in pattern:
+            masks[(i - 1) // 4] &= columns[i - 1] == columns[j - 1]
+        key = b"".join(mask.tobytes() for mask in masks)
+        index[pattern] = distinct.setdefault(key, (len(distinct), masks))[0]
+    restrictions = [np.stack(stack) for stack in zip(*(masks for _, masks in distinct.values()))]
+    return shape, qubit_axes, pairs[: 2 * arity], restrictions, index
 
 
-def _slice_residuals(bit_plans: list, amps: list, admissibles: list, strict, collinear, admissible) -> None:
-    """Write one slice's residuals into its views, from its modes' amplitudes and admissibility;
-    a function of its own so that its temporaries are freed before the slice is reduced.
+def _qubit_admissibility(mode_admissible: list) -> list:
+    """Per qubit, whether both of its mode brackets are admissible, over the qubit's grid axes."""
+    return [np.logical_and(a, b) for a, b in zip(mode_admissible[::2], mode_admissible[1::2])]
+
+
+# Most entries of a bit string's table computed at once.  A table can span every axis of a
+# block (the aux and mode-pairs strata of three qubits), so it is computed a range of its first
+# axis at a time; every operation is per entry, so the bits are the same.
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _bit_string_tables(bit_plan: tuple, amps: list) -> tuple:
+    """One input bit string's (strict, collinear) gap tables over the grid axes of the modes it
+    reads, from the modes' amplitudes (_bit_string_gaps), _CHUNK_ENTRIES at a time."""
+    c_in_modes, _, term_modes = bit_plan
+    modes = {*c_in_modes, *(mode for _, term in term_modes for mode in term)}
+    shape = np.broadcast_shapes(*(amps[mode].shape for mode in modes))
+    axis = next((k for k, n in enumerate(shape) if n > 1), 0)
+    step = max(1, _CHUNK_ENTRIES * shape[axis] // math.prod(shape))
+    if step >= shape[axis]:
+        return _bit_string_gaps(bit_plan, amps)
+    tables = np.empty(shape), np.empty(shape)
+    for start in range(0, shape[axis], step):
+        window = (slice(None),) * axis + (slice(start, start + step),)
+        chunk = [amp[window] if amp.shape[axis] > 1 else amp for amp in amps]
+        for table, gaps in zip(tables, _bit_string_gaps(bit_plan, chunk)):
+            table[window] = gaps
+    return tables
+
+
+def _bit_string_gaps(bit_plan: tuple, amps: list) -> tuple:
+    """One input bit string's (strict, collinear) gaps on the broadcast shape of the modes it
+    reads, from the modes' amplitudes; a function of its own so that its temporaries are freed
+    when it returns.
 
     The formulation mirrors the dense path exactly: per input bit string the output terms live
     on distinct basis kets, so the strict gap is the root sum of squared per-term amplitude
     gaps and the collinear gap comes from the cosine between the two coefficient vectors.
-    Each bit string computes on the broadcast shape of the modes it reads, the same
-    operations in the same order for every row."""
+    Every entry goes through the same operations in the same order."""
 
     def product(modes: list):
         return functools.reduce(operator.mul, [amps[mode] for mode in modes])
 
-    np.copyto(admissible, functools.reduce(np.logical_and, admissibles))
-    strict[...] = collinear[...] = 0.0
-    for c_in_modes, weight_sum, term_modes in bit_plans:
-        c_in = product(c_in_modes)
-        terms = [(weight, product(modes)) for weight, modes in term_modes]
-        strict_here = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
-        lhs_sq = weight_sum * c_in**2
-        rhs_sq = sum(weight * c_out**2 for weight, c_out in terms)
-        dot = c_in * sum(weight * c_out for weight, c_out in terms)
-        both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
-        one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
-        # rejection form of the sine, mirroring _collinear_gaps
-        coefficient = dot / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
-        rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
-        safe_rhs = np.where(rhs_sq > 0.0, rhs_sq, 1.0)
-        collinear_here = np.minimum(1.0, np.sqrt(rejection_sq / safe_rhs))
-        collinear_here = np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear_here))
-        np.maximum(strict, strict_here, out=strict)
-        np.maximum(collinear, collinear_here, out=collinear)
-    inadmissible = ~admissible
-    strict[inadmissible] = collinear[inadmissible] = 0.0
+    c_in_modes, weight_sum, term_modes = bit_plan
+    c_in = product(c_in_modes)
+    terms = [(weight, product(modes)) for weight, modes in term_modes]
+    strict = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
+    lhs_sq = weight_sum * c_in**2
+    rhs_sq = sum(weight * c_out**2 for weight, c_out in terms)
+    # rejection form of the sine, mirroring _collinear_gaps; each temporary of the table's size
+    # is dropped as soon as it is spent, which keeps the working set small and fast
+    coefficient = c_in * sum(weight * c_out for weight, c_out in terms) / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
+    rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
+    del coefficient
+    collinear = np.minimum(1.0, np.sqrt(rejection_sq / np.where(rhs_sq > 0.0, rhs_sq, 1.0)))
+    del rejection_sq
+    both_zero = (lhs_sq == 0.0) & (rhs_sq == 0.0)
+    one_zero = (lhs_sq == 0.0) ^ (rhs_sq == 0.0)
+    return strict, np.where(both_zero, 0.0, np.where(one_zero, 1.0, collinear))
 
 
-def _reduce_block(slices, rows_of: dict, samples: list, tolerance: float) -> tuple:
-    """Reduce one (stratum, q) block's slices (_sweep_pairs) as they come, exactly: per row set
-    of _pattern_rows by key (None: every row), the points, maxima and zero counts of both modes
-    over its admissible rows; the exemplar rows (first admissible, first largest positive
-    strict residual, first admissible rows that do and do not close it); the first
-    inadmissible row or None; row -> (strict, collinear, admissible) there and at samples."""
-    tallies, marks, peak, seen = {}, dict.fromkeys(("first", "peak", "zero", "open", "skipped")), 0.0, {}
-    for first, strict, collinear, admissible in slices:
-        zero = {"strict": admissible & (strict <= tolerance), "collinear": admissible & (collinear <= tolerance)}
-        for key in (None, *rows_of):
-            rows = slice(None) if key is None else _slice_rows(rows_of[key], first, admissible.size)
-            part = {"admissible": int(np.count_nonzero(admissible[rows]))}
-            for mode, residual in (("strict", strict), ("collinear", collinear)):
-                part[f"max_{mode}"] = float(residual[rows].max(initial=0.0))
-                part[f"zero_{mode}"] = int(np.count_nonzero(zero[mode][rows]))
-            tallies[key] = _merge_tallies(tallies[key], part) if key in tallies else part
-        opened = admissible > zero["strict"]
-        for mark, rows in (("first", admissible), ("zero", zero["strict"]), ("open", opened), ("skipped", ~admissible)):
-            at = int(np.argmax(rows))
-            marks[mark] = first + at if marks[mark] is None and rows[at] else marks[mark]
-        at = int(np.argmax(strict))
-        if strict[at] > peak:
-            peak, marks["peak"] = float(strict[at]), first + at
-        in_slice = samples[bisect.bisect_left(samples, first) : bisect.bisect_left(samples, first + admissible.size)]
-        for row in (*in_slice, *marks.values()):
-            if row is not None and first <= row < first + admissible.size:
-                seen[row] = float(strict[row - first]), float(collinear[row - first]), bool(admissible[row - first])
-    picks = (marks["first"], marks["first"] if marks["peak"] is None else marks["peak"], marks["zero"], marks["open"])
+def _outside(array: np.ndarray, shape: tuple) -> tuple:
+    """The trailing grid axes that array spans and a table of the given grid shape does not."""
+    lead = array.ndim - len(shape)
+    return tuple(lead + k for k, n in enumerate(shape) if n == 1 and array.shape[lead + k] > 1)
+
+
+def _first_row(admissible: list, condition, projected: list, qubit_axes: list, shape: tuple):
+    """The first row in C order that is admissible and meets condition (a bool table over some
+    grid axes; None: every row), or None; projected is, per qubit, its admissible index tuples
+    projected onto condition's axes.  Qubit by qubit, it takes the first admissible index
+    tuple that the later qubits' admissible tuples can complete to a row meeting condition."""
+    index = [0] * len(shape)
+    for j, axes in enumerate(qubit_axes):
+        here = admissible[j]
+        if condition is not None:
+            completed = functools.reduce(np.logical_and, projected[j + 1 :], condition)
+            here = here & completed.any(axis=tuple(k for later in qubit_axes[j + 1 :] for k in later), keepdims=True)
+        at = int(np.argmax(here))
+        if not here.flat[at]:
+            return None
+        for k, i in enumerate(np.unravel_index(at, here.shape)):
+            if k in axes:
+                index[k] = int(i)
+        if condition is not None:
+            condition = condition[tuple(slice(i, i + 1) if k in axes else slice(None) for k, i in enumerate(index))]
+    return int(np.ravel_multi_index(index, shape))
+
+
+def _sweep_block(plan: tuple, q: float, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float) -> tuple:
+    """One (stratum, q) block from per-qubit admissibility and per-bit-string residual tables,
+    exactly as if every row were swept: per restriction of _stratum_plan, the admissible rows
+    it allows, the maxima and zero counts of both residual modes over them; the exemplar rows
+    (first admissible, first largest positive strict residual, first admissible rows that do
+    and do not close it); the first inadmissible row or None; row -> (strict, collinear,
+    admissible) there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec),
+    checked by _check_overflow at q.
+
+    A row is admissible iff every qubit is, and its residual is the largest of its bit
+    strings' table entries, so counts are products over qubits and a maximum is each bit
+    string's largest entry over the index tuples that allowed rows reach on its axes.  Only
+    bit strings with an entry above tolerance there decide which rows close; their joint
+    table, over the axes they read, is weighed with the other axes' allowed tuples."""
+    shape, qubit_axes, pairs, restrictions, _ = stratum
+    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
+    admissible = _qubit_admissibility([admissible_table[pair] for pair in pairs])
+    amps = [amp_table[pair] for pair in pairs]
+    allowed = [a & restriction for a, restriction in zip(admissible, restrictions)]
+    grid_axes = tuple(range(1, len(shape) + 1))
+    counts = functools.reduce(operator.mul, [a.sum(axis=grid_axes) for a in allowed])
+    projections = {}
+
+    def reach(table_shape: tuple) -> list:
+        """Per qubit, its allowed index tuples projected onto the axes of a table of this shape."""
+        if table_shape not in projections:
+            projections[table_shape] = [a.any(axis=_outside(a, table_shape), keepdims=True) for a in allowed]
+        return projections[table_shape]
+
+    def masked_max(table: np.ndarray, reached: np.ndarray) -> np.ndarray:
+        return np.max(np.broadcast_to(table, reached.shape), axis=grid_axes, where=reached, initial=0.0)
+
+    # each bit string's float tables are reduced before the next one's are built, so a block
+    # holds one pair of them; it keeps bool tables of where rows close and where peaks lie
+    maxima, closing, peaks = [], {}, []
+    for bit_plan in plan[2]:
+        table = _bit_string_tables(bit_plan, amps)
+        reached = functools.reduce(np.logical_and, reach(table[0].shape))
+        maxima.append([masked_max(t, reached) for t in table])
+        for mode, name in enumerate(("strict", "collinear")):
+            if not maxima[-1][mode][0] <= tolerance:
+                closes = table[mode] <= tolerance
+                closing[name] = closing[name] & closes if name in closing else closes
+        largest = maxima[-1][0][0]
+        if largest > 0.0:
+            peaks.append((largest, table[0] == largest))
+        del table
+    tally = {"admissible": counts}
+    for mode, name in enumerate(("strict", "collinear")):
+        tally[f"max_{name}"] = functools.reduce(np.maximum, [m[mode] for m in maxima], np.zeros(counts.shape))
+        tally[f"zero_{name}"] = counts
+        if name in closing:
+            weights = [a.sum(axis=_outside(a, closing[name].shape), keepdims=True) for a in allowed]
+            axes = list(range(len(shape)))
+            operands = itertools.chain.from_iterable((w, [len(shape), *axes]) for w in weights)
+            tally[f"zero_{name}"] = np.einsum(closing[name], axes, *operands, [len(shape)])
+    order = ("admissible", "max_strict", "zero_strict", "max_collinear", "zero_collinear")
+    tallies = [dict(zip(order, values)) for values in zip(*(tally[key].tolist() for key in order))]
+
+    def first_row(condition=None):
+        projected = None if condition is None else [r[0] for r in reach(condition.shape)]
+        return _first_row(admissible, condition, projected, qubit_axes, shape)
+
+    first, peak, largest = first_row(), None, tally["max_strict"][0]
+    if largest > 0.0:
+        peak = min(first_row(at_peak) for value, at_peak in peaks if value == largest)
+    zero, opened = first, None
+    if "strict" in closing:
+        zero, opened = first_row(closing["strict"]), first_row(~closing["strict"])
+    skipped = None
+    for a in admissible:
+        at = int(np.argmax(~a))
+        if not a.flat[at]:
+            row = int(np.ravel_multi_index(np.unravel_index(at, a.shape), shape))
+            skipped = row if skipped is None else min(skipped, row)
+    picks = (first, first if peak is None else peak, zero, opened)
     exemplars = list(dict.fromkeys(row for row in picks if row is not None))
-    return tallies, exemplars, marks["skipped"], seen
+
+    # the residuals of the wanted rows: the same per-bit-string gaps, over their amplitudes
+    rows = sorted({*samples, *exemplars, *([] if skipped is None else [skipped])})
+    at = np.unravel_index(rows, shape)
+    amps = [_read(amp, at) for amp in amps]
+    tables = [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]]
+    seen = dict(zip(rows, zip(*_row_values([_read(a, at) for a in admissible], tables))))
+    return tallies, exemplars, skipped, seen
+
+
+def _read(table: np.ndarray, at: tuple) -> np.ndarray:
+    """A table's entries at the rows of an np.unravel_index result, one per row."""
+    return table[tuple(i if n > 1 else np.zeros_like(i) for i, n in zip(at, table.shape))]
+
+
+def _row_values(admissible: list, tables: list) -> tuple:
+    """(strict, collinear, admissible) per row, as Python floats and bools, from per-qubit
+    admissibility and per-bit-string (strict, collinear) gaps over the same rows: per residual
+    mode the largest of the bit strings' gaps on an admissible row, 0.0 on an inadmissible one."""
+    ok = functools.reduce(np.logical_and, admissible)
+    zeros = np.zeros(ok.shape)
+    values = [functools.reduce(np.maximum, [table[mode] for table in tables], zeros) for mode in (0, 1)]
+    return (*(np.where(ok, v, 0.0).tolist() for v in values), ok.tolist())
 
 
 def _cross_check_samples(spec, q, plan, samples) -> int:
@@ -520,12 +597,12 @@ def discover_constraints(
 
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
-    be positive.  Both plans and the slice buffers are built once per call,
-    and every q is checked for overflow before the first block.  Each
-    (stratum, q) block runs the vectorized engine on the stratum's row grid
-    slice by slice, each slice tallied per candidate pattern's row set, and
-    has deterministic sample rows cross-checked against the dense path (both
-    residual modes in one pass) before the next block runs.  Summaries,
+    be positive.  Both plans are built once per call, and every q is checked
+    for overflow before the first block.  Each (stratum, q) block is tallied
+    per candidate pattern from per-bit-string and per-qubit tables
+    (_sweep_block), and has deterministic sample rows cross-checked against
+    the dense path (both residual modes in one pass) before the next block
+    runs.  Summaries,
     totals, the minimal-pattern search and the verdicts read only the
     tallies.  Raises OverflowError when a q and the grid's largest amplitude
     overflow the sweep's products.
@@ -548,6 +625,7 @@ def discover_constraints(
     exponent = ExponentConvention(exponent)
 
     levels, grid_codes = _grid_levels(grid)
+    grid_values = np.array(grid)
     oracle, plan = _oracle_plan(spec), _sweep_plan(spec)
     for q in q_values:
         _check_overflow(spec, q, levels, grid_codes, plan)
@@ -555,33 +633,30 @@ def discover_constraints(
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary
     patterns = {pattern for _, pattern in candidates}
-    strata = _strata(spec.arity)
-    largest = max(_slice_geometry((grid_codes.size,) * len(slots))[2] for slots in strata.values())
-    buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
     tallies, strata_summaries, samples_checked = {}, [], 0
-    for name, slots in strata.items():
-        columns = _stratum_columns(slots, levels, grid_codes)
-        pairs = _pair_codes(columns, levels)
-        keys, rows_of = _pattern_rows(slots, patterns, grid_codes, int(np.searchsorted(levels, 1.0)))
-        columns = np.broadcast_arrays(*columns)
-        count = columns[0].size
+    for name, slots in _strata(spec.arity).items():
+        stratum = _stratum_plan(slots, spec.arity, _stratum_columns(slots, levels, grid_codes), levels, patterns)
+        shape, index = stratum[0], stratum[-1]
+        count = math.prod(shape)
         step = max(1, count // 5)
         samples = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
         for q in q_values:
-            slices = _sweep_pairs(plan, q, levels, pairs, buffers)
-            block, exemplars, skipped, seen = _reduce_block(slices, rows_of, samples, tolerance)
+            block, exemplars, skipped, seen = _sweep_block(plan, q, levels, stratum, samples, tolerance)
             wanted = [*samples, *exemplars, *([] if skipped is None else [skipped])]
-            at = np.unravel_index(wanted, columns[0].shape)
-            psi = dict(zip(wanted, levels[np.stack([column[at] for column in columns], axis=-1)].tolist()))
+            at = np.unravel_index(wanted, shape)
+            psi = np.ones((len(wanted), PSI_COUNT))
+            for axis, indices in enumerate(slots):
+                psi[:, indices] = grid_values[at[axis], None]
+            psi = dict(zip(wanted, psi.tolist()))
             samples_checked += _cross_check_samples(spec, q, oracle, [(psi[i], *seen[i]) for i in samples])
-            summary = {"stratum": name, "q": float(q), "rows": count, "skipped": count - block[None]["admissible"]}
+            summary = {"stratum": name, "q": float(q), "rows": count, "skipped": count - block[0]["admissible"]}
             exemplars = [{"psi": psi[i], "strict": seen[i][0], "collinear": seen[i][1]} for i in exemplars]
-            summary.update(block[None], exemplars=exemplars)
+            summary.update(block[0], exemplars=exemplars)
             if skipped is not None:
                 summary["skipped_exemplar"] = {"psi": psi[skipped]}
             strata_summaries.append(summary)
-            for pattern, key in keys.items():
-                tallies[pattern] = _merge_tallies(tallies[pattern], block[key]) if pattern in tallies else block[key]
+            for pattern, k in index.items():
+                tallies[pattern] = _merge_tallies(tallies[pattern], block[k]) if pattern in tallies else block[k]
     rows = sum(summary["rows"] for summary in strata_summaries)
 
     minimal = {}

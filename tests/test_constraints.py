@@ -31,16 +31,24 @@ from qgatelab.constraints import (
     _grid_levels,
     _oracle_plan,
     _pair_codes,
-    _pattern_rows,
-    _reduce_block,
-    _slice_geometry,
-    _slice_rows,
     _strata,
     _stratum_columns,
-    _sweep_pairs,
+    _stratum_plan,
+    _sweep_block,
     _sweep_plan,
 )
-from sweep_oracle import pattern_mask, whole_block, whole_sweep
+import sweep_oracle
+from sweep_oracle import (
+    block_rows,
+    pattern_mask,
+    pattern_rows,
+    reduce_block,
+    slice_geometry,
+    slice_rows,
+    sweep_pairs,
+    whole_block,
+    whole_sweep,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -359,7 +367,7 @@ class TestLevelCodes:
         assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
         spec, q = GateSpec(GateKind.NOT), 2.0
         columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
-        sweep = whole_sweep(spec, q, levels, _pair_codes(columns, levels))
+        sweep = block_rows(spec, q, levels, grid_codes, _strata(1)["aux"])
         strict, collinear, admissible = (a.ravel() for a in sweep)
         rows = levels[_column_rows(columns, (values, values))]
         expected = [
@@ -381,8 +389,9 @@ class TestLevelCodes:
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_grid_sweep_matches_flat_rows_and_smallest_slices_bit_for_bit(self, monkeypatch, kind, q):
-        # the row grid's broadcast pair codes, the same pairs as flat rows, and
-        # the grid swept in small slices: one row each on a two-axis grid, else
+        # the table engine read at every row against the row engine on the row
+        # grid's broadcast pair codes, on the same pairs as flat rows, and on the
+        # grid swept in small slices: one row each on a two-axis grid, else
         # fixing the two leading axes and taking three indices of the third,
         # then the one left (1-row slices of every stratum: TestStreamedBlocks)
         spec = GateSpec(kind, math.pi / 3)
@@ -395,13 +404,15 @@ class TestLevelCodes:
             flat = whole_sweep(spec, q, levels, [np.broadcast_to(p, shape).ravel() for p in pairs])
             with monkeypatch.context() as patch:
                 small = len(slots) == 2
-                patch.setattr(constraints, "_SLICE_ROWS", 1 if small else 3 * grid_codes.size ** (len(slots) - 3))
-                assert _slice_geometry(shape)[:2] == ((1, 1) if small else (2, 3))
+                patch.setattr(sweep_oracle, "SLICE_ROWS", 1 if small else 3 * grid_codes.size ** (len(slots) - 3))
+                assert slice_geometry(shape)[:2] == ((1, 1) if small else (2, 3))
                 sliced = whole_sweep(spec, q, levels, pairs)
-            for expected, got_flat, got_sliced in zip(whole, flat, sliced):
+            tables = block_rows(spec, q, levels, grid_codes, slots)
+            for expected, got_flat, got_sliced, got_tables in zip(whole, flat, sliced, tables):
                 assert expected.shape == shape, stratum
                 assert np.array_equal(expected.ravel(), got_flat), stratum
                 assert np.array_equal(expected, got_sliced), stratum
+                assert np.array_equal(expected, got_tables), stratum
             mixed |= whole[2].any() and not whole[2].all()
         assert mixed
 
@@ -415,7 +426,7 @@ class TestLevelCodes:
         slots = _strata(spec.arity)["free-q1q3" if spec.arity == 3 else "free"]
         levels, grid_codes = _grid_levels(grid)
         columns = _stratum_columns(slots, levels, grid_codes)
-        sweep = whole_sweep(spec, q, levels, _pair_codes(columns, levels))
+        sweep = block_rows(spec, q, levels, grid_codes, slots)
         strict, collinear, admissible = (a.ravel() for a in sweep)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
@@ -432,12 +443,15 @@ class TestLevelCodes:
 
 
 class TestStreamedBlocks:
-    """The slice-by-slice block reduction against whole-grid reductions built from broadcast
-    equality masks (sweep_oracle), on every gate and stratum, down to 1-row slices."""
+    """The table engine's blocks, down to 1-entry table chunks, and the row engine's
+    slice-by-slice reductions (sweep_oracle), down to 1-row slices, against whole-grid
+    reductions built from broadcast equality masks, on every gate and stratum."""
 
-    @pytest.mark.parametrize("slice_rows", [1, 7])
+    @pytest.mark.parametrize("rows_per_slice", [1, 7])
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_streamed_tallies_exemplars_and_samples_match_whole_grid_reductions(self, monkeypatch, kind, slice_rows):
+    def test_streamed_tallies_exemplars_and_samples_match_whole_grid_reductions(
+        self, monkeypatch, kind, rows_per_slice
+    ):
         # duplicate grid values, the 1.0 filler inside the grid, and pair ratios above
         # q^2 = 4, so that blocks mix admissible and inadmissible rows
         spec = GateSpec(kind, math.pi / 3)
@@ -460,32 +474,37 @@ class TestStreamedBlocks:
                     # each pattern's rows in a slice are exactly its mask's, once each
                     for first, *parts in slices:
                         size = parts[0].size
-                        assert size <= max(slice_rows, len(grid))
+                        assert size <= max(rows_per_slice, len(grid))
                         for pattern, key in keys.items():
-                            got = np.arange(size) if key is None else np.sort(_slice_rows(rows_of[key], first, size))
+                            got = np.arange(size) if key is None else np.sort(slice_rows(rows_of[key], first, size))
                             assert np.array_equal(got, np.flatnonzero(masks[pattern][first : first + size]))
                         yield first, *parts
 
                 # every row is a sample row, so every row's values are compared
                 samples = list(range(math.prod(shape)))
                 with monkeypatch.context() as patch:
-                    patch.setattr(constraints, "_SLICE_ROWS", slice_rows)
-                    keys, rows_of = _pattern_rows(slots, patterns, grid_codes, filler)
-                    largest = _slice_geometry(shape)[2]
+                    patch.setattr(sweep_oracle, "SLICE_ROWS", rows_per_slice)
+                    keys, rows_of = pattern_rows(slots, patterns, grid_codes, filler)
+                    largest = slice_geometry(shape)[2]
                     buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
-                    slices = _sweep_pairs(_sweep_plan(spec), q, levels, pairs, buffers)
-                    tallies, got_exemplars, got_skipped, seen = _reduce_block(
-                        checked(slices), rows_of, samples, tolerance
-                    )
-                where = (grid, stratum)
-                for pattern, key in keys.items():
-                    assert tallies[key] == expected[pattern], (*where, pattern)
-                assert got_exemplars == exemplars, where
-                assert got_skipped == skipped, where
+                    slices = sweep_pairs(_sweep_plan(spec), q, levels, pairs, buffers)
+                    streamed = reduce_block(checked(slices), rows_of, samples, tolerance)
+                    patch.setattr(constraints, "_CHUNK_ENTRIES", rows_per_slice)
+                    plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
+                    tables = _sweep_block(_sweep_plan(spec), q, levels, plan, samples, tolerance)
                 strict, collinear, admissible = (a.ravel() for a in whole)
-                assert seen == {
-                    row: (strict[row], collinear[row], admissible[row]) for row in samples
-                }, where
+                for engine, (tallies, got_exemplars, got_skipped, seen), keys_of in (
+                    ("rows", streamed, keys),
+                    ("tables", tables, plan[-1]),
+                ):
+                    where = (engine, grid, stratum)
+                    for pattern, key in keys_of.items():
+                        assert tallies[key] == expected[pattern], (*where, pattern)
+                    assert got_exemplars == exemplars, where
+                    assert got_skipped == skipped, where
+                    assert seen == {
+                        row: (strict[row], collinear[row], admissible[row]) for row in samples
+                    }, where
                 mixed |= skipped is not None and admissible.any()
                 partial |= any(0 < t["admissible"] < expected[()]["admissible"] for t in expected.values())
         assert mixed and partial
@@ -525,32 +544,32 @@ class TestSweepGuards:
         assert rep.totals["cross_checked"] == 6 * len(rep.strata)
 
     @staticmethod
-    def _tamper(monkeypatch, edit):
-        """Run discover_constraints with edit applied to row 0 (always picked, always admissible)."""
-        sweep = constraints._sweep_pairs
+    def _tamper(monkeypatch, name, edit):
+        """Run discover_constraints with edit applied to every result of constraints.<name>: a bit
+        string's (strict, collinear) tables or the per-qubit admissibility tables, whose first
+        entries row 0 (always picked, always admissible here) reads."""
+        build = getattr(constraints, name)
 
         def tampered(*args):
-            for first, strict, collinear, admissible in sweep(*args):
-                if first == 0:
-                    assert admissible[0]
-                    # the slice's own views, so the edits reach what the block reduces
-                    edit(strict, collinear, admissible)
-                yield first, strict, collinear, admissible
+            tables = build(*args)
+            edit(tables)
+            return tables
 
-        monkeypatch.setattr(constraints, "_sweep_pairs", tampered)
+        monkeypatch.setattr(constraints, name, tampered)
         return discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))
 
     @pytest.mark.parametrize("array", [0, 1], ids=["strict", "collinear"])
     def test_cross_check_catches_a_perturbed_residual(self, monkeypatch, array):
-        def edit(*arrays):
-            arrays[array][0] += 1e-6
+        def edit(tables):
+            tables[array].flat[0] += 1e-6
 
         with pytest.raises(RuntimeError, match="disagrees with the dense path"):
-            self._tamper(monkeypatch, edit)
+            self._tamper(monkeypatch, "_bit_string_gaps", edit)
 
     def test_cross_check_catches_an_admissible_row_marked_inadmissible(self, monkeypatch):
-        def edit(strict, collinear, admissible):
-            admissible[0] = False
+        def edit(admissible):
+            assert admissible[0].flat[0]
+            admissible[0].flat[0] = False
 
         with pytest.raises(RuntimeError, match="marked an admissible point as skipped"):
-            self._tamper(monkeypatch, edit)
+            self._tamper(monkeypatch, "_qubit_admissibility", edit)

@@ -1,4 +1,5 @@
-"""Property test: the vectorized sweep against the dense path on rows with all 12 psi free.
+"""Property tests of the table sweep: against the dense path on rows with all 12 psi free, and
+against the row engine (sweep_oracle) bit for bit on drawn grids.
 
 The sweep's three-qubit strata pin one qubit at psi = 1 in every free block, so
 no stratum ever hands the engine a row whose twelve psi values are all drawn
@@ -15,10 +16,26 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError  # noqa: E402
-from qgatelab.constraints import _dense_residuals, _grid_levels, _oracle_plan, _pair_codes  # noqa: E402
-from sweep_oracle import whole_sweep  # noqa: E402
+from qgatelab import CLAIMS, DeformationParams, GateKind, GateSpec, NegativeRadicandError  # noqa: E402
+from qgatelab.constraints import (  # noqa: E402
+    _bit_string_gaps,
+    _candidate_patterns,
+    _check_overflow,
+    _dense_residuals,
+    _grid_levels,
+    _level_tables,
+    _oracle_plan,
+    _pair_codes,
+    _qubit_admissibility,
+    _row_values,
+    _strata,
+    _stratum_columns,
+    _stratum_plan,
+    _sweep_block,
+    _sweep_plan,
+)
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
+from sweep_oracle import pattern_rows, reduce_block, slice_geometry, sweep_pairs  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
 # absolute rounding of both paths, far below the 1e-12 agreement bound
@@ -51,6 +68,17 @@ def _cases(draw):
     return q, *draw(_rows(q))
 
 
+def _flat_rows(spec, q, levels, pairs) -> tuple:
+    """(strict, collinear, admissible) per row of flat per-mode pair codes (the 1-D case of the
+    table engine): per-bit-string tables and per-qubit admissibility, read as blocks read rows."""
+    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
+    pairs = pairs[: 2 * spec.arity]
+    admissible = _qubit_admissibility([admissible_table[p] for p in pairs])
+    amps = [amp_table[p] for p in pairs]
+    tables = [_bit_string_gaps(bit_plan, amps) for bit_plan in _sweep_plan(spec)[2]]
+    return tuple(map(np.array, _row_values(admissible, tables)))
+
+
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(case=_cases())
@@ -59,9 +87,9 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     rows = np.asarray(rows)
     levels, grid_codes = _grid_levels(np.unique(rows))
-    # a flat list of rows is the engine's 1-D case: one pair code per row and mode
+    # a flat list of rows: one pair code per row and mode
     codes = np.searchsorted(levels, rows).astype(grid_codes.dtype)
-    strict, collinear, admissible = whole_sweep(spec, q, levels, _pair_codes(list(codes.T), levels))
+    strict, collinear, admissible = _flat_rows(spec, q, levels, _pair_codes(list(codes.T), levels))
     plan = _oracle_plan(spec)
     for index, (row, bad_mode) in enumerate(zip(rows, bad_modes)):
         # a gate reads only the modes of its own qubits
@@ -74,3 +102,60 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
         else:
             with pytest.raises(NegativeRadicandError):
                 _dense_residuals(spec, q, [params], plan)
+
+
+def _ulps_from_one(steps: int, up: bool) -> float:
+    q = 1.0
+    for _ in range(steps):
+        q = math.nextafter(q, 2.0 if up else 0.0)
+    return q
+
+
+# q on both sides of 1 and within a few ulp of it, where q - 1/q is a few ulp
+_SWEEP_Q = st.one_of(
+    st.floats(0.3, 0.9), st.floats(1.1, 3.0), st.builds(_ulps_from_one, st.integers(1, 4), st.booleans())
+)
+# duplicates, the 1.0 filler and pair ratios above q^2, so blocks mix admissible and inadmissible rows
+_GRID = st.lists(st.one_of(st.just(1.0), st.sampled_from((0.5, 2.0)), st.floats(0.25, 16.0)), min_size=2, max_size=4)
+
+
+def _bits(value):
+    """value with every float replaced by its hex form, so == compares bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(item) for item in value)
+    return value
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(q=_SWEEP_Q, grid=_GRID)
+def test_tables_match_the_row_engine_bit_for_bit(kind, q, grid):
+    spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
+    levels, grid_codes = _grid_levels(grid)
+    plan = _sweep_plan(spec)
+    _check_overflow(spec, q, levels, grid_codes, plan)
+    patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
+    filler = int(np.searchsorted(levels, 1.0))
+    for stratum, slots in _strata(spec.arity).items():
+        columns = _stratum_columns(slots, levels, grid_codes)
+        shape = (len(grid),) * len(slots)
+        count = math.prod(shape)
+        # about 256 evenly spaced sample rows and the last one
+        samples = sorted({*range(0, count, max(1, count // 256)), count - 1})
+        keys, rows_of = pattern_rows(slots, patterns, grid_codes, filler)
+        largest = slice_geometry(shape)[2]
+        buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
+        slices = sweep_pairs(plan, q, levels, _pair_codes(columns, levels), buffers)
+        tallies, exemplars, skipped, seen = reduce_block(slices, rows_of, samples, 1e-12)
+        stratum_plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
+        got = _sweep_block(plan, q, levels, stratum_plan, samples, 1e-12)
+        where = (stratum, q, grid)
+        for pattern in patterns:
+            assert _bits(got[0][stratum_plan[-1][pattern]]) == _bits(tallies[keys[pattern]]), (*where, pattern)
+        assert got[1] == exemplars, where
+        assert got[2] == skipped, where
+        assert _bits(got[3]) == _bits(seen), where
