@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
 problem (bad flags, unreadable or invalid config file, q values or psi grids
-whose brackets or amplitude products overflow double precision, a cutoff whose
-matrices do not fit in memory), 3 output I/O failure.
+whose brackets or amplitude products overflow double precision, psi grids whose
+amplitude products underflow it, a cutoff whose matrices do not fit in memory),
+3 output I/O failure.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -182,6 +183,13 @@ def main(argv=None) -> int:
             f"qgatelab: configuration error: {' or '.join(culprits)} overflow "
             f"double-precision arithmetic ({reason}); use q values closer to 1"
             + (" or smaller psi values" if sweeps else ""),
+            file=sys.stderr,
+        )
+        return 2
+    except FloatingPointError as exc:
+        print(
+            f"qgatelab: configuration error: psi grid {_value_list(cfg.psi_grid)} underflows "
+            f"double-precision arithmetic ({exc}); use larger psi values",
             file=sys.stderr,
         )
         return 2

@@ -10,8 +10,9 @@ block computes its rows: each input bit string gets strict and collinear tables
 over the grid axes of the modes it reads, and each qubit an admissibility table
 over its own axes.  A block's counts, maxima, zero counts and first rows per
 equality pattern come from those small tables, exactly as a row sweep would
-give them; scoring reads only those.  tests/sweep_oracle.py keeps the row sweep
-as the bit-for-bit oracle.
+give them; scoring reads only those.  tests/sweep_oracle.py is their bit-for-bit
+oracle: _bit_string_gaps at every row of a block's grid, reduced over the whole
+grid with equality masks.
 
 Residual definition: the gate matrix is applied to the deformed input ket, and
 the result is compared against the gate's traced action where each carried slot
@@ -32,6 +33,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -273,23 +275,33 @@ def _level_tables(q: float, levels: np.ndarray) -> tuple:
     return brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
 
 
-def _check_overflow(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, plan: tuple) -> None:
+def _check_range(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, plan: tuple) -> None:
     """Raise OverflowError unless the largest admissible amplitude of two grid levels (the 1.0
     filler only pairs with itself, amplitude 1) to the power 2 * arity, times the largest
-    weight sum, is finite: the sweep's exact zeros hold while every product and square is."""
+    weight sum, is finite, and FloatingPointError unless the smallest positive one to that
+    power is a normal double: the sweep's exact zeros hold while every product and square
+    is finite and none underflows to a false zero."""
     arity, largest_weight_sum, _ = plan
     admissible_table, amp_table = _level_tables(q, levels)
     in_grid = np.bincount(grid_codes, minlength=levels.size) > 0
     admissible_amps = np.where(admissible_table & np.outer(in_grid, in_grid), amp_table, 0.0)
-    peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
-    largest_amp = float(admissible_amps[peak])
-    largest_product = math.prod([largest_amp] * arity)
-    if not math.isfinite(largest_product * largest_product * largest_weight_sum):
-        raise OverflowError(
-            f"the {spec.kind.value} sweep at q={q!r} overflows double precision: amplitude "
-            f"{largest_amp!r} at level pair (psi_a={float(levels[peak[0]])!r}, "
-            f"psi_b={float(levels[peak[1]])!r}) raised to the power {2 * arity} is not finite"
+
+    def refuse(error, at: tuple, verb: str, outcome: str):
+        return error(
+            f"the {spec.kind.value} sweep at q={q!r} {verb} double precision: amplitude "
+            f"{float(admissible_amps[at])!r} at level pair (psi_a={float(levels[at[0]])!r}, "
+            f"psi_b={float(levels[at[1]])!r}) raised to the power {2 * arity} {outcome}"
         )
+
+    peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
+    largest_product = math.prod([float(admissible_amps[peak])] * arity)
+    if not math.isfinite(largest_product * largest_product * largest_weight_sum):
+        raise refuse(OverflowError, peak, "overflows", "is not finite")
+    positive = np.where(admissible_amps > 0.0, admissible_amps, np.inf)
+    floor = np.unravel_index(np.argmin(positive), positive.shape)
+    smallest_product = math.prod([float(positive[floor])] * arity)
+    if smallest_product * smallest_product < sys.float_info.min:
+        raise refuse(FloatingPointError, floor, "underflows", "is not a normal double")
 
 
 def _stratum_plan(slots: tuple, arity: int, columns: list, levels: np.ndarray, patterns) -> tuple:
@@ -414,7 +426,7 @@ def _sweep_block(plan: tuple, q: float, levels: np.ndarray, stratum: tuple, samp
     (first admissible, first largest positive strict residual, first admissible rows that do
     and do not close it); the first inadmissible row or None; row -> (strict, collinear,
     admissible) there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec),
-    checked by _check_overflow at q.
+    checked by _check_range at q.
 
     A row is admissible iff every qubit is, and its residual is the largest of its bit
     strings' table entries, so counts are products over qubits and a maximum is each bit
@@ -527,7 +539,7 @@ def _cross_check_samples(spec, q, plan, samples) -> int:
     dense = _dense_residuals(spec, q, [points[index] for index in kept], plan)
     for index, dense_strict, dense_collinear in zip(kept, *dense):
         _, strict, collinear, _ = samples[index]
-        if abs(dense_strict - strict) > 1e-10 or abs(dense_collinear - collinear) > 1e-10:
+        if not (abs(dense_strict - strict) <= 1e-10 and abs(dense_collinear - collinear) <= 1e-10):
             raise RuntimeError(f"sweep engine disagrees with the dense path at {where[index]}")
     return len(samples)
 
@@ -598,14 +610,14 @@ def discover_constraints(
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
     be positive.  Both plans are built once per call, and every q is checked
-    for overflow before the first block.  Each (stratum, q) block is tallied
-    per candidate pattern from per-bit-string and per-qubit tables
-    (_sweep_block), and has deterministic sample rows cross-checked against
-    the dense path (both residual modes in one pass) before the next block
-    runs.  Summaries,
-    totals, the minimal-pattern search and the verdicts read only the
-    tallies.  Raises OverflowError when a q and the grid's largest amplitude
-    overflow the sweep's products.
+    for overflow and underflow before the first block.  Each (stratum, q)
+    block is tallied per candidate pattern from per-bit-string and per-qubit
+    tables (_sweep_block), and has deterministic sample rows cross-checked
+    against the dense path (both residual modes in one pass) before the next
+    block runs.  Summaries, totals, the minimal-pattern search and the
+    verdicts read only the tallies.  Raises OverflowError when a q and the grid's largest amplitude
+    overflow the sweep's products, FloatingPointError when its smallest
+    positive amplitude underflows them.
     """
     spec = gate
     if not isinstance(gate, GateSpec):
@@ -628,7 +640,7 @@ def discover_constraints(
     grid_values = np.array(grid)
     oracle, plan = _oracle_plan(spec), _sweep_plan(spec)
     for q in q_values:
-        _check_overflow(spec, q, levels, grid_codes, plan)
+        _check_range(spec, q, levels, grid_codes, plan)
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary

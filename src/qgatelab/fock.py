@@ -38,6 +38,8 @@ def make_mode_ops(d: int) -> ModeOperators:
     """Ladder operators for a single mode truncated to d levels (d >= 2)."""
     if d < 2:
         raise ValueError(f"cutoff must be at least 2, got {d}")
+    if d * d > np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+        raise MemoryError(f"a {d} x {d} complex matrix is larger than any array numpy can index")
     a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
     n_op = np.diag(np.arange(d, dtype=float)).astype(complex)
     return ModeOperators(cutoff=d, a=a, a_dag=a.conj().T, n_op=n_op)

@@ -54,7 +54,10 @@ def _real(name: str, value) -> float:
     """value as a float; a bool or a string is refused rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within double precision, got {value!r}") from None
 
 
 def _reals(name: str, values) -> tuple:
@@ -145,6 +148,8 @@ class RunConfig:
                 raise ValueError(f"thresholds must be positive finite reals, got {threshold!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
+        if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
+            raise ValueError(f"out must be a file path string without NUL characters, got {self.out!r}")
 
     def public_config(self) -> dict:
         """Config block embedded in reports; excludes the output path so two runs

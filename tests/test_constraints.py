@@ -37,18 +37,7 @@ from qgatelab.constraints import (
     _sweep_block,
     _sweep_plan,
 )
-import sweep_oracle
-from sweep_oracle import (
-    block_rows,
-    pattern_mask,
-    pattern_rows,
-    reduce_block,
-    slice_geometry,
-    slice_rows,
-    sweep_pairs,
-    whole_block,
-    whole_sweep,
-)
+from sweep_oracle import bits, block_rows, check_dense, grid_residuals, oracle_block, pattern_mask
 
 SQRT2 = math.sqrt(2.0)
 
@@ -375,44 +364,24 @@ class TestLevelCodes:
         ]
         assert np.array_equal(admissible, expected)
         assert admissible.any() and not admissible.all()
-        plan = _oracle_plan(spec)
-        for index in np.linspace(0, rows.shape[0] - 1, 52).astype(int):
-            params = DeformationParams(q, tuple(float(v) for v in rows[index]))
-            if admissible[index]:
-                (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
-                assert abs(dense_strict - strict[index]) <= 1e-12
-                assert abs(dense_collinear - collinear[index]) <= 1e-12
-            else:
-                with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, [params], plan)
+        picked = np.linspace(0, rows.shape[0] - 1, 52).astype(int)
+        check_dense(spec, q, rows[picked], strict[picked], collinear[picked], admissible[picked])
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_grid_sweep_matches_flat_rows_and_smallest_slices_bit_for_bit(self, monkeypatch, kind, q):
-        # the table engine read at every row against the row engine on the row
-        # grid's broadcast pair codes, on the same pairs as flat rows, and on the
-        # grid swept in small slices: one row each on a two-axis grid, else
-        # fixing the two leading axes and taking three indices of the third,
-        # then the one left (1-row slices of every stratum: TestStreamedBlocks)
+    def test_grid_sweep_matches_the_grid_oracle_at_every_row_bit_for_bit(self, kind, q):
+        # the table engine read at every row against the whole-grid oracle; table
+        # chunks change no row's values, only reductions (TestStreamedBlocks)
         spec = GateSpec(kind, math.pi / 3)
         levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
         mixed = False
         for stratum, slots in _strata(spec.arity).items():
             pairs = _pair_codes(_stratum_columns(slots, levels, grid_codes), levels)
-            shape = (grid_codes.size,) * len(slots)
-            whole = whole_sweep(spec, q, levels, pairs)
-            flat = whole_sweep(spec, q, levels, [np.broadcast_to(p, shape).ravel() for p in pairs])
-            with monkeypatch.context() as patch:
-                small = len(slots) == 2
-                patch.setattr(sweep_oracle, "SLICE_ROWS", 1 if small else 3 * grid_codes.size ** (len(slots) - 3))
-                assert slice_geometry(shape)[:2] == ((1, 1) if small else (2, 3))
-                sliced = whole_sweep(spec, q, levels, pairs)
+            whole = grid_residuals(spec, q, levels, pairs)
             tables = block_rows(spec, q, levels, grid_codes, slots)
-            for expected, got_flat, got_sliced, got_tables in zip(whole, flat, sliced, tables):
-                assert expected.shape == shape, stratum
-                assert np.array_equal(expected.ravel(), got_flat), stratum
-                assert np.array_equal(expected, got_sliced), stratum
-                assert np.array_equal(expected, got_tables), stratum
+            for expected, got in zip(whole, tables):
+                assert expected.shape == (grid_codes.size,) * len(slots), stratum
+                assert np.array_equal(expected, got), stratum
             mixed |= whole[2].any() and not whole[2].all()
         assert mixed
 
@@ -430,27 +399,18 @@ class TestLevelCodes:
         strict, collinear, admissible = (a.ravel() for a in sweep)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
-        plan = _oracle_plan(spec)
-        for index, row in enumerate(levels[_column_rows(columns, (len(grid),) * len(slots))]):
-            params = DeformationParams(q, tuple(float(v) for v in row))
-            if admissible[index]:
-                (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
-                assert abs(dense_strict - strict[index]) <= 1e-12
-                assert abs(dense_collinear - collinear[index]) <= 1e-12
-            else:
-                with pytest.raises(NegativeRadicandError):
-                    _dense_residuals(spec, q, [params], plan)
+        rows = levels[_column_rows(columns, (len(grid),) * len(slots))]
+        check_dense(spec, q, rows, strict, collinear, admissible)
 
 
 class TestStreamedBlocks:
-    """The table engine's blocks, down to 1-entry table chunks, and the row engine's
-    slice-by-slice reductions (sweep_oracle), down to 1-row slices, against whole-grid
-    reductions built from broadcast equality masks, on every gate and stratum."""
+    """The table engine's blocks, down to 1-entry table chunks, against whole-grid reductions
+    (sweep_oracle) built from broadcast equality masks, on every gate and stratum."""
 
-    @pytest.mark.parametrize("rows_per_slice", [1, 7])
+    @pytest.mark.parametrize("chunk_entries", [1, 7])
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_streamed_tallies_exemplars_and_samples_match_whole_grid_reductions(
-        self, monkeypatch, kind, rows_per_slice
+        self, monkeypatch, kind, chunk_entries
     ):
         # duplicate grid values, the 1.0 filler inside the grid, and pair ratios above
         # q^2 = 4, so that blocks mix admissible and inadmissible rows
@@ -458,54 +418,28 @@ class TestStreamedBlocks:
         grids = [(0.5, 4.0, 0.5, 1.0)] if spec.arity == 1 else [(1.0, 8.0), (8.0, 8.0)]
         patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
         q, tolerance = 2.0, 1e-12
+        monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk_entries)
         mixed = partial = False
         for grid in grids:
             levels, grid_codes = _grid_levels(grid)
-            filler = int(np.searchsorted(levels, 1.0))
             for stratum, slots in _strata(spec.arity).items():
                 columns = _stratum_columns(slots, levels, grid_codes)
-                pairs = _pair_codes(columns, levels)
-                shape = (len(grid),) * len(slots)
-                whole = whole_sweep(spec, q, levels, pairs)
-                expected, exemplars, skipped = whole_block(columns, patterns, *whole, tolerance)
-                masks = {p: np.broadcast_to(pattern_mask(columns, p), shape).ravel() for p in patterns}
-
-                def checked(slices):
-                    # each pattern's rows in a slice are exactly its mask's, once each
-                    for first, *parts in slices:
-                        size = parts[0].size
-                        assert size <= max(rows_per_slice, len(grid))
-                        for pattern, key in keys.items():
-                            got = np.arange(size) if key is None else np.sort(slice_rows(rows_of[key], first, size))
-                            assert np.array_equal(got, np.flatnonzero(masks[pattern][first : first + size]))
-                        yield first, *parts
-
                 # every row is a sample row, so every row's values are compared
-                samples = list(range(math.prod(shape)))
-                with monkeypatch.context() as patch:
-                    patch.setattr(sweep_oracle, "SLICE_ROWS", rows_per_slice)
-                    keys, rows_of = pattern_rows(slots, patterns, grid_codes, filler)
-                    largest = slice_geometry(shape)[2]
-                    buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
-                    slices = sweep_pairs(_sweep_plan(spec), q, levels, pairs, buffers)
-                    streamed = reduce_block(checked(slices), rows_of, samples, tolerance)
-                    patch.setattr(constraints, "_CHUNK_ENTRIES", rows_per_slice)
-                    plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                    tables = _sweep_block(_sweep_plan(spec), q, levels, plan, samples, tolerance)
-                strict, collinear, admissible = (a.ravel() for a in whole)
-                for engine, (tallies, got_exemplars, got_skipped, seen), keys_of in (
-                    ("rows", streamed, keys),
-                    ("tables", tables, plan[-1]),
-                ):
-                    where = (engine, grid, stratum)
-                    for pattern, key in keys_of.items():
-                        assert tallies[key] == expected[pattern], (*where, pattern)
-                    assert got_exemplars == exemplars, where
-                    assert got_skipped == skipped, where
-                    assert seen == {
-                        row: (strict[row], collinear[row], admissible[row]) for row in samples
-                    }, where
-                mixed |= skipped is not None and admissible.any()
+                samples = list(range(len(grid) ** len(slots)))
+                expected, exemplars, skipped, values = oracle_block(
+                    spec, q, levels, columns, patterns, samples, tolerance
+                )
+                plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
+                tallies, got_exemplars, got_skipped, seen = _sweep_block(
+                    _sweep_plan(spec), q, levels, plan, samples, tolerance
+                )
+                where = (grid, stratum)
+                for pattern, key in plan[-1].items():
+                    assert bits(tallies[key]) == bits(expected[pattern]), (*where, pattern)
+                assert got_exemplars == exemplars, where
+                assert got_skipped == skipped, where
+                assert bits(seen) == bits(values), where
+                mixed |= skipped is not None and expected[()]["admissible"] > 0
                 partial |= any(0 < t["admissible"] < expected[()]["admissible"] for t in expected.values())
         assert mixed and partial
 
@@ -525,6 +459,20 @@ class TestSweepGuards:
     def test_overflowing_grid_raises_naming_gate_q_and_levels(self):
         with pytest.raises(OverflowError, match=r"cnot sweep at q=2\.0.*psi_a=1e\+300, psi_b=2\.0"):
             discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
+
+    def test_underflowing_grid_raises_naming_gate_q_level_and_power(self):
+        # 1e-80 to the power 4 is subnormal: its products would test as false exact zeros
+        message = (
+            r"cnot sweep at q=2\.0 underflows double precision: amplitude 1e-80 at level pair "
+            r"\(psi_a=1e-160, psi_b=1e-160\) raised to the power 4 is not a normal double"
+        )
+        with pytest.raises(FloatingPointError, match=message):
+            discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(1e-160, 1.0))
+
+    def test_single_qubit_products_of_the_same_grid_stay_normal(self):
+        # 1e-80 ** 2 is normal, and the dense path agrees on every sample row
+        rep = discover_constraints(GateKind.NOT, q_values=(2.0,), grid=(1e-160, 1.0))
+        assert rep.totals["cross_checked"] > 0
 
     def test_single_qubit_amplitudes_of_the_same_grid_stay_finite(self):
         rep = discover_constraints(GateKind.NOT, q_values=(2.0,), grid=(1e200, 1e300, 2.0))
@@ -546,8 +494,9 @@ class TestSweepGuards:
     @staticmethod
     def _tamper(monkeypatch, name, edit):
         """Run discover_constraints with edit applied to every result of constraints.<name>: a bit
-        string's (strict, collinear) tables or the per-qubit admissibility tables, whose first
-        entries row 0 (always picked, always admissible here) reads."""
+        string's (strict, collinear) tables, the per-qubit admissibility tables, whose first
+        entries row 0 (always picked, always admissible here) reads, or the dense path's
+        (strict, collinear) arrays over the admissible sample rows."""
         build = getattr(constraints, name)
 
         def tampered(*args):
@@ -565,6 +514,13 @@ class TestSweepGuards:
 
         with pytest.raises(RuntimeError, match="disagrees with the dense path"):
             self._tamper(monkeypatch, "_bit_string_gaps", edit)
+
+    def test_cross_check_catches_a_nan_dense_residual(self, monkeypatch):
+        def edit(dense):
+            dense[0][0] = np.nan
+
+        with pytest.raises(RuntimeError, match="disagrees with the dense path"):
+            self._tamper(monkeypatch, "_dense_residuals", edit)
 
     def test_cross_check_catches_an_admissible_row_marked_inadmissible(self, monkeypatch):
         def edit(admissible):

@@ -55,6 +55,11 @@ class TestModeOperators:
         with pytest.raises(ValueError):
             make_mode_ops(1)
 
+    @pytest.mark.parametrize("cutoff", [2**63, 10**20, int(1e308)], ids=["2**63", "1e20", "1e308"])
+    def test_cutoff_beyond_any_array_is_refused_before_allocating(self, cutoff):
+        with pytest.raises(MemoryError, match=f"a {cutoff} x {cutoff} complex matrix is larger"):
+            make_mode_ops(cutoff)
+
 
 class TestLift:
     def test_dimension_scales_with_mode_count(self):

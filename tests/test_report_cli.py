@@ -409,6 +409,56 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_underflowing_psi_grid_exits_two_naming_the_sweep(self, tmp_path, capsys):
+        # 1e-80 ** 4 is subnormal, so CNOT's products would test as false exact zeros
+        out = tmp_path / "report.json"
+        assert main(["discover", "--q", "2", "--psi", "1e-160,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qgatelab: configuration error: psi grid 1e-160,1.0 underflows double-precision arithmetic "
+            "(the cnot sweep at q=2.0 underflows double precision: amplitude 1e-80 at level pair "
+            "(psi_a=1e-160, psi_b=1e-160) raised to the power 4 is not a normal double); "
+            "use larger psi values\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["[1]", "2.5", "1", "5", "false", "[]", "{}", '"a\\u0000b"'])
+    def test_config_file_out_that_is_not_a_path_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        # 1 and 5 used to be opened as file descriptors, false, [] and {} to mean report.json
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"out": {value}}}')
+        assert main(["verify-algebra", "--q", "2", "--cutoff", "4", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qgatelab: configuration error: out must be a file path string"), err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        ("argv", "setting", "cutoff"),
+        [
+            (["--cutoff", "100000000000000000000"], "{}", "100000000000000000000"),
+            ([], '{"cutoff": 1e308}', str(int(1e308))),
+        ],
+    )
+    def test_cutoff_beyond_any_array_exits_two_naming_it(self, tmp_path, capsys, argv, setting, cutoff):
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--config", str(config), *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qgatelab: configuration error: cutoff {cutoff} needs more memory than is available "
+            "for its dense mode matrices; use a smaller cutoff\n"
+        )
+        assert not out.exists()
+
+    def test_number_beyond_double_precision_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"identity_threshold": 1' + "0" * 400 + "}")
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--config", str(config), "--out", str(out)]) == 2
+        assert "identity threshold must be a number within double precision" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _verdict_notes(path) -> dict:
         records = json.loads(path.read_bytes())["records"]

@@ -1,5 +1,6 @@
-"""Property tests of the table sweep: against the dense path on rows with all 12 psi free, and
-against the row engine (sweep_oracle) bit for bit on drawn grids.
+"""Property tests of the table sweep: its residual formula against the dense path on rows with
+all 12 psi free, and its blocks against the whole-grid oracle (sweep_oracle) bit for bit on
+drawn grids.
 
 The sweep's three-qubit strata pin one qubit at psi = 1 in every free block, so
 no stratum ever hands the engine a row whose twelve psi values are all drawn
@@ -16,18 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from qgatelab import CLAIMS, DeformationParams, GateKind, GateSpec, NegativeRadicandError  # noqa: E402
+from qgatelab import CLAIMS, GateKind, GateSpec  # noqa: E402
 from qgatelab.constraints import (  # noqa: E402
-    _bit_string_gaps,
     _candidate_patterns,
-    _check_overflow,
-    _dense_residuals,
+    _check_range,
     _grid_levels,
-    _level_tables,
-    _oracle_plan,
     _pair_codes,
-    _qubit_admissibility,
-    _row_values,
     _strata,
     _stratum_columns,
     _stratum_plan,
@@ -35,7 +30,7 @@ from qgatelab.constraints import (  # noqa: E402
     _sweep_plan,
 )
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
-from sweep_oracle import pattern_rows, reduce_block, slice_geometry, sweep_pairs  # noqa: E402
+from sweep_oracle import bits, check_dense, grid_residuals, oracle_block  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
 # absolute rounding of both paths, far below the 1e-12 agreement bound
@@ -68,17 +63,6 @@ def _cases(draw):
     return q, *draw(_rows(q))
 
 
-def _flat_rows(spec, q, levels, pairs) -> tuple:
-    """(strict, collinear, admissible) per row of flat per-mode pair codes (the 1-D case of the
-    table engine): per-bit-string tables and per-qubit admissibility, read as blocks read rows."""
-    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
-    pairs = pairs[: 2 * spec.arity]
-    admissible = _qubit_admissibility([admissible_table[p] for p in pairs])
-    amps = [amp_table[p] for p in pairs]
-    tables = [_bit_string_gaps(bit_plan, amps) for bit_plan in _sweep_plan(spec)[2]]
-    return tuple(map(np.array, _row_values(admissible, tables)))
-
-
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(case=_cases())
@@ -89,19 +73,10 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
     levels, grid_codes = _grid_levels(np.unique(rows))
     # a flat list of rows: one pair code per row and mode
     codes = np.searchsorted(levels, rows).astype(grid_codes.dtype)
-    strict, collinear, admissible = _flat_rows(spec, q, levels, _pair_codes(list(codes.T), levels))
-    plan = _oracle_plan(spec)
-    for index, (row, bad_mode) in enumerate(zip(rows, bad_modes)):
-        # a gate reads only the modes of its own qubits
-        assert admissible[index] == (bad_mode is None or bad_mode >= 2 * spec.arity)
-        params = DeformationParams(q, tuple(float(v) for v in row))
-        if admissible[index]:
-            (dense_strict,), (dense_collinear,) = _dense_residuals(spec, q, [params], plan)
-            assert abs(dense_strict - strict[index]) <= 1e-12
-            assert abs(dense_collinear - collinear[index]) <= 1e-12
-        else:
-            with pytest.raises(NegativeRadicandError):
-                _dense_residuals(spec, q, [params], plan)
+    strict, collinear, admissible = grid_residuals(spec, q, levels, _pair_codes(list(codes.T), levels))
+    # a gate reads only the modes of its own qubits
+    assert list(admissible) == [bad_mode is None or bad_mode >= 2 * spec.arity for bad_mode in bad_modes]
+    check_dense(spec, q, rows, strict, collinear, admissible)
 
 
 def _ulps_from_one(steps: int, up: bool) -> float:
@@ -119,43 +94,26 @@ _SWEEP_Q = st.one_of(
 _GRID = st.lists(st.one_of(st.just(1.0), st.sampled_from((0.5, 2.0)), st.floats(0.25, 16.0)), min_size=2, max_size=4)
 
 
-def _bits(value):
-    """value with every float replaced by its hex form, so == compares bit for bit."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _bits(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_bits(item) for item in value)
-    return value
-
-
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @hypothesis.given(q=_SWEEP_Q, grid=_GRID)
-def test_tables_match_the_row_engine_bit_for_bit(kind, q, grid):
+def test_tables_match_the_grid_oracle_bit_for_bit(kind, q, grid):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     levels, grid_codes = _grid_levels(grid)
     plan = _sweep_plan(spec)
-    _check_overflow(spec, q, levels, grid_codes, plan)
+    _check_range(spec, q, levels, grid_codes, plan)
     patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
-    filler = int(np.searchsorted(levels, 1.0))
     for stratum, slots in _strata(spec.arity).items():
         columns = _stratum_columns(slots, levels, grid_codes)
-        shape = (len(grid),) * len(slots)
-        count = math.prod(shape)
+        count = len(grid) ** len(slots)
         # about 256 evenly spaced sample rows and the last one
         samples = sorted({*range(0, count, max(1, count // 256)), count - 1})
-        keys, rows_of = pattern_rows(slots, patterns, grid_codes, filler)
-        largest = slice_geometry(shape)[2]
-        buffers = np.empty(largest), np.empty(largest), np.empty(largest, dtype=bool)
-        slices = sweep_pairs(plan, q, levels, _pair_codes(columns, levels), buffers)
-        tallies, exemplars, skipped, seen = reduce_block(slices, rows_of, samples, 1e-12)
+        tallies, exemplars, skipped, seen = oracle_block(spec, q, levels, columns, patterns, samples, 1e-12)
         stratum_plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
         got = _sweep_block(plan, q, levels, stratum_plan, samples, 1e-12)
         where = (stratum, q, grid)
         for pattern in patterns:
-            assert _bits(got[0][stratum_plan[-1][pattern]]) == _bits(tallies[keys[pattern]]), (*where, pattern)
+            assert bits(got[0][stratum_plan[-1][pattern]]) == bits(tallies[pattern]), (*where, pattern)
         assert got[1] == exemplars, where
         assert got[2] == skipped, where
-        assert _bits(got[3]) == _bits(seen), where
+        assert bits(got[3]) == bits(seen), where
