@@ -5,14 +5,15 @@ required for the deformed identity to close, together with the auxiliary
 equalities the claim is conditioned on.  _dense_residuals measures how far
 (q, psi) points are from closing the identity; discover_constraints sweeps
 deterministic psi grids, classifies where the residual vanishes, searches for
-the minimal sufficient equality pattern, and scores the claim.  No (stratum, q)
-block computes its rows: each input bit string gets strict and collinear tables
-over the grid axes of the modes it reads, and each qubit an admissibility table
-over its own axes.  A block's counts, maxima, zero counts and first rows per
-equality pattern come from those small tables, exactly as a row sweep would
-give them; scoring reads only those.  tests/sweep_oracle.py is their bit-for-bit
-oracle: _bit_string_gaps at every row of a block's grid, reduced over the whole
-grid with equality masks.
+the minimal sufficient equality pattern, and scores the claim.  One block per
+stratum sweeps every q value and computes none of its rows: each input bit
+string gets strict and collinear tables over q and the grid axes of the modes
+it reads, each qubit an admissibility table over q and its own axes.  Per q, a
+block's counts, maxima, zero counts and first rows per equality pattern come
+from those small tables, exactly as a row sweep would give them; scoring reads
+only those.  tests/sweep_oracle.py is their bit-for-bit oracle: _bit_string_gaps
+at every row of a grid at one q, reduced over the whole grid with equality
+masks.  The dense path checks sample rows of every block, once per gate.
 
 Residual definition: the gate matrix is applied to the deformed input ket, and
 the result is compared against the gate's traced action where each carried slot
@@ -40,8 +41,8 @@ import numpy as np
 
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
-from .qnum import PSI_COUNT, DeformationParams, NegativeRadicandError
-from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table
+from .qnum import PSI_COUNT, NegativeRadicandError, psi_bracket
+from .schwinger import ExponentConvention, QubitEmbedding
 
 __all__ = [
     "CLAIMS",
@@ -159,29 +160,43 @@ def _oracle_plan(spec: GateSpec) -> tuple:
     return (np.array(every_bits), columns, *map(np.array, zip(*terms)))
 
 
-def _dense_sides(spec: GateSpec, q: float, points, plan: tuple) -> tuple:
-    """Per (q, psi) point and input bit string, the gate applied to the deformed input ket and the
-    traced action on deformed output kets: (len(points), 2**arity, dim) arrays.  A deformed ket
-    has one nonzero entry, its amplitudes multiplied in slot order, so the gate applied to it is
-    that column times the product, bit for bit.  A point whose [slot][bit] amplitude table is
-    not real raises NegativeRadicandError.  plan is _oracle_plan(spec)."""
+def _dense_brackets(arity: int, points) -> np.ndarray:
+    """Per (q, psi) point, the level-1 brackets whose roots make its [slot][bit] amplitude table
+    (amplitude_table: bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b), as an
+    (len(points), arity, 2) array; psi_bracket runs once per distinct (q, psi_a, psi_b)."""
+    bracket = functools.cache(functools.partial(psi_bracket, 1))
+    columns = [4 * j + 2 - 2 * b for j in range(arity) for b in (0, 1)]
+    return np.array([[bracket(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points]).reshape(-1, arity, 2)
+
+
+def _dense_sides(brackets: np.ndarray, plan: tuple) -> tuple:
+    """Per point of _dense_brackets and input bit string, the gate applied to the deformed input
+    ket and the traced action on deformed output kets: (len(brackets), 2**arity, dim) arrays.  A
+    deformed ket has one nonzero entry, its amplitudes multiplied in slot order, so the gate
+    applied to it is that column times the product, bit for bit.  A negative bracket raises
+    NegativeRadicandError, as amplitude_table does.  plan is _oracle_plan(spec)."""
     bits, columns, inputs, rows, coeffs, pick_qubits, pick_bits = plan
-    tables = np.array([amplitude_table(q, spec.arity, point) for point in points]).reshape(-1, spec.arity, 2)
+    if (brackets < 0.0).any():
+        raise NegativeRadicandError(1, float(brackets[brackets < 0.0][0]))
+    tables = np.sqrt(brackets)
 
     def products(qubits, picked) -> np.ndarray:
         return functools.reduce(operator.mul, np.moveaxis(tables[:, qubits, picked], -1, 0))
 
-    lhs = columns * products(np.arange(spec.arity), bits)[..., None]
+    lhs = columns * products(np.arange(tables.shape[1]), bits)[..., None]
     rhs = np.zeros_like(lhs)
     rhs[:, inputs, rows] = coeffs * products(pick_qubits, pick_bits)
     return lhs, rhs
 
 
-def _dense_residuals(spec: GateSpec, q: float, points, plan: tuple) -> tuple:
-    """Per (q, psi) point, the worst (strict, collinear) gaps over the input bit strings.
-    Deformed kets are creation-built, so they do not depend on the lowering-operator reading."""
-    lhs, rhs = _dense_sides(spec, q, points, plan)
-    return _row_norms(lhs - rhs).max(axis=-1, initial=0.0), _collinear_gaps(lhs, rhs).max(axis=-1, initial=0.0)
+def _dense_residuals(brackets: np.ndarray, plan: tuple) -> tuple:
+    """Per point of _dense_brackets, the worst (strict, collinear) gaps over the input bit strings
+    (sides built _CHUNK_ENTRIES entries at a time); creation-built kets ignore the lowering reading."""
+    gaps, step = np.zeros((2, len(brackets))), max(1, _CHUNK_ENTRIES // plan[1].size)
+    for start in range(0, len(brackets), step):
+        lhs, rhs = _dense_sides(brackets[start : start + step], plan)
+        gaps[:, start : start + step] = _row_norms(lhs - rhs).max(axis=-1), _collinear_gaps(lhs, rhs).max(axis=-1)
+    return tuple(gaps)
 
 
 def _strata(arity: int) -> dict:
@@ -264,14 +279,17 @@ def _sweep_plan(spec: GateSpec) -> tuple:
     return spec.arity, largest_weight_sum, plan
 
 
-def _level_tables(q: float, levels: np.ndarray) -> tuple:
-    """Per level pair, whether its mode bracket is admissible and its amplitude; the bracket
-    is written as psi_bracket writes it (q - 1/q can be a few ulp)."""
-    try:
-        inverse = q**-1
-    except OverflowError:
-        raise OverflowError(f"the sweep's bracket table at q={q!r} overflows double precision at q**-1") from None
-    brackets = (q * levels[:, None] - inverse * levels[None, :]) / (q - 1.0 / q)
+def _level_tables(q_values, levels: np.ndarray) -> tuple:
+    """Per q value and level pair, whether its mode bracket is admissible and its amplitude; each
+    q's scalars are Python floats, as psi_bracket has them (q - 1/q can be a few ulp)."""
+    scalars = []
+    for q in q_values:
+        try:
+            scalars.append((q, q**-1, q - 1.0 / q))
+        except OverflowError:
+            raise OverflowError(f"the sweep's bracket table at q={q!r} overflows double precision at q**-1") from None
+    q, inverse, scale = (np.array(column)[:, None, None] for column in zip(*scalars))
+    brackets = (q * levels[:, None] - inverse * levels[None, :]) / scale
     return brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
 
 
@@ -282,7 +300,7 @@ def _check_range(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.nd
     power is a normal double: the sweep's exact zeros hold while every product and square
     is finite and none underflows to a false zero."""
     arity, largest_weight_sum, _ = plan
-    admissible_table, amp_table = _level_tables(q, levels)
+    admissible_table, amp_table = (table[0] for table in _level_tables((q,), levels))
     in_grid = np.bincount(grid_codes, minlength=levels.size) > 0
     admissible_amps = np.where(admissible_table & np.outer(in_grid, in_grid), amp_table, 0.0)
 
@@ -337,16 +355,22 @@ def _qubit_admissibility(mode_admissible: list) -> list:
 
 # Most entries of a bit string's table computed at once.  A table can span every axis of a
 # block (the aux and mode-pairs strata of three qubits), so it is computed a range of its first
-# axis at a time; every operation is per entry, so the bits are the same.
+# axis at a time; every operation is per entry, so the bits are the same.  A block sweeps as
+# many q values at once as keep its largest table within this bound, and at least one.
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _bit_string_tables(bit_plan: tuple, amps: list) -> tuple:
-    """One input bit string's (strict, collinear) gap tables over the grid axes of the modes it
-    reads, from the modes' amplitudes (_bit_string_gaps), _CHUNK_ENTRIES at a time."""
+def _table_shape(bit_plan: tuple, shapes: list) -> tuple:
+    """The broadcast shape of the modes that one input bit string reads, from per-mode shapes."""
     c_in_modes, _, term_modes = bit_plan
     modes = {*c_in_modes, *(mode for _, term in term_modes for mode in term)}
-    shape = np.broadcast_shapes(*(amps[mode].shape for mode in modes))
+    return np.broadcast_shapes(*(shapes[mode] for mode in modes))
+
+
+def _bit_string_tables(bit_plan: tuple, amps: list) -> tuple:
+    """One input bit string's (strict, collinear) gap tables over the axes of the modes it reads,
+    from the modes' amplitudes (_bit_string_gaps), _CHUNK_ENTRIES at a time."""
+    shape = _table_shape(bit_plan, [amp.shape for amp in amps])
     axis = next((k for k, n in enumerate(shape) if n > 1), 0)
     step = max(1, _CHUNK_ENTRIES * shape[axis] // math.prod(shape))
     if step >= shape[axis]:
@@ -419,96 +443,105 @@ def _first_row(admissible: list, condition, projected: list, qubit_axes: list, s
     return int(np.ravel_multi_index(index, shape))
 
 
-def _sweep_block(plan: tuple, q: float, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float) -> tuple:
-    """One (stratum, q) block from per-qubit admissibility and per-bit-string residual tables,
-    exactly as if every row were swept: per restriction of _stratum_plan, the admissible rows
-    it allows, the maxima and zero counts of both residual modes over them; the exemplar rows
-    (first admissible, first largest positive strict residual, first admissible rows that do
-    and do not close it); the first inadmissible row or None; row -> (strict, collinear,
-    admissible) there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec),
-    checked by _check_range at q.
+def _sweep_block(plan: tuple, q_values, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float) -> list:
+    """Per q value, one (stratum, q) block from per-qubit admissibility and per-bit-string residual
+    tables, exactly as if every row were swept: per restriction of _stratum_plan, the admissible
+    rows it allows, the maxima and zero counts of both residual modes over them; the exemplar rows
+    (first admissible, first largest positive strict residual, first admissible rows that do and
+    do not close it); the first inadmissible row or None; row -> (strict, collinear, admissible)
+    there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec), checked by
+    _check_range at every q.  The q values are a leading axis of every table (_sweep_q_axis), as
+    many at once as keep the largest bit-string table within _CHUNK_ENTRIES entries."""
+    shapes = [pair.shape for pair in stratum[2]]
+    step = max(1, _CHUNK_ENTRIES // max((math.prod(_table_shape(b, shapes)) for b in plan[2]), default=1))
+    chunks = [q_values[start : start + step] for start in range(0, len(q_values), step)]
+    return [block for chunk in chunks for block in _sweep_q_axis(plan, chunk, levels, stratum, samples, tolerance)]
 
-    A row is admissible iff every qubit is, and its residual is the largest of its bit
-    strings' table entries, so counts are products over qubits and a maximum is each bit
-    string's largest entry over the index tuples that allowed rows reach on its axes.  Only
-    bit strings with an entry above tolerance there decide which rows close; their joint
-    table, over the axes they read, is weighed with the other axes' allowed tuples."""
+
+def _sweep_q_axis(plan: tuple, q_values, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float):
+    """_sweep_block over (q, grid...) tables; allowed and reach tables are (q, restriction, grid...).
+    A row is admissible iff every qubit is, and its residual is the largest of its bit strings'
+    table entries, so counts are products over qubits and a maximum is each bit string's largest
+    entry over the index tuples that allowed rows reach on its axes.  Only bit strings with an
+    entry above tolerance there, at some q, decide which rows close (at any other q, every row
+    they reach closes); their joint table, over the axes they read, is weighed with the other
+    axes' allowed tuples."""
     shape, qubit_axes, pairs, restrictions, _ = stratum
-    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
-    admissible = _qubit_admissibility([admissible_table[pair] for pair in pairs])
-    amps = [amp_table[pair] for pair in pairs]
-    allowed = [a & restriction for a, restriction in zip(admissible, restrictions)]
-    grid_axes = tuple(range(1, len(shape) + 1))
+    admissible_table, amp_table = (table.reshape(len(q_values), -1) for table in _level_tables(q_values, levels))
+    admissible = _qubit_admissibility([admissible_table[:, pair] for pair in pairs])
+    amps = [amp_table[:, pair] for pair in pairs]
+    allowed = [a[:, None] & restriction for a, restriction in zip(admissible, restrictions)]
+    grid_axes = tuple(range(2, len(shape) + 2))
     counts = functools.reduce(operator.mul, [a.sum(axis=grid_axes) for a in allowed])
     projections = {}
 
     def reach(table_shape: tuple) -> list:
-        """Per qubit, its allowed index tuples projected onto the axes of a table of this shape."""
+        """Per qubit, its allowed index tuples projected onto the grid axes of a table of this shape."""
         if table_shape not in projections:
             projections[table_shape] = [a.any(axis=_outside(a, table_shape), keepdims=True) for a in allowed]
         return projections[table_shape]
 
     def masked_max(table: np.ndarray, reached: np.ndarray) -> np.ndarray:
-        return np.max(np.broadcast_to(table, reached.shape), axis=grid_axes, where=reached, initial=0.0)
+        return np.max(np.broadcast_to(table[:, None], reached.shape), axis=grid_axes, where=reached, initial=0.0)
 
     # each bit string's float tables are reduced before the next one's are built, so a block
     # holds one pair of them; it keeps bool tables of where rows close and where peaks lie
     maxima, closing, peaks = [], {}, []
     for bit_plan in plan[2]:
         table = _bit_string_tables(bit_plan, amps)
-        reached = functools.reduce(np.logical_and, reach(table[0].shape))
+        reached = functools.reduce(np.logical_and, reach(table[0].shape[1:]))
         maxima.append([masked_max(t, reached) for t in table])
         for mode, name in enumerate(("strict", "collinear")):
-            if not maxima[-1][mode][0] <= tolerance:
+            if not (maxima[-1][mode][:, 0] <= tolerance).all():
                 closes = table[mode] <= tolerance
                 closing[name] = closing[name] & closes if name in closing else closes
-        largest = maxima[-1][0][0]
-        if largest > 0.0:
-            peaks.append((largest, table[0] == largest))
+        largest = maxima[-1][0][:, 0]
+        if (largest > 0.0).any():
+            peaks.append((largest, table[0] == largest.reshape(-1, *[1] * len(shape))))
         del table
     tally = {"admissible": counts}
     for mode, name in enumerate(("strict", "collinear")):
         tally[f"max_{name}"] = functools.reduce(np.maximum, [m[mode] for m in maxima], np.zeros(counts.shape))
         tally[f"zero_{name}"] = counts
         if name in closing:
-            weights = [a.sum(axis=_outside(a, closing[name].shape), keepdims=True) for a in allowed]
-            axes = list(range(len(shape)))
-            operands = itertools.chain.from_iterable((w, [len(shape), *axes]) for w in weights)
-            tally[f"zero_{name}"] = np.einsum(closing[name], axes, *operands, [len(shape)])
+            weights = [a.sum(axis=_outside(a, closing[name].shape[1:]), keepdims=True) for a in allowed]
+            operands = itertools.chain.from_iterable((w, [0, 1, *grid_axes]) for w in weights)
+            tally[f"zero_{name}"] = np.einsum(closing[name], [0, *grid_axes], *operands, [0, 1])
     order = ("admissible", "max_strict", "zero_strict", "max_collinear", "zero_collinear")
-    tallies = [dict(zip(order, values)) for values in zip(*(tally[key].tolist() for key in order))]
+    tallies = [[dict(zip(order, v)) for v in zip(*at_q)] for at_q in zip(*(tally[key].tolist() for key in order))]
 
-    def first_row(condition=None):
-        projected = None if condition is None else [r[0] for r in reach(condition.shape)]
-        return _first_row(admissible, condition, projected, qubit_axes, shape)
+    def first_row(k: int, condition=None):
+        projected = None if condition is None else [r[k, 0] for r in reach(condition.shape[1:])]
+        condition = None if condition is None else condition[k]
+        return _first_row([a[k] for a in admissible], condition, projected, qubit_axes, shape)
 
-    first, peak, largest = first_row(), None, tally["max_strict"][0]
-    if largest > 0.0:
-        peak = min(first_row(at_peak) for value, at_peak in peaks if value == largest)
-    zero, opened = first, None
-    if "strict" in closing:
-        zero, opened = first_row(closing["strict"]), first_row(~closing["strict"])
-    skipped = None
-    for a in admissible:
-        at = int(np.argmax(~a))
-        if not a.flat[at]:
-            row = int(np.ravel_multi_index(np.unravel_index(at, a.shape), shape))
-            skipped = row if skipped is None else min(skipped, row)
-    picks = (first, first if peak is None else peak, zero, opened)
-    exemplars = list(dict.fromkeys(row for row in picks if row is not None))
+    closes, picked = closing.get("strict"), []
+    for k, largest in enumerate(tally["max_strict"][:, 0]):
+        first = peak = first_row(k)
+        if largest > 0.0:
+            peak = min(first_row(k, at_peak) for value, at_peak in peaks if value[k] == largest)
+        zero, opened = (first, None) if closes is None else (first_row(k, closes), first_row(k, ~closes))
+        exemplars = list(dict.fromkeys(row for row in (first, peak, zero, opened) if row is not None))
+        # per qubit, the row of its first inadmissible index tuple
+        skipped = [np.unravel_index(np.argmin(a[k]), a.shape[1:]) for a in admissible if not a[k].all()]
+        picked.append((exemplars, min((int(np.ravel_multi_index(i, shape)) for i in skipped), default=None)))
 
-    # the residuals of the wanted rows: the same per-bit-string gaps, over their amplitudes
-    rows = sorted({*samples, *exemplars, *([] if skipped is None else [skipped])})
+    # the residuals of the wanted rows at every q: the same per-bit-string gaps, over their amplitudes
+    wanted = [{*samples, *exemplars, *([] if skipped is None else [skipped])} for exemplars, skipped in picked]
+    rows = sorted(set().union(*wanted))
     at = np.unravel_index(rows, shape)
     amps = [_read(amp, at) for amp in amps]
     tables = [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]]
-    seen = dict(zip(rows, zip(*_row_values([_read(a, at) for a in admissible], tables))))
-    return tallies, exemplars, skipped, seen
+    values = zip(*_row_values([_read(a, at) for a in admissible], tables))
+    return [
+        (block, exemplars, skipped, {row: value for row, value in zip(rows, zip(*at_q)) if row in rows_at_q})
+        for block, (exemplars, skipped), rows_at_q, at_q in zip(tallies, picked, wanted, values)
+    ]
 
 
 def _read(table: np.ndarray, at: tuple) -> np.ndarray:
-    """A table's entries at the rows of an np.unravel_index result, one per row."""
-    return table[tuple(i if n > 1 else np.zeros_like(i) for i, n in zip(at, table.shape))]
+    """A (q, grid...) table's entries at the rows of an np.unravel_index result, (q, row)."""
+    return table[(slice(None), *(i if n > 1 else np.zeros_like(i) for i, n in zip(at, table.shape[1:])))]
 
 
 def _row_values(admissible: list, tables: list) -> tuple:
@@ -521,26 +554,22 @@ def _row_values(admissible: list, tables: list) -> tuple:
     return (*(np.where(ok, v, 0.0).tolist() for v in values), ok.tolist())
 
 
-def _cross_check_samples(spec, q, plan, samples) -> int:
-    """Recompute sample rows, (psi, strict, collinear, admissible) each, through the dense path
-    with the spec's _oracle_plan, every admissible one in one pass for both residual modes;
-    an inadmissible one must fail its amplitude table.  Raise on mismatch."""
-    points = [DeformationParams(q, tuple(psi)) for psi, *_ in samples]
-    where = [f"{spec.kind.value}, q={q!r}, psi={point.psi!r}" for point in points]
-    for point, at, (*_, admissible) in zip(points, where, samples):
-        if admissible:
-            continue
-        try:
-            amplitude_table(q, spec.arity, point)
-        except NegativeRadicandError:
-            continue
-        raise RuntimeError(f"sweep engine marked an admissible point as skipped at {at}")
-    kept = [index for index, sample in enumerate(samples) if sample[3]]
-    dense = _dense_residuals(spec, q, [points[index] for index in kept], plan)
-    for index, dense_strict, dense_collinear in zip(kept, *dense):
-        _, strict, collinear, _ = samples[index]
+def _cross_check_samples(spec, plan, samples) -> int:
+    """Recompute sample rows, (q, psi, strict, collinear, admissible) each, through the dense path
+    with the spec's _oracle_plan, every admissible one in one pass for both residual modes; a
+    sample is admissible iff none of its brackets is negative.  Raise at the first failing sample."""
+    brackets = _dense_brackets(spec.arity, [sample[:2] for sample in samples])
+    reasons = ("marked an admissible point as skipped", "admitted an inadmissible point")
+    negative = (brackets < 0.0).any(axis=(1, 2)).tolist()
+    failures = {k: reasons[ok] for k, ((*_, ok), bad) in enumerate(zip(samples, negative)) if ok == bad}
+    kept = [k for k, sample in enumerate(samples) if sample[-1] and k not in failures]
+    for k, dense_strict, dense_collinear in zip(kept, *_dense_residuals(brackets[kept], plan)):
+        _, _, strict, collinear, _ = samples[k]
         if not (abs(dense_strict - strict) <= 1e-10 and abs(dense_collinear - collinear) <= 1e-10):
-            raise RuntimeError(f"sweep engine disagrees with the dense path at {where[index]}")
+            failures[k] = "disagrees with the dense path"
+    if failures:
+        q, psi, *_ = samples[k := min(failures)]
+        raise RuntimeError(f"sweep engine {failures[k]} at {spec.kind.value}, q={q!r}, psi={tuple(psi)!r}")
     return len(samples)
 
 
@@ -610,14 +639,15 @@ def discover_constraints(
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
     be positive.  Both plans are built once per call, and every q is checked
-    for overflow and underflow before the first block.  Each (stratum, q)
-    block is tallied per candidate pattern from per-bit-string and per-qubit
-    tables (_sweep_block), and has deterministic sample rows cross-checked
-    against the dense path (both residual modes in one pass) before the next
-    block runs.  Summaries, totals, the minimal-pattern search and the
-    verdicts read only the tallies.  Raises OverflowError when a q and the grid's largest amplitude
-    overflow the sweep's products, FloatingPointError when its smallest
-    positive amplitude underflows them.
+    for overflow and underflow before the first block.  Each stratum's block
+    tallies every q per candidate pattern from per-bit-string and per-qubit
+    tables (_sweep_block).  After the last block, the deterministic sample rows
+    of every block are cross-checked against the dense path, both residual
+    modes in one pass (_cross_check_samples).  Summaries, totals, the
+    minimal-pattern search and the verdicts read only the tallies.  Raises
+    OverflowError when a q and the grid's largest amplitude overflow the
+    sweep's products, FloatingPointError when its smallest positive amplitude
+    underflows them.
     """
     spec = gate
     if not isinstance(gate, GateSpec):
@@ -645,22 +675,21 @@ def discover_constraints(
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary
     patterns = {pattern for _, pattern in candidates}
-    tallies, strata_summaries, samples_checked = {}, [], 0
+    tallies, strata_summaries, checks = {}, [], []
     for name, slots in _strata(spec.arity).items():
         stratum = _stratum_plan(slots, spec.arity, _stratum_columns(slots, levels, grid_codes), levels, patterns)
         shape, index = stratum[0], stratum[-1]
         count = math.prod(shape)
         step = max(1, count // 5)
         samples = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
-        for q in q_values:
-            block, exemplars, skipped, seen = _sweep_block(plan, q, levels, stratum, samples, tolerance)
-            wanted = [*samples, *exemplars, *([] if skipped is None else [skipped])]
-            at = np.unravel_index(wanted, shape)
-            psi = np.ones((len(wanted), PSI_COUNT))
+        blocks = _sweep_block(plan, q_values, levels, stratum, samples, tolerance)
+        for q, (block, exemplars, skipped, seen) in zip(q_values, blocks):
+            at = np.unravel_index(list(seen), shape)
+            psi = np.ones((len(seen), PSI_COUNT))
             for axis, indices in enumerate(slots):
                 psi[:, indices] = grid_values[at[axis], None]
-            psi = dict(zip(wanted, psi.tolist()))
-            samples_checked += _cross_check_samples(spec, q, oracle, [(psi[i], *seen[i]) for i in samples])
+            psi = dict(zip(seen, psi.tolist()))
+            checks += [(q, psi[i], *seen[i]) for i in samples]
             summary = {"stratum": name, "q": float(q), "rows": count, "skipped": count - block[0]["admissible"]}
             exemplars = [{"psi": psi[i], "strict": seen[i][0], "collinear": seen[i][1]} for i in exemplars]
             summary.update(block[0], exemplars=exemplars)
@@ -669,6 +698,7 @@ def discover_constraints(
             strata_summaries.append(summary)
             for pattern, k in index.items():
                 tallies[pattern] = _merge_tallies(tallies[pattern], block[k]) if pattern in tallies else block[k]
+    samples_checked = _cross_check_samples(spec, oracle, checks)
     rows = sum(summary["rows"] for summary in strata_summaries)
 
     minimal = {}

@@ -148,8 +148,8 @@ class RunConfig:
                 raise ValueError(f"thresholds must be positive finite reals, got {threshold!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
-            raise ValueError(f"out must be a file path string without NUL characters, got {self.out!r}")
+        if self.out is not None and (not isinstance(self.out, str) or not self.out or "\0" in self.out):
+            raise ValueError(f"out must be a file path string, not empty and without NUL characters, got {self.out!r}")
 
     def public_config(self) -> dict:
         """Config block embedded in reports; excludes the output path so two runs

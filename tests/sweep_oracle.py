@@ -1,9 +1,10 @@
 """Oracles for the per-bit-string table sweep.
 
 grid_residuals applies the engine's residual formula (constraints._bit_string_gaps) to every
-row of a grid, and whole_block reduces the result over the whole grid: this checks what the
-table engine adds to the formula (qubit products, reach projections, zero counts, first rows).
-check_dense compares per-row values with the dense path, which checks the formula itself.
+row of a grid at one q, and whole_block reduces the result over the whole grid: this checks
+what the table engine adds to the formula (q batches, qubit products, reach projections, zero
+counts, first rows).  check_dense compares per-row values with the dense path, which checks the
+formula itself.
 """
 
 import functools
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 from qgatelab import DeformationParams, NegativeRadicandError
-from qgatelab.constraints import _bit_string_gaps, _dense_residuals, _level_tables, _oracle_plan, _pair_codes
+from qgatelab.constraints import _bit_string_gaps, _dense_brackets, _dense_residuals, _level_tables, _oracle_plan
+from qgatelab.constraints import _pair_codes
 from qgatelab.constraints import _stratum_columns, _stratum_plan, _sweep_block, _sweep_plan
 
 
 def grid_residuals(spec, q, levels, pairs) -> tuple:
     """(strict, collinear, admissible) of the grid's shape at every row that per-mode pair codes
     (_pair_codes) span: the largest of the bit strings' gaps, 0.0 on inadmissible rows."""
-    admissible_table, amp_table = (table.ravel() for table in _level_tables(q, levels))
+    admissible_table, amp_table = (table.ravel() for table in _level_tables((q,), levels))
     pairs = pairs[: 2 * spec.arity]  # the gate's own modes
     shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
     admissible = np.broadcast_to(functools.reduce(np.logical_and, [admissible_table[p] for p in pairs]), shape)
@@ -57,24 +59,28 @@ def whole_block(columns: list, patterns, strict, collinear, admissible, toleranc
     return tallies, list(dict.fromkeys(picks)), skipped
 
 
-def oracle_block(spec, q, levels, columns, patterns, samples, tolerance: float) -> tuple:
-    """One stratum's block in _sweep_block's form from whole_block over grid_residuals: tallies
-    by pattern, exemplars, skipped row, and row -> (strict, collinear, admissible) there and at
-    samples."""
-    whole = grid_residuals(spec, q, levels, _pair_codes(columns, levels))
-    tallies, exemplars, skipped = whole_block(columns, patterns, *whole, tolerance)
-    rows = sorted({*samples, *exemplars, *([] if skipped is None else [skipped])})
-    values = zip(*(array.ravel()[rows].tolist() for array in whole))
-    return tallies, exemplars, skipped, dict(zip(rows, values))
+def oracle_block(spec, q_values, levels, columns, patterns, samples, tolerance: float) -> list:
+    """Per q, one stratum's block in _sweep_block's form from whole_block over grid_residuals at
+    that q alone: tallies by pattern, exemplars, skipped row, and row -> (strict, collinear,
+    admissible) there and at samples."""
+    blocks = []
+    for q in q_values:
+        whole = grid_residuals(spec, q, levels, _pair_codes(columns, levels))
+        tallies, exemplars, skipped = whole_block(columns, patterns, *whole, tolerance)
+        rows = sorted({*samples, *exemplars, *([] if skipped is None else [skipped])})
+        values = zip(*(array.ravel()[rows].tolist() for array in whole))
+        blocks.append((tallies, exemplars, skipped, dict(zip(rows, values))))
+    return blocks
 
 
-def block_rows(spec, q, levels, grid_codes, slots) -> tuple:
-    """(strict, collinear, admissible) that the table engine (_sweep_block) reads at every row of
-    one stratum's grid, each of the grid's shape: every row is a sample row."""
+def block_rows(spec, q_values, levels, grid_codes, slots) -> list:
+    """Per q, the (strict, collinear, admissible) that the table engine (_sweep_block, all q
+    values in one call) reads at every row of one stratum's grid, each of the grid's shape:
+    every row is a sample row."""
     stratum = _stratum_plan(slots, spec.arity, _stratum_columns(slots, levels, grid_codes), levels, {()})
     rows = range(math.prod(stratum[0]))
-    seen = _sweep_block(_sweep_plan(spec), q, levels, stratum, list(rows), 1e-12)[3]
-    return tuple(np.array([seen[row][k] for row in rows]).reshape(stratum[0]) for k in range(3))
+    blocks = _sweep_block(_sweep_plan(spec), tuple(q_values), levels, stratum, list(rows), 1e-12)
+    return [tuple(np.array([seen[row][k] for row in rows]).reshape(stratum[0]) for k in range(3)) for *_, seen in blocks]
 
 
 def check_dense(spec, q, psi_rows, strict, collinear, admissible) -> None:
@@ -83,12 +89,13 @@ def check_dense(spec, q, psi_rows, strict, collinear, admissible) -> None:
     plan = _oracle_plan(spec)
     for psi, *values, ok in zip(psi_rows, strict, collinear, admissible):
         params = DeformationParams(q, tuple(float(v) for v in psi))
+        brackets = _dense_brackets(spec.arity, [(params.q, params.psi)])
         if ok:
-            dense = [gaps[0] for gaps in _dense_residuals(spec, q, [params], plan)]
+            dense = [gaps[0] for gaps in _dense_residuals(brackets, plan)]
             assert all(abs(d - v) <= 1e-12 for d, v in zip(dense, values)), (psi, dense, values)
         else:
             with pytest.raises(NegativeRadicandError):
-                _dense_residuals(spec, q, [params], plan)
+                _dense_residuals(brackets, plan)
 
 
 def bits(value):

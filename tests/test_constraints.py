@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from qgatelab import (
 from qgatelab import constraints
 from qgatelab.constraints import (
     _candidate_patterns,
+    _dense_brackets,
     _dense_residuals,
     _dense_sides,
     _grid_levels,
@@ -42,13 +44,23 @@ from sweep_oracle import bits, block_rows, check_dense, grid_residuals, oracle_b
 SQRT2 = math.sqrt(2.0)
 
 
+def _counted(calls: dict, name: str, function):
+    """function, adding one to calls[name] per call."""
+
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+
+    return counted
+
+
 def _params(q, *prefix):
     return DeformationParams.from_values(q, prefix)
 
 
 def _residuals(spec, q, params) -> tuple:
     """(strict, collinear) gaps of one point through the dense path."""
-    strict, collinear = _dense_residuals(spec, q, [params], _oracle_plan(spec))
+    strict, collinear = _dense_residuals(_dense_brackets(spec.arity, [(q, params.psi)]), _oracle_plan(spec))
     return strict[0], collinear[0]
 
 
@@ -119,14 +131,14 @@ class TestIdentityResidual:
             points = [DeformationParams.uniform(q, 3.0)]
             points += [DeformationParams(q, tuple(rng.choice((0.5, 1.0, 2.0), 12))) for _ in range(3)]
             for params in points:
-                (seen,), _ = _dense_sides(spec, q, [params], plan)
+                (seen,), _ = _dense_sides(_dense_brackets(spec.arity, [(q, params.psi)]), plan)
                 assert len(seen) == 2**spec.arity
                 for bits, lhs in zip(emb.all_bits(), seen):
                     ket = deformed_qubit_state(DeformedQubitSpec(bits, params), q)
                     assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
         # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
         with pytest.raises(NegativeRadicandError):
-            _dense_residuals(spec, 2.0, [_params(2.0, 1.0, 8.0)], plan)
+            _dense_residuals(_dense_brackets(spec.arity, [(2.0, _params(2.0, 1.0, 8.0).psi)]), plan)
 
 
 class TestClosureRatio:
@@ -356,7 +368,7 @@ class TestLevelCodes:
         assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
         spec, q = GateSpec(GateKind.NOT), 2.0
         columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
-        sweep = block_rows(spec, q, levels, grid_codes, _strata(1)["aux"])
+        (sweep,) = block_rows(spec, (q,), levels, grid_codes, _strata(1)["aux"])
         strict, collinear, admissible = (a.ravel() for a in sweep)
         rows = levels[_column_rows(columns, (values, values))]
         expected = [
@@ -378,7 +390,7 @@ class TestLevelCodes:
         for stratum, slots in _strata(spec.arity).items():
             pairs = _pair_codes(_stratum_columns(slots, levels, grid_codes), levels)
             whole = grid_residuals(spec, q, levels, pairs)
-            tables = block_rows(spec, q, levels, grid_codes, slots)
+            (tables,) = block_rows(spec, (q,), levels, grid_codes, slots)
             for expected, got in zip(whole, tables):
                 assert expected.shape == (grid_codes.size,) * len(slots), stratum
                 assert np.array_equal(expected, got), stratum
@@ -395,7 +407,7 @@ class TestLevelCodes:
         slots = _strata(spec.arity)["free-q1q3" if spec.arity == 3 else "free"]
         levels, grid_codes = _grid_levels(grid)
         columns = _stratum_columns(slots, levels, grid_codes)
-        sweep = block_rows(spec, q, levels, grid_codes, slots)
+        (sweep,) = block_rows(spec, (q,), levels, grid_codes, slots)
         strict, collinear, admissible = (a.ravel() for a in sweep)
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
@@ -426,12 +438,12 @@ class TestStreamedBlocks:
                 columns = _stratum_columns(slots, levels, grid_codes)
                 # every row is a sample row, so every row's values are compared
                 samples = list(range(len(grid) ** len(slots)))
-                expected, exemplars, skipped, values = oracle_block(
-                    spec, q, levels, columns, patterns, samples, tolerance
+                ((expected, exemplars, skipped, values),) = oracle_block(
+                    spec, (q,), levels, columns, patterns, samples, tolerance
                 )
                 plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                tallies, got_exemplars, got_skipped, seen = _sweep_block(
-                    _sweep_plan(spec), q, levels, plan, samples, tolerance
+                ((tallies, got_exemplars, got_skipped, seen),) = _sweep_block(
+                    _sweep_plan(spec), (q,), levels, plan, samples, tolerance
                 )
                 where = (grid, stratum)
                 for pattern, key in plan[-1].items():
@@ -443,12 +455,58 @@ class TestStreamedBlocks:
                 partial |= any(0 < t["admissible"] < expected[()]["admissible"] for t in expected.values())
         assert mixed and partial
 
+    @pytest.mark.parametrize("chunk_entries", [None, 1])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_batched_q_values_match_the_single_q_oracle_bit_for_bit(self, monkeypatch, kind, chunk_entries):
+        # q below and above 1 in one call: the sign of q - 1/q, and so which pair ratios are
+        # admissible, flips inside the batch.  Pair ratios of q^2 = 4 and 1/4 give zero
+        # amplitudes at q = 2 and 0.5 only, so a bit string's collinear gaps close every row at
+        # the first q and not at later ones.  A 1-entry chunk sweeps one q at a time.
+        spec = GateSpec(kind, math.pi / 3)
+        grids = [(0.5, 4.0, 0.5, 1.0)] if spec.arity == 1 else [(1.0, 8.0), (8.0, 8.0), (1.0, 4.0)]
+        patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
+        q_values, tolerance = (0.9, 2.0, 0.5, 1.1), 1e-12
+        if chunk_entries is not None:
+            monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk_entries)
+        skipped_rows = {q: set() for q in q_values}
+        for grid in grids:
+            levels, grid_codes = _grid_levels(grid)
+            for stratum, slots in _strata(spec.arity).items():
+                columns = _stratum_columns(slots, levels, grid_codes)
+                samples = list(range(len(grid) ** len(slots)))
+                expected = oracle_block(spec, q_values, levels, columns, patterns, samples, tolerance)
+                plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
+                got = _sweep_block(_sweep_plan(spec), q_values, levels, plan, samples, tolerance)
+                assert len(got) == len(q_values)
+                for q, (tallies, exemplars, skipped, seen), (want, *rest) in zip(q_values, got, expected):
+                    where = (grid, stratum, q)
+                    for pattern, key in plan[-1].items():
+                        assert bits(tallies[key]) == bits(want[pattern]), (*where, pattern)
+                    assert [exemplars, skipped] == rest[:2], where
+                    assert bits(seen) == bits(rest[2]), where
+                    skipped_rows[q] |= {(grid, stratum, row) for row, value in seen.items() if not value[2]}
+        # every q skips rows, and q < 1 skips other rows than q > 1
+        assert all(skipped_rows.values())
+        assert skipped_rows[0.5] != skipped_rows[2.0]
+
     def test_seven_value_grid_holds_no_block_size_array(self):
         # one free stratum of 7**8 = 5,764,801 rows: full-size strict, collinear and
         # admissible arrays would take 98 MB
         tracemalloc.start()
         try:
             discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(0.3, 0.7, 1.71, 2.02, 4.62, 5.94, 7.03))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_seven_value_grid_at_four_q_values_holds_no_block_size_array(self):
+        # the same grid, every gate, at the default q values: a block sweeps its q values at
+        # once only while its tables stay within _CHUNK_ENTRIES entries
+        tracemalloc.start()
+        try:
+            for kind in GateKind:
+                discover_constraints(kind, grid=(0.3, 0.7, 1.71, 2.02, 4.62, 5.94, 7.03))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -490,6 +548,45 @@ class TestSweepGuards:
             q_values += [above, below]
         rep = discover_constraints(kind, q_values=q_values, grid=(0.5, 1.0, 2.0))
         assert rep.totals["cross_checked"] == 6 * len(rep.strata)
+
+    def test_default_sweep_makes_one_block_per_stratum_and_one_dense_pass_per_gate(self, monkeypatch):
+        # every q of a stratum in one _sweep_block call (25 strata over the 7 gates), every
+        # sample of a gate in one dense pass, and in that pass one psi_bracket call per
+        # distinct (q, psi_a, psi_b)
+        calls = {"_sweep_block": 0, "_dense_residuals": 0}
+        brackets = []
+        for name in calls:
+            monkeypatch.setattr(constraints, name, _counted(calls, name, getattr(constraints, name)))
+
+        def recorded(n, q, psi_a, psi_b):
+            brackets.append((n, q, psi_a, psi_b))
+            return psi_bracket(n, q, psi_a, psi_b)
+
+        monkeypatch.setattr(constraints, "psi_bracket", recorded)
+        for kind in GateKind:
+            brackets.clear()
+            discover_constraints(kind)
+            assert brackets and len(brackets) == len(set(brackets)), kind
+        assert calls == {"_sweep_block": 25, "_dense_residuals": len(GateKind)}
+
+    def test_cross_check_names_the_first_failing_sample_in_sweep_order(self, monkeypatch):
+        # every dense residual is NaN, so every admissible sample fails; the message names the
+        # first one in sweep order, row 0 of the aux stratum at the first q
+        dense = constraints._dense_residuals
+        monkeypatch.setattr(constraints, "_dense_residuals", lambda *args: [g * np.nan for g in dense(*args)])
+        where = f"had, q=0.5, psi={(0.5,) * 4 + (1.0,) * 8!r}"
+        with pytest.raises(RuntimeError, match=re.escape(f"sweep engine disagrees with the dense path at {where}")):
+            discover_constraints(GateKind.HAD, q_values=(0.5, 2.0), grid=(0.5, 2.0))
+
+    def test_cross_check_names_an_inadmissible_row_marked_admissible(self, monkeypatch):
+        # pair ratio 8 > q^2 = 4 makes rows inadmissible; the sweep is told every row is
+        # admissible, and the dense brackets name the first such sample instead of raising
+        # a NegativeRadicandError that names no point
+        build = constraints._qubit_admissibility
+        monkeypatch.setattr(constraints, "_qubit_admissibility", lambda *args: [a | True for a in build(*args)])
+        where = "had, q=2.0, psi=(0.5, 4.0, 0.5, 4.0, 1.0, "
+        with pytest.raises(RuntimeError, match=re.escape(f"sweep engine admitted an inadmissible point at {where}")):
+            discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 4.0))
 
     @staticmethod
     def _tamper(monkeypatch, name, edit):

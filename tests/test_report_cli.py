@@ -433,6 +433,23 @@ class TestCli:
         assert err.startswith("qgatelab: configuration error: out must be a file path string"), err
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize(("argv", "setting"), [(["--out", ""], "{}"), ([], '{"out": ""}')], ids=["flag", "config"])
+    def test_empty_out_exits_two_instead_of_writing_the_default_report(
+        self, tmp_path, capsys, monkeypatch, argv, setting
+    ):
+        # an empty out used to fall back to report.json in the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        assert main(["verify-algebra", "--q", "2", "--cutoff", "4", "--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "qgatelab: configuration error: out must be a file path string, not empty and without NUL "
+            "characters, got ''\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(
         ("argv", "setting", "cutoff"),
         [

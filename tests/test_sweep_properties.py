@@ -108,9 +108,9 @@ def test_tables_match_the_grid_oracle_bit_for_bit(kind, q, grid):
         count = len(grid) ** len(slots)
         # about 256 evenly spaced sample rows and the last one
         samples = sorted({*range(0, count, max(1, count // 256)), count - 1})
-        tallies, exemplars, skipped, seen = oracle_block(spec, q, levels, columns, patterns, samples, 1e-12)
+        ((tallies, exemplars, skipped, seen),) = oracle_block(spec, (q,), levels, columns, patterns, samples, 1e-12)
         stratum_plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-        got = _sweep_block(plan, q, levels, stratum_plan, samples, 1e-12)
+        (got,) = _sweep_block(plan, (q,), levels, stratum_plan, samples, 1e-12)
         where = (stratum, q, grid)
         for pattern in patterns:
             assert bits(got[0][stratum_plan[-1][pattern]]) == bits(tallies[pattern]), (*where, pattern)
