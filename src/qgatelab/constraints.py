@@ -41,7 +41,7 @@ import numpy as np
 
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
-from .qnum import PSI_COUNT, NegativeRadicandError, psi_bracket
+from .qnum import PSI_COUNT, NegativeRadicandError, bracket, power, psi_bracket
 from .schwinger import ExponentConvention, QubitEmbedding
 
 __all__ = [
@@ -103,17 +103,9 @@ def hadamard_closure_ratio(n1: int, q) -> float:
     q = float(q)
     if not math.isfinite(q) or q <= 0.0:
         raise ValueError(f"q must be a positive finite real, got {q!r}")
-
-    def power(n: int) -> float:
-        try:
-            return q**n
-        except OverflowError:
-            raise OverflowError(
-                f"the closure ratio audit at n1={n1}, q={q!r} overflows double precision at q**{n}"
-            ) from None
-
-    numerator = (1 - n1) * power(-n1) - n1 * power(n1 + 1)
-    denominator = (1 - n1) * power(n1) - n1 * power(n1 - 1)
+    subject = f"the closure ratio audit at n1={n1}, q={q!r}"
+    numerator = (1 - n1) * power(q, -n1, subject) - n1 * power(q, n1 + 1, subject)
+    denominator = (1 - n1) * power(q, n1, subject) - n1 * power(q, n1 - 1, subject)
     return numerator / denominator
 
 
@@ -164,9 +156,9 @@ def _dense_brackets(arity: int, points) -> np.ndarray:
     """Per (q, psi) point, the level-1 brackets whose roots make its [slot][bit] amplitude table
     (amplitude_table: bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b), as an
     (len(points), arity, 2) array; psi_bracket runs once per distinct (q, psi_a, psi_b)."""
-    bracket = functools.cache(functools.partial(psi_bracket, 1))
+    level_one = functools.cache(functools.partial(psi_bracket, 1))
     columns = [4 * j + 2 - 2 * b for j in range(arity) for b in (0, 1)]
-    return np.array([[bracket(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points]).reshape(-1, arity, 2)
+    return np.array([[level_one(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points]).reshape(-1, arity, 2)
 
 
 def _dense_sides(brackets: np.ndarray, plan: tuple) -> tuple:
@@ -279,47 +271,40 @@ def _sweep_plan(spec: GateSpec) -> tuple:
     return spec.arity, largest_weight_sum, plan
 
 
-def _level_tables(q_values, levels: np.ndarray) -> tuple:
-    """Per q value and level pair, whether its mode bracket is admissible and its amplitude; each
-    q's scalars are Python floats, as psi_bracket has them (q - 1/q can be a few ulp)."""
-    scalars = []
-    for q in q_values:
-        try:
-            scalars.append((q, q**-1, q - 1.0 / q))
-        except OverflowError:
-            raise OverflowError(f"the sweep's bracket table at q={q!r} overflows double precision at q**-1") from None
-    q, inverse, scale = (np.array(column)[:, None, None] for column in zip(*scalars))
-    brackets = (q * levels[:, None] - inverse * levels[None, :]) / scale
-    return brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
-
-
-def _check_range(spec: GateSpec, q: float, levels: np.ndarray, grid_codes: np.ndarray, plan: tuple) -> None:
-    """Raise OverflowError unless the largest admissible amplitude of two grid levels (the 1.0
-    filler only pairs with itself, amplitude 1) to the power 2 * arity, times the largest
-    weight sum, is finite, and FloatingPointError unless the smallest positive one to that
-    power is a normal double: the sweep's exact zeros hold while every product and square
-    is finite and none underflows to a false zero."""
+def _level_tables(spec: GateSpec, plan: tuple, q_values, levels: np.ndarray, grid_codes: np.ndarray) -> tuple:
+    """Per q value and level pair, whether its mode bracket is admissible and its amplitude, as
+    (q, level, level) tables.  A q's brackets are qnum's bracket on the levels as psi arrays, each
+    entry its pair's psi_bracket to the bit.  plan is _sweep_plan(spec).  q by q, so that the first
+    q that fails decides the error, raise OverflowError unless the largest admissible amplitude of
+    two grid levels (the 1.0 filler only pairs with itself, amplitude 1) to the power 2 * arity,
+    times the largest weight sum, is finite, and FloatingPointError unless the smallest positive
+    one to that power is a normal double: the sweep's exact zeros hold while every product and
+    square is finite and none underflows to a false zero."""
     arity, largest_weight_sum, _ = plan
-    admissible_table, amp_table = (table[0] for table in _level_tables((q,), levels))
     in_grid = np.bincount(grid_codes, minlength=levels.size) > 0
-    admissible_amps = np.where(admissible_table & np.outer(in_grid, in_grid), amp_table, 0.0)
+    rows = []
+    for q in q_values:
+        with np.errstate(over="ignore"):  # bracket names an overflowing product, an inf amplitude fails below
+            rows.append(bracket(1, q, levels[:, None], levels[None, :], f"the sweep's bracket table at q={q!r}"))
+        admissible_amps = np.sqrt(np.where((rows[-1] >= 0.0) & np.outer(in_grid, in_grid), rows[-1], 0.0))
 
-    def refuse(error, at: tuple, verb: str, outcome: str):
-        return error(
-            f"the {spec.kind.value} sweep at q={q!r} {verb} double precision: amplitude "
-            f"{float(admissible_amps[at])!r} at level pair (psi_a={float(levels[at[0]])!r}, "
-            f"psi_b={float(levels[at[1]])!r}) raised to the power {2 * arity} {outcome}"
-        )
+        def refuse(error, at: tuple, verb: str, outcome: str):
+            return error(
+                f"the {spec.kind.value} sweep at q={q!r} {verb} double precision: amplitude "
+                f"{float(admissible_amps[at])!r} at level pair (psi_a={float(levels[at[0]])!r}, "
+                f"psi_b={float(levels[at[1]])!r}) raised to the power {2 * arity} {outcome}"
+            )
 
-    peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
-    largest_product = math.prod([float(admissible_amps[peak])] * arity)
-    if not math.isfinite(largest_product * largest_product * largest_weight_sum):
-        raise refuse(OverflowError, peak, "overflows", "is not finite")
-    positive = np.where(admissible_amps > 0.0, admissible_amps, np.inf)
-    floor = np.unravel_index(np.argmin(positive), positive.shape)
-    smallest_product = math.prod([float(positive[floor])] * arity)
-    if smallest_product * smallest_product < sys.float_info.min:
-        raise refuse(FloatingPointError, floor, "underflows", "is not a normal double")
+        peak = np.unravel_index(np.argmax(admissible_amps), admissible_amps.shape)
+        largest_product = math.prod([float(admissible_amps[peak])] * arity)
+        if not math.isfinite(largest_product * largest_product * largest_weight_sum):
+            raise refuse(OverflowError, peak, "overflows", "is not finite")
+        positive = np.where(admissible_amps > 0.0, admissible_amps, np.inf)
+        floor = np.unravel_index(np.argmin(positive), positive.shape)
+        smallest_product = math.prod([float(positive[floor])] * arity)
+        if smallest_product * smallest_product < sys.float_info.min:
+            raise refuse(FloatingPointError, floor, "underflows", "is not a normal double")
+    return np.array(rows) >= 0.0, np.sqrt(np.clip(rows, 0.0, None))
 
 
 def _stratum_plan(slots: tuple, arity: int, columns: list, levels: np.ndarray, patterns) -> tuple:
@@ -443,22 +428,22 @@ def _first_row(admissible: list, condition, projected: list, qubit_axes: list, s
     return int(np.ravel_multi_index(index, shape))
 
 
-def _sweep_block(plan: tuple, q_values, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float) -> list:
+def _sweep_block(plan: tuple, tables: tuple, stratum: tuple, samples: list, tolerance: float) -> list:
     """Per q value, one (stratum, q) block from per-qubit admissibility and per-bit-string residual
     tables, exactly as if every row were swept: per restriction of _stratum_plan, the admissible
     rows it allows, the maxima and zero counts of both residual modes over them; the exemplar rows
     (first admissible, first largest positive strict residual, first admissible rows that do and
     do not close it); the first inadmissible row or None; row -> (strict, collinear, admissible)
-    there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec), checked by
-    _check_range at every q.  The q values are a leading axis of every table (_sweep_q_axis), as
-    many at once as keep the largest bit-string table within _CHUNK_ENTRIES entries."""
+    there and at samples, 0.0 on inadmissible rows.  plan is _sweep_plan(spec) and tables are
+    _level_tables(spec, plan, ...), range-checked at every q.  The q values are a leading axis of
+    every table (_sweep_q_axis), as many at once as keep the largest one within _CHUNK_ENTRIES."""
     shapes = [pair.shape for pair in stratum[2]]
     step = max(1, _CHUNK_ENTRIES // max((math.prod(_table_shape(b, shapes)) for b in plan[2]), default=1))
-    chunks = [q_values[start : start + step] for start in range(0, len(q_values), step)]
-    return [block for chunk in chunks for block in _sweep_q_axis(plan, chunk, levels, stratum, samples, tolerance)]
+    chunks = [[table[start : start + step] for table in tables] for start in range(0, len(tables[0]), step)]
+    return [block for chunk in chunks for block in _sweep_q_axis(plan, chunk, stratum, samples, tolerance)]
 
 
-def _sweep_q_axis(plan: tuple, q_values, levels: np.ndarray, stratum: tuple, samples: list, tolerance: float):
+def _sweep_q_axis(plan: tuple, tables: list, stratum: tuple, samples: list, tolerance: float):
     """_sweep_block over (q, grid...) tables; allowed and reach tables are (q, restriction, grid...).
     A row is admissible iff every qubit is, and its residual is the largest of its bit strings'
     table entries, so counts are products over qubits and a maximum is each bit string's largest
@@ -467,7 +452,7 @@ def _sweep_q_axis(plan: tuple, q_values, levels: np.ndarray, stratum: tuple, sam
     they reach closes); their joint table, over the axes they read, is weighed with the other
     axes' allowed tuples."""
     shape, qubit_axes, pairs, restrictions, _ = stratum
-    admissible_table, amp_table = (table.reshape(len(q_values), -1) for table in _level_tables(q_values, levels))
+    admissible_table, amp_table = (table.reshape(len(table), -1) for table in tables)
     admissible = _qubit_admissibility([admissible_table[:, pair] for pair in pairs])
     amps = [amp_table[:, pair] for pair in pairs]
     allowed = [a[:, None] & restriction for a, restriction in zip(admissible, restrictions)]
@@ -638,8 +623,8 @@ def discover_constraints(
 
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi =
     DISCOVERY_PHI).  q values must be positive and not 1; grid values must
-    be positive.  Both plans are built once per call, and every q is checked
-    for overflow and underflow before the first block.  Each stratum's block
+    be positive.  Both plans and the bracket table are built once per call, every q
+    checked for overflow and underflow before the first block.  Each stratum's block
     tallies every q per candidate pattern from per-bit-string and per-qubit
     tables (_sweep_block).  After the last block, the deterministic sample rows
     of every block are cross-checked against the dense path, both residual
@@ -669,8 +654,7 @@ def discover_constraints(
     levels, grid_codes = _grid_levels(grid)
     grid_values = np.array(grid)
     oracle, plan = _oracle_plan(spec), _sweep_plan(spec)
-    for q in q_values:
-        _check_range(spec, q, levels, grid_codes, plan)
+    tables = _level_tables(spec, plan, q_values, levels, grid_codes)
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied
     claimed = claim.equalities + claim.auxiliary
@@ -682,7 +666,7 @@ def discover_constraints(
         count = math.prod(shape)
         step = max(1, count // 5)
         samples = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
-        blocks = _sweep_block(plan, q_values, levels, stratum, samples, tolerance)
+        blocks = _sweep_block(plan, tables, stratum, samples, tolerance)
         for q, (block, exemplars, skipped, seen) in zip(q_values, blocks):
             at = np.unravel_index(list(seen), shape)
             psi = np.ones((len(seen), PSI_COUNT))

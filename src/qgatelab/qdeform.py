@@ -46,8 +46,8 @@ class OperatorConvention(str, Enum):
 
 @dataclass(frozen=True)
 class DeformedModeOperators:
-    """Deformed ladder matrices for one truncated mode; deformed_number_op
-    builds the matching shifted number operator."""
+    """Deformed ladder matrices for one truncated mode and the brackets B(0)..B(cutoff) they
+    were built from; deformed_number_op builds the matching shifted number operator."""
 
     mode: ModeOperators
     q: float
@@ -56,15 +56,7 @@ class DeformedModeOperators:
     convention: OperatorConvention
     a_q: np.ndarray
     a_q_dag: np.ndarray
-
-
-def _brackets(d: int, q: float, psi_a: float, psi_b: float) -> list:
-    """B(0)..B(d); levels 1..d-1 must be nonnegative to take square roots."""
-    values = [psi_bracket(n, q, psi_a, psi_b) for n in range(d + 1)]
-    for n in range(1, d):
-        if values[n] < 0.0:
-            raise NegativeRadicandError(n, values[n])
-    return values
+    brackets: tuple
 
 
 def make_deformed_ops(
@@ -80,7 +72,10 @@ def make_deformed_ops(
     psi_a = float(psi_a)
     psi_b = float(psi_b)
     d = mode.cutoff
-    brackets = _brackets(d, q, psi_a, psi_b)
+    brackets = tuple(psi_bracket(n, q, psi_a, psi_b) for n in range(d + 1))
+    for n in range(1, d):  # levels 1..d-1 must be nonnegative to take square roots
+        if brackets[n] < 0.0:
+            raise NegativeRadicandError(n, brackets[n])
     roots = np.sqrt(np.asarray(brackets[1:d], dtype=float))
     if convention is OperatorConvention.MATRIX_ELEMENT:
         a_q = np.diag(roots, 1).astype(complex)
@@ -92,7 +87,7 @@ def make_deformed_ops(
         f_of_n = np.diag(scale).astype(complex)
         a_q = f_of_n @ mode.a
         a_q_dag = f_of_n @ mode.a_dag
-    return DeformedModeOperators(mode, q, psi_a, psi_b, convention, a_q, a_q_dag)
+    return DeformedModeOperators(mode, q, psi_a, psi_b, convention, a_q, a_q_dag, brackets)
 
 
 def deformed_number_op(ops: DeformedModeOperators) -> np.ndarray:
@@ -141,24 +136,23 @@ def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
     additionally drop level 0 whenever B(0) != 0: with unequal pair parameters
     the bracket does not vanish at n = 0 but the matrix product always does,
     because lowering annihilates the vacuum structurally.  That is the exact
-    bottom-of-ladder analogue of the top-level exclusion.
+    bottom-of-ladder analogue of the top-level exclusion.  B(n) is read off ops.
     """
     mode = ops.mode
     d = mode.cutoff
     q = ops.q
     aq, aqd = ops.a_q, ops.a_q_dag
     n_op = mode.n_op
-    brackets = [psi_bracket(n, q, ops.psi_a, ops.psi_b) for n in range(d + 1)]
 
     base = tuple(range(d - 1))
-    guarded = base if brackets[0] == 0.0 else base[1:]
+    guarded = base if ops.brackets[0] == 0.0 else base[1:]
 
     q_pow_neg_n = np.diag(q ** -np.arange(d, dtype=float)).astype(complex)
     commutation = aq @ aqd - q * (aqd @ aq) - ops.psi_b * q_pow_neg_n
     lowering_number = (aq @ n_op - n_op @ aq) - aq
     raising_number = (aqd @ n_op - n_op @ aqd) + aqd
-    lowering_diag = aqd @ aq - np.diag(np.asarray(brackets[:d], dtype=complex))
-    raising_diag = aq @ aqd - np.diag(np.asarray(brackets[1 : d + 1], dtype=complex))
+    lowering_diag = aqd @ aq - np.diag(np.asarray(ops.brackets[:d], dtype=complex))
+    raising_diag = aq @ aqd - np.diag(np.asarray(ops.brackets[1 : d + 1], dtype=complex))
 
     relations = {
         "deformed_commutation": (commutation, guarded),

@@ -1,14 +1,17 @@
-"""Scalar q-number arithmetic: deformed integers and two-parameter brackets.
+"""q-number arithmetic: deformed integers and two-parameter brackets.
 
 The deformed integer [n] = (q^n - q^(-n)) / (q - q^(-1)) underlies every matrix
-element in this package.  The two-parameter variant weights the numerator with a
-per-mode pair (psi_a, psi_b); its values feed square roots downstream, so bracket
+element in this package; the two-parameter bracket weights its numerator with a
+per-mode pair (psi_a, psi_b), and bracket is the one place either is written, on
+floats or numpy arrays of psi.  Bracket values feed square roots downstream, so
 admissibility (nonnegative radicands) is policed with a dedicated error type.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "MODE_COUNT",
@@ -59,7 +62,7 @@ def q_bracket(n, q) -> float:
     q = _check_q(q)
     if q == 1.0:
         return float(n)
-    return _bracket("q", n, q, 1.0, 1.0)  # psi_a = psi_b = 1 multiplies exactly
+    return bracket(n, q, 1.0, 1.0, f"the q bracket at n={n}, q={q!r}")  # psi = 1 multiplies exactly
 
 
 def psi_bracket(n, q, psi_a, psi_b) -> float:
@@ -80,15 +83,33 @@ def psi_bracket(n, q, psi_a, psi_b) -> float:
                 f"got psi_a={psi_a!r}, psi_b={psi_b!r}"
             )
         return float(n) * psi_a
-    return _bracket("psi", n, q, psi_a, psi_b)
+    return bracket(n, q, psi_a, psi_b, f"the psi bracket at n={n}, q={q!r}")
 
 
-def _bracket(name: str, n: int, q: float, psi_a: float, psi_b: float) -> float:
+def overflow_error(subject: str, n: int) -> OverflowError:
+    """The error for q**n, or its product with a psi value, beyond double precision."""
+    return OverflowError(f"{subject} overflows double precision at q**{n}")
+
+
+def power(q: float, n: int, subject: str) -> float:
+    """q**n, raising overflow_error(subject, n) beyond double precision."""
     try:
-        return (q**n * psi_a - q**-n * psi_b) / (q - 1.0 / q)
+        return q**n
     except OverflowError:
-        power = f"q**{-n if q < 1.0 else n}"
-        raise OverflowError(f"the {name} bracket at n={n}, q={q!r} overflows double precision at {power}") from None
+        raise overflow_error(subject, n) from None
+
+
+def bracket(n: int, q: float, psi_a, psi_b, subject: str):
+    """(q^n psi_a - q^(-n) psi_b) / (q - 1/q) at q != 1 on Python floats or numpy arrays of psi, whose
+    entries get their pair's float operations (the powers and q - 1/q are floats).  Only the power
+    above 1 can overflow (power names it), and its product with an array of psi (under the caller's
+    np.errstate), named with the first psi value it overflows at; float products and quotients give inf."""
+    terms = power(q, n, subject) * psi_a, power(q, -n, subject) * psi_b
+    at = -n if q < 1.0 else n  # the power above 1
+    term, name, psi = (terms[1], "psi_b", psi_b) if at < 0 else (terms[0], "psi_a", psi_a)
+    if isinstance(term, np.ndarray) and not np.isfinite(term).all():
+        raise overflow_error(f"{subject} and {name}={psi[~np.isfinite(term)].flat[0].item()!r}", at)
+    return (terms[0] - terms[1]) / (q - 1.0 / q)
 
 
 @dataclass(frozen=True)

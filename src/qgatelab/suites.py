@@ -231,10 +231,8 @@ def algebra_suite(cfg: RunConfig) -> list:
         records += _algebra_records(check, result, sorted(result.residuals), f"algebra/uniform/q={q:g}")
 
     for q, psi_b in _GENERALIZED_POINTS:
-        worst = max(
-            abs(psi_bracket(n + 1, q, 1.0, psi_b) - q * psi_bracket(n, q, 1.0, psi_b) - psi_b * q**-n)
-            for n in range(7)
-        )
+        brackets = [psi_bracket(n, q, 1.0, psi_b) for n in range(8)]
+        worst = max(abs(brackets[n + 1] - q * brackets[n] - psi_b * q**-n) for n in range(7))
         records.append(
             check(
                 f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}",

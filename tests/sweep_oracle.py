@@ -1,10 +1,10 @@
 """Oracles for the per-bit-string table sweep.
 
 grid_residuals applies the engine's residual formula (constraints._bit_string_gaps) to every
-row of a grid at one q, and whole_block reduces the result over the whole grid: this checks
-what the table engine adds to the formula (q batches, qubit products, reach projections, zero
-counts, first rows).  check_dense compares per-row values with the dense path, which checks the
-formula itself.
+row of a grid at one q, with each level pair's amplitude from qnum.psi_bracket, and whole_block
+reduces the result over the whole grid: this checks what the table engine adds to the formula
+(the bracket table, q batches, qubit products, reach projections, zero counts, first rows).
+check_dense compares per-row values with the dense path, which checks the formula itself.
 """
 
 import functools
@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qgatelab import DeformationParams, NegativeRadicandError
+from qgatelab import DeformationParams, NegativeRadicandError, psi_bracket
 from qgatelab.constraints import _bit_string_gaps, _dense_brackets, _dense_residuals, _level_tables, _oracle_plan
 from qgatelab.constraints import _pair_codes
 from qgatelab.constraints import _stratum_columns, _stratum_plan, _sweep_block, _sweep_plan
@@ -22,7 +22,8 @@ from qgatelab.constraints import _stratum_columns, _stratum_plan, _sweep_block, 
 def grid_residuals(spec, q, levels, pairs) -> tuple:
     """(strict, collinear, admissible) of the grid's shape at every row that per-mode pair codes
     (_pair_codes) span: the largest of the bit strings' gaps, 0.0 on inadmissible rows."""
-    admissible_table, amp_table = (table.ravel() for table in _level_tables((q,), levels))
+    brackets = np.array([psi_bracket(1, q, a, b) for a in levels.tolist() for b in levels.tolist()])
+    admissible_table, amp_table = brackets >= 0.0, np.sqrt(np.clip(brackets, 0.0, None))
     pairs = pairs[: 2 * spec.arity]  # the gate's own modes
     shape = np.broadcast_shapes(*(np.shape(p) for p in pairs))
     admissible = np.broadcast_to(functools.reduce(np.logical_and, [admissible_table[p] for p in pairs]), shape)
@@ -79,8 +80,15 @@ def block_rows(spec, q_values, levels, grid_codes, slots) -> list:
     every row is a sample row."""
     stratum = _stratum_plan(slots, spec.arity, _stratum_columns(slots, levels, grid_codes), levels, {()})
     rows = range(math.prod(stratum[0]))
-    blocks = _sweep_block(_sweep_plan(spec), tuple(q_values), levels, stratum, list(rows), 1e-12)
+    blocks = sweep_block(spec, q_values, levels, grid_codes, stratum, list(rows), 1e-12)
     return [tuple(np.array([seen[row][k] for row in rows]).reshape(stratum[0]) for k in range(3)) for *_, seen in blocks]
+
+
+def sweep_block(spec, q_values, levels, grid_codes, stratum, samples, tolerance: float) -> list:
+    """_sweep_block of one stratum plan at every q, on the range-checked tables of _level_tables."""
+    plan = _sweep_plan(spec)
+    tables = _level_tables(spec, plan, tuple(q_values), levels, grid_codes)
+    return _sweep_block(plan, tables, stratum, samples, tolerance)
 
 
 def check_dense(spec, q, psi_rows, strict, collinear, admissible) -> None:

@@ -17,6 +17,7 @@ from qgatelab import (
     GateSpec,
     NegativeRadicandError,
     QubitEmbedding,
+    RunConfig,
     canonical_json,
     deformed_qubit_state,
     discover_constraints,
@@ -36,10 +37,9 @@ from qgatelab.constraints import (
     _strata,
     _stratum_columns,
     _stratum_plan,
-    _sweep_block,
-    _sweep_plan,
 )
-from sweep_oracle import bits, block_rows, check_dense, grid_residuals, oracle_block, pattern_mask
+from qgatelab.suites import constraints_suite
+from sweep_oracle import bits, block_rows, check_dense, grid_residuals, oracle_block, pattern_mask, sweep_block
 
 SQRT2 = math.sqrt(2.0)
 
@@ -442,8 +442,8 @@ class TestStreamedBlocks:
                     spec, (q,), levels, columns, patterns, samples, tolerance
                 )
                 plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                ((tallies, got_exemplars, got_skipped, seen),) = _sweep_block(
-                    _sweep_plan(spec), (q,), levels, plan, samples, tolerance
+                ((tallies, got_exemplars, got_skipped, seen),) = sweep_block(
+                    spec, (q,), levels, grid_codes, plan, samples, tolerance
                 )
                 where = (grid, stratum)
                 for pattern, key in plan[-1].items():
@@ -476,7 +476,7 @@ class TestStreamedBlocks:
                 samples = list(range(len(grid) ** len(slots)))
                 expected = oracle_block(spec, q_values, levels, columns, patterns, samples, tolerance)
                 plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                got = _sweep_block(_sweep_plan(spec), q_values, levels, plan, samples, tolerance)
+                got = sweep_block(spec, q_values, levels, grid_codes, plan, samples, tolerance)
                 assert len(got) == len(q_values)
                 for q, (tallies, exemplars, skipped, seen), (want, *rest) in zip(q_values, got, expected):
                     where = (grid, stratum, q)
@@ -527,6 +527,29 @@ class TestSweepGuards:
         with pytest.raises(FloatingPointError, match=message):
             discover_constraints(GateKind.CNOT, q_values=(2.0,), grid=(1e-160, 1.0))
 
+    @pytest.mark.parametrize(
+        ("q", "grid", "product"),
+        [
+            (1e308, (0.5, 2.0), "psi_a=2.0 overflows double precision at q**1"),
+            (1e-308, (4.0, 2.0), "psi_b=2.0 overflows double precision at q**-1"),
+        ],
+    )
+    def test_overflowing_bracket_table_names_q_the_psi_value_and_the_power(self, q, grid, product):
+        # q^(+-1) times psi overflows before any amplitude exists, at the smallest psi level that
+        # does so (a grid value: the 1.0 filler cannot); numpy's overflow warning is an error in
+        # this suite, so the table must not raise one either
+        with pytest.raises(OverflowError) as caught:
+            discover_constraints(GateKind.NOT, q_values=(q,), grid=grid)
+        assert str(caught.value) == f"the sweep's bracket table at q={q!r} and {product}"
+
+    def test_first_failing_q_in_order_decides_the_error(self):
+        # on this grid q = 2 fails the range guard and q = 5e-324 the table's q**-1
+        grid = (1e200, 1e300, 2.0)
+        with pytest.raises(OverflowError, match=r"^the cnot sweep at q=2\.0 overflows"):
+            discover_constraints(GateKind.CNOT, q_values=(2.0, 5e-324), grid=grid)
+        with pytest.raises(OverflowError, match=r"^the sweep's bracket table at q=5e-324 overflows .* at q\*\*-1$"):
+            discover_constraints(GateKind.CNOT, q_values=(5e-324, 2.0), grid=grid)
+
     def test_single_qubit_products_of_the_same_grid_stay_normal(self):
         # 1e-80 ** 2 is normal, and the dense path agrees on every sample row
         rep = discover_constraints(GateKind.NOT, q_values=(2.0,), grid=(1e-160, 1.0))
@@ -568,6 +591,17 @@ class TestSweepGuards:
             discover_constraints(kind)
             assert brackets and len(brackets) == len(set(brackets)), kind
         assert calls == {"_sweep_block": 25, "_dense_residuals": len(GateKind)}
+
+    def test_default_constraints_suite_builds_one_bracket_table_per_gate(self, monkeypatch):
+        # one (q, level, level) table per discover_constraints call, which the range guard and
+        # every block read, and one qnum.bracket call per q in it: the dense pass takes its
+        # brackets from psi_bracket alone
+        calls = {"_level_tables": 0, "bracket": 0}
+        for name in calls:
+            monkeypatch.setattr(constraints, name, _counted(calls, name, getattr(constraints, name)))
+        constraints_suite(RunConfig())
+        per_q = len(RunConfig().q_values)
+        assert calls == {"_level_tables": len(GateKind), "bracket": len(GateKind) * per_q}
 
     def test_cross_check_names_the_first_failing_sample_in_sweep_order(self, monkeypatch):
         # every dense residual is NaN, so every admissible sample fails; the message names the

@@ -14,6 +14,7 @@ from qgatelab import (
     make_mode_ops,
     psi_bracket,
 )
+from qgatelab import qdeform
 
 Q_GRID = (0.5, 0.9, 1.1, 2.0)
 
@@ -71,6 +72,17 @@ class TestAlgebraResiduals:
         res = algebra_residuals(ops)
         assert max(res.residuals.values()) <= 1e-12
         assert res.levels["deformed_commutation"] == tuple(range(7))
+
+    def test_reads_the_brackets_its_operators_were_built_from(self, monkeypatch):
+        ops = make_deformed_ops(make_mode_ops(6), 2.0, 1.0, 3.0)
+        assert ops.brackets == tuple(psi_bracket(n, 2.0, 1.0, 3.0) for n in range(7))
+        before = algebra_residuals(ops)
+
+        def refused(*args):
+            raise AssertionError("algebra_residuals computed a bracket again")
+
+        monkeypatch.setattr(qdeform, "psi_bracket", refused)
+        assert algebra_residuals(ops) == before
 
     def test_unequal_weights_drop_the_bottom_level(self):
         ops = make_deformed_ops(make_mode_ops(6), 2.0, 1.0, 3.0)

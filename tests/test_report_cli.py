@@ -1,6 +1,7 @@
 """Tests for canonical serialization, suite records, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,21 @@ class TestSerialization:
         argv = ["verify-gates", "--convention", "vacuum", "--q", q, "--format", "csv"]
         assert main(argv + ["--out", str(out)]) == 1
         assert out.read_bytes() == (GOLDEN_DIR / "report_gates_many_q.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["discover-wide", "dense-many-q"])
+    def test_seeded_benchmark_workloads_match_their_digests(self, tmp_path, monkeypatch, name):
+        # the benchmark's operation at seed 0, inputs and commands from perfbench/workloads.py,
+        # run in-process; a change that moves these bytes updates workload_digests.json and says why
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        from workloads import WORKLOADS
+
+        workload = WORKLOADS[name]
+        workload.prepare(0, str(tmp_path))
+        for argv in workload.commands(0, str(tmp_path), str(tmp_path)):
+            assert main(argv) == 0, argv
+        digests = {report: hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() for report in workload.reports}
+        assert digests == json.loads((GOLDEN_DIR / "workload_digests.json").read_bytes())[name]
 
     def test_records_pass_exactly_within_their_threshold(self, all_report):
         records = json.loads(all_report[1])["records"]
@@ -607,6 +623,34 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert "configuration error" in result.stderr and culprit in result.stderr
         assert "RuntimeWarning" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "q, psi, label, grid, culprit",
+        [
+            ("1e308", "0.5,2", "1e+308", "0.5,2.0", "psi_a=2.0 overflows double precision at q**1"),
+            (
+                "1e299", "0.5,1e10", "1e+299", "0.5,10000000000.0",
+                "psi_a=10000000000.0 overflows double precision at q**1",
+            ),
+            (
+                "1e-299", "0.5,1e10", "1e-299", "0.5,10000000000.0",
+                "psi_b=10000000000.0 overflows double precision at q**-1",
+            ),
+        ],
+    )
+    def test_overflowing_bracket_table_exits_two_naming_q_and_psi(self, tmp_path, q, psi, label, grid, culprit):
+        # q times psi overflows in the sweep's table; numpy's overflow warning raised as an error
+        # would end in a traceback, so none may be emitted
+        out = tmp_path / "report.json"
+        argv = ["-W", "error::RuntimeWarning", "-m", "qgatelab", "discover", "--q", q, "--psi", psi, "--out", str(out)]
+        result = self._run_python(*argv)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (
+            f"qgatelab: configuration error: q values {label} or psi grid {grid} overflow double-precision "
+            f"arithmetic (the sweep's bracket table at q={label} and {culprit}); use q values closer to 1 "
+            "or smaller psi values\n"
+        )
         assert not out.exists()
 
     def test_discover_does_not_import_numpy_ma(self, tmp_path):

@@ -20,8 +20,8 @@ st = hypothesis.strategies
 from qgatelab import CLAIMS, GateKind, GateSpec  # noqa: E402
 from qgatelab.constraints import (  # noqa: E402
     _candidate_patterns,
-    _check_range,
     _grid_levels,
+    _level_tables,
     _pair_codes,
     _strata,
     _stratum_columns,
@@ -101,7 +101,7 @@ def test_tables_match_the_grid_oracle_bit_for_bit(kind, q, grid):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     levels, grid_codes = _grid_levels(grid)
     plan = _sweep_plan(spec)
-    _check_range(spec, q, levels, grid_codes, plan)
+    tables = _level_tables(spec, plan, (q,), levels, grid_codes)
     patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
     for stratum, slots in _strata(spec.arity).items():
         columns = _stratum_columns(slots, levels, grid_codes)
@@ -110,7 +110,7 @@ def test_tables_match_the_grid_oracle_bit_for_bit(kind, q, grid):
         samples = sorted({*range(0, count, max(1, count // 256)), count - 1})
         ((tallies, exemplars, skipped, seen),) = oracle_block(spec, (q,), levels, columns, patterns, samples, 1e-12)
         stratum_plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-        (got,) = _sweep_block(plan, (q,), levels, stratum_plan, samples, 1e-12)
+        (got,) = _sweep_block(plan, tables, stratum_plan, samples, 1e-12)
         where = (stratum, q, grid)
         for pattern in patterns:
             assert bits(got[0][stratum_plan[-1][pattern]]) == bits(tallies[pattern]), (*where, pattern)
