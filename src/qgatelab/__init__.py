@@ -35,10 +35,13 @@ from .gates import (
 from .qdeform import (
     AlgebraResiduals,
     DeformedModeOperators,
+    DeformedModeStack,
     OperatorConvention,
     algebra_residuals,
     deformed_number_op,
     make_deformed_ops,
+    make_deformed_stack,
+    stack_residuals,
 )
 from .qnum import (
     DeformationParams,
@@ -77,6 +80,7 @@ __all__ = [
     "ConstraintReport",
     "DeformationParams",
     "DeformedModeOperators",
+    "DeformedModeStack",
     "DeformedQubitSpec",
     "ExponentConvention",
     "GateKind",
@@ -106,6 +110,7 @@ __all__ = [
     "hadamard_closure_ratio",
     "lift",
     "make_deformed_ops",
+    "make_deformed_stack",
     "make_mode_ops",
     "occupation_index",
     "psi_bracket",
@@ -113,5 +118,6 @@ __all__ = [
     "qubit_amplitude",
     "run_suites",
     "serialize_report",
+    "stack_residuals",
     "toffoli_literal_matrix",
 ]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
-from .qnum import PSI_COUNT, NegativeRadicandError, bracket, power, psi_bracket
+from .qnum import PSI_COUNT, NegativeRadicandError, _check_q, bracket, power, psi_bracket
 from .schwinger import ExponentConvention, QubitEmbedding
 
 __all__ = [
@@ -100,9 +100,7 @@ def hadamard_closure_ratio(n1: int, q) -> float:
     """
     if n1 not in (0, 1):
         raise ValueError(f"the ratio is defined for occupation 0 or 1, got {n1!r}")
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise ValueError(f"q must be a positive finite real, got {q!r}")
+    q = _check_q(q)
     subject = f"the closure ratio audit at n1={n1}, q={q!r}"
     numerator = (1 - n1) * power(q, -n1, subject) - n1 * power(q, n1 + 1, subject)
     denominator = (1 - n1) * power(q, n1, subject) - n1 * power(q, n1 - 1, subject)
@@ -285,7 +283,7 @@ def _level_tables(spec: GateSpec, plan: tuple, q_values, levels: np.ndarray, gri
     rows = []
     for q in q_values:
         with np.errstate(over="ignore"):  # bracket names an overflowing product, an inf amplitude fails below
-            rows.append(bracket(1, q, levels[:, None], levels[None, :], f"the sweep's bracket table at q={q!r}"))
+            rows.append(bracket(1, q, levels[:, None], levels[None, :], "the sweep's bracket table at q={q!r}"))
         admissible_amps = np.sqrt(np.where((rows[-1] >= 0.0) & np.outer(in_grid, in_grid), rows[-1], 0.0))
 
         def refuse(error, at: tuple, verb: str, outcome: str):

@@ -16,6 +16,10 @@ zeroed, which kills the 1 -> 0 transition of the lowering operator.  The raising
 operators of the two readings coincide, the lowering ones do not, and LEFT_SCALING
 knowingly breaks the product-diagonal relation at level 1.  It exists so reports
 can show side by side what the literal scaling does.
+
+make_deformed_stack builds the pair at every q of a tuple at once, as (Q, d, d)
+arrays, and stack_residuals takes the relations of all of them with stacked
+matrix products; make_deformed_ops and algebra_residuals are their one-q case.
 """
 
 import math
@@ -25,16 +29,22 @@ from enum import Enum
 import numpy as np
 
 from .fock import ModeOperators
-from .qnum import NegativeRadicandError, psi_bracket
+from .qnum import NegativeRadicandError, _check_q, bracket
 
 __all__ = [
     "AlgebraResiduals",
     "DeformedModeOperators",
+    "DeformedModeStack",
     "OperatorConvention",
     "algebra_residuals",
     "deformed_number_op",
     "make_deformed_ops",
+    "make_deformed_stack",
+    "stack_residuals",
 ]
+
+# the relations that read the vacuum diagonal of a_q_dag @ a_q
+_VACUUM_READERS = ("deformed_commutation", "lowering_product_diagonal")
 
 
 class OperatorConvention(str, Enum):
@@ -59,6 +69,55 @@ class DeformedModeOperators:
     brackets: tuple
 
 
+@dataclass(frozen=True)
+class DeformedModeStack:
+    """Deformed ladder matrices for one truncated mode at each q of q_values, as (Q, d, d) arrays
+    along q, and the brackets B(0)..B(cutoff) they were built from as a (Q, d + 1) array."""
+
+    mode: ModeOperators
+    q_values: tuple
+    psi_a: float
+    psi_b: float
+    convention: OperatorConvention
+    a_q: np.ndarray
+    a_q_dag: np.ndarray
+    brackets: np.ndarray
+
+
+def make_deformed_stack(
+    mode: ModeOperators,
+    q_values,
+    psi_a=1.0,
+    psi_b=1.0,
+    convention: OperatorConvention = OperatorConvention.MATRIX_ELEMENT,
+) -> DeformedModeStack:
+    """Build the deformed pair at every q of q_values under the chosen convention.  Entry i equals
+    make_deformed_ops at q_values[i] to the bit.  The brackets overflow as qnum.bracket says, q by q;
+    then the first q with a negative bracket on levels 1..d-1 raises NegativeRadicandError."""
+    convention = OperatorConvention(convention)
+    q_values = tuple(_check_q(q) for q in q_values)
+    psi_a = float(psi_a)
+    psi_b = float(psi_b)
+    d = mode.cutoff
+    brackets = bracket(range(d + 1), q_values, psi_a, psi_b, "the psi bracket at n={n}, q={q!r}")
+    negative = brackets[:, 1:d] < 0.0  # levels 1..d-1 must be nonnegative to take square roots
+    if negative.any():
+        row, level = np.argwhere(negative)[0]
+        raise NegativeRadicandError(int(level) + 1, float(brackets[row, level + 1]))
+    roots = np.sqrt(brackets[:, 1:d])
+    levels = np.arange(1, d)
+    if convention is OperatorConvention.MATRIX_ELEMENT:
+        a_q = np.zeros((len(q_values), d, d), dtype=complex)
+        a_q[:, levels - 1, levels] = roots
+        a_q_dag = a_q.conj().transpose(0, 2, 1)
+    else:
+        f_of_n = np.zeros((len(q_values), d, d), dtype=complex)
+        f_of_n[:, levels, levels] = roots / np.sqrt(levels.astype(float))
+        a_q = f_of_n @ mode.a
+        a_q_dag = f_of_n @ mode.a_dag
+    return DeformedModeStack(mode, q_values, psi_a, psi_b, convention, a_q, a_q_dag, brackets)
+
+
 def make_deformed_ops(
     mode: ModeOperators,
     q,
@@ -66,28 +125,18 @@ def make_deformed_ops(
     psi_b=1.0,
     convention: OperatorConvention = OperatorConvention.MATRIX_ELEMENT,
 ) -> DeformedModeOperators:
-    """Build the deformed pair on a truncated mode under the chosen convention."""
-    convention = OperatorConvention(convention)
-    q = float(q)
-    psi_a = float(psi_a)
-    psi_b = float(psi_b)
-    d = mode.cutoff
-    brackets = tuple(psi_bracket(n, q, psi_a, psi_b) for n in range(d + 1))
-    for n in range(1, d):  # levels 1..d-1 must be nonnegative to take square roots
-        if brackets[n] < 0.0:
-            raise NegativeRadicandError(n, brackets[n])
-    roots = np.sqrt(np.asarray(brackets[1:d], dtype=float))
-    if convention is OperatorConvention.MATRIX_ELEMENT:
-        a_q = np.diag(roots, 1).astype(complex)
-        a_q_dag = a_q.conj().T
-    else:
-        scale = np.zeros(d)
-        levels = np.arange(1, d, dtype=float)
-        scale[1:] = roots / np.sqrt(levels)
-        f_of_n = np.diag(scale).astype(complex)
-        a_q = f_of_n @ mode.a
-        a_q_dag = f_of_n @ mode.a_dag
-    return DeformedModeOperators(mode, q, psi_a, psi_b, convention, a_q, a_q_dag, brackets)
+    """Build the deformed pair on a truncated mode under the chosen convention: the one-q stack."""
+    stack = make_deformed_stack(mode, (q,), psi_a, psi_b, convention)
+    return DeformedModeOperators(
+        mode,
+        stack.q_values[0],
+        stack.psi_a,
+        stack.psi_b,
+        stack.convention,
+        stack.a_q[0],
+        stack.a_q_dag[0],
+        tuple(stack.brackets[0].tolist()),
+    )
 
 
 def deformed_number_op(ops: DeformedModeOperators) -> np.ndarray:
@@ -122,13 +171,17 @@ class AlgebraResiduals:
     levels: dict
 
 
-def _masked_max(matrix: np.ndarray, levels) -> float:
-    sub = matrix[np.ix_(levels, levels)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
+def _diagonal_stack(diagonals: np.ndarray) -> np.ndarray:
+    """(Q, d) diagonals as a (Q, d, d) complex stack of diagonal matrices."""
+    count, d = diagonals.shape
+    stack = np.zeros((count, d, d), dtype=complex)
+    stack[:, range(d), range(d)] = diagonals
+    return stack
 
 
-def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
-    """Residuals of the five deformed-algebra relations for one operator pair.
+def stack_residuals(stack: DeformedModeStack) -> tuple:
+    """Residuals of the five deformed-algebra relations at each q of a stack, entry i equal to
+    algebra_residuals at q_values[i] to the bit.
 
     All relations are tested on levels 0..d-2; the top level is excluded as a
     truncation artifact.  The two relations that read the vacuum diagonal of
@@ -136,31 +189,62 @@ def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
     additionally drop level 0 whenever B(0) != 0: with unequal pair parameters
     the bracket does not vanish at n = 0 but the matrix product always does,
     because lowering annihilates the vacuum structurally.  That is the exact
-    bottom-of-ladder analogue of the top-level exclusion.  B(n) is read off ops.
+    bottom-of-ladder analogue of the top-level exclusion.  B(n) is read off the stack.
     """
-    mode = ops.mode
+    mode = stack.mode
     d = mode.cutoff
-    q = ops.q
-    aq, aqd = ops.a_q, ops.a_q_dag
+    aq, aqd = stack.a_q, stack.a_q_dag
     n_op = mode.n_op
+    q = np.array(stack.q_values)
+
+    keeps_vacuum = stack.brackets[:, 0] == 0.0
+    level = np.arange(d)
+    inside = level < d - 1
+    guarded_inside = inside & (keeps_vacuum[:, None] | (level > 0))  # (Q, d)
+    masks = {False: np.outer(inside, inside), True: guarded_inside[:, :, None] & guarded_inside[:, None, :]}
+    maxima = {}
+
+    def reduce(key: str, matrix: np.ndarray) -> None:
+        # each relation is reduced as soon as it is built, so one relation's temporaries are alive at a time
+        tested = masks[key in _VACUUM_READERS]
+        maxima[key] = np.abs(matrix).max(axis=(1, 2), where=tested, initial=0.0).tolist()
+
+    raised, lowered = aq @ aqd, aqd @ aq
+    q_pow_neg_n = _diagonal_stack(q[:, None] ** -np.arange(d, dtype=float))
+    reduce("deformed_commutation", raised - q[:, None, None] * lowered - stack.psi_b * q_pow_neg_n)
+    reduce("lowering_number_commutator", (aq @ n_op - n_op @ aq) - aq)
+    reduce("raising_number_commutator", (aqd @ n_op - n_op @ aqd) + aqd)
+    reduce("lowering_product_diagonal", lowered - _diagonal_stack(stack.brackets[:, :d]))
+    reduce("raising_product_diagonal", raised - _diagonal_stack(stack.brackets[:, 1 : d + 1]))
 
     base = tuple(range(d - 1))
-    guarded = base if ops.brackets[0] == 0.0 else base[1:]
+    results = []
+    for index, (at_q, kept) in enumerate(zip(stack.q_values, keeps_vacuum.tolist())):
+        guarded = base if kept else base[1:]
+        results.append(
+            AlgebraResiduals(
+                at_q,
+                stack.psi_a,
+                stack.psi_b,
+                stack.convention.value,
+                d,
+                {key: values[index] for key, values in maxima.items()},
+                {key: guarded if key in _VACUUM_READERS else base for key in maxima},
+            )
+        )
+    return tuple(results)
 
-    q_pow_neg_n = np.diag(q ** -np.arange(d, dtype=float)).astype(complex)
-    commutation = aq @ aqd - q * (aqd @ aq) - ops.psi_b * q_pow_neg_n
-    lowering_number = (aq @ n_op - n_op @ aq) - aq
-    raising_number = (aqd @ n_op - n_op @ aqd) + aqd
-    lowering_diag = aqd @ aq - np.diag(np.asarray(ops.brackets[:d], dtype=complex))
-    raising_diag = aq @ aqd - np.diag(np.asarray(ops.brackets[1 : d + 1], dtype=complex))
 
-    relations = {
-        "deformed_commutation": (commutation, guarded),
-        "lowering_number_commutator": (lowering_number, base),
-        "raising_number_commutator": (raising_number, base),
-        "lowering_product_diagonal": (lowering_diag, guarded),
-        "raising_product_diagonal": (raising_diag, base),
-    }
-    residuals = {key: _masked_max(matrix, tested) for key, (matrix, tested) in relations.items()}
-    levels = {key: tested for key, (_, tested) in relations.items()}
-    return AlgebraResiduals(q, ops.psi_a, ops.psi_b, ops.convention.value, d, residuals, levels)
+def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
+    """Residuals of the five deformed-algebra relations for one operator pair (see stack_residuals)."""
+    stack = DeformedModeStack(
+        ops.mode,
+        (ops.q,),
+        ops.psi_a,
+        ops.psi_b,
+        ops.convention,
+        ops.a_q[None],
+        ops.a_q_dag[None],
+        np.array([ops.brackets], dtype=float),
+    )
+    return stack_residuals(stack)[0]

@@ -3,7 +3,8 @@
 The deformed integer [n] = (q^n - q^(-n)) / (q - q^(-1)) underlies every matrix
 element in this package; the two-parameter bracket weights its numerator with a
 per-mode pair (psi_a, psi_b), and bracket is the one place either is written, on
-floats or numpy arrays of psi.  Bracket values feed square roots downstream, so
+floats, on numpy arrays of psi, or as a table over q values and levels.  Bracket
+values feed square roots downstream, so
 admissibility (nonnegative radicands) is policed with a dedicated error type.
 """
 
@@ -58,11 +59,8 @@ def q_bracket(n, q) -> float:
     Symmetric under q <-> 1/q.  At q = 1 the analytic limit n is returned
     directly instead of evaluating the 0/0 ratio.
     """
-    n = _check_level(n)
-    q = _check_q(q)
-    if q == 1.0:
-        return float(n)
-    return bracket(n, q, 1.0, 1.0, f"the q bracket at n={n}, q={q!r}")  # psi = 1 multiplies exactly
+    # psi = 1 multiplies exactly, so this is the symmetric bracket, and n itself at q = 1
+    return bracket(_check_level(n), _check_q(q), 1.0, 1.0, "the q bracket at n={n}, q={q!r}")
 
 
 def psi_bracket(n, q, psi_a, psi_b) -> float:
@@ -72,18 +70,7 @@ def psi_bracket(n, q, psi_a, psi_b) -> float:
     with psi_a = psi_b = psi.  q = 1 with unequal pair values is rejected: the
     numerator does not vanish with the denominator, so no finite value exists.
     """
-    n = _check_level(n)
-    q = _check_q(q)
-    psi_a = float(psi_a)
-    psi_b = float(psi_b)
-    if q == 1.0:
-        if psi_a != psi_b:
-            raise ValueError(
-                "q = 1 is only defined for equal pair parameters; "
-                f"got psi_a={psi_a!r}, psi_b={psi_b!r}"
-            )
-        return float(n) * psi_a
-    return bracket(n, q, psi_a, psi_b, f"the psi bracket at n={n}, q={q!r}")
+    return bracket(_check_level(n), _check_q(q), float(psi_a), float(psi_b), "the psi bracket at n={n}, q={q!r}")
 
 
 def overflow_error(subject: str, n: int) -> OverflowError:
@@ -99,17 +86,46 @@ def power(q: float, n: int, subject: str) -> float:
         raise overflow_error(subject, n) from None
 
 
-def bracket(n: int, q: float, psi_a, psi_b, subject: str):
-    """(q^n psi_a - q^(-n) psi_b) / (q - 1/q) at q != 1 on Python floats or numpy arrays of psi, whose
-    entries get their pair's float operations (the powers and q - 1/q are floats).  Only the power
-    above 1 can overflow (power names it), and its product with an array of psi (under the caller's
-    np.errstate), named with the first psi value it overflows at; float products and quotients give inf."""
-    terms = power(q, n, subject) * psi_a, power(q, -n, subject) * psi_b
+def bracket(n, q, psi_a, psi_b, subject: str):
+    """(q^n psi_a - q^(-n) psi_b) / (q - 1/q), and its limit n psi_a at q = 1, where it is defined only for
+    psi_a == psi_b: the one place the bracket is written.
+
+    n and q are a level and a float base, or a sequence of levels and a sequence of float bases; the
+    latter gives the (len(q), len(n)) table of the same values to the bit.  psi_a and psi_b are floats,
+    or with one base q != 1 numpy arrays of psi, whose entries get their pair's float operations.  The
+    powers and q - 1/q are Python floats, taken q-major with n ascending.  Only the power above 1 can
+    overflow; the first to do so raises overflow_error with subject formatted by its {n} and {q}.  So
+    does its product with an array of psi (under the caller's np.errstate), named with the first psi
+    value it overflows at; float products and quotients give inf, and so do the table's, without a
+    numpy warning."""
+    table = not isinstance(q, float)
+    bases, levels = (q, n) if table else ((q,), (n,))
+    if 1.0 in bases and psi_a != psi_b:
+        raise ValueError(f"q = 1 is only defined for equal pair parameters; got psi_a={psi_a!r}, psi_b={psi_b!r}")
+    ups, downs = [], []
+    try:
+        for base in bases:
+            for level in levels:
+                ups.append(base**level)
+                downs.append(base**-level)
+    except OverflowError:
+        raise overflow_error(subject.format(n=level, q=base), level if base > 1.0 else -level) from None
+    gaps = [base - 1.0 / base if base != 1.0 else math.inf for base in bases]  # a q = 1 entry is set below
+    if table:
+        up, down = (np.array(powers).reshape(len(bases), len(levels)) for powers in (ups, downs))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as float operations give them
+            values = (up * psi_a - down * psi_b) / np.array(gaps)[:, None]
+            values[[base == 1.0 for base in bases]] = np.asarray(levels, dtype=float) * psi_a
+        return values
+    if q == 1.0:
+        return float(n) * psi_a
+    terms = ups[0] * psi_a, downs[0] * psi_b
     at = -n if q < 1.0 else n  # the power above 1
     term, name, psi = (terms[1], "psi_b", psi_b) if at < 0 else (terms[0], "psi_a", psi_a)
     if isinstance(term, np.ndarray) and not np.isfinite(term).all():
+        subject = subject.format(n=n, q=q)
         raise overflow_error(f"{subject} and {name}={psi[~np.isfinite(term)].flat[0].item()!r}", at)
-    return (terms[0] - terms[1]) / (q - 1.0 / q)
+    return (terms[0] - terms[1]) / gaps[0]
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,6 @@ def serialize_report(report: VerificationReport, fmt: str) -> bytes:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in report.records:
-            writer.writerow([_csv_cell(getattr(record, column)) for column in CSV_COLUMNS])
+        writer.writerows([_csv_cell(getattr(record, column)) for column in CSV_COLUMNS] for record in report.records)
         return buffer.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

@@ -1,6 +1,7 @@
 """Tests for the deformed ladder operators and their algebra residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,24 @@ import pytest
 from qgatelab import (
     NegativeRadicandError,
     OperatorConvention,
+    RunConfig,
     algebra_residuals,
     deformed_number_op,
     make_deformed_ops,
+    make_deformed_stack,
     make_mode_ops,
     psi_bracket,
+    stack_residuals,
 )
-from qgatelab import qdeform
+from qgatelab import qdeform, suites
+from qgatelab.suites import _GENERALIZED_POINTS, algebra_suite
+from test_constraints import _counted
 
 Q_GRID = (0.5, 0.9, 1.1, 2.0)
+# q = 1 and one q either side of it within 1e-8, where the bracket is a ratio of vanishing differences
+STACK_Q = (0.5, 0.9, 1.0, 1.0 + 1e-8, 1.0 - 1e-8, 2.0, 1e3)
+# 200 q values with distinct %g labels, none equal to 1
+MANY_Q = tuple(round(0.5 + 0.0075 * i, 6) for i in range(200))
 
 
 class TestMakeDeformedOps:
@@ -81,7 +91,7 @@ class TestAlgebraResiduals:
         def refused(*args):
             raise AssertionError("algebra_residuals computed a bracket again")
 
-        monkeypatch.setattr(qdeform, "psi_bracket", refused)
+        monkeypatch.setattr(qdeform, "bracket", refused)
         assert algebra_residuals(ops) == before
 
     def test_unequal_weights_drop_the_bottom_level(self):
@@ -177,3 +187,115 @@ class TestDeformedNumberOp:
         stepped = diag_up - q * diag_now
         expected = wb * q ** -np.arange(6, dtype=float)
         assert np.max(np.abs(stepped - expected)) <= 1e-12
+
+
+def _reference_build(mode, q, psi_b, convention) -> tuple:
+    """a_q, a_q_dag and B(0)..B(d) of one q at psi_a = 1, built matrix by matrix from scalar brackets."""
+    d = mode.cutoff
+    brackets = [psi_bracket(n, q, 1.0, psi_b) for n in range(d + 1)]
+    roots = np.sqrt(np.asarray(brackets[1:d], dtype=float))
+    if convention is OperatorConvention.MATRIX_ELEMENT:
+        a_q = np.diag(roots, 1).astype(complex)
+        return a_q, a_q.conj().T, brackets
+    scale = np.zeros(d)
+    scale[1:] = roots / np.sqrt(np.arange(1, d, dtype=float))
+    f_of_n = np.diag(scale).astype(complex)
+    return f_of_n @ mode.a, f_of_n @ mode.a_dag, brackets
+
+
+def _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets) -> tuple:
+    """The five relations of one q, each a separate matrix reduced over its tested levels with np.ix_."""
+    d = mode.cutoff
+    n_op = mode.n_op
+    base = tuple(range(d - 1))
+    guarded = base if brackets[0] == 0.0 else base[1:]
+    q_pow_neg_n = np.diag(q ** -np.arange(d, dtype=float)).astype(complex)
+    relations = {
+        "deformed_commutation": (a_q @ a_q_dag - q * (a_q_dag @ a_q) - psi_b * q_pow_neg_n, guarded),
+        "lowering_number_commutator": ((a_q @ n_op - n_op @ a_q) - a_q, base),
+        "raising_number_commutator": ((a_q_dag @ n_op - n_op @ a_q_dag) + a_q_dag, base),
+        "lowering_product_diagonal": (a_q_dag @ a_q - np.diag(np.asarray(brackets[:d], dtype=complex)), guarded),
+        "raising_product_diagonal": (a_q @ a_q_dag - np.diag(np.asarray(brackets[1:], dtype=complex)), base),
+    }
+    residuals = {key: float(np.max(np.abs(m[np.ix_(kept, kept)]))) for key, (m, kept) in relations.items()}
+    return residuals, {key: kept for key, (_, kept) in relations.items()}
+
+
+class TestDeformedModeStack:
+    @pytest.mark.parametrize("cutoff", [3, 8, 14])
+    @pytest.mark.parametrize("convention", list(OperatorConvention))
+    @pytest.mark.parametrize(
+        ("q_values", "psi_b"),
+        [(STACK_Q, 1.0)] + [((q, 1.0 / q, 2.7), psi_b) for q, psi_b in _GENERALIZED_POINTS],
+    )
+    def test_each_q_equals_its_own_build_bit_for_bit(self, cutoff, convention, q_values, psi_b):
+        mode = make_mode_ops(cutoff)
+        stack = make_deformed_stack(mode, q_values, 1.0, psi_b, convention)
+        results = stack_residuals(stack)
+        assert stack.a_q.shape == stack.a_q_dag.shape == (len(q_values), cutoff, cutoff)
+        assert stack.brackets.shape == (len(q_values), cutoff + 1)
+        for index, q in enumerate(q_values):
+            a_q, a_q_dag, brackets = _reference_build(mode, q, psi_b, convention)
+            residuals, levels = _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets)
+            single = make_deformed_ops(mode, q, 1.0, psi_b, convention)
+            for built in (stack.a_q[index], single.a_q):
+                assert np.array_equal(built, a_q)
+            for built in (stack.a_q_dag[index], single.a_q_dag):
+                assert np.array_equal(built, a_q_dag)
+            assert stack.brackets[index].tolist() == list(single.brackets) == brackets
+            for result in (results[index], algebra_residuals(single)):
+                assert (result.q, result.psi_b, result.convention) == (q, psi_b, convention.value)
+                assert result.residuals == residuals, q
+                assert result.levels == levels
+
+    def test_negative_bracket_names_the_first_q_and_level(self):
+        # q = 4 admits the pair (0.5, 4) at level 1, q = 2 does not: (1 - 2) / 1.5 < 0
+        with pytest.raises(NegativeRadicandError) as excinfo:
+            make_deformed_stack(make_mode_ops(4), (4.0, 2.0), 0.5, 4.0)
+        assert excinfo.value.level == 1
+        assert excinfo.value.value == psi_bracket(1, 2.0, 0.5, 4.0)
+
+    @pytest.mark.parametrize(
+        ("q", "brackets"),
+        [
+            (2.0, (0.0, math.inf, math.inf, math.inf, math.inf)),
+            (0.5, (-0.0, math.inf, math.inf, math.inf, math.inf)),
+            (1.0, (0.0, 1e308, math.inf, math.inf, math.inf)),
+        ],
+    )
+    def test_overflowing_psi_gives_inf_brackets_without_a_warning(self, q, brackets):
+        # q**n * psi overflows past double precision; as float operations, the bracket is inf,
+        # and a numpy overflow warning would fail the test (conftest)
+        ops = make_deformed_ops(make_mode_ops(4), q, 1e308, 1e308)
+        assert list(map(repr, ops.brackets)) == list(map(repr, brackets))
+
+
+class TestAlgebraSuiteStacks:
+    def test_one_stack_per_chunk_per_loop_and_chunks_change_no_record(self, monkeypatch):
+        # 200 q at cutoff 8 fit one chunk: one forward and one mirror stack, and the per-q
+        # functions only at the fixed generalized, number-shift and convention-audit points
+        names = ("make_deformed_stack", "stack_residuals", "make_deformed_ops", "algebra_residuals")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(suites, name, _counted(calls, name, getattr(suites, name)))
+        cfg = RunConfig(suite="algebra", q_values=MANY_Q)
+        records = algebra_suite(cfg)
+        per_point = {"make_deformed_ops": 8, "algebra_residuals": 5}
+        assert calls == {"make_deformed_stack": 2, "stack_residuals": 1, **per_point}
+
+        calls.update(dict.fromkeys(names, 0))
+        monkeypatch.setattr(suites, "_STACK_ENTRIES", 16 * cfg.cutoff**2)  # 16 q per chunk
+        assert algebra_suite(cfg) == records
+        assert calls == {"make_deformed_stack": 26, "stack_residuals": 13, **per_point}
+
+    def test_cutoff_64_at_200_q_holds_no_full_stack(self):
+        # one (200, 64, 64) complex stack is 13 MB and the relations take several at once;
+        # chunked, the run peaks near 6 MB
+        cfg = RunConfig(suite="algebra", q_values=MANY_Q, cutoff=64)
+        tracemalloc.start()
+        try:
+            algebra_suite(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

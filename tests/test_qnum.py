@@ -16,6 +16,7 @@ from qgatelab import (
     q_bracket,
 )
 from qgatelab.constraints import _grid_levels, _level_tables, _sweep_plan
+from qgatelab.qnum import bracket
 from qgatelab.schwinger import amplitude_table
 
 mpmath = pytest.importorskip("mpmath")
@@ -120,6 +121,38 @@ class TestBracketOverflow:
         message = f"the {bracket} bracket at n={n}, q={q!r} overflows double precision at {power}"
         with pytest.raises(OverflowError) as caught:
             call(n, q)
+        assert str(caught.value) == message
+
+
+class TestBracketTable:
+    _SUBJECT = "the psi bracket at n={n}, q={q!r}"
+
+    # at psi = 1e308 the products overflow to inf, as the scalar's float products do, with no numpy warning
+    @pytest.mark.parametrize(("psi_a", "psi_b"), [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.5), (1e308, 1e308)])
+    def test_every_entry_equals_its_scalar_bracket(self, psi_a, psi_b):
+        # one ulp either side of 1, where q - 1/q is about 2e-16, and q = 1 itself for equal pairs
+        q_values = (0.5, 0.9, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0, 1e3)
+        q_values += (1.0,) if psi_a == psi_b else ()
+        table = bracket(range(9), q_values, psi_a, psi_b, self._SUBJECT)
+        assert table.shape == (len(q_values), 9)
+        for row, q in zip(table.tolist(), q_values):
+            assert row == [psi_bracket(n, q, psi_a, psi_b) for n in range(9)], q
+
+    def test_q_one_needs_equal_pair_values(self):
+        with pytest.raises(ValueError, match="q = 1 is only defined for equal pair parameters"):
+            bracket(range(3), (2.0, 1.0), 1.0, 2.0, self._SUBJECT)
+
+    @pytest.mark.parametrize(
+        ("q_values", "message"),
+        [
+            # the first q in order whose power overflows is named, at its lowest such level
+            ((2.0, 5e-324, 1e300), "the psi bracket at n=1, q=5e-324 overflows double precision at q**-1"),
+            ((2.0, 1e300, 5e-324), "the psi bracket at n=2, q=1e+300 overflows double precision at q**2"),
+        ],
+    )
+    def test_overflow_names_the_first_q_and_level(self, q_values, message):
+        with pytest.raises(OverflowError) as caught:
+            bracket(range(4), q_values, 1.0, 1.0, self._SUBJECT)
         assert str(caught.value) == message
 
 

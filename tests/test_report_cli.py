@@ -35,6 +35,13 @@ _OWN_OUTCOME_CHECKS = (
 )
 
 
+# 25 q values from 0.5 to 2, q = 1 among them
+_MANY_Q = (
+    "0.5,0.529732,0.561231,0.594604,0.629961,0.66742,0.707107,0.749154,0.793701,0.840896,0.890899,"
+    "0.943874,1,1.05946,1.12246,1.18921,1.25992,1.33484,1.41421,1.49831,1.5874,1.68179,1.7818,1.88775,2"
+)
+
+
 def _golden_config() -> RunConfig:
     return RunConfig(suite="algebra", q_values=(2.0,), cutoff=4)
 
@@ -160,13 +167,16 @@ class TestSerialization:
     def test_many_q_vacuum_gates_run_matches_golden_csv(self, tmp_path):
         # pins closure records over 25 q values, every gate's residuals computed in one batch
         out = tmp_path / "report.csv"
-        q = (
-            "0.5,0.529732,0.561231,0.594604,0.629961,0.66742,0.707107,0.749154,0.793701,0.840896,0.890899,"
-            "0.943874,1,1.05946,1.12246,1.18921,1.25992,1.33484,1.41421,1.49831,1.5874,1.68179,1.7818,1.88775,2"
-        )
-        argv = ["verify-gates", "--convention", "vacuum", "--q", q, "--format", "csv"]
+        argv = ["verify-gates", "--convention", "vacuum", "--q", _MANY_Q, "--format", "csv"]
         assert main(argv + ["--out", str(out)]) == 1
         assert out.read_bytes() == (GOLDEN_DIR / "report_gates_many_q.csv").read_bytes()
+
+    def test_many_q_left_scaling_algebra_run_matches_golden_csv(self, tmp_path):
+        # pins the left-scaling build of one stack over 25 q values, q = 1 among them
+        out = tmp_path / "report.csv"
+        argv = ["verify-algebra", "--convention", "left-scaling", "--q", _MANY_Q, "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == (GOLDEN_DIR / "report_algebra_left_scaling_many_q.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["discover-wide", "dense-many-q"])
     def test_seeded_benchmark_workloads_match_their_digests(self, tmp_path, monkeypatch, name):
@@ -566,16 +576,34 @@ class TestCli:
         assert "1e+160" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify-gates", "verify-algebra"])
-    def test_smallest_subnormal_q_exits_two_naming_the_bracket(self, tmp_path, capsys, command):
-        # q = 5e-324 leaves q**-1 beyond the largest double in the first bracket built
+    @pytest.mark.parametrize(
+        "command, q, label, reason",
+        [
+            # q = 5e-324 leaves q**-1 beyond the largest double in the first bracket built
+            *(
+                pytest.param(
+                    command, "5e-324", "5e-324", "n=1, q=5e-324 overflows double precision at q**-1", id=command
+                )
+                for command in ("verify-gates", "verify-algebra")
+            ),
+            # the algebra stack takes its q values in order, so a bad q after a good one is named
+            pytest.param(
+                "verify-algebra", "2,5e-324", "2.0,5e-324", "n=1, q=5e-324 overflows double precision at q**-1",
+                id="verify-algebra-subnormal-second",
+            ),
+            pytest.param(
+                "verify-algebra", "0.5,1e300", "0.5,1e+300", "n=2, q=1e+300 overflows double precision at q**2",
+                id="verify-algebra-huge-second",
+            ),
+        ],
+    )
+    def test_smallest_subnormal_q_exits_two_naming_the_bracket(self, tmp_path, capsys, command, q, label, reason):
         out = tmp_path / "report.json"
-        assert main([command, "--q", "5e-324", "--out", str(out)]) == 2
+        assert main([command, "--q", q, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "qgatelab: configuration error: q values 5e-324 overflow double-precision arithmetic "
-            "(the psi bracket at n=1, q=5e-324 overflows double precision at q**-1); "
-            "use q values closer to 1\n"
+            f"qgatelab: configuration error: q values {label} overflow double-precision arithmetic "
+            f"(the psi bracket at {reason}); use q values closer to 1\n"
         )
         assert not out.exists()
 
