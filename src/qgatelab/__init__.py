@@ -6,15 +6,13 @@ algebra residuals), schwinger (two-modes-per-qubit encoding and deformed
 states), gates (truth tables, matrices and deformed dyad builds), constraints
 (identity residuals and the grid sweep that audits claimed parameter
 restrictions).  report and suites feed the qgatelab command-line driver.
+
+constraints loads on first use of one of its names, so a process that never
+sweeps neither compiles nor runs it.
 """
 
-from .constraints import (
-    CLAIMS,
-    ConstraintClaim,
-    ConstraintReport,
-    discover_constraints,
-    hadamard_closure_ratio,
-)
+import importlib
+
 from .fock import (
     ModeOperators,
     MultiModeState,
@@ -70,6 +68,18 @@ from .schwinger import (
 from .suites import RunConfig, SUITE_NAMES, run_suites
 
 __version__ = VERSION
+
+_SWEEP_NAMES = frozenset(
+    {"CLAIMS", "ConstraintClaim", "ConstraintReport", "discover_constraints", "hadamard_closure_ratio"}
+)
+
+
+def __getattr__(name):
+    if name in _SWEEP_NAMES:
+        value = getattr(importlib.import_module(".constraints", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AlgebraResiduals",

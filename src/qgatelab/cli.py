@@ -11,6 +11,7 @@ directory (keeping the configured file name).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -72,6 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=text, description=text)
         _add_common_flags(sub)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads every argv with, built once per process."""
+    return build_parser()
 
 
 def _parse_floats(text: str, flag: str) -> tuple:
@@ -159,8 +166,7 @@ def _value_list(values) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gates import GateKind, GateSpec, gate_action_traced, gate_matrix
+from .gates import DISCOVERY_PHI, GateKind, GateSpec, gate_action_traced, gate_matrix
 from .qdeform import OperatorConvention
 from .qnum import PSI_COUNT, NegativeRadicandError, _check_q, bracket, power, psi_bracket
 from .schwinger import ExponentConvention, QubitEmbedding
@@ -54,8 +54,6 @@ __all__ = [
 
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_Q_VALUES = (0.5, 0.9, 1.1, 2.0)
-# phase of the phase-shift gate wherever the gates are swept or checked, so it is not the identity
-DISCOVERY_PHI = math.pi / 3
 
 
 @dataclass(frozen=True)

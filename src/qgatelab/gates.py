@@ -124,6 +124,9 @@ _GATES = {
     GateKind.TOFFOLI: _Gate(3, (0, 1), _flip(2), False),
 }
 
+# phase of the phase-shift gate wherever the gates are swept or checked, so it is not the identity
+DISCOVERY_PHI = math.pi / 3
+
 
 @dataclass(frozen=True)
 class GateSpec:

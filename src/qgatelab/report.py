@@ -114,50 +114,62 @@ class VerificationReport:
         }
 
 
+# '"key":' of each dict key met so far: a report draws its keys from a small vocabulary
+_KEY_PREFIXES = {}
+_KEY_PREFIX_LIMIT = 4096
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot enter a report")
-    return format(float(value), ".17g")
+    return f"{float(value):.17g}"
 
 
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, ASCII, %.17g floats, no whitespace.  Each container is
     joined from its members' strings, so no token list spans the whole document."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return _format_float(value)
+    if isinstance(value, dict):
+        members = []
+        for key in sorted(value):
+            prefix = _KEY_PREFIXES.get(key)
+            if prefix is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, got {key!r}")
+                prefix = encode_basestring_ascii(key) + ":"
+                if len(_KEY_PREFIXES) < _KEY_PREFIX_LIMIT:
+                    _KEY_PREFIXES[key] = prefix
+            members.append(prefix + canonical_json(value[key]))
+        return "{" + ",".join(members) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, value)) + "]"
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, dict):
-        return "{" + ",".join(_member(key, value[key]) for key in sorted(value)) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(canonical_json, value)) + "]"
     raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
 
 
-def _member(key, value) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"report keys must be strings, got {key!r}")
-    return encode_basestring_ascii(key) + ":" + canonical_json(value)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, (dict, list, tuple)):
-        return canonical_json(value)
-    return str(value)
+def _csv_row(record: CheckRecord) -> tuple:
+    """A record's CSV cells in CSV_COLUMNS order, each field read as the type CheckRecord gives it."""
+    residual, threshold = record.residual, record.threshold
+    return (
+        str(record.check_id),
+        str(record.relation),
+        str(record.convention),
+        canonical_json(record.params),
+        "" if residual is None else _format_float(residual),
+        "" if threshold is None else _format_float(threshold),
+        "true" if record.passed else "false",
+        str(record.notes),
+    )
 
 
 def serialize_report(report: VerificationReport, fmt: str) -> bytes:
@@ -168,6 +180,6 @@ def serialize_report(report: VerificationReport, fmt: str) -> bytes:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([_csv_cell(getattr(record, column)) for column in CSV_COLUMNS] for record in report.records)
+        writer.writerows(map(_csv_row, report.records))
         return buffer.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fock import MultiModeState, basis_state, occupation_index
-from .qnum import DeformationParams, NegativeRadicandError, psi_bracket
+from .qnum import DeformationParams, NegativeRadicandError, _check_q, psi_bracket
 
 __all__ = [
     "DeformedQubitSpec",
@@ -129,10 +129,17 @@ def closing_params(q, bits, exponent: ExponentConvention = ExponentConvention.RE
     q = float(q)
     pairs = {}
     for i, x in enumerate(bits, start=1):
-        n1 = x if exponent is ExponentConvention.RESULT else 0
-        pairs[2 * i - 1] = (q ** (1 - n1), q ** (1 - n1))
-        pairs[2 * i] = (q**n1, q**n1)
+        odd, even = _closing_psi(q, x, exponent)
+        pairs[2 * i - 1] = (odd, odd)
+        pairs[2 * i] = (even, even)
     return DeformationParams(q).with_pairs(pairs)
+
+
+def _closing_psi(q: float, bit: int, exponent: ExponentConvention) -> tuple:
+    """The closing rule for a qubit holding bit: the psi value of its odd mode's pair, q^(1-n1), and
+    of its even mode's pair, q^(n1), with n1 = bit under RESULT and 0 under VACUUM."""
+    n1 = bit if exponent is ExponentConvention.RESULT else 0
+    return q ** (1 - n1), q**n1
 
 
 def qubit_amplitude(bit: int, qubit_index: int, q, params: DeformationParams) -> float:
@@ -144,7 +151,10 @@ def qubit_amplitude(bit: int, qubit_index: int, q, params: DeformationParams) ->
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     mode = 2 * qubit_index - 1 if bit else 2 * qubit_index
-    psi_a, psi_b = params.pair(mode)
+    return _creation_amplitude(q, *params.pair(mode))
+
+
+def _creation_amplitude(q, psi_a, psi_b) -> float:
     bracket = psi_bracket(1, q, psi_a, psi_b)
     if bracket < 0.0:
         raise NegativeRadicandError(1, bracket)
@@ -187,7 +197,12 @@ def amplitude_table(q, qubit_count: int, params=None, exponent=ExponentConventio
 
 @functools.lru_cache(maxsize=2)  # one q under both exponents
 def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
-    return tuple(qubit_amplitude(bit, 1, q, closing_params(q, (bit,), exponent)) for bit in (0, 1))
+    """qubit_amplitude of bits 0 and 1 under closing_params, read from the closing rule directly: bit 1
+    excites the odd mode and bit 0 the even mode, each with both pair entries equal."""
+    _check_q(q)
+    odd_psi = _closing_psi(q, 1, exponent)[0]
+    even_psi = _closing_psi(q, 0, exponent)[1]
+    return _creation_amplitude(q, even_psi, even_psi), _creation_amplitude(q, odd_psi, odd_psi)
 
 
 def ket_amplitudes(table) -> np.ndarray:

@@ -14,9 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from .constraints import DISCOVERY_PHI, discover_constraints, hadamard_closure_ratio
 from .fock import make_mode_ops
 from .gates import (
+    DISCOVERY_PHI,
     GateKind,
     GateSpec,
     _closure_residuals,
@@ -500,6 +500,9 @@ def gates_suite(cfg: RunConfig) -> list:
 
 
 def constraints_suite(cfg: RunConfig) -> list:
+    # the sweep module loads here, so processes that never sweep never compile it
+    from .constraints import discover_constraints, hadamard_closure_ratio
+
     thr = cfg.identity_threshold
     check = partial(_check, convention=_convention_label(cfg), threshold=thr)
     records = []

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from qgatelab import (
     run_suites,
     serialize_report,
 )
+from qgatelab import cli
 from qgatelab.cli import ENV_OUT_DIR, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -285,6 +287,15 @@ class TestCli:
         message = capsys.readouterr().out
         assert "19/19 checks passed" in message
         assert json.loads(out.read_bytes())["summary"]["failed"] == 0
+
+    def test_main_parses_with_one_parser_and_build_parser_stays_fresh(self, tmp_path, monkeypatch):
+        parser = cli._parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
+        for command in ("verify-algebra", "verify-gates"):
+            assert main([command, "--q", "2", "--cutoff", "4", "--out", str(tmp_path / "r.json")]) == 0
+        assert cli._parser() is parser
+        monkeypatch.undo()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_failing_checks_exit_one(self, tmp_path):
         out = tmp_path / "report.json"
@@ -692,3 +703,46 @@ class TestCli:
         result = self._run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert out.exists()
+
+    def test_only_a_sweep_loads_the_constraints_module(self, tmp_path):
+        code = """
+            import os, sys
+            import qgatelab.cli
+
+            out = sys.argv[1]
+            for command in ("verify-algebra", "verify-gates", "limit-study"):
+                code = qgatelab.cli.main([command, "--q", "0.5,2", "--out", os.path.join(out, command + ".json")])
+                assert code == 0, command
+            assert "qgatelab.constraints" not in sys.modules, "a non-sweep command loaded the sweep module"
+            assert qgatelab.cli.main(["discover", "--q", "2", "--psi", "1,2", "--out", os.path.join(out, "d.json")]) == 0
+            assert "qgatelab.constraints" in sys.modules
+        """
+        result = self._run_python("-c", textwrap.dedent(code), str(tmp_path))
+        assert result.returncode == 0, result.stderr
+
+    def test_every_public_name_resolves_and_star_import_binds_it(self):
+        # the sweep's names resolve on first access, so neither check may load it before asking
+        code = """
+            import sys
+            import qgatelab
+
+            assert "qgatelab.constraints" not in sys.modules
+            names = {}
+            exec("from qgatelab import *", names)
+            missing = [name for name in qgatelab.__all__ if name not in names]
+            assert not missing, missing
+            for name in qgatelab.__all__:
+                assert getattr(qgatelab, name) is names[name], name
+            from qgatelab import constraints
+
+            for name in ("CLAIMS", "ConstraintClaim", "ConstraintReport", "discover_constraints", "hadamard_closure_ratio"):
+                assert getattr(qgatelab, name) is getattr(constraints, name), name
+            try:
+                qgatelab.no_such_name
+            except AttributeError as exc:
+                assert str(exc) == "module 'qgatelab' has no attribute 'no_such_name'", exc
+            else:
+                raise AssertionError("an unknown name resolved")
+        """
+        result = self._run_python("-c", textwrap.dedent(code))
+        assert result.returncode == 0, result.stderr

@@ -1,0 +1,218 @@
+"""The report writer against an independent oracle on values no golden report covers.
+
+The oracle is the writer as it stood before the one-pass rewrite: canonical_json dispatching
+dict members through a helper, and CSV cells converted value by value (_oracle_csv_cell) with
+getattr over CSV_COLUMNS.  Both writers must give the same bytes, or raise the same exception
+type with the same message.
+"""
+
+import csv
+import enum
+import io
+import math
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+import pytest
+
+from qgatelab import CSV_COLUMNS, CheckRecord, VerificationReport, canonical_json, serialize_report
+
+
+def _oracle_format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} cannot enter a report")
+    return format(float(value), ".17g")
+
+
+def _oracle_json(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _oracle_format_float(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(_oracle_member(key, value[key]) for key in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_oracle_json, value)) + "]"
+    raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+
+
+def _oracle_member(key, value) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be strings, got {key!r}")
+    return encode_basestring_ascii(key) + ":" + _oracle_json(value)
+
+
+def _oracle_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _oracle_format_float(value)
+    if isinstance(value, (dict, list, tuple)):
+        return _oracle_json(value)
+    return str(value)
+
+
+def _oracle_serialize(report: VerificationReport, fmt: str) -> bytes:
+    if fmt == "json":
+        return (_oracle_json(report.as_dict()) + "\n").encode("utf-8")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_oracle_csv_cell(getattr(record, column)) for column in CSV_COLUMNS] for record in report.records)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class Tone(str, enum.Enum):
+    LOW = "low"
+    ODD = "the value, not the name"
+
+
+class Rank(enum.IntEnum):
+    FIRST = 1
+
+
+_VALUES = [
+    np.float64(0.1),
+    np.float64(-2.5e-300),
+    Tone.LOW,
+    Tone.ODD,
+    Rank.FIRST,
+    [True, 1, False, 0, None],
+    {"flag": True, "one": 1, "zero": 0, "off": False},
+    -0.0,
+    [0.0, -0.0],
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    2.0,
+    1e22,
+    ((1, (2.5, ())), {"x": {"y": [{}, (), []]}}),
+    {},
+    [],
+    (),
+    "",
+    "café   \U0001f600 ψ₁",
+    {'"quoted"': 1, "back\\slash": 2, "new\nline": 3, "tab\t": 4, "nul\x00": 5, "é": 6, "": 7},
+    {Tone.LOW: 1, "a": {Tone.ODD: [Tone.ODD]}},
+    {"ODD": 1, Tone.ODD: 2},
+    {"q": 0.50413, "cutoff": 8, "psi_a": 1.0, "psi_b": 1.0, "levels": [0, 1, 2, 3, 4, 5, 6]},
+    {f"key{i}": i / 7 for i in range(5000)},
+]
+
+_FAILURES = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    np.float64(math.nan),
+    [1.0, math.inf],
+    {"residual": -math.inf},
+    {1: "one"},
+    {1: "one", 2: "two"},
+    {1: "one", "a": "mixed"},
+    {(1, 2): "tuple key"},
+    {None: 0},
+    np.bool_(True),
+    np.int64(3),
+    {"count": np.int64(3)},
+    {1, 2},
+    b"bytes",
+    bytearray(b"bytes"),
+    1 + 2j,
+    object,
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=repr)
+def test_canonical_json_matches_the_oracle(value):
+    assert canonical_json(value) == _oracle_json(value)
+
+
+@pytest.mark.parametrize("value", _FAILURES, ids=repr)
+def test_canonical_json_raises_the_oracles_exception(value):
+    outcome = _outcome(canonical_json, value)
+    assert isinstance(outcome, tuple)
+    assert outcome == _outcome(_oracle_json, value)
+
+
+def _record(index: int, params, **fields) -> CheckRecord:
+    record = {
+        "check_id": f"writer/value-{index}",
+        "relation": "derived",
+        "convention": "operator=matrix-element",
+        "params": params,
+        "residual": None,
+        "threshold": 1e-12,
+        "passed": True,
+        "notes": "",
+        **fields,
+    }
+    return CheckRecord(**record)
+
+
+def _report(records) -> VerificationReport:
+    return VerificationReport("0.1.0", {"q_values": [2.0]}, {"operator": "matrix-element"}, records)
+
+
+def _records() -> list:
+    records = [_record(i, {"value": value}, residual=0.0) for i, value in enumerate(_VALUES)]
+    records += [
+        _record(100, {}, residual=np.float64(0.1), threshold=np.float64(1e-12), passed=np.bool_(False)),
+        _record(101, [], residual=-0.0, threshold=5e-324, passed=1),
+        _record(102, (), residual=1.7976931348623157e308, threshold=None, passed=0),
+        _record(103, {"a": 1}, notes='commas, "quotes",\nnewlines and café \U0001f600'),
+        _record(104, {"a": 1}, check_id=Tone.ODD, convention=Tone.LOW, notes=Tone.ODD),
+    ]
+    return records
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_serialized_reports_match_the_oracle_byte_for_byte(fmt):
+    records = _records()
+    if fmt == "csv":  # a text cell is any value's str(); JSON takes JSON types only
+        records.append(_record(105, {"a": 1}, notes=np.int64(7)))
+    report = _report(records)
+    assert serialize_report(report, fmt) == _oracle_serialize(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"params": {"value": math.nan}},
+        {"params": {"value": np.bool_(True)}},
+        {"params": {"value": {2, 3}}},
+        {"params": {"value": b"raw"}},
+        {"params": {3: "non-string key"}},
+        {"params": {"value": np.int64(3)}},
+        {"residual": math.inf},
+        {"threshold": -math.inf},
+        {"residual": np.float64(math.nan)},
+    ],
+    ids=repr,
+)
+def test_unwritable_records_raise_the_oracles_exception(fmt, fields):
+    fields = dict(fields)
+    record = _record(0, fields.pop("params", {}), **fields)
+    report = _report([record])
+    outcome = _outcome(serialize_report, report, fmt)
+    assert isinstance(outcome, tuple)
+    assert outcome == _outcome(_oracle_serialize, report, fmt)

@@ -1,6 +1,7 @@
 """Tests for the two-modes-per-qubit encoding and deformed qubit kets."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,24 @@ class TestClosingRule:
     def test_closing_amplitude_is_exactly_one(self, q, bit):
         params = closing_params(q, (bit,))
         assert qubit_amplitude(bit, 1, q, params) == 1.0
+
+    def test_closing_amplitudes_equal_the_closing_params_path_bit_for_bit(self, monkeypatch):
+        # the table reads the closing rule directly; a one-bit closing_params per bit is its oracle
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import dense_q_values
+
+        def outcome(amplitude):
+            try:
+                return tuple(repr(amplitude(bit)) for bit in (0, 1))
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        edges = [5e-324, 1e-300, 1e-160, 1e160, 1e300, 0.9999999999999999, 1.0000000000000002]
+        for q in dense_q_values(0) + edges:
+            for exponent in ExponentConvention:
+                table = outcome(lambda bit: amplitude_table(q, 1, None, exponent)[0][bit])
+                oracle = outcome(lambda bit: qubit_amplitude(bit, 1, q, closing_params(q, (bit,), exponent)))
+                assert table == oracle, (q, exponent)
 
     def test_amplitude_reads_the_correct_mode(self):
         params = DeformationParams(2.0).with_pairs({2: (5.0, 5.0)})
