@@ -4,7 +4,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
 problem (bad flags, unreadable or invalid config file, q values or psi grids
 whose brackets or amplitude products overflow double precision, psi grids whose
 amplitude products underflow it, a cutoff whose matrices do not fit in memory),
-3 output I/O failure.
+3 output I/O failure.  `qgatelab diff A B` compares two reports instead (qgatelab.reportdiff):
+0 when they are the same, 1 when they differ, 2 on unreadable or invalid input.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -72,6 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, text) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=text, description=text)
         _add_common_flags(sub)
+    text = "list what changed between two reports, check by check"
+    sub = subparsers.add_parser("diff", help=text, description=text)
+    sub.add_argument("first", metavar="A", help="the report to compare from (JSON or CSV)")
+    sub.add_argument("second", metavar="B", help="the report to compare with (JSON or CSV)")
+    sub.add_argument("--tolerance", metavar="X", default="0", help="list float deltas above X only (default 0)")
     return parser
 
 
@@ -167,6 +173,10 @@ def _value_list(values) -> str:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.command == "diff":
+        from .reportdiff import diff_main
+
+        return diff_main(args.first, args.second, args.tolerance)
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:

@@ -27,7 +27,7 @@ __all__ = [
     "serialize_report",
 ]
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 RELATION_TAGS = frozenset(
     {
@@ -128,6 +128,12 @@ def _format_float(value: float) -> str:
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, ASCII, %.17g floats, no whitespace.  Each container is
     joined from its members' strings, so no token list spans the whole document."""
+    return _encode(value)
+
+
+def _encode(value) -> str:
+    """canonical_json's recursion, private so that a tracer of the public functions sees one call
+    per document rather than one per value."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, float):
@@ -142,10 +148,10 @@ def canonical_json(value) -> str:
                 prefix = encode_basestring_ascii(key) + ":"
                 if len(_KEY_PREFIXES) < _KEY_PREFIX_LIMIT:
                     _KEY_PREFIXES[key] = prefix
-            members.append(prefix + canonical_json(value[key]))
+            members.append(prefix + _encode(value[key]))
         return "{" + ",".join(members) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(canonical_json, value)) + "]"
+        return "[" + ",".join(map(_encode, value)) + "]"
     if value is None:
         return "null"
     if value is True:
@@ -164,7 +170,7 @@ def _csv_row(record: CheckRecord) -> tuple:
         str(record.check_id),
         str(record.relation),
         str(record.convention),
-        canonical_json(record.params),
+        _encode(record.params),
         "" if residual is None else _format_float(residual),
         "" if threshold is None else _format_float(threshold),
         "true" if record.passed else "false",

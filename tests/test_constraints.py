@@ -26,20 +26,11 @@ from qgatelab import (
     psi_bracket,
 )
 from qgatelab import constraints
-from qgatelab.constraints import (
-    _candidate_patterns,
-    _dense_brackets,
-    _dense_residuals,
-    _dense_sides,
-    _grid_levels,
-    _oracle_plan,
-    _pair_codes,
-    _strata,
-    _stratum_columns,
-    _stratum_plan,
-)
+from qgatelab.constraints import _closed_forms, _dense_brackets, _grid_levels, _qubit_tuples, _strata
+from qgatelab.dense import _dense_residuals, _dense_sides, _oracle_plan
 from qgatelab.suites import constraints_suite
-from sweep_oracle import bits, block_rows, check_dense, grid_residuals, oracle_block, pattern_mask, sweep_block
+from sweep_oracle import assert_block_matches, check_dense, engine_block, grid_facts, ordered_patterns, pattern_mask
+from sweep_oracle import strict_gap_50_digits, stratum_rows, whole_block
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,7 +111,7 @@ class TestIdentityResidual:
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_one_column_oracle_matches_the_full_ket_product(self, kind):
-        # the dense pass compares each input's lhs row, in all_bits order
+        # the dense pass compares each input's lhs row, in all_bits order, on the kets it reaches
         spec = GateSpec(kind, math.pi / 3)
         emb = QubitEmbedding(spec.arity)
         matrix = gate_matrix(spec)
@@ -133,9 +124,12 @@ class TestIdentityResidual:
             for params in points:
                 (seen,), _ = _dense_sides(_dense_brackets(spec.arity, [(q, params.psi)]), plan)
                 assert len(seen) == 2**spec.arity
+                kets = plan[-1]
                 for bits, lhs in zip(emb.all_bits(), seen):
-                    ket = deformed_qubit_state(DeformedQubitSpec(bits, params), q)
-                    assert np.array_equal(lhs, matrix @ ket.vector), (q, params, bits)
+                    full = matrix @ deformed_qubit_state(DeformedQubitSpec(bits, params), q).vector
+                    # the plan's kets hold every nonzero entry of the full product
+                    assert np.array_equal(lhs, full[kets]), (q, params, bits)
+                    assert not np.delete(full, kets).any(), (q, params, bits)
         # mode 1 holds (1, 8): q psi_a - psi_b / q = 2 - 4 < 0 at q = 2
         with pytest.raises(NegativeRadicandError):
             _dense_residuals(_dense_brackets(spec.arity, [(2.0, _params(2.0, 1.0, 8.0).psi)]), plan)
@@ -274,16 +268,25 @@ def _reference_rows(slots, grid):
     return rows
 
 
-def _column_rows(columns, shape):
-    """Level codes (rows x 12) of a stratum: each column broadcast to the row grid and raveled."""
-    return np.stack([np.broadcast_to(column, shape).ravel() for column in columns], axis=1)
-
-
 def _float_equalities(rows, pattern):
     mask = np.ones(rows.shape[0], dtype=bool)
     for i, j in pattern:
         mask &= rows[:, i - 1] == rows[:, j - 1]
     return mask
+
+
+def _tuple_rows(stratum, levels, patterns, count):
+    """Per row of a stratum (C order), the psi of its qubits' tuples' mode pairs (rows x 4 * arity)
+    and each pattern's restriction, from _qubit_tuples: a row takes its qubits' tuples in turn."""
+    sizes, pairs, restrictions = stratum
+    at = np.unravel_index(np.arange(count), sizes)
+    codes = np.concatenate([pairs[j][:, at[j]].T for j in range(len(sizes))], axis=1)
+    psi = np.stack([levels[codes // levels.size], levels[codes % levels.size]], axis=-1).reshape(count, -1)
+    allowed = {
+        pattern: np.logical_and.reduce([restrictions[j, k, at[j]] for j in range(len(sizes))])
+        for k, pattern in enumerate(patterns)
+    }
+    return psi, allowed
 
 
 # sweep strata per register width, in sweep order: per free grid slot, the
@@ -313,6 +316,20 @@ _KINDS_BY_ARITY = {
 }
 
 
+def _oracle_blocks(kind, grids, q_values):
+    """Every stratum of every grid, every row a sample: the engine's blocks at all q_values against
+    the whole-grid oracle at each q; yields (grid, stratum, q, engine block, oracle block, rows, facts)."""
+    spec = GateSpec(kind, math.pi / 3)
+    patterns = ordered_patterns(CLAIMS[kind], spec.arity)
+    for grid in grids:
+        for stratum, slots in _strata(spec.arity).items():
+            rows = stratum_rows(slots, grid)
+            got = engine_block(spec, q_values, grid, slots, patterns, list(range(len(rows))))
+            for q, block in zip(q_values, got):
+                facts = grid_facts(spec, q, rows)
+                yield grid, stratum, q, block, whole_block(rows, facts, patterns), rows, facts
+
+
 class TestLevelCodes:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_strata_match_the_hand_written_table(self, arity):
@@ -327,53 +344,44 @@ class TestLevelCodes:
         ids=["duplicates-with-one", "duplicates-without-one", "distinct-without-one"],
     )
     def test_codes_rebuild_product_rows_and_equality_masks(self, arity, grid):
+        # each qubit's tuples, taken in turn, rebuild the product rows, and their restrictions
+        # the float equality masks of every candidate pattern
         levels, grid_codes = _grid_levels(grid)
-        for stratum, slots in _strata(arity).items():
-            columns = _stratum_columns(slots, levels, grid_codes)
-            shape = (len(grid),) * len(slots)
-            codes = _column_rows(columns, shape)
-            rows = _reference_rows(slots, grid)
-            assert codes.dtype == np.uint8
-            assert np.array_equal(levels[codes], rows), stratum
-            for kind in _KINDS_BY_ARITY[arity]:
-                for name, pattern in _candidate_patterns(CLAIMS[kind], arity):
-                    mask = np.broadcast_to(pattern_mask(columns, pattern), shape).ravel()
-                    assert np.array_equal(mask, _float_equalities(rows, pattern)), (stratum, kind, name)
+        assert grid_codes.dtype == np.uint8
+        for kind in _KINDS_BY_ARITY[arity]:
+            patterns = ordered_patterns(CLAIMS[kind], arity)
+            for stratum, slots in _strata(arity).items():
+                rows = _reference_rows(slots, grid)
+                stratum_tuples = _qubit_tuples(slots, arity, levels, grid_codes, patterns)
+                psi, allowed = _tuple_rows(stratum_tuples, levels, patterns, len(rows))
+                assert np.array_equal(psi, rows[:, : 4 * arity]), stratum
+                for pattern in patterns:
+                    assert np.array_equal(allowed[pattern], _float_equalities(rows, pattern)), (stratum, kind, pattern)
 
     def test_more_than_256_levels_widen_the_codes(self):
         grid = tuple(2.0 + 0.01 * k for k in range(300))
         levels, grid_codes = _grid_levels(grid)
         assert levels.size == 301  # 300 grid values plus the 1.0 filler
         assert grid_codes.dtype == np.uint16
-        columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
-        shape = (len(grid),) * 2
-        codes = _column_rows(columns, shape)
-        rows = _reference_rows(_strata(1)["aux"], grid)
-        assert codes.dtype == np.uint16
-        assert int(codes.max()) == 300
-        assert np.array_equal(levels[codes], rows)
-        for name, pattern in _candidate_patterns(CLAIMS[GateKind.NOT], 1):
-            mask = np.broadcast_to(pattern_mask(columns, pattern), shape).ravel()
-            assert np.array_equal(mask, _float_equalities(rows, pattern)), name
+        patterns = ordered_patterns(CLAIMS[GateKind.NOT], 1)
+        slots = _strata(1)["aux"]
+        rows = _reference_rows(slots, grid)
+        psi, allowed = _tuple_rows(_qubit_tuples(slots, 1, levels, grid_codes, patterns), levels, patterns, len(rows))
+        assert np.array_equal(psi, rows[:, :4])
+        for pattern in patterns:
+            assert np.array_equal(allowed[pattern], _float_equalities(rows, pattern)), pattern
 
-    @pytest.mark.parametrize(
-        ("values", "pair_dtype"), [(15, np.uint8), (16, np.uint16), (255, np.uint16), (256, np.uint32)]
-    )
-    def test_pair_codes_address_every_level_pair(self, values, pair_dtype):
-        # with the 1.0 filler the grid makes 16, 17, 256 and 257 levels, on both
-        # sides of the largest pair code a uint8 and a uint16 can hold
+    @pytest.mark.parametrize("values", [15, 16, 255, 256])
+    def test_pair_codes_address_every_level_pair(self, values):
+        # with the 1.0 filler the grid makes 16, 17, 256 and 257 levels, so pair codes run past
+        # what 8 and 16 bits hold; the sweep reads every row's admissibility from its own pair
         grid = tuple(float(v) for v in np.geomspace(0.05, 30.0, values))
-        levels, grid_codes = _grid_levels(grid)
-        assert levels.size == values + 1
-        assert np.min_scalar_type(levels.size**2 - 1) == pair_dtype
         spec, q = GateSpec(GateKind.NOT), 2.0
-        columns = _stratum_columns(_strata(1)["aux"], levels, grid_codes)
-        (sweep,) = block_rows(spec, (q,), levels, grid_codes, _strata(1)["aux"])
-        strict, collinear, admissible = (a.ravel() for a in sweep)
-        rows = levels[_column_rows(columns, (values, values))]
-        expected = [
-            psi_bracket(1, q, a, b) >= 0.0 and psi_bracket(1, q, c, d) >= 0.0 for a, b, c, d in rows[:, :4]
-        ]
+        slots = _strata(1)["aux"]
+        rows = _reference_rows(slots, grid)
+        (block,) = engine_block(spec, (q,), grid, slots, [()], list(range(len(rows))))
+        strict, collinear, admissible = (np.array([block[3][row][k] for row in range(len(rows))]) for k in range(3))
+        expected = [psi_bracket(1, q, a, b) >= 0.0 and psi_bracket(1, q, c, d) >= 0.0 for a, b, c, d in rows[:, :4]]
         assert np.array_equal(admissible, expected)
         assert admissible.any() and not admissible.all()
         picked = np.linspace(0, rows.shape[0] - 1, 52).astype(int)
@@ -381,20 +389,13 @@ class TestLevelCodes:
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_grid_sweep_matches_the_grid_oracle_at_every_row_bit_for_bit(self, kind, q):
-        # the table engine read at every row against the whole-grid oracle; table
-        # chunks change no row's values, only reductions (TestStreamedBlocks)
-        spec = GateSpec(kind, math.pi / 3)
-        levels, grid_codes = _grid_levels((0.5, 1.0, 2.0, 4.0))
+    def test_blocks_match_the_whole_grid_oracle(self, kind, q):
+        # the default grid for one and two qubits, three values for three; every row is a sample
+        grid = (0.5, 1.0, 2.0, 4.0) if GateSpec(kind).arity < 3 else (0.5, 1.0, 4.0)
         mixed = False
-        for stratum, slots in _strata(spec.arity).items():
-            pairs = _pair_codes(_stratum_columns(slots, levels, grid_codes), levels)
-            whole = grid_residuals(spec, q, levels, pairs)
-            (tables,) = block_rows(spec, (q,), levels, grid_codes, slots)
-            for expected, got in zip(whole, tables):
-                assert expected.shape == (grid_codes.size,) * len(slots), stratum
-                assert np.array_equal(expected, got), stratum
-            mixed |= whole[2].any() and not whole[2].all()
+        for grid, stratum, q, block, expected, rows, facts in _oracle_blocks(kind, [grid], (q,)):
+            assert_block_matches(block, expected, (grid, stratum, q))
+            mixed |= facts["admissible"].any() and not facts["admissible"].all()
         assert mixed
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
@@ -405,89 +406,101 @@ class TestLevelCodes:
         spec = GateSpec(kind, math.pi / 3)
         grid = (0.25, 1.0, 4.0) if spec.arity == 1 else (0.25, 4.0)
         slots = _strata(spec.arity)["free-q1q3" if spec.arity == 3 else "free"]
-        levels, grid_codes = _grid_levels(grid)
-        columns = _stratum_columns(slots, levels, grid_codes)
-        (sweep,) = block_rows(spec, (q,), levels, grid_codes, slots)
-        strict, collinear, admissible = (a.ravel() for a in sweep)
+        rows = _reference_rows(slots, grid)
+        patterns = ordered_patterns(CLAIMS[kind], spec.arity)
+        (block,) = engine_block(spec, (q,), grid, slots, patterns, list(range(len(rows))))
+        strict, collinear, admissible = (np.array([block[3][row][k] for row in range(len(rows))]) for k in range(3))
         assert admissible.any() and not admissible.all()
         assert not strict[~admissible].any() and not collinear[~admissible].any()
-        rows = levels[_column_rows(columns, (len(grid),) * len(slots))]
         check_dense(spec, q, rows, strict, collinear, admissible)
 
 
 class TestStreamedBlocks:
-    """The table engine's blocks, down to 1-entry table chunks, against whole-grid reductions
-    (sweep_oracle) built from broadcast equality masks, on every gate and stratum."""
+    """The sweep's closed-form blocks, q values batched or one at a time, against whole-grid
+    reductions (sweep_oracle) of the dense path and exact closure, on every gate and stratum."""
 
-    @pytest.mark.parametrize("chunk_entries", [1, 7])
+    @pytest.mark.parametrize("chunk_entries", [None, 1], ids=["q-batched", "one-q-at-a-time"])
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_streamed_tallies_exemplars_and_samples_match_whole_grid_reductions(
-        self, monkeypatch, kind, chunk_entries
-    ):
+    def test_tallies_exemplars_and_samples_match_whole_grid_reductions(self, monkeypatch, kind, chunk_entries):
         # duplicate grid values, the 1.0 filler inside the grid, and pair ratios above
         # q^2 = 4, so that blocks mix admissible and inadmissible rows
         spec = GateSpec(kind, math.pi / 3)
         grids = [(0.5, 4.0, 0.5, 1.0)] if spec.arity == 1 else [(1.0, 8.0), (8.0, 8.0)]
-        patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
-        q, tolerance = 2.0, 1e-12
-        monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk_entries)
+        if chunk_entries is not None:
+            monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk_entries)
         mixed = partial = False
-        for grid in grids:
-            levels, grid_codes = _grid_levels(grid)
-            for stratum, slots in _strata(spec.arity).items():
-                columns = _stratum_columns(slots, levels, grid_codes)
-                # every row is a sample row, so every row's values are compared
-                samples = list(range(len(grid) ** len(slots)))
-                ((expected, exemplars, skipped, values),) = oracle_block(
-                    spec, (q,), levels, columns, patterns, samples, tolerance
-                )
-                plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                ((tallies, got_exemplars, got_skipped, seen),) = sweep_block(
-                    spec, (q,), levels, grid_codes, plan, samples, tolerance
-                )
-                where = (grid, stratum)
-                for pattern, key in plan[-1].items():
-                    assert bits(tallies[key]) == bits(expected[pattern]), (*where, pattern)
-                assert got_exemplars == exemplars, where
-                assert got_skipped == skipped, where
-                assert bits(seen) == bits(values), where
-                mixed |= skipped is not None and expected[()]["admissible"] > 0
-                partial |= any(0 < t["admissible"] < expected[()]["admissible"] for t in expected.values())
+        for grid, stratum, q, block, expected, rows, facts in _oracle_blocks(kind, grids, (2.0, 0.5)):
+            assert_block_matches(block, expected, (grid, stratum, q))
+            # every row is a sample: each engine row value lies within 1e-12 of the dense path
+            for row, (strict, collinear, admissible) in block[3].items():
+                assert admissible == facts["admissible"][row], (grid, stratum, row)
+                dense = facts["dense"][:, row]
+                assert abs(strict - dense[0]) <= 1e-12 and abs(collinear - dense[1]) <= 1e-12, (grid, stratum, row)
+            mixed |= expected[2] is not None and expected[0][()]["admissible"] > 0
+            partial |= any(0 < t["admissible"] < expected[0][()]["admissible"] for t in expected[0].values())
         assert mixed and partial
 
-    @pytest.mark.parametrize("chunk_entries", [None, 1])
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_batched_q_values_match_the_single_q_oracle_bit_for_bit(self, monkeypatch, kind, chunk_entries):
+    def test_batched_q_values_match_the_single_q_oracle(self, kind):
         # q below and above 1 in one call: the sign of q - 1/q, and so which pair ratios are
         # admissible, flips inside the batch.  Pair ratios of q^2 = 4 and 1/4 give zero
         # amplitudes at q = 2 and 0.5 only, so a bit string's collinear gaps close every row at
-        # the first q and not at later ones.  A 1-entry chunk sweeps one q at a time.
-        spec = GateSpec(kind, math.pi / 3)
-        grids = [(0.5, 4.0, 0.5, 1.0)] if spec.arity == 1 else [(1.0, 8.0), (8.0, 8.0), (1.0, 4.0)]
-        patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
-        q_values, tolerance = (0.9, 2.0, 0.5, 1.1), 1e-12
-        if chunk_entries is not None:
-            monkeypatch.setattr(constraints, "_CHUNK_ENTRIES", chunk_entries)
+        # the first q and not at later ones.
+        grids = [(0.5, 4.0, 0.5, 1.0)] if GateSpec(kind).arity == 1 else [(1.0, 8.0), (8.0, 8.0), (1.0, 4.0)]
+        q_values = (0.9, 2.0, 0.5, 1.1)
         skipped_rows = {q: set() for q in q_values}
-        for grid in grids:
-            levels, grid_codes = _grid_levels(grid)
-            for stratum, slots in _strata(spec.arity).items():
-                columns = _stratum_columns(slots, levels, grid_codes)
-                samples = list(range(len(grid) ** len(slots)))
-                expected = oracle_block(spec, q_values, levels, columns, patterns, samples, tolerance)
-                plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-                got = sweep_block(spec, q_values, levels, grid_codes, plan, samples, tolerance)
-                assert len(got) == len(q_values)
-                for q, (tallies, exemplars, skipped, seen), (want, *rest) in zip(q_values, got, expected):
-                    where = (grid, stratum, q)
-                    for pattern, key in plan[-1].items():
-                        assert bits(tallies[key]) == bits(want[pattern]), (*where, pattern)
-                    assert [exemplars, skipped] == rest[:2], where
-                    assert bits(seen) == bits(rest[2]), where
-                    skipped_rows[q] |= {(grid, stratum, row) for row, value in seen.items() if not value[2]}
+        for grid, stratum, q, block, expected, rows, facts in _oracle_blocks(kind, grids, q_values):
+            assert_block_matches(block, expected, (grid, stratum, q))
+            skipped_rows[q] |= {(grid, stratum, row) for row in np.flatnonzero(~facts["admissible"]).tolist()}
         # every q skips rows, and q < 1 skips other rows than q > 1
         assert all(skipped_rows.values())
         assert skipped_rows[0.5] != skipped_rows[2.0]
+
+    @pytest.mark.parametrize(
+        ("kind", "grid"),
+        [(kind, (0.5, 2.0)) for kind in (GateKind.HAD, GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)]
+        + [(kind, (0.5, 1.0, 3.0)) for kind in (GateKind.HAD, GateKind.NOT, GateKind.CNOT)],
+    )
+    def test_strict_maxima_match_a_50_digit_oracle(self, kind, grid):
+        # per pattern, the largest strict gap over the allowed rows, each row's amplitudes and
+        # gaps taken to 50 digits from the exact brackets, against the sweep's float maxima
+        pytest.importorskip("mpmath")
+        spec, q = GateSpec(kind), 2.0
+        patterns = ordered_patterns(CLAIMS[kind], spec.arity)
+        for stratum, slots in _strata(spec.arity).items():
+            rows = stratum_rows(slots, grid)
+            ((tallies, *_),) = engine_block(spec, (q,), grid, slots, patterns, [0])
+            facts = grid_facts(spec, q, rows)
+            for pattern in patterns:
+                allowed = facts["admissible"] & pattern_mask(rows, pattern) & ~facts["closes"][0]
+                gaps = [strict_gap_50_digits(spec, q, rows[row].tolist()) for row in np.flatnonzero(allowed)]
+                largest = max(gaps, default=0)
+                got = tallies[pattern]["max_strict"]
+                assert (got == 0.0) == (largest == 0), (stratum, pattern, got, largest)
+                assert abs(got - largest) <= 4 * 2.0**-52 * largest, (stratum, pattern, got, largest)
+
+    def test_rounding_noise_no_longer_decides_the_controlled_swap(self):
+        # on these grids the float residuals of exactly closing rows round above 1e-12, which the
+        # float sweep counted as open rows; exact classes count them as closing
+        for grid in ((0.5, 300.0, 1000.0), tuple(g * 2**20 for g in constraints.DEFAULT_GRID)):
+            q_values = (2.0,) if grid[1] == 300.0 else constraints.DEFAULT_Q_VALUES
+            rep = discover_constraints(GateKind.FREDKIN, q_values=q_values, grid=grid)
+            assert rep.verdict == "confirmed", grid
+            assert rep.totals["max_strict"] == 0.0 and rep.totals["max_collinear"] == 0.0
+            assert all(s["zero_strict"] == s["admissible"] for s in rep.strata)
+
+    @pytest.mark.parametrize(
+        ("bit_plan", "message"),
+        [
+            (([0, 2], 1.0, [(1.0, [1, 3])]), "re-encodes more than one qubit"),
+            (([0], 2.0, [(1.0, [1]), (1.0, [1])]), "need a permuting term and one qubit"),
+        ],
+        ids=["two-qubits-in-one-term", "flips-without-a-hold"],
+    )
+    def test_a_plan_outside_the_closed_form_is_refused(self, bit_plan, message):
+        # every term may re-encode at most one qubit, and several terms need a hold on one qubit
+        with pytest.raises(ValueError, match=message):
+            _closed_forms((len(bit_plan[0]), bit_plan[1], [bit_plan]))
 
     def test_seven_value_grid_holds_no_block_size_array(self):
         # one free stratum of 7**8 = 5,764,801 rows: full-size strict, collinear and

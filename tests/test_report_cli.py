@@ -217,10 +217,9 @@ class TestSerialization:
 
 
     def test_discover_with_rounding_above_tolerance_matches_golden_json(self, tmp_path):
-        """28 of the controlled swap's admissible rows round above 1e-12 on this grid although it
-        closes exactly, so its zero counts and first closing row come from the joint table of
-        the bit strings that exceed the tolerance.  ROADMAP item 1 (exact closure) is expected
-        to change this verdict (convention-dependent) under a VERSION bump."""
+        """28 of the controlled swap's admissible rows have float residuals above 1e-12 on this grid
+        although it closes exactly: exact classes count them as closing, so its verdict is
+        confirmed (it was convention-dependent while the tolerance decided the zero counts)."""
         out = tmp_path / "report.json"
         assert main(["discover", "--q", "2", "--psi", "0.5,300,1000", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "report_discover_fredkin_rounding.json").read_bytes()

@@ -1,12 +1,12 @@
-"""Property tests of the table sweep: its residual formula against the dense path on rows with
-all 12 psi free, and its blocks against the whole-grid oracle (sweep_oracle) bit for bit on
-drawn grids.
+"""Property tests of the closed-form sweep: its per-row values against the dense path on rows
+with all 12 psi free, and its blocks against the whole-grid oracle (sweep_oracle) on drawn grids.
 
 The sweep's three-qubit strata pin one qubit at psi = 1 in every free block, so
 no stratum ever hands the engine a row whose twelve psi values are all drawn
 independently.  Here each mode pair is drawn on its own as psi_b =
 f * psi_a * q^2, which makes its level-1 bracket psi_a * q * (1 - f) /
-(q - 1/q): admissible for f < 1 when q > 1 and for f > 1 when q < 1.
+(q - 1/q): admissible for f < 1 when q > 1 and for f > 1 when q < 1.  Each such
+row is one block of one index tuple per qubit.
 """
 
 import math
@@ -18,19 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from qgatelab import CLAIMS, GateKind, GateSpec  # noqa: E402
-from qgatelab.constraints import (  # noqa: E402
-    _candidate_patterns,
-    _grid_levels,
-    _level_tables,
-    _pair_codes,
-    _strata,
-    _stratum_columns,
-    _stratum_plan,
-    _sweep_block,
-    _sweep_plan,
-)
+from qgatelab.constraints import _bit_string_gaps, _closed_forms, _exact_classes, _grid_levels  # noqa: E402
+from qgatelab.constraints import _level_tables, _row_values, _strata, _sweep_block, _sweep_plan  # noqa: E402
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
-from sweep_oracle import bits, check_dense, grid_residuals, oracle_block  # noqa: E402
+from sweep_oracle import assert_block_matches, check_dense, engine_block, exact_closure, grid_facts  # noqa: E402
+from sweep_oracle import ordered_patterns, stratum_rows, whole_block  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
 # absolute rounding of both paths, far below the 1e-12 agreement bound
@@ -63,6 +55,19 @@ def _cases(draw):
     return q, *draw(_rows(q))
 
 
+def _row_block(spec, q, row):
+    """One row as a block of one index tuple per qubit: its closed-form tally for the pattern (),
+    and its (strict, collinear, admissible) from the per-bit-string gaps."""
+    levels, grid_codes = _grid_levels(sorted(set(row)))
+    codes = np.searchsorted(levels, row[: 4 * spec.arity]).reshape(spec.arity, 2, 2)
+    stratum = ([1] * spec.arity, codes[..., :1] * levels.size + codes[..., 1:], np.ones((spec.arity, 1, 1), bool))
+    plan = _sweep_plan(spec)
+    tables = (*_level_tables(spec, plan, (q,), levels, grid_codes), _exact_classes((q,), levels))
+    tally, _, _, amps, admissible = _sweep_block(plan, _closed_forms(plan), tables, stratum, [0])
+    values = _row_values(admissible, [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]])
+    return {key: table.item() for key, table in tally.items()}, [column[0][0] for column in values]
+
+
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @hypothesis.given(case=_cases())
@@ -70,13 +75,18 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
     q, rows, bad_modes = case
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     rows = np.asarray(rows)
-    levels, grid_codes = _grid_levels(np.unique(rows))
-    # a flat list of rows: one pair code per row and mode
-    codes = np.searchsorted(levels, rows).astype(grid_codes.dtype)
-    strict, collinear, admissible = grid_residuals(spec, q, levels, _pair_codes(list(codes.T), levels))
+    facts, (strict_closes, collinear_closes) = grid_facts(spec, q, rows), exact_closure(spec, q, rows)
     # a gate reads only the modes of its own qubits
-    assert list(admissible) == [bad_mode is None or bad_mode >= 2 * spec.arity for bad_mode in bad_modes]
-    check_dense(spec, q, rows, strict, collinear, admissible)
+    assert list(facts["admissible"]) == [bad_mode is None or bad_mode >= 2 * spec.arity for bad_mode in bad_modes]
+    for k, row in enumerate(rows):
+        tally, (strict, collinear, ok) = _row_block(spec, q, row)
+        assert ok == facts["admissible"][k] and tally["admissible"] == int(ok)
+        check_dense(spec, q, [row], [strict], [collinear], [ok])
+        if ok:
+            # the closed form's maxima and exact zeros at the row itself
+            assert abs(tally["max_strict"] - facts["dense"][0, k]) <= 1e-12, (row, tally)
+            assert abs(tally["max_collinear"] - facts["dense"][1, k]) <= 1e-12, (row, tally)
+            assert (tally["zero_strict"], tally["zero_collinear"]) == (strict_closes[k], collinear_closes[k]), row
 
 
 def _ulps_from_one(steps: int, up: bool) -> float:
@@ -97,23 +107,29 @@ _GRID = st.lists(st.one_of(st.just(1.0), st.sampled_from((0.5, 2.0)), st.floats(
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @hypothesis.given(q=_SWEEP_Q, grid=_GRID)
-def test_tables_match_the_grid_oracle_bit_for_bit(kind, q, grid):
+def test_blocks_match_the_grid_oracle(kind, q, grid):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
-    levels, grid_codes = _grid_levels(grid)
-    plan = _sweep_plan(spec)
-    tables = _level_tables(spec, plan, (q,), levels, grid_codes)
-    patterns = {pattern for _, pattern in _candidate_patterns(CLAIMS[kind], spec.arity)}
+    patterns = ordered_patterns(CLAIMS[kind], spec.arity)
     for stratum, slots in _strata(spec.arity).items():
-        columns = _stratum_columns(slots, levels, grid_codes)
-        count = len(grid) ** len(slots)
+        rows = stratum_rows(slots, grid)
         # about 256 evenly spaced sample rows and the last one
-        samples = sorted({*range(0, count, max(1, count // 256)), count - 1})
-        ((tallies, exemplars, skipped, seen),) = oracle_block(spec, (q,), levels, columns, patterns, samples, 1e-12)
-        stratum_plan = _stratum_plan(slots, spec.arity, columns, levels, patterns)
-        (got,) = _sweep_block(plan, tables, stratum_plan, samples, 1e-12)
+        samples = sorted({*range(0, len(rows), max(1, len(rows) // 256)), len(rows) - 1})
+        ((tallies, exemplars, skipped, seen),) = engine_block(spec, (q,), grid, slots, patterns, samples)
+        facts = grid_facts(spec, q, rows)
         where = (stratum, q, grid)
-        for pattern in patterns:
-            assert bits(got[0][stratum_plan[-1][pattern]]) == bits(tallies[pattern]), (*where, pattern)
-        assert got[1] == exemplars, where
-        assert got[2] == skipped, where
-        assert bits(got[3]) == bits(seen), where
+        assert_block_matches((tallies, exemplars, skipped, seen), whole_block(rows, facts, patterns), where)
+        for row in samples:
+            strict, collinear, admissible = seen[row]
+            assert admissible == facts["admissible"][row], (*where, row)
+            for value, dense in zip((strict, collinear), facts["dense"][:, row]):
+                assert math.isclose(value, dense, rel_tol=1e-12, abs_tol=1e-12), (*where, row, value, dense)
+
+
+@pytest.mark.parametrize("kind", [GateKind.HAD, GateKind.NOT])
+def test_a_row_that_closes_exactly_reads_zero_maxima_whatever_its_amplitudes_round_to(kind):
+    # at q = 3 the pairs (3, 1) and (4, 10) share q^2 psi_a - psi_b = 26, but their float
+    # brackets differ in the last bit, so the row's float residual is rounding noise
+    row = np.array([3.0, 1.0, 4.0, 10.0] + [1.0] * 8)
+    tally, (strict, collinear, ok) = _row_block(GateSpec(kind), 3.0, row)
+    assert ok and 0.0 < strict < 1e-15
+    assert [tally[key] for key in ("max_strict", "max_collinear", "zero_strict", "zero_collinear")] == [0.0, 0.0, 1, 1]
