@@ -9,14 +9,13 @@ notes saying which half failed; convention-dependent iff the two residual modes 
 only with constraints, which sweeps the grids.
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .gates import GateKind
 from .qnum import _check_q, power
 
 
-@dataclass(frozen=True)
-class ConstraintClaim:
+class ConstraintClaim(NamedTuple):
     """A claimed psi restriction for one gate, with its auxiliary assumptions."""
 
     gate: GateKind
@@ -87,8 +86,7 @@ def _candidate_patterns(claim: ConstraintClaim, arity: int) -> list:
     return candidates
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Deterministic outcome of one gate's constraint sweep."""
 
     gate: str
@@ -105,7 +103,7 @@ class ConstraintReport:
     notes: str
 
     def as_dict(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return self._asdict()
 
 
 def _closes(tally: dict, mode: str, tolerance: float) -> bool:

@@ -11,7 +11,6 @@ directory (keeping the configured file name).
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -36,7 +35,7 @@ _COMMANDS = {
 }
 
 # the subcommand picks the suite, so a config file sets every other RunConfig field
-_CONFIG_KEYS = {field.name for field in dataclasses.fields(RunConfig)} - {"suite"}
+_CONFIG_KEYS = set(RunConfig.__slots__) - {"suite"}
 
 _OPERATOR_TOKENS = tuple(convention.value for convention in OperatorConvention)
 _EXPONENT_TOKENS = tuple(convention.value for convention in ExponentConvention)

@@ -5,9 +5,11 @@ occupation tuples with mode 1 slowest: for cutoff d and k modes the basis index 
 (n_1, ..., n_k) is sum(n_i * d^(k - i)).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from ._values import Frozen
 
 __all__ = [
     "ModeOperators",
@@ -19,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeOperators:
+class ModeOperators(NamedTuple):
     """Dense ladder matrices on the levels 0 .. cutoff-1 of one mode.
 
     a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1> with the top transition
@@ -73,26 +74,21 @@ def occupation_index(occ, d: int) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class MultiModeState:
+class MultiModeState(Frozen):
     """Amplitude vector over mode_count modes at a common cutoff.
 
     The norm is reported through the property below and never silently imposed;
     deformed constructions deliberately produce non-unit vectors.
     """
 
-    mode_count: int
-    cutoff: int
-    vector: np.ndarray
+    __slots__ = ("mode_count", "cutoff", "vector")
 
-    def __post_init__(self):
-        vec = np.array(self.vector, dtype=complex)
-        if vec.shape != (self.cutoff**self.mode_count,):
-            raise ValueError(
-                f"expected vector of length {self.cutoff ** self.mode_count}, got shape {vec.shape}"
-            )
+    def __init__(self, mode_count: int, cutoff: int, vector: np.ndarray):
+        vec = np.array(vector, dtype=complex)
+        if vec.shape != (cutoff**mode_count,):
+            raise ValueError(f"expected vector of length {cutoff ** mode_count}, got shape {vec.shape}")
         vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
+        self._set(mode_count, cutoff, vec)
 
     @property
     def norm(self) -> float:

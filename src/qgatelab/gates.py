@@ -41,12 +41,12 @@ output bit's own mode pair.  The constraint lab is built on those traces.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._values import Frozen
 from .qnum import DeformationParams
 from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table, ket_amplitudes
 
@@ -128,19 +128,17 @@ _GATES = {
 DISCOVERY_PHI = math.pi / 3
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(Frozen):
     """A gate kind plus its phase angle (meaningful for PS only)."""
 
-    kind: GateKind
-    phi: float = 0.0
+    __slots__ = ("kind", "phi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", GateKind(self.kind))
-        phi = float(self.phi)
+    def __init__(self, kind: GateKind, phi: float = 0.0):
+        kind = GateKind(kind)
+        phi = float(phi)
         if not math.isfinite(phi):
             raise ValueError(f"phi must be finite, got {phi!r}")
-        object.__setattr__(self, "phi", phi)
+        self._set(kind, phi)
 
     @property
     def arity(self) -> int:

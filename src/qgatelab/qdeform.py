@@ -23,8 +23,8 @@ matrix products; make_deformed_ops and algebra_residuals are their one-q case.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class OperatorConvention(str, Enum):
     LEFT_SCALING = "left-scaling"
 
 
-@dataclass(frozen=True)
-class DeformedModeOperators:
+class DeformedModeOperators(NamedTuple):
     """Deformed ladder matrices for one truncated mode and the brackets B(0)..B(cutoff) they
     were built from; deformed_number_op builds the matching shifted number operator."""
 
@@ -69,8 +68,7 @@ class DeformedModeOperators:
     brackets: tuple
 
 
-@dataclass(frozen=True)
-class DeformedModeStack:
+class DeformedModeStack(NamedTuple):
     """Deformed ladder matrices for one truncated mode at each q of q_values, as (Q, d, d) arrays
     along q, and the brackets B(0)..B(cutoff) they were built from as a (Q, d + 1) array."""
 
@@ -153,8 +151,7 @@ def deformed_number_op(ops: DeformedModeOperators) -> np.ndarray:
     return ops.mode.n_op - shift * np.eye(ops.mode.cutoff, dtype=complex)
 
 
-@dataclass(frozen=True)
-class AlgebraResiduals:
+class AlgebraResiduals(NamedTuple):
     """Max-entry residuals of the deformed relations on truncation-safe levels.
 
     residuals maps relation keys to floats; levels maps the same keys to the

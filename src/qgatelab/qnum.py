@@ -10,9 +10,10 @@ admissibility (nonnegative radicands) is policed with a dedicated error type.
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._values import Frozen
 
 __all__ = [
     "MODE_COUNT",
@@ -128,8 +129,7 @@ def bracket(n, q, psi_a, psi_b, subject: str):
     return (terms[0] - terms[1]) / gaps[0]
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(Frozen):
     """Deformation strength q together with the twelve mode parameters.
 
     Mode m (1-based, six modes) owns the ordered pair (psi[2m-2], psi[2m-1]);
@@ -137,17 +137,16 @@ class DeformationParams:
     consecutive psi values.
     """
 
-    q: float
-    psi: tuple = (1.0,) * PSI_COUNT
+    __slots__ = ("q", "psi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_q(self.q))
-        psi = tuple(float(p) for p in self.psi)
+    def __init__(self, q: float, psi: tuple = (1.0,) * PSI_COUNT):
+        q = _check_q(q)
+        psi = tuple(float(p) for p in psi)
         if len(psi) != PSI_COUNT:
             raise ValueError(f"expected {PSI_COUNT} psi values, got {len(psi)}")
         if not all(math.isfinite(p) for p in psi):
             raise ValueError("psi values must be finite")
-        object.__setattr__(self, "psi", psi)
+        self._set(q, psi)
 
     def pair(self, mode: int) -> tuple:
         """Ordered (psi_a, psi_b) pair of the given 1-based mode."""

@@ -11,11 +11,10 @@ Every check record carries a relation identifier from a closed vocabulary
 plumbing rather than a relation from the verified construction.
 """
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+
+from ._values import Record
 
 __all__ = [
     "CSV_COLUMNS",
@@ -63,41 +62,49 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
     """One verification outcome.
 
     residual and threshold may be None for checks that are not residual-shaped
     (for example determinism or schema checks); passed is always explicit.
     """
 
-    check_id: str
-    relation: str
-    convention: str
-    params: dict
-    residual: float | None
-    threshold: float | None
-    passed: bool
-    notes: str = ""
+    __slots__ = CSV_COLUMNS  # the fields, in column order
 
-    def __post_init__(self):
-        if self.relation not in RELATION_TAGS:
-            raise ValueError(f"unknown relation tag {self.relation!r}")
-        if self.residual is not None:
-            self.residual = float(self.residual)
-        if self.threshold is not None:
-            self.threshold = float(self.threshold)
-        self.passed = bool(self.passed)
+    def __init__(
+        self,
+        check_id: str,
+        relation: str,
+        convention: str,
+        params: dict,
+        residual: float | None,
+        threshold: float | None,
+        passed: bool,
+        notes: str = "",
+    ):
+        if relation not in RELATION_TAGS:
+            raise ValueError(f"unknown relation tag {relation!r}")
+        self.check_id = check_id
+        self.relation = relation
+        self.convention = convention
+        self.params = params
+        self.residual = None if residual is None else float(residual)
+        self.threshold = None if threshold is None else float(threshold)
+        self.passed = bool(passed)
+        self.notes = notes
 
 
-@dataclass
-class VerificationReport:
-    """A configuration, the active conventions, and the resulting check records."""
+class VerificationReport(Record):
+    """A configuration, the active conventions, and the resulting check records (a new empty
+    list when none is given)."""
 
-    version: str
-    config: dict
-    conventions: dict
-    records: list = field(default_factory=list)
+    __slots__ = ("version", "config", "conventions", "records")
+
+    def __init__(self, version: str, config: dict, conventions: dict, records: list | None = None):
+        self.version = version
+        self.config = config
+        self.conventions = conventions
+        self.records = [] if records is None else records
 
     def summary(self) -> dict:
         passed = sum(1 for r in self.records if r.passed)
@@ -163,19 +170,42 @@ def _encode(value) -> str:
     raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
 
 
-def _csv_row(record: CheckRecord) -> tuple:
-    """A record's CSV cells in CSV_COLUMNS order, each field read as the type CheckRecord gives it."""
-    residual, threshold = record.residual, record.threshold
-    return (
-        str(record.check_id),
-        str(record.relation),
-        str(record.convention),
-        _encode(record.params),
-        "" if residual is None else _format_float(residual),
-        "" if threshold is None else _format_float(threshold),
-        "true" if record.passed else "false",
-        str(record.notes),
-    )
+def _quote(cell: str) -> str:
+    """cell as a csv.writer ending lines with a newline writes it: quoted, with each '"' doubled,
+    when it holds a comma, a quote or a newline, and as it is otherwise (a lone carriage return
+    too)."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_lines(records) -> list:
+    """The header and one line per record, cells in CSV_COLUMNS order, each field read as the type
+    CheckRecord gives it.  relation, convention and notes repeat across records, so each distinct
+    text of theirs is quoted once."""
+    quoted = {}
+
+    def repeated(text: str) -> str:
+        cell = quoted.get(text)
+        if cell is None:
+            cell = quoted[text] = _quote(text)
+        return cell
+
+    lines = [",".join(CSV_COLUMNS)]
+    for record in records:
+        residual, threshold = record.residual, record.threshold
+        cells = (
+            _quote(str(record.check_id)),
+            repeated(str(record.relation)),
+            repeated(str(record.convention)),
+            _quote(_encode(record.params)),
+            "" if residual is None else _format_float(residual),
+            "" if threshold is None else _format_float(threshold),
+            "true" if record.passed else "false",
+            repeated(str(record.notes)),
+        )
+        lines.append(",".join(cells))
+    return lines
 
 
 def serialize_report(report: VerificationReport, fmt: str) -> bytes:
@@ -183,9 +213,5 @@ def serialize_report(report: VerificationReport, fmt: str) -> bytes:
     if fmt == "json":
         return (canonical_json(report.as_dict()) + "\n").encode("utf-8")
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(_csv_row, report.records))
-        return buffer.getvalue().encode("utf-8")
+        return ("\n".join(_csv_lines(report.records)) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

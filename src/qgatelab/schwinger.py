@@ -14,12 +14,12 @@ from that table.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
 import numpy as np
 
+from ._values import Frozen
 from .fock import MultiModeState, basis_state, occupation_index
 from .qnum import DeformationParams, NegativeRadicandError, _check_q, psi_bracket
 
@@ -60,15 +60,15 @@ def _check_bits(bits) -> tuple:
     return bits
 
 
-@dataclass(frozen=True)
-class QubitEmbedding:
+class QubitEmbedding(Frozen):
     """Shape data for qubit_count qubits over 2*qubit_count two-level modes."""
 
-    qubit_count: int
+    __slots__ = ("qubit_count",)
 
-    def __post_init__(self):
-        if self.qubit_count < 1:
+    def __init__(self, qubit_count: int):
+        if qubit_count < 1:
             raise ValueError("at least one qubit is required")
+        self._set(qubit_count)
 
     @property
     def mode_count(self) -> int:
@@ -161,21 +161,22 @@ def _creation_amplitude(q, psi_a, psi_b) -> float:
     return math.sqrt(bracket)
 
 
-@dataclass(frozen=True)
-class DeformedQubitSpec:
+class DeformedQubitSpec(Frozen):
     """A bit string plus the deformation data used to build its deformed ket.
 
     params None means the closing assignment derived from the bits themselves
     (the parameter-fixing rule); an explicit DeformationParams overrides it.
     """
 
-    bits: tuple
-    params: DeformationParams | None = None
-    exponent: ExponentConvention = ExponentConvention.RESULT
+    __slots__ = ("bits", "params", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _check_bits(self.bits))
-        object.__setattr__(self, "exponent", ExponentConvention(self.exponent))
+    def __init__(
+        self,
+        bits: tuple,
+        params: DeformationParams | None = None,
+        exponent: ExponentConvention = ExponentConvention.RESULT,
+    ):
+        self._set(_check_bits(bits), params, ExponentConvention(exponent))
 
 
 def amplitude_table(q, qubit_count: int, params=None, exponent=ExponentConvention.RESULT) -> tuple:

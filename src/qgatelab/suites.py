@@ -8,7 +8,6 @@ parameter set and note is derived from the configuration alone.
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 
@@ -34,6 +33,7 @@ from .qdeform import (
     stack_residuals,
 )
 from .qnum import DeformationParams, psi_bracket
+from ._values import Record
 from .report import VERSION, CheckRecord, VerificationReport
 from .schwinger import ExponentConvention, QubitEmbedding
 
@@ -93,26 +93,42 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-@dataclass
-class RunConfig:
-    """Settings shared by every suite; flags and config files both land here."""
+class RunConfig(Record):
+    """Settings shared by every suite; flags and config files both land here.  __slots__ is the
+    field order, which the report's config block keeps."""
 
-    suite: str = "all"
-    q_values: tuple = (0.5, 0.9, 1.1, 2.0)
-    cutoff: int = 8
-    psi_grid: tuple = (0.5, 1.0, 2.0, 4.0)
-    limit_q: tuple = (1.1, 1.01, 1.001)
-    operator: OperatorConvention = OperatorConvention.MATRIX_ELEMENT
-    exponent: ExponentConvention = ExponentConvention.RESULT
-    identity_threshold: float = 1e-12
-    limit_threshold: float = 1e-6
-    out: str | None = None
-    format: str = "json"
+    __slots__ = (
+        "suite",
+        "q_values",
+        "cutoff",
+        "psi_grid",
+        "limit_q",
+        "operator",
+        "exponent",
+        "identity_threshold",
+        "limit_threshold",
+        "out",
+        "format",
+    )
 
-    def __post_init__(self):
-        if self.suite not in SUITE_NAMES and self.suite != "all":
-            raise ValueError(f"unknown suite {self.suite!r}")
-        self.q_values = _reals("q values", self.q_values)
+    def __init__(
+        self,
+        suite: str = "all",
+        q_values: tuple = (0.5, 0.9, 1.1, 2.0),
+        cutoff: int = 8,
+        psi_grid: tuple = (0.5, 1.0, 2.0, 4.0),
+        limit_q: tuple = (1.1, 1.01, 1.001),
+        operator: OperatorConvention = OperatorConvention.MATRIX_ELEMENT,
+        exponent: ExponentConvention = ExponentConvention.RESULT,
+        identity_threshold: float = 1e-12,
+        limit_threshold: float = 1e-6,
+        out: str | None = None,
+        format: str = "json",
+    ):
+        if suite not in SUITE_NAMES and suite != "all":
+            raise ValueError(f"unknown suite {suite!r}")
+        self.suite = suite
+        self.q_values = _reals("q values", q_values)
         if not self.q_values or any(not math.isfinite(q) or q <= 0.0 for q in self.q_values):
             raise ValueError(f"q values must be positive finite reals, got {self.q_values!r}")
         _distinct_labels("q values", self.q_values)
@@ -122,17 +138,17 @@ class RunConfig:
                 f"q value {near_one[0]!r} prints as 1 in check ids, like the closure-ratio audit at q = 1; "
                 "give a q that differs from 1 within 6 significant digits"
             )
-        self.cutoff = _integer("cutoff", self.cutoff)
+        self.cutoff = _integer("cutoff", cutoff)
         if self.cutoff < 3:
             raise ValueError(
                 f"cutoff must be at least 3, got {self.cutoff}: the top level is a truncation "
                 "artifact and the generalized algebra checks also drop level 0, so cutoff 2 "
                 "leaves them no level to test"
             )
-        self.psi_grid = _reals("psi grid", self.psi_grid)
+        self.psi_grid = _reals("psi grid", psi_grid)
         if len(self.psi_grid) < 2 or any(not math.isfinite(p) or p <= 0.0 for p in self.psi_grid):
             raise ValueError(f"psi grid needs at least two positive finite reals, got {self.psi_grid!r}")
-        self.limit_q = _reals("limit q values", self.limit_q)
+        self.limit_q = _reals("limit q values", limit_q)
         if len(self.limit_q) < 2 or any(not math.isfinite(q) or q <= 0.0 or q == 1.0 for q in self.limit_q):
             raise ValueError(f"limit q values must be at least two positive reals different from 1, got {self.limit_q!r}")
         _distinct_labels("limit q values", self.limit_q)
@@ -144,29 +160,31 @@ class RunConfig:
                     "so the gap shrink between them is undefined; give each a different distance from 1"
                 )
             by_distance[abs(q - 1.0)] = q
-        self.operator = OperatorConvention(self.operator)
-        self.exponent = ExponentConvention(self.exponent)
-        self.identity_threshold = _real("identity threshold", self.identity_threshold)
-        self.limit_threshold = _real("limit threshold", self.limit_threshold)
+        self.operator = OperatorConvention(operator)
+        self.exponent = ExponentConvention(exponent)
+        self.identity_threshold = _real("identity threshold", identity_threshold)
+        self.limit_threshold = _real("limit threshold", limit_threshold)
         for threshold in (self.identity_threshold, self.limit_threshold):
             if not math.isfinite(threshold) or threshold <= 0.0:
                 raise ValueError(f"thresholds must be positive finite reals, got {threshold!r}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if self.out is not None and (not isinstance(self.out, str) or not self.out or "\0" in self.out):
-            raise ValueError(f"out must be a file path string, not empty and without NUL characters, got {self.out!r}")
+        if format not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {format!r}")
+        if out is not None and (not isinstance(out, str) or not out or "\0" in out):
+            raise ValueError(f"out must be a file path string, not empty and without NUL characters, got {out!r}")
+        self.out = out
+        self.format = format
 
     def public_config(self) -> dict:
         """Config block embedded in reports; excludes the output path so two runs
         writing to different files still produce byte-identical payloads."""
         config = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.__slots__:
+            value = getattr(self, name)
             if isinstance(value, Enum):
                 value = value.value
             elif isinstance(value, tuple):
                 value = list(value)
-            config[f.name] = value
+            config[name] = value
         del config["out"]
         return config
 

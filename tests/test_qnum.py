@@ -1,6 +1,5 @@
 """Tests for the bracket functions, their 50-digit mpmath oracle, and parameter containers."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -239,7 +238,7 @@ class TestDeformationParams:
 
     def test_instances_are_frozen(self):
         params = DeformationParams(q=2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             params.q = 3.0
 
     @pytest.mark.parametrize("bad_q", [0.0, -2.0, math.nan])

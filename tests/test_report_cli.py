@@ -1,6 +1,6 @@
 """Tests for canonical serialization, suite records, and the command line."""
 
-import dataclasses
+import ast
 import hashlib
 import json
 import os
@@ -131,7 +131,7 @@ class TestSerialization:
     def test_config_block_holds_every_other_field_as_json_values(self):
         cfg = RunConfig(suite="algebra", q_values=(2.0,), cutoff=4)
         config = cfg.public_config()
-        assert list(config) == [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
+        assert list(config) == [name for name in RunConfig.__slots__ if name != "out"]
         assert config["operator"] == cfg.operator.value
         assert config["exponent"] == cfg.exponent.value
         assert config["q_values"] == [2.0]
@@ -718,6 +718,39 @@ class TestCli:
         """
         result = self._run_python("-c", textwrap.dedent(code), str(tmp_path))
         assert result.returncode == 0, result.stderr
+
+    def test_starting_the_cli_loads_no_dataclasses_csv_sweep_or_diff_module(self):
+        # the value types are plain classes and the CSV writer quotes its own cells, so a cold start
+        # generates no dataclass code and imports no module that only a sweep or a diff needs
+        code = """
+            import sys
+            import numpy
+
+            unwanted = ("dataclasses", "csv", "qgatelab.constraints", "qgatelab.reportdiff")
+            assert not [name for name in unwanted if name in sys.modules], "numpy loaded one"
+            import qgatelab.cli
+
+            loaded = [name for name in unwanted if name in sys.modules]
+            assert not loaded, loaded
+        """
+        result = self._run_python("-c", textwrap.dedent(code))
+        assert result.returncode == 0, result.stderr
+
+    def test_no_package_module_imports_dataclasses_and_the_report_writer_imports_no_csv(self):
+        def imported(path: Path) -> set:
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names.add(node.module)
+            return names
+
+        package = Path(__file__).resolve().parents[1] / "src" / "qgatelab"
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 10
+        assert [path.name for path in modules if "dataclasses" in imported(path)] == []
+        assert "csv" not in imported(package / "report.py")
 
     def test_every_public_name_resolves_and_star_import_binds_it(self):
         # the sweep's names resolve on first access, so neither check may load it before asking

@@ -2,8 +2,9 @@
 
 The oracle is the writer as it stood before the one-pass rewrite: canonical_json dispatching
 dict members through a helper, and CSV cells converted value by value (_oracle_csv_cell) with
-getattr over CSV_COLUMNS.  Both writers must give the same bytes, or raise the same exception
-type with the same message.
+getattr over CSV_COLUMNS, then written by csv.writer.  Both writers must give the same bytes, or
+raise the same exception type with the same message.  Hypothesis also draws CSV text cells from
+the characters that decide quoting.
 """
 
 import csv
@@ -15,7 +16,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 import pytest
 
-from qgatelab import CSV_COLUMNS, CheckRecord, VerificationReport, canonical_json, serialize_report
+from qgatelab import CSV_COLUMNS, RELATION_TAGS, CheckRecord, VerificationReport, canonical_json, serialize_report
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def _oracle_format_float(value: float) -> str:
@@ -216,3 +220,24 @@ def test_unwritable_records_raise_the_oracles_exception(fmt, fields):
     outcome = _outcome(serialize_report, report, fmt)
     assert isinstance(outcome, tuple)
     assert outcome == _outcome(_oracle_serialize, report, fmt)
+
+
+# text made of the characters that decide CSV quoting, and others that must pass through as they are;
+# the small alphabet makes texts repeat across records, as relation, convention and notes do
+_TEXT = st.lists(st.sampled_from([",", '"', "\n", "\r", " ", "é", "\U0001f600", "", "a"]), max_size=6).map("".join)
+_CSV_RECORDS = st.lists(
+    st.tuples(
+        st.dictionaries(_TEXT, _TEXT, max_size=2),
+        st.fixed_dictionaries(
+            {"check_id": _TEXT, "relation": st.sampled_from(sorted(RELATION_TAGS)), "convention": _TEXT, "notes": _TEXT}
+        ),
+    ),
+    max_size=6,
+)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(drawn=_CSV_RECORDS)
+def test_csv_text_cells_match_the_oracle_byte_for_byte(drawn):
+    report = _report([_record(index, params, **text) for index, (params, text) in enumerate(drawn)])
+    assert serialize_report(report, "csv") == _oracle_serialize(report, "csv")
