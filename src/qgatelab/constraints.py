@@ -28,7 +28,7 @@ from .claims import hadamard_closure_ratio
 from .dense import _dense_residuals, _oracle_plan, _term_picks
 from .gates import DISCOVERY_PHI, GateKind, GateSpec, gate_action_traced
 from .qdeform import OperatorConvention
-from .qnum import PSI_COUNT, bracket, psi_bracket
+from .qnum import PSI_COUNT, bracket, bracket_roots, psi_bracket
 from .schwinger import ExponentConvention
 
 __all__ = ["CLAIMS", "ConstraintClaim", "ConstraintReport", "discover_constraints", "hadamard_closure_ratio"]
@@ -151,8 +151,8 @@ def _level_tables(spec: GateSpec, plan: tuple, q_values, levels: np.ndarray, gri
     rows = []
     for q in q_values:
         with np.errstate(over="ignore"):  # bracket names an overflowing product, an inf amplitude fails below
-            rows.append(bracket(1, q, levels[:, None], levels[None, :], "the sweep's bracket table at q={q!r}"))
-        admissible_amps = np.sqrt(np.where((rows[-1] >= 0.0) & np.outer(in_grid, in_grid), rows[-1], 0.0))
+            rows.append(bracket_roots(bracket(1, q, levels[:, None], levels, "the sweep's bracket table at q={q!r}")))
+        admissible_amps = np.where(np.outer(in_grid, in_grid), rows[-1][1], 0.0)
 
         def refuse(error, at: tuple, verb: str, outcome: str):
             return error(
@@ -170,7 +170,7 @@ def _level_tables(spec: GateSpec, plan: tuple, q_values, levels: np.ndarray, gri
         smallest_product = math.prod([float(positive[floor])] * arity)
         if smallest_product * smallest_product < sys.float_info.min:
             raise refuse(FloatingPointError, floor, "underflows", "is not a normal double")
-    return np.array(rows) >= 0.0, np.sqrt(np.clip(rows, 0.0, None))
+    return tuple(map(np.array, zip(*rows)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -348,11 +348,11 @@ def _row_values(admissible: list, tables: list) -> tuple:
 def _cross_check_samples(spec, plan, samples) -> int:
     """Recompute sample rows, (q, psi, strict, collinear, admissible) each, through the dense path
     with the spec's _oracle_plan, every admissible one in one pass for both residual modes; a
-    sample is admissible iff none of its brackets is negative.  Raise at the first failing sample."""
+    sample is admissible iff all its brackets are (qnum.bracket_roots).  Raise at the first failing sample."""
     brackets = _dense_brackets(spec.arity, [sample[:2] for sample in samples])
     reasons = ("marked an admissible point as skipped", "admitted an inadmissible point")
-    negative = (brackets < 0.0).any(axis=(1, 2)).tolist()
-    failures = {k: reasons[ok] for k, ((*_, ok), bad) in enumerate(zip(samples, negative)) if ok == bad}
+    dense_ok = bracket_roots(brackets)[0].all(axis=(1, 2)).tolist()
+    failures = {k: reasons[ok] for k, ((*_, ok), good) in enumerate(zip(samples, dense_ok)) if ok != good}
     kept = [k for k, sample in enumerate(samples) if sample[-1] and k not in failures]
     for k, dense_strict, dense_collinear in zip(kept, *_dense_residuals(brackets[kept], plan)):
         _, _, strict, collinear, _ = samples[k]

@@ -11,7 +11,7 @@ import operator
 import numpy as np
 
 from .gates import GateSpec, gate_action_traced, gate_matrix
-from .qnum import NegativeRadicandError
+from .qnum import bracket_roots
 from .schwinger import QubitEmbedding
 
 # Most entries of the two sides built at once, in batches of points.
@@ -65,12 +65,10 @@ def _dense_sides(brackets: np.ndarray, plan: tuple) -> tuple:
     action on deformed output kets, on the plan's kets: (points, 2**arity, kets) arrays, from the
     points' (points, arity, 2) level-1 brackets (bit b of slot j at [j, b]).  A deformed ket has one
     nonzero entry, its amplitudes multiplied in slot order, so the gate applied to it is that column
-    times the product, bit for bit.  A negative bracket raises NegativeRadicandError, as
-    amplitude_table does.  plan is _oracle_plan(spec)."""
+    times the product, bit for bit.  An inadmissible bracket raises NegativeRadicandError
+    (qnum.bracket_roots).  plan is _oracle_plan(spec)."""
     bits, columns, inputs, rows, coeffs, pick_qubits, pick_bits, _ = plan
-    if (brackets < 0.0).any():
-        raise NegativeRadicandError(1, float(brackets[brackets < 0.0][0]))
-    tables = np.sqrt(brackets)
+    tables = bracket_roots(brackets, 1)[1]
 
     def products(qubits, picked) -> np.ndarray:
         return functools.reduce(operator.mul, np.moveaxis(tables[:, qubits, picked], -1, 0))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import ModeOperators
-from .qnum import NegativeRadicandError, _check_q, bracket
+from .qnum import _check_q, bracket, bracket_roots
 
 __all__ = [
     "AlgebraResiduals",
@@ -91,19 +91,16 @@ def make_deformed_stack(
 ) -> DeformedModeStack:
     """Build the deformed pair at every q of q_values under the chosen convention.  Entry i equals
     make_deformed_ops at q_values[i] to the bit.  The brackets overflow as qnum.bracket says, q by q;
-    then the first q with a negative bracket on levels 1..d-1 raises NegativeRadicandError."""
+    then the first q with an inadmissible bracket (qnum.bracket_roots) on levels 1..d-1 raises
+    NegativeRadicandError."""
     convention = OperatorConvention(convention)
     q_values = tuple(_check_q(q) for q in q_values)
     psi_a = float(psi_a)
     psi_b = float(psi_b)
     d = mode.cutoff
     brackets = bracket(range(d + 1), q_values, psi_a, psi_b, "the psi bracket at n={n}, q={q!r}")
-    negative = brackets[:, 1:d] < 0.0  # levels 1..d-1 must be nonnegative to take square roots
-    if negative.any():
-        row, level = np.argwhere(negative)[0]
-        raise NegativeRadicandError(int(level) + 1, float(brackets[row, level + 1]))
-    roots = np.sqrt(brackets[:, 1:d])
-    levels = np.arange(1, d)
+    levels = np.arange(1, d)  # the levels whose roots the pair holds
+    roots = bracket_roots(brackets[:, 1:d], levels)[1]
     if convention is OperatorConvention.MATRIX_ELEMENT:
         a_q = np.zeros((len(q_values), d, d), dtype=complex)
         a_q[:, levels - 1, levels] = roots

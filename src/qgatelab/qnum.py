@@ -3,9 +3,9 @@
 The deformed integer [n] = (q^n - q^(-n)) / (q - q^(-1)) underlies every matrix
 element in this package; the two-parameter bracket weights its numerator with a
 per-mode pair (psi_a, psi_b), and bracket is the one place either is written, on
-floats, on numpy arrays of psi, or as a table over q values and levels.  Bracket
-values feed square roots downstream, so
-admissibility (nonnegative radicands) is policed with a dedicated error type.
+floats, on numpy arrays of psi, or as a table over q values and levels.  Every
+deformed amplitude is the square root of a bracket, and bracket_roots is the one
+rule for which brackets admit one (B >= 0.0) and the one place roots are taken.
 """
 
 import math
@@ -127,6 +127,19 @@ def bracket(n, q, psi_a, psi_b, subject: str):
         subject = subject.format(n=n, q=q)
         raise overflow_error(f"{subject} and {name}={psi[~np.isfinite(term)].flat[0].item()!r}", at)
     return (terms[0] - terms[1]) / gaps[0]
+
+
+def bracket_roots(brackets, levels=None) -> tuple:
+    """Of a float bracket or an array of them, the admissible mask B >= 0.0 (not NaN) and the roots:
+    sqrt(B) where admissible (+0.0 at -0.0), 0.0 elsewhere, as arrays.  A caller needing real
+    amplitudes passes the brackets' levels (broadcast against them): the first inadmissible bracket
+    in C order then raises NegativeRadicandError with its level and value."""
+    values = np.asarray(brackets, dtype=float)
+    admissible = values >= 0.0
+    if levels is not None and not admissible.all():
+        at = np.unravel_index(np.argmin(admissible), values.shape)
+        raise NegativeRadicandError(int(np.broadcast_to(levels, values.shape)[at]), float(values[at]))
+    return admissible, np.where(admissible, np.sqrt(np.abs(values)), 0.0)
 
 
 class DeformationParams(Frozen):

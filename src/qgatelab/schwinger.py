@@ -13,7 +13,6 @@ from that table.
 
 import functools
 import itertools
-import math
 from enum import Enum
 from types import MappingProxyType
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._values import Frozen
 from .fock import MultiModeState, basis_state, occupation_index
-from .qnum import DeformationParams, NegativeRadicandError, _check_q, psi_bracket
+from .qnum import DeformationParams, _check_q, bracket_roots, psi_bracket
 
 __all__ = [
     "DeformedQubitSpec",
@@ -151,14 +150,7 @@ def qubit_amplitude(bit: int, qubit_index: int, q, params: DeformationParams) ->
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     mode = 2 * qubit_index - 1 if bit else 2 * qubit_index
-    return _creation_amplitude(q, *params.pair(mode))
-
-
-def _creation_amplitude(q, psi_a, psi_b) -> float:
-    bracket = psi_bracket(1, q, psi_a, psi_b)
-    if bracket < 0.0:
-        raise NegativeRadicandError(1, bracket)
-    return math.sqrt(bracket)
+    return bracket_roots(psi_bracket(1, q, *params.pair(mode)), 1)[1].item()
 
 
 class DeformedQubitSpec(Frozen):
@@ -203,7 +195,7 @@ def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
     _check_q(q)
     odd_psi = _closing_psi(q, 1, exponent)[0]
     even_psi = _closing_psi(q, 0, exponent)[1]
-    return _creation_amplitude(q, even_psi, even_psi), _creation_amplitude(q, odd_psi, odd_psi)
+    return tuple(bracket_roots([psi_bracket(1, q, psi, psi) for psi in (even_psi, odd_psi)], 1)[1].tolist())
 
 
 def ket_amplitudes(table) -> np.ndarray:

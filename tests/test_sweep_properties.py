@@ -125,11 +125,13 @@ def test_blocks_match_the_grid_oracle(kind, q, grid):
                 assert math.isclose(value, dense, rel_tol=1e-12, abs_tol=1e-12), (*where, row, value, dense)
 
 
-@pytest.mark.parametrize("kind", [GateKind.HAD, GateKind.NOT])
+@pytest.mark.parametrize("kind", [GateKind.HAD, GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI])
 def test_a_row_that_closes_exactly_reads_zero_maxima_whatever_its_amplitudes_round_to(kind):
     # at q = 3 the pairs (3, 1) and (4, 10) share q^2 psi_a - psi_b = 26, but their float
-    # brackets differ in the last bit, so the row's float residual is rounding noise
-    row = np.array([3.0, 1.0, 4.0, 10.0] + [1.0] * 8)
+    # brackets differ in the last bit, so the row's float residual is rounding noise; they sit on
+    # the gate's target qubit, its last, every control at psi = 1
+    target = GateSpec(kind).arity - 1
+    row = np.array([1.0] * 4 * target + [3.0, 1.0, 4.0, 10.0] + [1.0] * 4 * (2 - target))
     tally, (strict, collinear, ok) = _row_block(GateSpec(kind), 3.0, row)
     assert ok and 0.0 < strict < 1e-15
     assert [tally[key] for key in ("max_strict", "max_collinear", "zero_strict", "zero_collinear")] == [0.0, 0.0, 1, 1]
