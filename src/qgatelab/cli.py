@@ -12,6 +12,7 @@ directory (keeping the configured file name).
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -20,6 +21,12 @@ from .qdeform import OperatorConvention
 from .report import serialize_report
 from .schwinger import ExponentConvention
 from .suites import RunConfig, run_suites
+
+# A command-line process is short-lived, and every object tracked by now (numpy's, the
+# standard library's and the package's import-time objects) lives until exit.  Moving them
+# into the permanent generation keeps later collections, and the ones the interpreter runs
+# at exit, from scanning them again.  `import qgatelab` alone keeps a normal collector.
+gc.freeze()
 
 __all__ = ["build_parser", "main"]
 

@@ -561,13 +561,21 @@ class TestCli:
     def _run_module(cls, *args):
         return cls._run_python("-m", "qgatelab", *args)
 
-    def test_module_entry_point_writes_the_same_bytes_as_main(self, tmp_path):
-        reference = tmp_path / "main.json"
-        assert main(["verify-gates", "--out", str(reference)]) == 0
-        out = tmp_path / "module.json"
-        result = self._run_module("verify-gates", "--out", str(out))
-        assert result.returncode == 0, result.stderr
-        assert out.read_bytes() == reference.read_bytes()
+    def test_module_entry_point_writes_the_same_bytes_as_main(self, tmp_path, capsys):
+        # the module process runs on a frozen import-time heap, which changes no byte or line
+        for argv in (["verify-gates"], ["all"], ["all", "--format", "csv"]):
+            name = "-".join(argv)
+            reference = tmp_path / f"main-{name}"
+            assert main([*argv, "--out", str(reference)]) == 0
+            line = capsys.readouterr().out
+            counts = line.split(" ")[0]
+            passed, total = counts.split("/")
+            assert passed == total and line == f"{counts} checks passed -> {reference}\n", line
+            out = tmp_path / f"module-{name}"
+            result = self._run_module(*argv, "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == f"{counts} checks passed -> {out}\n", name
+            assert out.read_bytes() == reference.read_bytes(), name
 
     def test_discover_one_ulp_below_q_one_exits_two(self, tmp_path):
         # the value prints as 1, the label of the closure-ratio audit at q = 1
@@ -735,6 +743,58 @@ class TestCli:
         """
         result = self._run_python("-c", textwrap.dedent(code))
         assert result.returncode == 0, result.stderr
+
+    def test_the_cli_freezes_its_import_time_heap_once_and_a_library_import_does_not(self, tmp_path):
+        # collections, and the ones the interpreter runs at exit, skip what the command line
+        # imported; `import qgatelab` keeps a normal collector, main() freezes nothing, and a
+        # cycle made after the freeze is still collected
+        code = """
+            import gc, os, sys, weakref
+            import qgatelab
+
+            assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+            import qgatelab.cli
+
+            frozen = gc.get_freeze_count()
+            assert frozen > 0 and gc.isenabled(), (frozen, gc.isenabled())
+            for name in ("first", "second"):
+                out = os.path.join(sys.argv[1], name + ".json")
+                assert qgatelab.cli.main(["all", "--q", "2", "--psi", "1,2", "--cutoff", "3", "--out", out]) == 0
+            # a frozen object freed by its reference count leaves the permanent generation, so
+            # the count may fall; a freeze in main() would raise it by every object made since
+            assert gc.get_freeze_count() <= frozen, (gc.get_freeze_count(), frozen)
+
+            class Node:
+                pass
+
+            node = Node()
+            node.cycle = node
+            ref = weakref.ref(node)
+            del node
+            gc.collect()
+            assert ref() is None, "a cycle made after the freeze was not collected"
+        """
+        result = self._run_python("-c", textwrap.dedent(code), str(tmp_path))
+        assert result.returncode == 0, result.stderr
+
+    def test_only_the_cli_module_freezes_the_heap_and_only_at_import(self):
+        # a freeze in the package would take a library caller's collector, and a freeze in a
+        # function would make the garbage pending at each call immortal
+        package = Path(__file__).resolve().parents[1] / "src" / "qgatelab"
+        sites = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            at_import = {
+                id(stmt.value.func) for stmt in tree.body if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    sites.append((path.name, "from gc import"))
+                elif isinstance(node, ast.Import) and any(alias.name == "gc" and alias.asname for alias in node.names):
+                    sites.append((path.name, "import gc as"))
+                elif isinstance(node, ast.Attribute) and node.attr == "freeze" and getattr(node.value, "id", None) == "gc":
+                    sites.append((path.name, "at import" if id(node) in at_import else "elsewhere"))
+        assert sites == [("cli.py", "at import")]
 
     def test_no_package_module_imports_dataclasses_and_the_report_writer_imports_no_csv(self):
         def imported(path: Path) -> set:
