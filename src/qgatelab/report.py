@@ -121,53 +121,89 @@ class VerificationReport(Record):
         }
 
 
-# '"key":' of each dict key met so far: a report draws its keys from a small vocabulary
-_KEY_PREFIXES = {}
-_KEY_PREFIX_LIMIT = 4096
-
-
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} cannot enter a report")
     return f"{float(value):.17g}"
 
 
+# the texts of 0.0 and -0.0 by their sign, and the key and item types that take an encoder's memo
+_ZERO_TEXTS = {math.copysign(1.0, zero): _format_float(zero) for zero in (0.0, -0.0)}
+_STR_ONLY = frozenset({str})
+_INT_ONLY = frozenset({int})
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, ASCII, %.17g floats, no whitespace.  Each container is
     joined from its members' strings, so no token list spans the whole document."""
-    return _encode(value)
+    return _document_encoder()[0](value)
 
 
-def _encode(value) -> str:
-    """canonical_json's recursion, private so that a tracer of the public functions sees one call
-    per document rather than one per value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, dict):
-        members = []
+def _document_encoder() -> tuple:
+    """(encode, number) for one document: a value's canonical JSON text, and a float's %.17g text.
+    Exact str, float, int, bool, None, dict, list and tuple values take their own branch, anything
+    else (np.float64, a str-enum) the isinstance chain.  Each nonzero float's text, each int list's
+    text and each str key set's sorted '"key":' prefixes are rendered once per document; the memo
+    dies with the document, and a tracer of the public functions sees one call per document."""
+    floats, int_lists, key_orders = {}, {}, {}
+
+    def number(value) -> str:
+        if type(value) is not float:
+            return _format_float(value)
+        if not value:  # 0.0 == -0.0 as keys, but they print 0 and -0
+            return _ZERO_TEXTS[math.copysign(1.0, value)]
+        text = floats.get(value)
+        if text is None:
+            text = floats[value] = _format_float(value)
+        return text
+
+    def members(value: dict) -> str:
+        if _STR_ONLY.issuperset(map(type, value)):
+            names = frozenset(value)
+            order = key_orders.get(names)
+            if order is None:
+                order = key_orders[names] = [(key, encode_basestring_ascii(key) + ":") for key in sorted(names)]
+            return "{" + ",".join([prefix + encode(value[key]) for key, prefix in order]) + "}"
+        texts = []
         for key in sorted(value):
-            prefix = _KEY_PREFIXES.get(key)
-            if prefix is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"report keys must be strings, got {key!r}")
-                prefix = encode_basestring_ascii(key) + ":"
-                if len(_KEY_PREFIXES) < _KEY_PREFIX_LIMIT:
-                    _KEY_PREFIXES[key] = prefix
-            members.append(prefix + _encode(value[key]))
-        return "{" + ",".join(members) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(map(_encode, value)) + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            texts.append(encode_basestring_ascii(key) + ":" + encode(value[key]))
+        return "{" + ",".join(texts) + "}"
+
+    def encode(value) -> str:
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is float:
+            return number(value)
+        if kind is dict:
+            return members(value)
+        if (kind is list or kind is tuple) and _INT_ONLY.issuperset(map(type, value)):
+            items = tuple(value)
+            text = int_lists.get(items)
+            if text is None:
+                text = int_lists[items] = "[" + ",".join(map(str, items)) + "]"
+            return text
+        if kind is int:
+            return str(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if isinstance(value, float):
+            return number(value)
+        if isinstance(value, dict):
+            return members(value)
+        if isinstance(value, (list, tuple)):
+            return "[" + ",".join(map(encode, value)) + "]"
+        if isinstance(value, int):
+            return str(value)
+        raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+
+    return encode, number
 
 
 def _quote(cell: str) -> str:
@@ -182,7 +218,8 @@ def _quote(cell: str) -> str:
 def _csv_lines(records) -> list:
     """The header and one line per record, cells in CSV_COLUMNS order, each field read as the type
     CheckRecord gives it.  relation, convention and notes repeat across records, so each distinct
-    text of theirs is quoted once."""
+    text of theirs is quoted once; params, residual and threshold go through one document encoder."""
+    encode, number = _document_encoder()
     quoted = {}
 
     def repeated(text: str) -> str:
@@ -198,9 +235,9 @@ def _csv_lines(records) -> list:
             _quote(str(record.check_id)),
             repeated(str(record.relation)),
             repeated(str(record.convention)),
-            _quote(_encode(record.params)),
-            "" if residual is None else _format_float(residual),
-            "" if threshold is None else _format_float(threshold),
+            _quote(encode(record.params)),
+            "" if residual is None else number(residual),
+            "" if threshold is None else number(threshold),
             "true" if record.passed else "false",
             repeated(str(record.notes)),
         )

@@ -224,21 +224,19 @@ def _check(check_id, relation, params, residual, notes, passed=None, *, conventi
 # --- algebra -----------------------------------------------------------------
 
 
-def _algebra_records(check, result: AlgebraResiduals, keys, prefix: str) -> list:
-    """One record per relation key of an algebra_residuals result, naming the tested levels."""
+def _algebra_records(check, result: AlgebraResiduals, keys, prefix: str, notes: dict) -> list:
+    """One record per relation key of an algebra_residuals result; notes maps each levels tuple to its text."""
     point = {"q": result.q, "cutoff": result.cutoff, "psi_a": result.psi_a, "psi_b": result.psi_b}
     records = []
     for key in keys:
         levels = result.levels[key]
-        records.append(
-            check(
-                f"{prefix}/{key}",
-                _RELATION_BY_KEY[key],
-                {**point, "levels": [int(n) for n in levels]},
-                result.residuals[key],
-                f"levels {levels[0]}..{levels[-1]}"
-                + ("; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""),
+        note = notes.get(levels)
+        if note is None:
+            note = notes[levels] = f"levels {levels[0]}..{levels[-1]}" + (
+                "; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""
             )
+        records.append(
+            check(f"{prefix}/{key}", _RELATION_BY_KEY[key], {**point, "levels": list(levels)}, result.residuals[key], note)
         )
     return records
 
@@ -258,11 +256,13 @@ def algebra_suite(cfg: RunConfig) -> list:
 
     # every q of a chunk in one stack, and its mirror stack at 1/q for the symmetry records below
     mirror_gaps = []
+    notes = {}
+    labels = {q: f"q={q:g}" for q in cfg.q_values}
     for chunk in _stack_chunks(cfg.q_values, cfg.cutoff):
         forward = make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator)
         backward = make_deformed_stack(mode, tuple(1.0 / q for q in chunk), 1.0, 1.0, cfg.operator)
         for q, result in zip(chunk, stack_residuals(forward)):
-            records += _algebra_records(check, result, sorted(result.residuals), f"algebra/uniform/q={q:g}")
+            records += _algebra_records(check, result, sorted(result.residuals), f"algebra/uniform/{labels[q]}", notes)
         mirror_gaps += np.abs(forward.a_q - backward.a_q).max(axis=(1, 2)).tolist()
 
     for q, psi_b in _GENERALIZED_POINTS:
@@ -282,7 +282,7 @@ def algebra_suite(cfg: RunConfig) -> list:
     for q, psi_b in _GENERALIZED_POINTS:
         result = algebra_residuals(make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator))
         keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
-        records += _algebra_records(check, result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}")
+        records += _algebra_records(check, result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}", notes)
 
     shift_cases = (
         ("psi_b-one", 2.0, 1.0, 0.0),
@@ -307,7 +307,7 @@ def algebra_suite(cfg: RunConfig) -> list:
             continue
         records.append(
             check(
-                f"algebra/bracket-symmetry/q={q:g}",
+                f"algebra/bracket-symmetry/{labels[q]}",
                 "bracket-symmetry",
                 {"q": q, "mirror_q": 1.0 / q, "cutoff": cfg.cutoff},
                 gap,
@@ -438,13 +438,15 @@ def gates_suite(cfg: RunConfig) -> list:
 
     specs = _gate_specs()
     closure = _closure_residuals(specs, cfg.q_values, cfg.exponent).tolist()
+    gates = [(spec.kind.value, spec.phi) for spec in specs]
     for q, residuals in zip(cfg.q_values, closure):
-        for spec, residual in zip(specs, residuals):
+        label = f"q={q:g}"
+        for (gate, phi), residual in zip(gates, residuals):
             records.append(
                 check(
-                    f"gates/closure/{spec.kind.value}/q={q:g}",
+                    f"gates/closure/{gate}/{label}",
                     "gate-closure",
-                    {"gate": spec.kind.value, "phi": spec.phi, "q": q, "assignment": "closing"},
+                    {"gate": gate, "phi": phi, "q": q, "assignment": "closing"},
                     residual,
                     "deformed gate reproduces its table on fixed-parameter kets",
                 )

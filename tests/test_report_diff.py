@@ -143,7 +143,8 @@ def test_diff_loads_no_suite_module(tmp_path):
         f"assert qgatelab.cli.main(['diff'] + [{str(GOLDEN_DIR / 'report_algebra.json')!r}] * 2) == 0\n"
         "assert 'qgatelab.reportdiff' in sys.modules and 'qgatelab.constraints' not in sys.modules\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+    # -B: the env below drops PYTHONDONTWRITEBYTECODE, and the child must not write bytecode into the checkout
+    result = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, cwd=tmp_path,
                             env={"PYTHONPATH": str(REPO / "src"), "PATH": ""})
     assert result.returncode == 0, result.stderr
 

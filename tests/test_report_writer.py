@@ -4,14 +4,19 @@ The oracle is the writer as it stood before the one-pass rewrite: canonical_json
 dict members through a helper, and CSV cells converted value by value (_oracle_csv_cell) with
 getattr over CSV_COLUMNS, then written by csv.writer.  Both writers must give the same bytes, or
 raise the same exception type with the same message.  Hypothesis also draws CSV text cells from
-the characters that decide quoting.
+the characters that decide quoting, and whole documents that repeat values the writer's
+per-document memo could conflate (0.0 and -0.0, numpy floats, bools among ints, str-enum keys).
 """
 
 import csv
 import enum
 import io
 import math
+import os
+import subprocess
+import sys
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from qgatelab import CSV_COLUMNS, RELATION_TAGS, CheckRecord, VerificationReport
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _oracle_format_float(value: float) -> str:
@@ -241,3 +248,141 @@ _CSV_RECORDS = st.lists(
 def test_csv_text_cells_match_the_oracle_byte_for_byte(drawn):
     report = _report([_record(index, params, **text) for index, (params, text) in enumerate(drawn)])
     assert serialize_report(report, "csv") == _oracle_serialize(report, "csv")
+
+
+# values a document encoder's memo could conflate: zeros of both signs, the smallest subnormal, numpy
+# floats equal to plain ones, bools and int-enums among ints, str-enums equal to plain strings
+_REPEATED = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        0.1,
+        np.float64(0.1),
+        np.float64(-0.0),
+        2.0,
+        np.float64(2.0),
+        1,
+        True,
+        Rank.FIRST,
+        [1, True],
+        [1, 1],
+        (1, 1),
+        [True, 1],
+        [1, Rank.FIRST],
+        [],
+        [0.0, -0.0],
+        "low",
+        Tone.LOW,
+        None,
+        {"low": -0.0, "a": [1, 1]},
+        {Tone.LOW: 0.0, "a": [1, True]},
+    ]
+)
+_REPEATED_NUMBERS = st.sampled_from([None, 0.0, -0.0, 5e-324, 0.1, np.float64(0.1), 2.0])
+
+
+class Backwards(str):
+    """A string that sorts in reverse: equal to and hashed as its plain twin, ordered otherwise."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+# key sets equal as sets of strings, some holding str subclasses in place of equal plain strings
+_KEY_SETS = st.sampled_from(
+    [("a", "b", "low"), ("a", "low"), ("a", Tone.LOW), ("ODD", Tone.ODD, "b"), ("a", "b"), (Backwards("a"), Backwards("b"))]
+)
+
+
+@st.composite
+def _repeating_params(draw) -> dict:
+    """A params dict over one of _KEY_SETS, its keys inserted in a drawn order."""
+    return {key: draw(_REPEATED) for key in draw(st.permutations(draw(_KEY_SETS)))}
+
+
+_REPEATING_RECORDS = st.lists(st.tuples(_repeating_params(), _REPEATED_NUMBERS, _REPEATED_NUMBERS), min_size=1, max_size=8)
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.example(
+    drawn=[
+        ({"a": 0.0, "b": [1, 1], "low": 5e-324}, 0.0, 0.1),
+        ({"low": -0.0, "b": [1, True], "a": np.float64(0.1)}, -0.0, np.float64(0.1)),
+        ({"b": 0.1, "a": (1, 1), "low": -5e-324}, 5e-324, -0.0),
+        ({Tone.LOW: [1, True], "a": [1, 1]}, np.float64(0.1), 0.0),
+        ({"a": [True, 1], "low": np.float64(-0.0)}, None, 2.0),
+        ({"b": 2.0, "a": 0.1}, 0.1, 0.1),
+        ({Backwards("a"): 2.0, Backwards("b"): 0.1}, 2.0, None),
+    ]
+)
+@hypothesis.given(drawn=_REPEATING_RECORDS)
+def test_reports_that_repeat_values_match_the_oracle_byte_for_byte(drawn):
+    records = [_record(index, params, residual=residual, threshold=threshold) for index, (params, residual, threshold) in enumerate(drawn)]
+    report = _report(records)
+    for fmt in ("json", "csv"):
+        assert serialize_report(report, fmt) == _oracle_serialize(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_documents_written_back_to_back_each_match_the_oracle(fmt):
+    # the second document repeats the first's values under other types and key orders
+    first = _report([_record(0, {"a": 0.1, "b": [1, 1], "low": 0.0}, residual=0.0), _record(1, {"low": 2.0, "a": 5e-324})])
+    second = _report(
+        [
+            _record(0, {"b": [1, True], "low": -0.0, "a": np.float64(0.1)}, residual=-0.0),
+            _record(1, {"a": -5e-324, Tone.LOW: np.float64(2.0)}, residual=np.float64(0.1)),
+        ]
+    )
+    outputs = [serialize_report(report, fmt) for report in (first, second, first)]
+    assert outputs == [_oracle_serialize(report, fmt) for report in (first, second, first)]
+    assert outputs[0] != outputs[1]
+
+
+_FOOTPRINT = """
+import types
+import qgatelab.report as report
+from qgatelab.suites import RunConfig, run_suites
+
+
+def footprint(value, seen):
+    # entries held by value and by what it holds: containers, function closures and defaults, caches
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+    elif isinstance(value, types.FunctionType):
+        items = [cell.cell_contents for cell in value.__closure__ or ()] + list(value.__defaults__ or ())
+    elif hasattr(value, "cache_info"):
+        return value.cache_info().currsize
+    else:
+        return 0
+    return len(items) + sum(footprint(item, seen) for item in items)
+
+
+def sizes():
+    return {name: footprint(value, set()) for name, value in vars(report).items() if not name.startswith("__")}
+
+
+before = sizes()
+default = run_suites(RunConfig())
+for fmt in ("json", "csv"):
+    report.serialize_report(default, fmt)
+report.canonical_json({f"guard-key-{i}": [i, i / 7] for i in range(5000)})
+after = sizes()
+assert after == before, {name: (before.get(name), size) for name, size in after.items() if before.get(name) != size}
+"""
+
+
+def test_no_module_global_of_the_writer_grows_with_the_documents_it_writes():
+    # a fresh interpreter, so that no earlier test has filled a cache up to a bound
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-B", "-c", _FOOTPRINT], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
