@@ -224,6 +224,21 @@ class TestSerialization:
         assert main(["discover", "--q", "2", "--psi", "0.5,300,1000", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "report_discover_fredkin_rounding.json").read_bytes()
 
+    def test_no_two_records_share_a_mutable_params_value(self):
+        # the suites build per-q records from hoisted constants; each record still owns its dicts and lists
+        report = run_suites(RunConfig(q_values=(0.5, 1.0, 2.0), psi_grid=(1.0, 2.0)))
+        owned = []
+
+        def collect(value):
+            if isinstance(value, (dict, list)):
+                owned.append(value)
+                for item in value.values() if isinstance(value, dict) else value:
+                    collect(item)
+
+        for record in report.records:
+            collect(record.params)
+        assert len({id(value) for value in owned}) == len(owned) > len(report.records)
+
 
 class TestRunConfig:
     def test_rejects_unknown_suite(self):
