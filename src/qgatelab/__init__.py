@@ -52,6 +52,7 @@ from .report import (
     RELATION_TAGS,
     VERSION,
     CheckRecord,
+    RecordShape,
     VerificationReport,
     canonical_json,
     serialize_report,
@@ -102,6 +103,7 @@ __all__ = [
     "OperatorConvention",
     "QubitEmbedding",
     "RELATION_TAGS",
+    "RecordShape",
     "RunConfig",
     "SUITE_NAMES",
     "VERSION",

@@ -47,8 +47,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._values import Frozen
-from .qnum import DeformationParams
-from .schwinger import ExponentConvention, QubitEmbedding, amplitude_table, ket_amplitudes
+from .qnum import DeformationParams, bracket_roots
+from .schwinger import ExponentConvention, QubitEmbedding, _closing_brackets, amplitude_table, ket_amplitudes
 
 __all__ = [
     "GateKind",
@@ -237,14 +237,14 @@ def _closure_residuals(specs, q_values, exponent) -> np.ndarray:
     raises OverflowError: a non-finite amplitude, named for the first gate, or else the first
     input whose gap is not finite."""
     exponent = ExponentConvention(exponent)
-
-    def closing(q) -> tuple:
+    brackets = []
+    for q in q_values:
         try:
-            return _finite_table(specs[0], q, None, exponent)[0]
-        except OverflowError:  # nan gaps, so the scan below raises it again in its turn
-            return (math.nan, math.nan)
-
-    pairs, gaps = np.array([closing(q) for q in q_values]).reshape(-1, 1, 2), []
+            brackets.append(_closing_brackets(float(q), exponent))
+        except OverflowError:  # an infinite pair, so the scan below raises it again in its turn
+            brackets.append((math.inf, math.inf))
+    pairs, gaps = bracket_roots(np.reshape(brackets, (-1, 1, 2)), 1)[1], []
+    pairs[~np.isfinite(pairs).all(axis=2)] = math.nan  # as amplitude_table's, on every q at once
     with np.errstate(over="ignore", invalid="ignore"):
         for spec in specs:
             plan = _entry_plan(_GATES[spec.kind], spec.phi)

@@ -9,18 +9,25 @@ with the same float rendering.  No timestamps, no hostnames.
 Every check record carries a relation identifier from a closed vocabulary
 (RELATION_TAGS); "derived" marks checks that verify this package's own
 plumbing rather than a relation from the verified construction.
+
+A report holds its records as rows of shared shapes: a RecordShape is what a
+family of checks holds constant (relation, convention, threshold, notes,
+constant params and the names of the params that vary), and a row is one
+record's check id, varying values, residual and outcome.  The writer renders
+each shape's own cells once per document and fills them from each row.
 """
 
 import math
 from json.encoder import encode_basestring_ascii
 
-from ._values import Record
+from ._values import Frozen, Record
 
 __all__ = [
     "CSV_COLUMNS",
     "RELATION_TAGS",
     "VERSION",
     "CheckRecord",
+    "RecordShape",
     "VerificationReport",
     "canonical_json",
     "serialize_report",
@@ -94,21 +101,73 @@ class CheckRecord(Record):
         self.notes = notes
 
 
+class RecordShape(Frozen):
+    """What one family of check records holds constant: relation, convention, threshold, notes,
+    the constant params, and the names of the params that vary from record to record (varying).
+    With varying names, params is a dict whose keys repeat none of them; without, params is any
+    report value.  A shape owns the params it is given: it never changes them, and each record it
+    yields gets its own copies."""
+
+    __slots__ = ("relation", "convention", "threshold", "notes", "params", "varying")
+
+    def __init__(self, relation: str, convention: str, threshold: float | None, notes: str, params, varying=()):
+        if relation not in RELATION_TAGS:
+            raise ValueError(f"unknown relation tag {relation!r}")
+        varying = tuple(varying)
+        if varying and (not isinstance(params, dict) or len({*params, *varying}) != len(params) + len(varying)):
+            raise ValueError(f"varying params {varying!r} need distinct names outside a constant params dict")
+        self._set(relation, convention, None if threshold is None else float(threshold), notes, params, varying)
+
+    def row(self, check_id, values, residual: float | None, passed=None) -> tuple:
+        """One record of this shape as the row (shape, check_id, values, residual, passed), values
+        given in varying order.  A record passes when residual <= threshold, unless passed states
+        its own outcome (audits, verdicts, limit trends)."""
+        if len(values) != len(self.varying):
+            raise ValueError(f"expected values for {self.varying!r}, got {values!r}")
+        residual = None if residual is None else float(residual)
+        return self, check_id, tuple(values), residual, bool(residual <= self.threshold if passed is None else passed)
+
+    def record(self, row: tuple) -> CheckRecord:
+        """The CheckRecord of one of this shape's rows, with params of its own."""
+        _, check_id, values, residual, passed = row
+        params = {**self.params, **dict(zip(self.varying, values))} if self.varying else self.params
+        relation, convention, threshold, notes = self.relation, self.convention, self.threshold, self.notes
+        return CheckRecord(check_id, relation, convention, _owned(params), residual, threshold, passed, notes)
+
+
+def _owned(value):
+    """value with each dict, list and tuple in it rebuilt, so that no two records share one."""
+    if isinstance(value, dict):
+        return {key: _owned(item) for key, item in value.items()}
+    if isinstance(value, list) or type(value) is tuple:
+        return type(value)(map(_owned, value))
+    return value
+
+
 class VerificationReport(Record):
-    """A configuration, the active conventions, and the resulting check records (a new empty
-    list when none is given)."""
+    """A configuration, the active conventions, and the check records as rows (RecordShape.row)
+    in report order.  Each CheckRecord given in records becomes the one row of its own shape,
+    after the rows."""
 
-    __slots__ = ("version", "config", "conventions", "records")
+    __slots__ = ("version", "config", "conventions", "rows")
 
-    def __init__(self, version: str, config: dict, conventions: dict, records: list | None = None):
+    def __init__(self, version: str, config: dict, conventions: dict, records: list | None = None, rows=None):
         self.version = version
         self.config = config
         self.conventions = conventions
-        self.records = [] if records is None else records
+        self.rows = list(rows or ())
+        for r in records or ():
+            shape = RecordShape(r.relation, r.convention, r.threshold, r.notes, r.params)
+            self.rows.append(shape.row(r.check_id, (), r.residual, r.passed))
+
+    @property
+    def records(self) -> list:
+        """The rows as new CheckRecords."""
+        return [row[0].record(row) for row in self.rows]
 
     def summary(self) -> dict:
-        passed = sum(1 for r in self.records if r.passed)
-        return {"total": len(self.records), "passed": passed, "failed": len(self.records) - passed}
+        passed = sum(row[-1] for row in self.rows)
+        return {"total": len(self.rows), "passed": passed, "failed": len(self.rows) - passed}
 
     def as_dict(self) -> dict:
         return {
@@ -127,9 +186,8 @@ def _format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-# the texts of 0.0 and -0.0 by their sign, and the key and item types that take an encoder's memo
+# the texts of 0.0 and -0.0 by their sign, and the item type of the lists an encoder's memo takes
 _ZERO_TEXTS = {math.copysign(1.0, zero): _format_float(zero) for zero in (0.0, -0.0)}
-_STR_ONLY = frozenset({str})
 _INT_ONLY = frozenset({int})
 
 
@@ -142,10 +200,10 @@ def canonical_json(value) -> str:
 def _document_encoder() -> tuple:
     """(encode, number) for one document: a value's canonical JSON text, and a float's %.17g text.
     Exact str, float, int, bool, None, dict, list and tuple values take their own branch, anything
-    else (np.float64, a str-enum) the isinstance chain.  Each nonzero float's text, each int list's
-    text and each str key set's sorted '"key":' prefixes are rendered once per document; the memo
-    dies with the document, and a tracer of the public functions sees one call per document."""
-    floats, int_lists, key_orders = {}, {}, {}
+    else (np.float64, a str-enum) the isinstance chain.  Each nonzero float's text and each int
+    list's text are rendered once per document; the memo dies with the document, and a tracer of
+    the public functions sees one call per document."""
+    floats, int_lists = {}, {}
 
     def number(value) -> str:
         if type(value) is not float:
@@ -158,12 +216,6 @@ def _document_encoder() -> tuple:
         return text
 
     def members(value: dict) -> str:
-        if _STR_ONLY.issuperset(map(type, value)):
-            names = frozenset(value)
-            order = key_orders.get(names)
-            if order is None:
-                order = key_orders[names] = [(key, encode_basestring_ascii(key) + ":") for key in sorted(names)]
-            return "{" + ",".join([prefix + encode(value[key]) for key, prefix in order]) + "}"
         texts = []
         for key in sorted(value):
             if not isinstance(key, str):
@@ -215,40 +267,112 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _csv_lines(records) -> list:
-    """The header and one line per record, cells in CSV_COLUMNS order, each field read as the type
-    CheckRecord gives it.  relation, convention and notes repeat across records, so each distinct
-    text of theirs is quoted once; params, residual and threshold go through one document encoder."""
-    encode, number = _document_encoder()
-    quoted = {}
+def _params_pieces(shape: RecordShape, values: tuple, encode) -> tuple:
+    """(pieces, order): shape's params text as constant pieces and a None per varying value, keys
+    sorted as in the params of the records it yields, and the positions in a row's values of the
+    varying params in the order of their Nones.  values are the first row's, each encoded where
+    it stands, so the first unwritable value in key order raises."""
+    if not shape.varying:
+        return [encode(shape.params)], ()
+    position = {name: index for index, name in enumerate(shape.varying)}
+    pieces, order = [], []
+    for key in sorted({**shape.params, **position}):  # the key order RecordShape.record inserts
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be strings, got {key!r}")
+        pieces += [",", encode_basestring_ascii(key) + ":"]
+        if key in position:
+            encode(values[position[key]])
+            pieces.append(None)
+            order.append(position[key])
+        else:
+            pieces.append(encode(shape.params[key]))
+    pieces[0] = "{"
+    return pieces + ["}"], tuple(order)
 
-    def repeated(text: str) -> str:
-        cell = quoted.get(text)
-        if cell is None:
-            cell = quoted[text] = _quote(text)
-        return cell
 
-    lines = [",".join(CSV_COLUMNS)]
-    for record in records:
-        residual, threshold = record.residual, record.threshold
-        cells = (
-            _quote(str(record.check_id)),
-            repeated(str(record.relation)),
-            repeated(str(record.convention)),
-            _quote(encode(record.params)),
-            "" if residual is None else number(residual),
-            "" if threshold is None else number(threshold),
-            "true" if record.passed else "false",
-            repeated(str(record.notes)),
-        )
-        lines.append(",".join(cells))
-    return lines
+def _template(row: tuple, csv: bool, encode, number) -> tuple:
+    """(line, order) for the rows of row's shape: line is their CSV line or JSON object as a list
+    with the shape's own text at even positions and a None at each odd one, where a row's cells
+    go, and order is as _params_pieces gives it.  Cells are rendered in the order a record's fields
+    are written, and the first row's own where they stand, so an unwritable value raises as it
+    would were the records written one by one."""
+    shape, check_id, values, residual, _ = row
+    if csv:
+        pieces = [None, "," + _quote(str(shape.relation)) + "," + _quote(str(shape.convention)) + ","]
+    else:
+        encode(check_id)
+        pieces = ['{"check_id":', None, ',"convention":' + encode(shape.convention)]
+        pieces.append(',"notes":' + encode(shape.notes) + ',"params":')
+    params, order = _params_pieces(shape, values, encode)
+    if residual is not None:
+        number(residual)
+    threshold = None if shape.threshold is None else number(shape.threshold)
+    if not csv:
+        pieces += params
+        pieces += [',"passed":', None, ',"relation":' + encode(shape.relation) + ',"residual":', None]
+        pieces.append(',"threshold":' + ("null" if threshold is None else threshold) + "}")
+    elif order:  # a params dict with a key holds a '"', so its cell is quoted
+        pieces += ['"', *[piece and piece.replace('"', '""') for piece in params], '"']
+    else:
+        pieces.append(_quote(params[0]))
+    if csv:
+        threshold = "" if threshold is None else threshold
+        pieces += [",", None, "," + threshold + ",", None, "," + _quote(str(shape.notes))]
+    line = [""]
+    for piece in pieces:
+        if piece is None:
+            line += [None, ""]
+        else:
+            line[-1] += piece
+    return line, order
+
+
+def _row_texts(rows, csv: bool, encode, number) -> list:
+    """Each row's CSV line or JSON object.  Its shape's template is made at the shape's first row;
+    a row then fills it with its check id, its varying values, its residual and its passed."""
+    templates, texts = {}, []
+    for row in rows:
+        shape, check_id, values, residual, passed = row
+        template = templates.get(id(shape))
+        if template is None:
+            template = templates[id(shape)] = _template(row, csv, encode, number)
+        line, order = template
+        line = line.copy()
+        if csv:
+            cell = str(check_id)
+            if "," in cell or '"' in cell or "\n" in cell:
+                cell = _quote(cell)
+            line[1::2] = (
+                cell,
+                *[encode(values[index]).replace('"', '""') for index in order],
+                "" if residual is None else number(residual),
+                "true" if passed else "false",
+            )
+        else:
+            line[1::2] = (
+                encode(check_id),
+                *[encode(values[index]) for index in order],
+                "true" if passed else "false",
+                "null" if residual is None else number(residual),
+            )
+        texts.append("".join(line))
+    return texts
 
 
 def serialize_report(report: VerificationReport, fmt: str) -> bytes:
-    """Render a report as canonical JSON or CSV bytes (UTF-8, newline-terminated)."""
+    """Render a report as canonical JSON or CSV bytes (UTF-8, newline-terminated).  The JSON is
+    canonical_json of report.as_dict(), and each CSV cell as the csv module would write a record's
+    field; each shape's own cells are rendered once per document."""
+    encode, number = _document_encoder()
     if fmt == "json":
-        return (canonical_json(report.as_dict()) + "\n").encode("utf-8")
-    if fmt == "csv":
-        return ("\n".join(_csv_lines(report.records)) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
+        config, conventions = dict(report.config), dict(report.conventions)
+        text = (
+            '{"config":' + encode(config) + ',"conventions":' + encode(conventions)
+            + ',"records":[' + ",".join(_row_texts(report.rows, False, encode, number))
+            + '],"summary":' + encode(report.summary()) + ',"tool":"qgatelab","version":' + encode(report.version) + "}"
+        )
+    elif fmt == "csv":
+        text = "\n".join([",".join(CSV_COLUMNS), *_row_texts(report.rows, True, encode, number)])
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return (text + "\n").encode("utf-8")

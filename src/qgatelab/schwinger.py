@@ -188,14 +188,19 @@ def amplitude_table(q, qubit_count: int, params=None, exponent=ExponentConventio
     return tuple(tuple(qubit_amplitude(bit, slot, q, params) for bit in (0, 1)) for slot in range(1, qubit_count + 1))
 
 
-@functools.lru_cache(maxsize=2)  # one q under both exponents
-def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
-    """qubit_amplitude of bits 0 and 1 under closing_params, read from the closing rule directly: bit 1
-    excites the odd mode and bit 0 the even mode, each with both pair entries equal."""
+def _closing_brackets(q: float, exponent: ExponentConvention) -> list:
+    """B(1) of the modes bits 0 and 1 excite under closing_params, read from the closing rule directly:
+    bit 1 excites the odd mode and bit 0 the even mode, each with both pair entries equal."""
     _check_q(q)
     odd_psi = _closing_psi(q, 1, exponent)[0]
     even_psi = _closing_psi(q, 0, exponent)[1]
-    return tuple(bracket_roots([psi_bracket(1, q, psi, psi) for psi in (even_psi, odd_psi)], 1)[1].tolist())
+    return [psi_bracket(1, q, psi, psi) for psi in (even_psi, odd_psi)]
+
+
+@functools.lru_cache(maxsize=2)  # one q under both exponents
+def _closing_amplitudes(q: float, exponent: ExponentConvention) -> tuple:
+    """qubit_amplitude of bits 0 and 1 under closing_params."""
+    return tuple(bracket_roots(_closing_brackets(q, exponent), 1)[1].tolist())
 
 
 def ket_amplitudes(table) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Verification suites: turn library checks into report records.
 
-Each suite function returns a list of CheckRecord; run_suites assembles them
-into a VerificationReport.  Record content must be deterministic, so every id,
+Each suite function returns a list of report rows (RecordShape.row), one shape
+per family of records and one row per record; run_suites assembles them into a
+VerificationReport.  Record content must be deterministic, so every id,
 parameter set and note is derived from the configuration alone.
 """
 
@@ -9,7 +10,6 @@ import cmath
 import math
 import numbers
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .qdeform import (
 )
 from .qnum import DeformationParams, psi_bracket
 from ._values import Record
-from .report import VERSION, CheckRecord, VerificationReport
+from .report import VERSION, RecordShape, VerificationReport
 from .schwinger import ExponentConvention, QubitEmbedding
 
 __all__ = ["RunConfig", "SUITE_NAMES", "run_suites"]
@@ -209,36 +209,7 @@ def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
 
-def _check(check_id, relation, params, residual, notes, passed=None, *, convention, threshold):
-    """The one record builder.  A record passes when residual <= threshold, unless
-    the check states its own outcome in passed (audits, verdicts, limit trends).
-
-    Each suite binds its convention label and threshold once with partial; a
-    record that differs passes its own as keywords.
-    """
-    if passed is None:
-        passed = residual <= threshold
-    return CheckRecord(check_id, relation, convention, params, residual, threshold, passed, notes)
-
-
 # --- algebra -----------------------------------------------------------------
-
-
-def _algebra_records(check, result: AlgebraResiduals, keys, prefix: str, notes: dict) -> list:
-    """One record per relation key of an algebra_residuals result; notes maps each levels tuple to its text."""
-    point = {"q": result.q, "cutoff": result.cutoff, "psi_a": result.psi_a, "psi_b": result.psi_b}
-    records = []
-    for key in keys:
-        levels = result.levels[key]
-        note = notes.get(levels)
-        if note is None:
-            note = notes[levels] = f"levels {levels[0]}..{levels[-1]}" + (
-                "; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""
-            )
-        records.append(
-            check(f"{prefix}/{key}", _RELATION_BY_KEY[key], {**point, "levels": list(levels)}, result.residuals[key], note)
-        )
-    return records
 
 
 def _stack_chunks(q_values, cutoff: int) -> list:
@@ -251,38 +222,51 @@ def _stack_chunks(q_values, cutoff: int) -> list:
 def algebra_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
     mode = make_mode_ops(cfg.cutoff)
-    check = partial(_check, convention=f"operator={cfg.operator.value}", threshold=thr)
-    records = []
+    convention = f"operator={cfg.operator.value}"
+    shapes, rows = {}, []
+
+    def add_relations(result: AlgebraResiduals, keys, prefix: str) -> None:
+        """A row per relation key of an algebra_residuals result, of one shape per key, levels
+        and psi pair, whose rows vary in q only."""
+        for key in keys:
+            levels = result.levels[key]
+            shape = shapes.get((key, levels, result.psi_a, result.psi_b))
+            if shape is None:
+                note = f"levels {levels[0]}..{levels[-1]}"
+                note += "; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""
+                params = {"cutoff": result.cutoff, "psi_a": result.psi_a, "psi_b": result.psi_b, "levels": list(levels)}
+                shape = shapes[key, levels, result.psi_a, result.psi_b] = RecordShape(
+                    _RELATION_BY_KEY[key], convention, thr, note, params, ("q",)
+                )
+            rows.append(shape.row(f"{prefix}/{key}", (result.q,), result.residuals[key]))
 
     # every q of a chunk in one stack, and its mirror stack at 1/q for the symmetry records below
     mirror_gaps = []
-    notes = {}
     labels = {q: f"q={q:g}" for q in cfg.q_values}
     for chunk in _stack_chunks(cfg.q_values, cfg.cutoff):
         forward = make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator)
         backward = make_deformed_stack(mode, tuple(1.0 / q for q in chunk), 1.0, 1.0, cfg.operator)
         for q, result in zip(chunk, stack_residuals(forward)):
-            records += _algebra_records(check, result, sorted(result.residuals), f"algebra/uniform/{labels[q]}", notes)
+            add_relations(result, sorted(result.residuals), f"algebra/uniform/{labels[q]}")
         mirror_gaps += np.abs(forward.a_q - backward.a_q).max(axis=(1, 2)).tolist()
 
+    shape = RecordShape(
+        "bracket-shift",
+        "scalar",
+        thr,
+        "scalar recurrence bracket(n+1) - q*bracket(n) = psi_b * q^(-n)",
+        {"psi_a": 1.0, "levels": list(range(7))},
+        ("q", "psi_b"),
+    )
     for q, psi_b in _GENERALIZED_POINTS:
         brackets = [psi_bracket(n, q, 1.0, psi_b) for n in range(8)]
         worst = max(abs(brackets[n + 1] - q * brackets[n] - psi_b * q**-n) for n in range(7))
-        records.append(
-            check(
-                f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}",
-                "bracket-shift",
-                {"q": q, "psi_a": 1.0, "psi_b": psi_b, "levels": list(range(7))},
-                worst,
-                "scalar recurrence bracket(n+1) - q*bracket(n) = psi_b * q^(-n)",
-                convention="scalar",
-            )
-        )
+        rows.append(shape.row(f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}", (q, psi_b), worst))
 
     for q, psi_b in _GENERALIZED_POINTS:
         result = algebra_residuals(make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator))
         keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
-        records += _algebra_records(check, result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}", notes)
+        add_relations(result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}")
 
     shift_cases = (
         ("psi_b-one", 2.0, 1.0, 0.0),
@@ -292,51 +276,32 @@ def algebra_suite(cfg: RunConfig) -> list:
     eye = np.eye(cfg.cutoff, dtype=complex)
     for case, q, psi_b, shift in shift_cases:
         ops = make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator)
-        records.append(
-            check(
-                f"algebra/number-shift/{case}",
-                "number-shift",
-                {"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff},
-                _max_abs(deformed_number_op(ops) - (mode.n_op - shift * eye)),
-                f"shifted number operator equals N - {shift:g}*I",
-            )
-        )
+        note = f"shifted number operator equals N - {shift:g}*I"
+        params = {"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff}
+        residual = _max_abs(deformed_number_op(ops) - (mode.n_op - shift * eye))
+        shape = RecordShape("number-shift", convention, thr, note, params)
+        rows.append(shape.row(f"algebra/number-shift/{case}", (), residual))
 
+    note = "lowering operators at q and 1/q coincide at unit psi"
+    shape = RecordShape("bracket-symmetry", convention, thr, note, {"cutoff": cfg.cutoff}, ("q", "mirror_q"))
     for q, gap in zip(cfg.q_values, mirror_gaps):
-        if q == 1.0:
-            continue
-        records.append(
-            check(
-                f"algebra/bracket-symmetry/{labels[q]}",
-                "bracket-symmetry",
-                {"q": q, "mirror_q": 1.0 / q, "cutoff": cfg.cutoff},
-                gap,
-                "lowering operators at q and 1/q coincide at unit psi",
-            )
-        )
+        if q != 1.0:
+            rows.append(shape.row(f"algebra/bracket-symmetry/{labels[q]}", (q, 1.0 / q), gap))
 
     literal = make_deformed_ops(mode, 2.0, 1.0, 1.0, OperatorConvention.LEFT_SCALING)
     hermitian = make_deformed_ops(mode, 2.0, 1.0, 1.0, OperatorConvention.MATRIX_ELEMENT)
     literal_res = algebra_residuals(literal).residuals["lowering_product_diagonal"]
     hermitian_res = algebra_residuals(hermitian).residuals["lowering_product_diagonal"]
-    records.append(
-        check(
-            "algebra/convention-audit/q=2",
-            "convention-audit",
-            {
-                "q": 2.0,
-                "cutoff": cfg.cutoff,
-                "matrix_element_residual": hermitian_res,
-                "left_scaling_residual": literal_res,
-            },
-            literal_res,
-            "the literal scaled-lowering reading zeroes its singular vacuum scale and "
-            "misses the level-1 product diagonal; the matrix-element reading satisfies it",
-            passed=literal_res > thr and hermitian_res <= thr,
-            convention="operator=both",
-        )
+    note = (
+        "the literal scaled-lowering reading zeroes its singular vacuum scale and "
+        "misses the level-1 product diagonal; the matrix-element reading satisfies it"
     )
-    return records
+    params = {"q": 2.0, "cutoff": cfg.cutoff, "matrix_element_residual": hermitian_res}
+    params["left_scaling_residual"] = literal_res
+    passed = literal_res > thr and hermitian_res <= thr
+    shape = RecordShape("convention-audit", "operator=both", thr, note, params)
+    rows.append(shape.row("algebra/convention-audit/q=2", (), literal_res, passed))
+    return rows
 
 
 # --- gates -------------------------------------------------------------------
@@ -384,9 +349,11 @@ def _square(matrix: np.ndarray) -> np.ndarray:
 
 def gates_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
-    check = partial(_check, convention=_convention_label(cfg), threshold=thr)
-    records = []
+    convention = _convention_label(cfg)
+    rows = []
 
+    note = "matrix columns match an independently transcribed truth table"
+    shape = RecordShape("gate-table", convention, thr, note, {}, ("gate", "phi"))
     for spec in _gate_specs():
         emb = QubitEmbedding(spec.arity)
         matrix = gate_matrix(spec)
@@ -396,105 +363,71 @@ def gates_suite(cfg: RunConfig) -> list:
             for coeff, out_bits in _table_action(spec.kind.value, bits, spec.phi):
                 expected[emb.basis_index(out_bits)] += coeff
             worst = max(worst, float(np.linalg.norm(matrix[:, emb.basis_index(bits)] - expected)))
-        records.append(
-            check(
-                f"gates/table/{spec.kind.value}",
-                "gate-table",
-                {"gate": spec.kind.value, "phi": spec.phi},
-                worst,
-                "matrix columns match an independently transcribed truth table",
-            )
-        )
+        rows.append(shape.row(f"gates/table/{spec.kind.value}", (spec.kind.value, spec.phi), worst))
 
+    notes = {1.0: "squares to the valid-subspace projector", 2.0: "squares to twice the valid-subspace projector"}
+    shapes = {
+        factor: RecordShape("gate-involution", convention, thr, note, {}, ("gate", "square_factor"))
+        for factor, note in notes.items()
+    }
     for spec in _gate_specs():
         if spec.kind is GateKind.PS:
             continue
         matrix = gate_matrix(spec)
         factor = 2.0 if spec.kind is GateKind.HAD else 1.0
-        records.append(
-            check(
-                f"gates/involution/{spec.kind.value}",
-                "gate-involution",
-                {"gate": spec.kind.value, "square_factor": factor},
-                _max_abs(_square(matrix) - factor * QubitEmbedding(spec.arity).projector()),
-                "squares to twice the valid-subspace projector"
-                if factor == 2.0
-                else "squares to the valid-subspace projector",
-            )
-        )
+        residual = _max_abs(_square(matrix) - factor * QubitEmbedding(spec.arity).projector())
+        rows.append(shapes[factor].row(f"gates/involution/{spec.kind.value}", (spec.kind.value, factor), residual))
 
+    note = "opposite phases compose to the valid-subspace projector"
+    shape = RecordShape("phase-inverse", convention, thr, note, {}, ("phi",))
     for phi in (0.0, math.pi / 3, math.pi):
         forward = gate_matrix(GateSpec(GateKind.PS, phi))
         backward = gate_matrix(GateSpec(GateKind.PS, -phi))
-        records.append(
-            check(
-                f"gates/phase-inverse/phi={phi:g}",
-                "phase-inverse",
-                {"phi": phi},
-                _max_abs(forward @ backward - QubitEmbedding(1).projector()),
-                "opposite phases compose to the valid-subspace projector",
-            )
-        )
+        residual = _max_abs(forward @ backward - QubitEmbedding(1).projector())
+        rows.append(shape.row(f"gates/phase-inverse/phi={phi:g}", (phi,), residual))
 
     specs = _gate_specs()
     closure = _closure_residuals(specs, cfg.q_values, cfg.exponent).tolist()
-    gates = [(spec.kind.value, spec.phi) for spec in specs]
+    note = "deformed gate reproduces its table on fixed-parameter kets"
+    shapes = []
+    for spec in specs:
+        params = {"gate": spec.kind.value, "phi": spec.phi, "assignment": "closing"}
+        shapes.append((spec.kind.value, RecordShape("gate-closure", convention, thr, note, params, ("q",))))
     for q, residuals in zip(cfg.q_values, closure):
         label = f"q={q:g}"
-        for (gate, phi), residual in zip(gates, residuals):
-            records.append(
-                check(
-                    f"gates/closure/{gate}/{label}",
-                    "gate-closure",
-                    {"gate": gate, "phi": phi, "q": q, "assignment": "closing"},
-                    residual,
-                    "deformed gate reproduces its table on fixed-parameter kets",
-                )
-            )
+        for (gate, shape), residual in zip(shapes, residuals):
+            rows.append(shape.row(f"gates/closure/{gate}/{label}", (q,), residual))
 
     q_near_one = 1.0 + 1e-7
+    note = "deformed matrix at q near 1 matches the undeformed gate elementwise"
+    params = {"q": q_near_one, "assignment": "closing"}
+    shape = RecordShape("gate-closure", convention, cfg.limit_threshold, note, params, ("gate", "phi"))
     for spec in _gate_specs():
         deformed = deformed_gate_matrix(spec, q_near_one, None, cfg.exponent)
-        records.append(
-            check(
-                f"gates/reduction/{spec.kind.value}",
-                "gate-closure",
-                {"gate": spec.kind.value, "phi": spec.phi, "q": q_near_one, "assignment": "closing"},
-                _max_abs(deformed - gate_matrix(spec)),
-                "deformed matrix at q near 1 matches the undeformed gate elementwise",
-                threshold=cfg.limit_threshold,
-            )
-        )
+        residual = _max_abs(deformed - gate_matrix(spec))
+        rows.append(shape.row(f"gates/reduction/{spec.kind.value}", (spec.kind.value, spec.phi), residual))
 
     result_res, vacuum_res = (
         _closure_residuals((GateSpec(GateKind.NOT),), (2.0,), exponent).item()
         for exponent in (ExponentConvention.RESULT, ExponentConvention.VACUUM)
     )
-    records.append(
-        check(
-            "gates/exponent-compare/not/q=2",
-            "convention-audit",
-            {"gate": "not", "q": 2.0, "result_residual": result_res, "vacuum_residual": vacuum_res},
-            result_res,
-            "reading the parameter-fixing exponents on the created state closes the "
-            "identity exactly; reading them on the vacuum leaves a finite mismatch on "
-            "excited qubits",
-            convention="exponent=both",
-        )
+    note = (
+        "reading the parameter-fixing exponents on the created state closes the "
+        "identity exactly; reading them on the vacuum leaves a finite mismatch on "
+        "excited qubits"
     )
+    params = {"gate": "not", "q": 2.0, "result_residual": result_res, "vacuum_residual": vacuum_res}
+    shape = RecordShape("convention-audit", "exponent=both", thr, note, params)
+    rows.append(shape.row("gates/exponent-compare/not/q=2", (), result_res))
 
+    note = "deformed matrices at q and 1/q coincide at unit psi"
+    params = {"q": 2.0, "mirror_q": 0.5, "psi": 1.0}
+    shape = RecordShape("bracket-symmetry", convention, thr, note, params, ("gate", "phi"))
     for spec in _gate_specs():
         forward = deformed_gate_matrix(spec, 2.0, DeformationParams.uniform(2.0), cfg.exponent)
         backward = deformed_gate_matrix(spec, 0.5, DeformationParams.uniform(0.5), cfg.exponent)
-        records.append(
-            check(
-                f"gates/symmetry/{spec.kind.value}",
-                "bracket-symmetry",
-                {"gate": spec.kind.value, "phi": spec.phi, "q": 2.0, "mirror_q": 0.5, "psi": 1.0},
-                _max_abs(forward - backward),
-                "deformed matrices at q and 1/q coincide at unit psi",
-            )
-        )
+        residual = _max_abs(forward - backward)
+        rows.append(shape.row(f"gates/symmetry/{spec.kind.value}", (spec.kind.value, spec.phi), residual))
 
     toffoli, uniform = GateSpec(GateKind.TOFFOLI), DeformationParams.uniform(2.0)
     table = gate_matrix(toffoli)
@@ -502,18 +435,15 @@ def gates_suite(cfg: RunConfig) -> list:
     faithful = deformed_gate_matrix(toffoli, 2.0, uniform, cfg.exponent)
     literal_gap = _max_abs(literal - table)
     faithful_gap = _max_abs(faithful - table)
-    records.append(
-        check(
-            "gates/toffoli-literal-audit/q=2",
-            "toffoli-literal-audit",
-            {"q": 2.0, "psi": 1.0, "literal_gap": literal_gap, "table_faithful_gap": faithful_gap},
-            literal_gap,
-            "the literal control brackets sum to the identity and flip the target "
-            "unconditionally; the table-faithful build matches the truth table",
-            passed=literal_gap > thr and faithful_gap <= thr,
-        )
+    note = (
+        "the literal control brackets sum to the identity and flip the target "
+        "unconditionally; the table-faithful build matches the truth table"
     )
-    return records
+    params = {"q": 2.0, "psi": 1.0, "literal_gap": literal_gap, "table_faithful_gap": faithful_gap}
+    passed = literal_gap > thr and faithful_gap <= thr
+    shape = RecordShape("toffoli-literal-audit", convention, thr, note, params)
+    rows.append(shape.row("gates/toffoli-literal-audit/q=2", (), literal_gap, passed))
+    return rows
 
 
 # --- constraints -------------------------------------------------------------
@@ -524,8 +454,8 @@ def constraints_suite(cfg: RunConfig) -> list:
     from .constraints import discover_constraints, hadamard_closure_ratio
 
     thr = cfg.identity_threshold
-    check = partial(_check, convention=_convention_label(cfg), threshold=thr)
-    records = []
+    convention = _convention_label(cfg)
+    rows = []
     # q = 1 is undeformed (the brackets divide by q - 1/q), so the sweep drops it
     sweep_q = tuple(q for q in cfg.q_values if q != 1.0)
     q_note = ""
@@ -540,45 +470,29 @@ def constraints_suite(cfg: RunConfig) -> list:
             spec, sweep_q, cfg.psi_grid, thr, operator=cfg.operator, exponent=cfg.exponent
         )
         residual = max(result.totals["claim_max_strict"], result.totals["claim_max_collinear"])
-        records.append(
-            check(
-                f"constraints/verdict/{spec.kind.value}",
-                "constraint-verdict",
-                result.as_dict(),
-                residual,
-                f"verdict: {result.verdict}; {result.notes}{q_note}",
-                passed=result.verdict != "confirmed" or residual <= thr,
-            )
-        )
+        note = f"verdict: {result.verdict}; {result.notes}{q_note}"
+        passed = result.verdict != "confirmed" or residual <= thr
+        shape = RecordShape("constraint-verdict", convention, thr, note, result.as_dict())
+        rows.append(shape.row(f"constraints/verdict/{spec.kind.value}", (), residual, passed))
 
-    ratio_check = partial(check, convention="scalar", threshold=1e-14)
     ratio_q = tuple(sorted(set(cfg.q_values) | {1.0}))
+    note = "the closure ratio at occupation 0 equals 1 as claimed"
+    shape = RecordShape("ratio-audit", "scalar", 1e-14, note, {"n1": 0}, ("q", "value"))
     for q in ratio_q:
         value = hadamard_closure_ratio(0, q)
-        records.append(
-            ratio_check(
-                f"constraints/ratio-audit/n1=0/q={q:g}",
-                "ratio-audit",
-                {"n1": 0, "q": q, "value": value},
-                abs(value - 1.0),
-                "the closure ratio at occupation 0 equals 1 as claimed",
-            )
-        )
+        rows.append(shape.row(f"constraints/ratio-audit/n1=0/q={q:g}", (q, value), abs(value - 1.0)))
     for q in ratio_q:
         value = hadamard_closure_ratio(1, q)
         claim_gap = abs(value - 1.0)
-        records.append(
-            ratio_check(
-                f"constraints/ratio-audit/n1=1/q={q:g}",
-                "ratio-audit",
-                {"n1": 1, "q": q, "value": value, "claim_gap": claim_gap},
-                abs(value - q * q),
-                "matches the always-1 claim"
-                if claim_gap <= 1e-14
-                else f"literal value equals q^2 and differs from the always-1 claim by {claim_gap:.6g}",
-            )
+        note = (
+            "matches the always-1 claim"
+            if claim_gap <= 1e-14
+            else f"literal value equals q^2 and differs from the always-1 claim by {claim_gap:.6g}"
         )
-    return records
+        params = {"n1": 1, "q": q, "value": value, "claim_gap": claim_gap}
+        shape = RecordShape("ratio-audit", "scalar", 1e-14, note, params)
+        rows.append(shape.row(f"constraints/ratio-audit/n1=1/q={q:g}", (), abs(value - q * q)))
+    return rows
 
 
 # --- limits ------------------------------------------------------------------
@@ -586,84 +500,54 @@ def constraints_suite(cfg: RunConfig) -> list:
 
 def limits_suite(cfg: RunConfig) -> list:
     mode = make_mode_ops(cfg.cutoff)
-    check = partial(_check, convention=f"operator={cfg.operator.value}", threshold=cfg.limit_threshold)
-    records = []
+    convention = f"operator={cfg.operator.value}"
+    thr = cfg.limit_threshold
+    rows = []
 
     ordered = sorted(cfg.limit_q, key=lambda q: abs(q - 1.0), reverse=True)
     gaps = {}
+    note = "operator-norm distance of the deformed lowering operator from its limit"
+    shape = RecordShape("classical-limit", convention, None, note, {"cutoff": cfg.cutoff}, ("q", "eps"))
     for q in ordered:
         ops = make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator)
         gaps[q] = float(np.linalg.norm(ops.a_q - mode.a, 2))
-        records.append(
-            check(
-                f"limits/lowering-gap/q={q:g}",
-                "classical-limit",
-                {"q": q, "eps": abs(q - 1.0), "cutoff": cfg.cutoff},
-                gaps[q],
-                "operator-norm distance of the deformed lowering operator from its limit",
-                passed=True,
-                threshold=None,
-            )
-        )
+        rows.append(shape.row(f"limits/lowering-gap/q={q:g}", (q, abs(q - 1.0)), gaps[q], True))
 
     for coarse, fine in zip(ordered, ordered[1:]):
         shrink = abs(coarse - 1.0) / abs(fine - 1.0)
         ratio = gaps[coarse] / gaps[fine] if gaps[fine] > 0.0 else math.inf
         order = math.log(ratio) / math.log(shrink) if ratio not in (0.0, math.inf) else math.inf
-        records.append(
-            check(
-                f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}",
-                "classical-limit",
-                {
-                    "q_coarse": coarse,
-                    "q_fine": fine,
-                    "gap_coarse": gaps[coarse],
-                    "gap_fine": gaps[fine],
-                    "shrink": shrink,
-                    "ratio": ratio if math.isfinite(ratio) else None,
-                    "measured_order": order if math.isfinite(order) else None,
-                },
-                None,
-                f"gap must shrink at least linearly in |q-1|; measured order {order:.6g}"
-                if math.isfinite(order)
-                else "gap must shrink at least linearly in |q-1|",
-                passed=ratio >= 0.9 * shrink,
-                threshold=None,
-            )
-        )
+        note = "gap must shrink at least linearly in |q-1|"
+        note += f"; measured order {order:.6g}" if math.isfinite(order) else ""
+        params = {
+            "q_coarse": coarse,
+            "q_fine": fine,
+            "gap_coarse": gaps[coarse],
+            "gap_fine": gaps[fine],
+            "shrink": shrink,
+            "ratio": ratio if math.isfinite(ratio) else None,
+            "measured_order": order if math.isfinite(order) else None,
+        }
+        shape = RecordShape("classical-limit", convention, None, note, params)
+        rows.append(shape.row(f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}", (), None, ratio >= 0.9 * shrink))
 
     q_near = 1.0 + 1e-8
     near = make_deformed_ops(mode, q_near, 1.0, 1.0, cfg.operator)
-    records.append(
-        check(
-            "limits/lowering-continuity",
-            "classical-limit",
-            {"q": q_near, "cutoff": cfg.cutoff},
-            _max_abs(near.a_q - mode.a),
-            "deformed lowering operator is elementwise continuous at q = 1",
-        )
-    )
+    note = "deformed lowering operator is elementwise continuous at q = 1"
+    shape = RecordShape("classical-limit", convention, thr, note, {"q": q_near, "cutoff": cfg.cutoff})
+    rows.append(shape.row("limits/lowering-continuity", (), _max_abs(near.a_q - mode.a)))
 
     base = tuple(range(cfg.cutoff - 1))
     eye = np.eye(cfg.cutoff, dtype=complex)
     undeformed = mode.a @ mode.a_dag - mode.a_dag @ mode.a - eye
     undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
     deformed_res = algebra_residuals(near).residuals["deformed_commutation"]
-    records.append(
-        check(
-            "limits/commutation-continuity",
-            "classical-limit",
-            {
-                "q": q_near,
-                "cutoff": cfg.cutoff,
-                "deformed_residual": deformed_res,
-                "undeformed_residual": undeformed_res,
-            },
-            abs(deformed_res - undeformed_res),
-            "deformed commutation residual is continuous against the undeformed relation",
-        )
-    )
-    return records
+    note = "deformed commutation residual is continuous against the undeformed relation"
+    params = {"q": q_near, "cutoff": cfg.cutoff, "deformed_residual": deformed_res}
+    params["undeformed_residual"] = undeformed_res
+    shape = RecordShape("classical-limit", convention, thr, note, params)
+    rows.append(shape.row("limits/commutation-continuity", (), abs(deformed_res - undeformed_res)))
+    return rows
 
 
 _SUITE_BUILDERS = {
@@ -677,12 +561,7 @@ _SUITE_BUILDERS = {
 def run_suites(cfg: RunConfig) -> VerificationReport:
     """Run the configured suite (or all of them) and assemble the report."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    records = []
+    rows = []
     for name in names:
-        records.extend(_SUITE_BUILDERS[name](cfg))
-    return VerificationReport(
-        version=VERSION,
-        config=cfg.public_config(),
-        conventions=_conventions_block(cfg),
-        records=records,
-    )
+        rows += _SUITE_BUILDERS[name](cfg)
+    return VerificationReport(VERSION, cfg.public_config(), _conventions_block(cfg), rows=rows)

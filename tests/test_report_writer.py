@@ -5,7 +5,8 @@ dict members through a helper, and CSV cells converted value by value (_oracle_c
 getattr over CSV_COLUMNS, then written by csv.writer.  Both writers must give the same bytes, or
 raise the same exception type with the same message.  Hypothesis also draws CSV text cells from
 the characters that decide quoting, and whole documents that repeat values the writer's
-per-document memo could conflate (0.0 and -0.0, numpy floats, bools among ints, str-enum keys).
+per-document memo could conflate (0.0 and -0.0, numpy floats, bools among ints, str-enum keys),
+and reports built from record shapes, whose constant cells the writer renders once per shape.
 """
 
 import csv
@@ -21,7 +22,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgatelab import CSV_COLUMNS, RELATION_TAGS, CheckRecord, VerificationReport, canonical_json, serialize_report
+from qgatelab import (
+    CSV_COLUMNS,
+    RELATION_TAGS,
+    CheckRecord,
+    RecordShape,
+    RunConfig,
+    VerificationReport,
+    canonical_json,
+    run_suites,
+    serialize_report,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -341,6 +352,114 @@ def test_documents_written_back_to_back_each_match_the_oracle(fmt):
     outputs = [serialize_report(report, fmt) for report in (first, second, first)]
     assert outputs == [_oracle_serialize(report, fmt) for report in (first, second, first)]
     assert outputs[0] != outputs[1]
+
+
+# key sets of a shape's params, split into constant keys and varying names: str-enums equal to or
+# apart from plain strings, and str subclasses that sort in reverse
+_SHAPE_KEYS = st.sampled_from(
+    [("a", "b", "low"), ("a", Tone.LOW, "q"), ("ODD", Tone.ODD, "b"), (Backwards("a"), Backwards("b"), "c"), ("q",)]
+)
+
+
+@st.composite
+def _shape(draw) -> RecordShape:
+    """A shape whose params hold a drawn part of a key set, the rest of which varies; a shape
+    without varying names may hold any report value as its params."""
+    keys = draw(st.permutations(draw(_SHAPE_KEYS)))
+    split = draw(st.integers(0, len(keys)))
+    if split < len(keys) or draw(st.booleans()):
+        params = {key: draw(_REPEATED) for key in keys[:split]}
+    else:
+        params = draw(_REPEATED)
+    relation = draw(st.sampled_from(sorted(RELATION_TAGS)))
+    return RecordShape(relation, draw(_TEXT), draw(_REPEATED_NUMBERS), draw(_TEXT), params, keys[split:])
+
+
+@st.composite
+def _shaped_rows(draw) -> list:
+    """Rows of a few shapes, interleaved: a shape may give one row or many."""
+    shapes = draw(st.lists(_shape(), min_size=1, max_size=4))
+    rows = []
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=10)):
+        values = tuple(draw(_REPEATED) for _ in shape.varying)
+        rows.append(shape.row(draw(_TEXT), values, draw(_REPEATED_NUMBERS), draw(st.booleans())))
+    return rows
+
+
+def _edge_shapes() -> list:
+    """Rows of shapes holding the values a per-shape template could conflate or mis-order."""
+    zeros = RecordShape("derived", 'a "b",\nc', None, "n,\"\n", {"low": 0.0, "b": {"x": -0.0, "y": [True, 1]}}, ("a", "q"))
+    ranks = RecordShape("gate-closure", "c", -0.0, "", {Backwards("b"): Rank.FIRST, "c": True}, (Backwards("a"),))
+    single = RecordShape("ratio-audit", "scalar", 1e-14, "one row", [1, True, -0.0])
+    return [
+        zeros.row("x,1", (-0.0, 0.0), None, True),
+        ranks.row('"quoted"', (1,), 0.0, False),
+        single.row("single\n", (), -0.0, True),
+        zeros.row("x,2", (0.0, {"nested": [-0.0, Rank.FIRST]}), 5e-324, False),
+        ranks.row("r2", (True,), None, True),
+        zeros.row("x,3", (Tone.LOW, -5e-324), np.float64(0.1), True),
+    ]
+
+
+def _shaped_report(rows) -> VerificationReport:
+    return VerificationReport("0.1.0", {"q_values": [2.0]}, {"operator": "matrix-element"}, rows=rows)
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.example(rows=_edge_shapes())
+@hypothesis.given(rows=_shaped_rows())
+def test_reports_built_from_shapes_match_the_oracle_byte_for_byte(rows):
+    report = _shaped_report(rows)
+    for fmt in ("json", "csv"):
+        assert serialize_report(report, fmt) == _oracle_serialize(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_shapes_unwritable_cell_raises_where_the_record_by_record_write_does(fmt):
+    # the first row's own cells before the shape's: the oracle meets the nan value before the inf threshold
+    shape = RecordShape("derived", "c", math.inf, "", {"b": 1.0}, ("a",))
+    report = _shaped_report([shape.row("x", (math.nan,), 0.0, True)])
+    outcome = _outcome(serialize_report, report, fmt)
+    assert isinstance(outcome, tuple)
+    assert outcome == _outcome(_oracle_serialize, report, fmt)
+
+
+def test_a_shape_refuses_unknown_relations_and_clashing_names():
+    with pytest.raises(ValueError, match="unknown relation tag"):
+        RecordShape("made-up-tag", "c", None, "", {})
+    for params, varying in (({"q": 1.0}, ("q",)), ({}, ("q", "q")), ({"low": 1}, (Tone.LOW,)), ([], ("q",))):
+        with pytest.raises(ValueError, match="varying params"):
+            RecordShape("derived", "c", None, "", params, varying)
+    with pytest.raises(ValueError, match="expected values"):
+        RecordShape("derived", "c", None, "", {}, ("q",)).row("x", (), None, True)
+
+
+def test_a_shape_row_passes_within_its_threshold_unless_it_states_its_outcome():
+    shape = RecordShape("derived", "c", 1e-12, "", {}, ("q",))
+    assert [shape.row("x", (2.0,), residual)[-1] for residual in (0.0, 1e-12, 2e-12)] == [True, True, False]
+    assert shape.row("x", (2.0,), 1.0, True)[-1] is True
+    report = _shaped_report([shape.row("x", (2.0,), 1, 0)])
+    assert report.records == [CheckRecord("x", "derived", "c", {"q": 2.0}, 1.0, 1e-12, False)]
+    assert report.summary() == {"total": 1, "passed": 0, "failed": 1}
+
+
+def test_writing_the_dense_many_q_reports_builds_no_check_record(monkeypatch):
+    # the seed-0 benchmark config: the writer fills each shape's template from rows, never from records
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import DENSE_CUTOFF, DENSE_LIMIT_Q, dense_q_values
+
+    q_values = tuple(dense_q_values(0))
+    reports = [
+        run_suites(RunConfig(suite, q_values, DENSE_CUTOFF, limit_q=DENSE_LIMIT_Q, format="csv"))
+        for suite in ("algebra", "gates", "limits")
+    ]
+    built = []
+    init = CheckRecord.__init__
+    monkeypatch.setattr(CheckRecord, "__init__", lambda record, *args: built.append(args[0]) or init(record, *args))
+    sizes = [len(serialize_report(report, "csv")) for report in reports]
+    assert sizes == [303601, 368949, 4452]
+    assert built == []
+    assert len(reports[2].records) == len(built) == 15  # the count sees every record that is built
 
 
 _FOOTPRINT = """
