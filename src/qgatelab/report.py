@@ -199,10 +199,9 @@ def canonical_json(value) -> str:
 
 def _document_encoder() -> tuple:
     """(encode, number) for one document: a value's canonical JSON text, and a float's %.17g text.
-    Exact str, float, int, bool, None, dict, list and tuple values take their own branch, anything
-    else (np.float64, a str-enum) the isinstance chain.  Each nonzero float's text and each int
-    list's text are rendered once per document; the memo dies with the document, and a tracer of
-    the public functions sees one call per document."""
+    Floats (np.float64 too) come first, as most values a report encodes are.  Each nonzero float's
+    text and each list of exact ints' text are rendered once per document; the memo dies with the
+    document, and a tracer of the public functions sees one call per document."""
     floats, int_lists = {}, {}
 
     def number(value) -> str:
@@ -224,36 +223,25 @@ def _document_encoder() -> tuple:
         return "{" + ",".join(texts) + "}"
 
     def encode(value) -> str:
-        kind = type(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is float:
+        if isinstance(value, float):
             return number(value)
-        if kind is dict:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, dict):
             return members(value)
-        if (kind is list or kind is tuple) and _INT_ONLY.issuperset(map(type, value)):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+        if type(value) in (list, tuple) and _INT_ONLY.issuperset(map(type, value)):
             items = tuple(value)
             text = int_lists.get(items)
             if text is None:
                 text = int_lists[items] = "[" + ",".join(map(str, items)) + "]"
             return text
-        if kind is int:
-            return str(value)
-        if kind is bool:
-            return "true" if value else "false"
-        if value is None:
-            return "null"
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if isinstance(value, float):
-            return number(value)
-        if isinstance(value, dict):
-            return members(value)
-        if isinstance(value, (list, tuple)):
-            return "[" + ",".join(map(encode, value)) + "]"
-        if isinstance(value, int):
-            return str(value)
-        raise TypeError(f"value {value!r} of type {type(value).__name__} cannot enter a report")
+        return "[" + ",".join(map(encode, value)) + "]"
 
     return encode, number
 
@@ -307,17 +295,14 @@ def _template(row: tuple, csv: bool, encode, number) -> tuple:
     if residual is not None:
         number(residual)
     threshold = None if shape.threshold is None else number(shape.threshold)
-    if not csv:
-        pieces += params
-        pieces += [',"passed":', None, ',"relation":' + encode(shape.relation) + ',"residual":', None]
-        pieces.append(',"threshold":' + ("null" if threshold is None else threshold) + "}")
-    elif order:  # a params dict with a key holds a '"', so its cell is quoted
-        pieces += ['"', *[piece and piece.replace('"', '""') for piece in params], '"']
-    else:
-        pieces.append(_quote(params[0]))
     if csv:
+        # a params dict with a key holds a '"', so its cell is quoted
+        cell = ['"', *[piece and piece.replace('"', '""') for piece in params], '"'] if order else [_quote(params[0])]
         threshold = "" if threshold is None else threshold
-        pieces += [",", None, "," + threshold + ",", None, "," + _quote(str(shape.notes))]
+        pieces += [*cell, ",", None, "," + threshold + ",", None, "," + _quote(str(shape.notes))]
+    else:
+        pieces += [*params, ',"passed":', None, ',"relation":' + encode(shape.relation) + ',"residual":', None]
+        pieces.append(',"threshold":' + ("null" if threshold is None else threshold) + "}")
     line = [""]
     for piece in pieces:
         if piece is None:

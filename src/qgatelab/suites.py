@@ -296,8 +296,12 @@ def algebra_suite(cfg: RunConfig) -> list:
         "the literal scaled-lowering reading zeroes its singular vacuum scale and "
         "misses the level-1 product diagonal; the matrix-element reading satisfies it"
     )
-    params = {"q": 2.0, "cutoff": cfg.cutoff, "matrix_element_residual": hermitian_res}
-    params["left_scaling_residual"] = literal_res
+    params = {
+        "q": 2.0,
+        "cutoff": cfg.cutoff,
+        "matrix_element_residual": hermitian_res,
+        "left_scaling_residual": literal_res,
+    }
     passed = literal_res > thr and hermitian_res <= thr
     shape = RecordShape("convention-audit", "operator=both", thr, note, params)
     rows.append(shape.row("algebra/convention-audit/q=2", (), literal_res, passed))
@@ -543,8 +547,12 @@ def limits_suite(cfg: RunConfig) -> list:
     undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
     deformed_res = algebra_residuals(near).residuals["deformed_commutation"]
     note = "deformed commutation residual is continuous against the undeformed relation"
-    params = {"q": q_near, "cutoff": cfg.cutoff, "deformed_residual": deformed_res}
-    params["undeformed_residual"] = undeformed_res
+    params = {
+        "q": q_near,
+        "cutoff": cfg.cutoff,
+        "deformed_residual": deformed_res,
+        "undeformed_residual": undeformed_res,
+    }
     shape = RecordShape("classical-limit", convention, thr, note, params)
     rows.append(shape.row("limits/commutation-continuity", (), abs(deformed_res - undeformed_res)))
     return rows
