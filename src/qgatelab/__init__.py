@@ -1,11 +1,13 @@
 """Verification toolkit for q-deformed oscillator algebra and deformed qubit gates.
 
 The library layers are importable on their own: qnum (scalar brackets), fock
-(truncated modes and tensor plumbing), qdeform (deformed ladder operators and
-algebra residuals), schwinger (two-modes-per-qubit encoding and deformed
+(truncated modes and tensor plumbing), qdeform (deformed ladder operator stacks
+and algebra residuals), schwinger (two-modes-per-qubit encoding and deformed
 states), gates (truth tables, matrices and deformed dyad builds), constraints
-(identity residuals and the grid sweep that audits claimed parameter
-restrictions).  report and suites feed the qgatelab command-line driver.
+(the exact grid sweep that audits claimed parameter restrictions), with claims
+(the claimed restrictions and their scoring) and dense (the dense Fock-space
+cross-check) beside it.  report and suites feed the qgatelab command-line
+driver, and reportdiff compares two reports check by check.
 
 constraints loads on first use of one of its names, so a process that never
 sweeps neither compiles nor runs it.
@@ -32,12 +34,9 @@ from .gates import (
 )
 from .qdeform import (
     AlgebraResiduals,
-    DeformedModeOperators,
     DeformedModeStack,
     OperatorConvention,
-    algebra_residuals,
     deformed_number_op,
-    make_deformed_ops,
     make_deformed_stack,
     stack_residuals,
 )
@@ -51,7 +50,6 @@ from .report import (
     CSV_COLUMNS,
     RELATION_TAGS,
     VERSION,
-    CheckRecord,
     RecordShape,
     VerificationReport,
     canonical_json,
@@ -86,11 +84,9 @@ __all__ = [
     "AlgebraResiduals",
     "CLAIMS",
     "CSV_COLUMNS",
-    "CheckRecord",
     "ConstraintClaim",
     "ConstraintReport",
     "DeformationParams",
-    "DeformedModeOperators",
     "DeformedModeStack",
     "DeformedQubitSpec",
     "ExponentConvention",
@@ -108,7 +104,6 @@ __all__ = [
     "SUITE_NAMES",
     "VERSION",
     "VerificationReport",
-    "algebra_residuals",
     "basis_state",
     "canonical_json",
     "closing_params",
@@ -121,7 +116,6 @@ __all__ = [
     "gate_matrix",
     "hadamard_closure_ratio",
     "lift",
-    "make_deformed_ops",
     "make_deformed_stack",
     "make_mode_ops",
     "occupation_index",

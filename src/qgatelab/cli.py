@@ -192,19 +192,22 @@ def main(argv=None) -> int:
     try:
         report = run_suites(cfg)
     except OverflowError as exc:
-        culprits = []
+        culprits, advice = [], ["q values closer to 1"]
         if cfg.suite != "limits":
             culprits.append(f"q values {_value_list(cfg.q_values)}")
-        sweeps = cfg.suite in ("constraints", "all")
-        if sweeps:
+        if cfg.suite in ("constraints", "all"):
             culprits.append(f"psi grid {_value_list(cfg.psi_grid)}")
+            advice.append("smaller psi values")
         if cfg.suite in ("limits", "all"):
             culprits.append(f"limit q values {_value_list(cfg.limit_q)}")
+        if cfg.suite in ("algebra", "limits", "all"):
+            # the ladder suites also raise fixed q values, such as the number shift's e**2, to the cutoff
+            culprits.append(f"cutoff {cfg.cutoff}")
+            advice.append("a smaller cutoff")
         reason = exc.args[-1] if exc.args else "overflow"
         print(
             f"qgatelab: configuration error: {' or '.join(culprits)} overflow "
-            f"double-precision arithmetic ({reason}); use q values closer to 1"
-            + (" or smaller psi values" if sweeps else ""),
+            f"double-precision arithmetic ({reason}); use {' or '.join(advice)}",
             file=sys.stderr,
         )
         return 2

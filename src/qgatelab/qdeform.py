@@ -19,7 +19,7 @@ can show side by side what the literal scaling does.
 
 make_deformed_stack builds the pair at every q of a tuple at once, as (Q, d, d)
 arrays, and stack_residuals takes the relations of all of them with stacked
-matrix products; make_deformed_ops and algebra_residuals are their one-q case.
+matrix products; a single q is the stack of one.
 """
 
 import math
@@ -33,12 +33,9 @@ from .qnum import _check_q, bracket, bracket_roots
 
 __all__ = [
     "AlgebraResiduals",
-    "DeformedModeOperators",
     "DeformedModeStack",
     "OperatorConvention",
-    "algebra_residuals",
     "deformed_number_op",
-    "make_deformed_ops",
     "make_deformed_stack",
     "stack_residuals",
 ]
@@ -52,20 +49,6 @@ class OperatorConvention(str, Enum):
 
     MATRIX_ELEMENT = "matrix-element"
     LEFT_SCALING = "left-scaling"
-
-
-class DeformedModeOperators(NamedTuple):
-    """Deformed ladder matrices for one truncated mode and the brackets B(0)..B(cutoff) they
-    were built from; deformed_number_op builds the matching shifted number operator."""
-
-    mode: ModeOperators
-    q: float
-    psi_a: float
-    psi_b: float
-    convention: OperatorConvention
-    a_q: np.ndarray
-    a_q_dag: np.ndarray
-    brackets: tuple
 
 
 class DeformedModeStack(NamedTuple):
@@ -90,7 +73,7 @@ def make_deformed_stack(
     convention: OperatorConvention = OperatorConvention.MATRIX_ELEMENT,
 ) -> DeformedModeStack:
     """Build the deformed pair at every q of q_values under the chosen convention.  Entry i equals
-    make_deformed_ops at q_values[i] to the bit.  The brackets overflow as qnum.bracket says, q by q;
+    the stack of q_values[i] alone to the bit.  The brackets overflow as qnum.bracket says, q by q;
     then the first q with an inadmissible bracket (qnum.bracket_roots) on levels 1..d-1 raises
     NegativeRadicandError."""
     convention = OperatorConvention(convention)
@@ -113,39 +96,18 @@ def make_deformed_stack(
     return DeformedModeStack(mode, q_values, psi_a, psi_b, convention, a_q, a_q_dag, brackets)
 
 
-def make_deformed_ops(
-    mode: ModeOperators,
-    q,
-    psi_a=1.0,
-    psi_b=1.0,
-    convention: OperatorConvention = OperatorConvention.MATRIX_ELEMENT,
-) -> DeformedModeOperators:
-    """Build the deformed pair on a truncated mode under the chosen convention: the one-q stack."""
-    stack = make_deformed_stack(mode, (q,), psi_a, psi_b, convention)
-    return DeformedModeOperators(
-        mode,
-        stack.q_values[0],
-        stack.psi_a,
-        stack.psi_b,
-        stack.convention,
-        stack.a_q[0],
-        stack.a_q_dag[0],
-        tuple(stack.brackets[0].tolist()),
-    )
-
-
-def deformed_number_op(ops: DeformedModeOperators) -> np.ndarray:
-    """Shifted number operator N - (ln psi_b / ln q) I.
+def deformed_number_op(mode: ModeOperators, q: float, psi_b: float) -> np.ndarray:
+    """Shifted number operator N - (ln psi_b / ln q) I on a truncated mode.
 
     Undefined at q = 1 (the shift divides by ln q) and for psi_b <= 0 (the
     logarithm needs a positive argument); both are rejected.
     """
-    if ops.q == 1.0:
+    if q == 1.0:
         raise ValueError("the shifted number operator is undefined at q = 1")
-    if ops.psi_b <= 0.0:
-        raise ValueError(f"psi_b must be positive inside the logarithm, got {ops.psi_b!r}")
-    shift = math.log(ops.psi_b) / math.log(ops.q)
-    return ops.mode.n_op - shift * np.eye(ops.mode.cutoff, dtype=complex)
+    if psi_b <= 0.0:
+        raise ValueError(f"psi_b must be positive inside the logarithm, got {psi_b!r}")
+    shift = math.log(psi_b) / math.log(q)
+    return mode.n_op - shift * np.eye(mode.cutoff, dtype=complex)
 
 
 class AlgebraResiduals(NamedTuple):
@@ -175,7 +137,7 @@ def _diagonal_stack(diagonals: np.ndarray) -> np.ndarray:
 
 def stack_residuals(stack: DeformedModeStack) -> tuple:
     """Residuals of the five deformed-algebra relations at each q of a stack, entry i equal to
-    algebra_residuals at q_values[i] to the bit.
+    the residuals of q_values[i]'s stack alone to the bit.
 
     All relations are tested on levels 0..d-2; the top level is excluded as a
     truncation artifact.  The two relations that read the vacuum diagonal of
@@ -228,17 +190,3 @@ def stack_residuals(stack: DeformedModeStack) -> tuple:
         )
     return tuple(results)
 
-
-def algebra_residuals(ops: DeformedModeOperators) -> AlgebraResiduals:
-    """Residuals of the five deformed-algebra relations for one operator pair (see stack_residuals)."""
-    stack = DeformedModeStack(
-        ops.mode,
-        (ops.q,),
-        ops.psi_a,
-        ops.psi_b,
-        ops.convention,
-        ops.a_q[None],
-        ops.a_q_dag[None],
-        np.array([ops.brackets], dtype=float),
-    )
-    return stack_residuals(stack)[0]

@@ -6,15 +6,17 @@ small canonical writer (sorted keys, ASCII escapes, floats rendered with 17
 significant digits, newline-terminated) and CSV uses a fixed column order
 with the same float rendering.  No timestamps, no hostnames.
 
-Every check record carries a relation identifier from a closed vocabulary
+A report holds its check records as rows of shared shapes: a RecordShape is
+what a family of checks holds constant (relation, convention, threshold,
+notes, constant params and the names of the params that vary), and a row is
+one record's check id, varying values, residual and outcome.  A record's
+params are its shape's constant params merged with its varying values.  The
+writer renders each shape's own cells once per document and fills them from
+each row.
+
+Every shape carries a relation identifier from a closed vocabulary
 (RELATION_TAGS); "derived" marks checks that verify this package's own
 plumbing rather than a relation from the verified construction.
-
-A report holds its records as rows of shared shapes: a RecordShape is what a
-family of checks holds constant (relation, convention, threshold, notes,
-constant params and the names of the params that vary), and a row is one
-record's check id, varying values, residual and outcome.  The writer renders
-each shape's own cells once per document and fills them from each row.
 """
 
 import math
@@ -26,7 +28,6 @@ __all__ = [
     "CSV_COLUMNS",
     "RELATION_TAGS",
     "VERSION",
-    "CheckRecord",
     "RecordShape",
     "VerificationReport",
     "canonical_json",
@@ -69,44 +70,11 @@ CSV_COLUMNS = (
 )
 
 
-class CheckRecord(Record):
-    """One verification outcome.
-
-    residual and threshold may be None for checks that are not residual-shaped
-    (for example determinism or schema checks); passed is always explicit.
-    """
-
-    __slots__ = CSV_COLUMNS  # the fields, in column order
-
-    def __init__(
-        self,
-        check_id: str,
-        relation: str,
-        convention: str,
-        params: dict,
-        residual: float | None,
-        threshold: float | None,
-        passed: bool,
-        notes: str = "",
-    ):
-        if relation not in RELATION_TAGS:
-            raise ValueError(f"unknown relation tag {relation!r}")
-        self.check_id = check_id
-        self.relation = relation
-        self.convention = convention
-        self.params = params
-        self.residual = None if residual is None else float(residual)
-        self.threshold = None if threshold is None else float(threshold)
-        self.passed = bool(passed)
-        self.notes = notes
-
-
 class RecordShape(Frozen):
     """What one family of check records holds constant: relation, convention, threshold, notes,
     the constant params, and the names of the params that vary from record to record (varying).
     With varying names, params is a dict whose keys repeat none of them; without, params is any
-    report value.  A shape owns the params it is given: it never changes them, and each record it
-    yields gets its own copies."""
+    report value.  A shape owns the params it is given and never changes them."""
 
     __slots__ = ("relation", "convention", "threshold", "notes", "params", "varying")
 
@@ -127,57 +95,22 @@ class RecordShape(Frozen):
         residual = None if residual is None else float(residual)
         return self, check_id, tuple(values), residual, bool(residual <= self.threshold if passed is None else passed)
 
-    def record(self, row: tuple) -> CheckRecord:
-        """The CheckRecord of one of this shape's rows, with params of its own."""
-        _, check_id, values, residual, passed = row
-        params = {**self.params, **dict(zip(self.varying, values))} if self.varying else self.params
-        relation, convention, threshold, notes = self.relation, self.convention, self.threshold, self.notes
-        return CheckRecord(check_id, relation, convention, _owned(params), residual, threshold, passed, notes)
-
-
-def _owned(value):
-    """value with each dict, list and tuple in it rebuilt, so that no two records share one."""
-    if isinstance(value, dict):
-        return {key: _owned(item) for key, item in value.items()}
-    if isinstance(value, list) or type(value) is tuple:
-        return type(value)(map(_owned, value))
-    return value
-
 
 class VerificationReport(Record):
     """A configuration, the active conventions, and the check records as rows (RecordShape.row)
-    in report order.  Each CheckRecord given in records becomes the one row of its own shape,
-    after the rows."""
+    in report order, the one form a record takes; serialize_report writes them."""
 
     __slots__ = ("version", "config", "conventions", "rows")
 
-    def __init__(self, version: str, config: dict, conventions: dict, records: list | None = None, rows=None):
+    def __init__(self, version: str, config: dict, conventions: dict, rows):
         self.version = version
         self.config = config
         self.conventions = conventions
-        self.rows = list(rows or ())
-        for r in records or ():
-            shape = RecordShape(r.relation, r.convention, r.threshold, r.notes, r.params)
-            self.rows.append(shape.row(r.check_id, (), r.residual, r.passed))
-
-    @property
-    def records(self) -> list:
-        """The rows as new CheckRecords."""
-        return [row[0].record(row) for row in self.rows]
+        self.rows = list(rows)
 
     def summary(self) -> dict:
         passed = sum(row[-1] for row in self.rows)
         return {"total": len(self.rows), "passed": passed, "failed": len(self.rows) - passed}
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": "qgatelab",
-            "version": self.version,
-            "config": dict(self.config),
-            "conventions": dict(self.conventions),
-            "summary": self.summary(),
-            "records": [{column: getattr(r, column) for column in CSV_COLUMNS} for r in self.records],
-        }
 
 
 def _format_float(value: float) -> str:
@@ -264,7 +197,7 @@ def _params_pieces(shape: RecordShape, values: tuple, encode) -> tuple:
         return [encode(shape.params)], ()
     position = {name: index for index, name in enumerate(shape.varying)}
     pieces, order = [], []
-    for key in sorted({**shape.params, **position}):  # the key order RecordShape.record inserts
+    for key in sorted({**shape.params, **position}):  # the record's params: constant keys, then varying
         if not isinstance(key, str):
             raise TypeError(f"report keys must be strings, got {key!r}")
         pieces += [",", encode_basestring_ascii(key) + ":"]
@@ -346,8 +279,9 @@ def _row_texts(rows, csv: bool, encode, number) -> list:
 
 def serialize_report(report: VerificationReport, fmt: str) -> bytes:
     """Render a report as canonical JSON or CSV bytes (UTF-8, newline-terminated).  The JSON is
-    canonical_json of report.as_dict(), and each CSV cell as the csv module would write a record's
-    field; each shape's own cells are rendered once per document."""
+    canonical_json of an object holding tool, version, config, conventions, summary and records,
+    each record an object of the CSV_COLUMNS fields; each CSV cell is as the csv module would
+    write that field.  Each shape's own cells are rendered once per document."""
     encode, number = _document_encoder()
     if fmt == "json":
         config, conventions = dict(report.config), dict(report.conventions)

@@ -26,9 +26,7 @@ from .gates import (
 from .qdeform import (
     AlgebraResiduals,
     OperatorConvention,
-    algebra_residuals,
     deformed_number_op,
-    make_deformed_ops,
     make_deformed_stack,
     stack_residuals,
 )
@@ -226,7 +224,7 @@ def algebra_suite(cfg: RunConfig) -> list:
     shapes, rows = {}, []
 
     def add_relations(result: AlgebraResiduals, keys, prefix: str) -> None:
-        """A row per relation key of an algebra_residuals result, of one shape per key, levels
+        """A row per relation key of a stack_residuals result, of one shape per key, levels
         and psi pair, whose rows vary in q only."""
         for key in keys:
             levels = result.levels[key]
@@ -264,7 +262,7 @@ def algebra_suite(cfg: RunConfig) -> list:
         rows.append(shape.row(f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}", (q, psi_b), worst))
 
     for q, psi_b in _GENERALIZED_POINTS:
-        result = algebra_residuals(make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator))
+        (result,) = stack_residuals(make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator))
         keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
         add_relations(result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}")
 
@@ -275,10 +273,11 @@ def algebra_suite(cfg: RunConfig) -> list:
     )
     eye = np.eye(cfg.cutoff, dtype=complex)
     for case, q, psi_b, shift in shift_cases:
-        ops = make_deformed_ops(mode, q, 1.0, psi_b, cfg.operator)
+        # the shifted number operator belongs to this point's pair, so the pair must build
+        make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator)
         note = f"shifted number operator equals N - {shift:g}*I"
         params = {"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff}
-        residual = _max_abs(deformed_number_op(ops) - (mode.n_op - shift * eye))
+        residual = _max_abs(deformed_number_op(mode, q, psi_b) - (mode.n_op - shift * eye))
         shape = RecordShape("number-shift", convention, thr, note, params)
         rows.append(shape.row(f"algebra/number-shift/{case}", (), residual))
 
@@ -288,10 +287,11 @@ def algebra_suite(cfg: RunConfig) -> list:
         if q != 1.0:
             rows.append(shape.row(f"algebra/bracket-symmetry/{labels[q]}", (q, 1.0 / q), gap))
 
-    literal = make_deformed_ops(mode, 2.0, 1.0, 1.0, OperatorConvention.LEFT_SCALING)
-    hermitian = make_deformed_ops(mode, 2.0, 1.0, 1.0, OperatorConvention.MATRIX_ELEMENT)
-    literal_res = algebra_residuals(literal).residuals["lowering_product_diagonal"]
-    hermitian_res = algebra_residuals(hermitian).residuals["lowering_product_diagonal"]
+    literal = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.LEFT_SCALING)
+    hermitian = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.MATRIX_ELEMENT)
+    literal_res, hermitian_res = (
+        stack_residuals(stack)[0].residuals["lowering_product_diagonal"] for stack in (literal, hermitian)
+    )
     note = (
         "the literal scaled-lowering reading zeroes its singular vacuum scale and "
         "misses the level-1 product diagonal; the matrix-element reading satisfies it"
@@ -512,10 +512,10 @@ def limits_suite(cfg: RunConfig) -> list:
     gaps = {}
     note = "operator-norm distance of the deformed lowering operator from its limit"
     shape = RecordShape("classical-limit", convention, None, note, {"cutoff": cfg.cutoff}, ("q", "eps"))
-    for q in ordered:
-        ops = make_deformed_ops(mode, q, 1.0, 1.0, cfg.operator)
-        gaps[q] = float(np.linalg.norm(ops.a_q - mode.a, 2))
-        rows.append(shape.row(f"limits/lowering-gap/q={q:g}", (q, abs(q - 1.0)), gaps[q], True))
+    for chunk in _stack_chunks(ordered, cfg.cutoff):
+        for q, a_q in zip(chunk, make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator).a_q):
+            gaps[q] = float(np.linalg.norm(a_q - mode.a, 2))
+            rows.append(shape.row(f"limits/lowering-gap/q={q:g}", (q, abs(q - 1.0)), gaps[q], True))
 
     for coarse, fine in zip(ordered, ordered[1:]):
         shrink = abs(coarse - 1.0) / abs(fine - 1.0)
@@ -536,16 +536,16 @@ def limits_suite(cfg: RunConfig) -> list:
         rows.append(shape.row(f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}", (), None, ratio >= 0.9 * shrink))
 
     q_near = 1.0 + 1e-8
-    near = make_deformed_ops(mode, q_near, 1.0, 1.0, cfg.operator)
+    near = make_deformed_stack(mode, (q_near,), 1.0, 1.0, cfg.operator)
     note = "deformed lowering operator is elementwise continuous at q = 1"
     shape = RecordShape("classical-limit", convention, thr, note, {"q": q_near, "cutoff": cfg.cutoff})
-    rows.append(shape.row("limits/lowering-continuity", (), _max_abs(near.a_q - mode.a)))
+    rows.append(shape.row("limits/lowering-continuity", (), _max_abs(near.a_q[0] - mode.a)))
 
     base = tuple(range(cfg.cutoff - 1))
     eye = np.eye(cfg.cutoff, dtype=complex)
     undeformed = mode.a @ mode.a_dag - mode.a_dag @ mode.a - eye
     undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
-    deformed_res = algebra_residuals(near).residuals["deformed_commutation"]
+    deformed_res = stack_residuals(near)[0].residuals["deformed_commutation"]
     note = "deformed commutation residual is continuous against the undeformed relation"
     params = {
         "q": q_near,

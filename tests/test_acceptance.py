@@ -26,7 +26,6 @@ from qgatelab import (
     GateKind,
     GateSpec,
     QubitEmbedding,
-    algebra_residuals,
     deformed_gate_matrix,
     deformed_qubit_state,
     discover_constraints,
@@ -34,8 +33,9 @@ from qgatelab import (
     gate_action_traced,
     gate_matrix,
     hadamard_closure_ratio,
-    make_deformed_ops,
+    make_deformed_stack,
     make_mode_ops,
+    stack_residuals,
 )
 from qgatelab.cli import main
 
@@ -85,8 +85,7 @@ REFERENCE_TABLES = {
 def test_deformed_relations_hold_on_reference_grid_quickly():
     started = time.perf_counter()
     worst = 0.0
-    for q in Q_REFERENCE:
-        result = algebra_residuals(make_deformed_ops(make_mode_ops(8), q))
+    for result in stack_residuals(make_deformed_stack(make_mode_ops(8), Q_REFERENCE)):
         assert set(result.residuals) == {
             "deformed_commutation",
             "lowering_number_commutator",
@@ -117,16 +116,16 @@ def test_scalar_shift_identity_exact_then_matrix_residuals():
             assert bracket(n + 1, q, wb) - q * bracket(n, q, wb) == wb * q**-n
 
     for q, wb in points:
-        ops = make_deformed_ops(make_mode_ops(8), float(q), 1.0, float(wb))
-        result = algebra_residuals(ops)
+        (result,) = stack_residuals(make_deformed_stack(make_mode_ops(8), (float(q),), 1.0, float(wb)))
         assert result.residuals["deformed_commutation"] <= TOLERANCE
         assert result.residuals["lowering_product_diagonal"] <= TOLERANCE
 
 
 def test_lowering_gap_shrinks_within_linear_band():
     mode = make_mode_ops(8)
-    gap_coarse = np.linalg.norm(make_deformed_ops(mode, 1.01).a_q - mode.a, 2)
-    gap_fine = np.linalg.norm(make_deformed_ops(mode, 1.0001).a_q - mode.a, 2)
+    coarse, fine = make_deformed_stack(mode, (1.01, 1.0001)).a_q
+    gap_coarse = np.linalg.norm(coarse - mode.a, 2)
+    gap_fine = np.linalg.norm(fine - mode.a, 2)
     factor = gap_coarse / gap_fine
     assert 90.0 <= factor <= 110.0
 

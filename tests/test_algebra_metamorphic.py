@@ -18,9 +18,9 @@ st = hypothesis.strategies
 from qgatelab import (  # noqa: E402
     NegativeRadicandError,
     OperatorConvention,
-    algebra_residuals,
-    make_deformed_ops,
+    make_deformed_stack,
     make_mode_ops,
+    stack_residuals,
 )
 
 _QUADRATIC = ("deformed_commutation", "lowering_product_diagonal", "raising_product_diagonal")
@@ -37,13 +37,13 @@ _VALUES = st.one_of(st.sampled_from([2.0**k for k in range(-3, 4)]), st.sampled_
 def test_scaling_both_psi_by_s_scales_each_residual_by_s_or_its_root(convention, s, cutoff, q, psi_a, psi_b):
     mode = make_mode_ops(cutoff)
     try:
-        base = algebra_residuals(make_deformed_ops(mode, q, psi_a, psi_b, convention))
+        (base,) = stack_residuals(make_deformed_stack(mode, (q,), psi_a, psi_b, convention))
     except NegativeRadicandError as exc:
         with pytest.raises(NegativeRadicandError) as scaled_exc:
-            make_deformed_ops(mode, q, s * psi_a, s * psi_b, convention)
+            make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention)
         assert scaled_exc.value.level == exc.level
         return
-    scaled = algebra_residuals(make_deformed_ops(mode, q, s * psi_a, s * psi_b, convention))
+    (scaled,) = stack_residuals(make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention))
     assert sorted(base.residuals) == sorted(_QUADRATIC + _LINEAR)
     assert scaled.levels == base.levels
     for key in _QUADRATIC:

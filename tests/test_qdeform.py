@@ -1,4 +1,4 @@
-"""Tests for the deformed ladder operators and their algebra residuals."""
+"""Tests for the deformed ladder operator stacks and their algebra residuals."""
 
 import math
 import tracemalloc
@@ -10,17 +10,14 @@ from qgatelab import (
     NegativeRadicandError,
     OperatorConvention,
     RunConfig,
-    algebra_residuals,
     deformed_number_op,
-    make_deformed_ops,
     make_deformed_stack,
     make_mode_ops,
     psi_bracket,
     stack_residuals,
 )
 from qgatelab import qdeform, suites
-from qgatelab.suites import _GENERALIZED_POINTS, algebra_suite
-from test_constraints import _counted
+from qgatelab.suites import _GENERALIZED_POINTS, algebra_suite, limits_suite
 
 Q_GRID = (0.5, 0.9, 1.1, 2.0)
 # q = 1 and one q either side of it within 1e-8, where the bracket is a ratio of vanishing differences
@@ -29,74 +26,79 @@ STACK_Q = (0.5, 0.9, 1.0, 1.0 + 1e-8, 1.0 - 1e-8, 2.0, 1e3)
 MANY_Q = tuple(round(0.5 + 0.0075 * i, 6) for i in range(200))
 
 
-class TestMakeDeformedOps:
+def _one_q(mode, q, psi_a=1.0, psi_b=1.0, convention=OperatorConvention.MATRIX_ELEMENT):
+    """The stack of one q."""
+    return make_deformed_stack(mode, (q,), psi_a, psi_b, convention)
+
+
+def _residuals(stack):
+    """The residuals of a one-q stack."""
+    (result,) = stack_residuals(stack)
+    return result
+
+
+class TestOneQStack:
     def test_reduces_to_undeformed_at_q_one(self):
         mode = make_mode_ops(6)
-        ops = make_deformed_ops(mode, 1.0)
-        assert np.array_equal(ops.a_q, mode.a)
-        assert np.array_equal(ops.a_q_dag, mode.a_dag)
+        stack = _one_q(mode, 1.0)
+        assert np.array_equal(stack.a_q[0], mode.a)
+        assert np.array_equal(stack.a_q_dag[0], mode.a_dag)
 
     def test_matrix_elements_are_bracket_roots(self):
-        ops = make_deformed_ops(make_mode_ops(3), 2.0)
-        assert ops.a_q[1, 2] == pytest.approx(math.sqrt(2.5), abs=1e-15)
+        (a_q,) = _one_q(make_mode_ops(3), 2.0).a_q
+        assert a_q[1, 2] == pytest.approx(math.sqrt(2.5), abs=1e-15)
         ket = np.zeros(3, dtype=complex)
         ket[2] = 1.0
-        out = ops.a_q @ ket
+        out = a_q @ ket
         assert out[1] == pytest.approx(math.sqrt(2.5), abs=1e-15)
 
     @pytest.mark.parametrize("weight", [0.5, 3.0])
     def test_creation_from_vacuum_scales_with_weight(self, weight):
-        ops = make_deformed_ops(make_mode_ops(2), 2.0, weight, weight)
-        assert ops.a_q_dag[1, 0] == pytest.approx(math.sqrt(weight), abs=1e-15)
+        stack = _one_q(make_mode_ops(2), 2.0, weight, weight)
+        assert stack.a_q_dag[0, 1, 0] == pytest.approx(math.sqrt(weight), abs=1e-15)
 
     def test_default_convention_pairs_by_adjoint(self):
-        ops = make_deformed_ops(make_mode_ops(5), 2.0, 1.0, 3.0)
-        assert np.array_equal(ops.a_q_dag, ops.a_q.conj().T)
+        stack = _one_q(make_mode_ops(5), 2.0, 1.0, 3.0)
+        assert np.array_equal(stack.a_q_dag[0], stack.a_q[0].conj().T)
 
     def test_negative_bracket_is_rejected_with_level(self):
         # At q=2, wa=0.5, wb=4 the level-1 bracket is (1 - 2)/1.5 < 0.
         with pytest.raises(NegativeRadicandError) as excinfo:
-            make_deformed_ops(make_mode_ops(4), 2.0, 0.5, 4.0)
+            _one_q(make_mode_ops(4), 2.0, 0.5, 4.0)
         assert excinfo.value.level == 1
 
     def test_left_scaling_copies_raising_but_zeroes_bottom_lowering(self):
-        hermitian = make_deformed_ops(make_mode_ops(4), 2.0)
-        literal = make_deformed_ops(
-            make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING
-        )
+        hermitian = _one_q(make_mode_ops(4), 2.0)
+        literal = _one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING)
         assert np.allclose(literal.a_q_dag, hermitian.a_q_dag, atol=1e-15)
-        assert literal.a_q[0, 1] == 0.0
-        assert hermitian.a_q[0, 1] == 1.0
+        assert literal.a_q[0, 0, 1] == 0.0
+        assert hermitian.a_q[0, 0, 1] == 1.0
 
     def test_left_scaling_is_not_an_adjoint_pair(self):
-        literal = make_deformed_ops(
-            make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING
-        )
-        assert np.max(np.abs(literal.a_q_dag - literal.a_q.conj().T)) > 0.5
+        literal = _one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING)
+        assert np.max(np.abs(literal.a_q_dag[0] - literal.a_q[0].conj().T)) > 0.5
 
 
 class TestAlgebraResiduals:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_uniform_weights_satisfy_all_relations(self, q):
-        ops = make_deformed_ops(make_mode_ops(8), q)
-        res = algebra_residuals(ops)
+        res = _residuals(_one_q(make_mode_ops(8), q))
         assert max(res.residuals.values()) <= 1e-12
         assert res.levels["deformed_commutation"] == tuple(range(7))
 
     def test_reads_the_brackets_its_operators_were_built_from(self, monkeypatch):
-        ops = make_deformed_ops(make_mode_ops(6), 2.0, 1.0, 3.0)
-        assert ops.brackets == tuple(psi_bracket(n, 2.0, 1.0, 3.0) for n in range(7))
-        before = algebra_residuals(ops)
+        stack = _one_q(make_mode_ops(6), 2.0, 1.0, 3.0)
+        assert stack.brackets[0].tolist() == [psi_bracket(n, 2.0, 1.0, 3.0) for n in range(7)]
+        before = stack_residuals(stack)
 
         def refused(*args):
-            raise AssertionError("algebra_residuals computed a bracket again")
+            raise AssertionError("stack_residuals computed a bracket again")
 
         monkeypatch.setattr(qdeform, "bracket", refused)
-        assert algebra_residuals(ops) == before
+        assert stack_residuals(stack) == before
 
     def test_unequal_weights_drop_the_bottom_level(self):
-        ops = make_deformed_ops(make_mode_ops(6), 2.0, 1.0, 3.0)
-        res = algebra_residuals(ops)
+        res = _residuals(_one_q(make_mode_ops(6), 2.0, 1.0, 3.0))
         assert max(res.residuals.values()) <= 1e-12
         assert res.levels["deformed_commutation"][0] == 1
         assert res.levels["lowering_product_diagonal"][0] == 1
@@ -106,25 +108,22 @@ class TestAlgebraResiduals:
     @pytest.mark.parametrize(("wa", "wb"), [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
     def test_number_commutators_hold_for_any_weights(self, q, wa, wb):
         try:
-            ops = make_deformed_ops(make_mode_ops(6), q, wa, wb)
+            stack = _one_q(make_mode_ops(6), q, wa, wb)
         except NegativeRadicandError:
             pytest.skip("pair not admissible at this base")
-        res = algebra_residuals(ops)
+        res = _residuals(stack)
         assert res.residuals["lowering_number_commutator"] <= 1e-12
         assert res.residuals["raising_number_commutator"] <= 1e-12
 
     def test_left_scaling_breaks_product_diagonal(self):
-        ops = make_deformed_ops(
-            make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING
-        )
-        res = algebra_residuals(ops)
+        res = _residuals(_one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING))
         # The zeroed 1 -> 0 transition removes the level-1 diagonal entry,
         # whose exact value is the level-1 bracket: 1.
         assert res.residuals["lowering_product_diagonal"] == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_q_inversion(self):
-        up = make_deformed_ops(make_mode_ops(8), 2.0)
-        down = make_deformed_ops(make_mode_ops(8), 0.5)
+        up = _one_q(make_mode_ops(8), 2.0)
+        down = _one_q(make_mode_ops(8), 0.5)
         assert np.max(np.abs(up.a_q - down.a_q)) <= 1e-14
 
     def test_continuity_near_q_one(self):
@@ -132,12 +131,13 @@ class TestAlgebraResiduals:
         # differences, so residuals inherit rounding noise of order 1e-8;
         # the meaningful statement is closeness to the undeformed algebra.
         mode = make_mode_ops(8)
-        near = make_deformed_ops(mode, 1.0 + 1e-8)
-        assert np.max(np.abs(near.a_q - mode.a)) <= 1e-6
-        comm = near.a_q @ near.a_q_dag - near.a_q_dag @ near.a_q
+        near = _one_q(mode, 1.0 + 1e-8)
+        (a_q,), (a_q_dag,) = near.a_q, near.a_q_dag
+        assert np.max(np.abs(a_q - mode.a)) <= 1e-6
+        comm = a_q @ a_q_dag - a_q_dag @ a_q
         block = (comm - np.eye(8))[:7, :7]
         assert np.max(np.abs(block)) <= 1e-6
-        assert max(algebra_residuals(near).residuals.values()) <= 1e-6
+        assert max(_residuals(near).residuals.values()) <= 1e-6
 
     def test_deviation_shrinks_at_least_linearly(self):
         # One-sided reading: the gap to the undeformed operator must shrink at
@@ -145,8 +145,7 @@ class TestAlgebraResiduals:
         # faster; the two-sided proportional band is checked, and fails, in
         # the acceptance suite.)
         mode = make_mode_ops(8)
-        coarse = np.linalg.norm(make_deformed_ops(mode, 1.01).a_q - mode.a, 2)
-        fine = np.linalg.norm(make_deformed_ops(mode, 1.0001).a_q - mode.a, 2)
+        coarse, fine = (np.linalg.norm(a_q - mode.a, 2) for a_q in make_deformed_stack(mode, (1.01, 1.0001)).a_q)
         assert coarse / fine >= 100.0 / 1.2
 
 
@@ -160,20 +159,17 @@ class TestDeformedNumberOp:
         ],
     )
     def test_shift_is_log_ratio(self, q, wb, shift):
-        ops = make_deformed_ops(make_mode_ops(4), q, 1.0, wb)
-        n_q = deformed_number_op(ops)
+        n_q = deformed_number_op(make_mode_ops(4), q, wb)
         expected = np.diag(np.arange(4, dtype=float)) - shift * np.eye(4)
         assert np.max(np.abs(n_q - expected)) <= 1e-12
 
     def test_rejected_at_q_one(self):
-        ops = make_deformed_ops(make_mode_ops(4), 1.0)
         with pytest.raises(ValueError):
-            deformed_number_op(ops)
+            deformed_number_op(make_mode_ops(4), 1.0, 1.0)
 
     def test_rejected_for_nonpositive_weight(self):
-        ops = make_deformed_ops(make_mode_ops(4), 2.0, 1.0, -1.0)
         with pytest.raises(ValueError):
-            deformed_number_op(ops)
+            deformed_number_op(make_mode_ops(4), 2.0, -1.0)
 
     def test_shifted_spectrum_matches_brackets(self):
         # q**n_q applied to level n must reproduce bracket ratios:
@@ -181,7 +177,6 @@ class TestDeformedNumberOp:
         # property actually used downstream is B(n+1) - q B(n) = wb q**(-n),
         # checked here through the operator identity on the diagonal.
         q, wb = 2.0, 3.0
-        ops = make_deformed_ops(make_mode_ops(6), q, 1.0, wb)
         diag_now = np.array([psi_bracket(n, q, 1.0, wb) for n in range(6)])
         diag_up = np.array([psi_bracket(n + 1, q, 1.0, wb) for n in range(6)])
         stepped = diag_up - q * diag_now
@@ -237,16 +232,13 @@ class TestDeformedModeStack:
         for index, q in enumerate(q_values):
             a_q, a_q_dag, brackets = _reference_build(mode, q, psi_b, convention)
             residuals, levels = _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets)
-            single = make_deformed_ops(mode, q, 1.0, psi_b, convention)
-            for built in (stack.a_q[index], single.a_q):
-                assert np.array_equal(built, a_q)
-            for built in (stack.a_q_dag[index], single.a_q_dag):
-                assert np.array_equal(built, a_q_dag)
-            assert stack.brackets[index].tolist() == list(single.brackets) == brackets
-            for result in (results[index], algebra_residuals(single)):
-                assert (result.q, result.psi_b, result.convention) == (q, psi_b, convention.value)
-                assert result.residuals == residuals, q
-                assert result.levels == levels
+            assert np.array_equal(stack.a_q[index], a_q)
+            assert np.array_equal(stack.a_q_dag[index], a_q_dag)
+            assert stack.brackets[index].tolist() == brackets
+            result = results[index]
+            assert (result.q, result.psi_b, result.convention) == (q, psi_b, convention.value)
+            assert result.residuals == residuals, q
+            assert result.levels == levels
 
     def test_negative_bracket_names_the_first_q_and_level(self):
         # q = 4 admits the pair (0.5, 4) at level 1, q = 2 does not: (1 - 2) / 1.5 < 0
@@ -266,27 +258,49 @@ class TestDeformedModeStack:
     def test_overflowing_psi_gives_inf_brackets_without_a_warning(self, q, brackets):
         # q**n * psi overflows past double precision; as float operations, the bracket is inf,
         # and a numpy overflow warning would fail the test (conftest)
-        ops = make_deformed_ops(make_mode_ops(4), q, 1e308, 1e308)
-        assert list(map(repr, ops.brackets)) == list(map(repr, brackets))
+        stack = _one_q(make_mode_ops(4), q, 1e308, 1e308)
+        assert list(map(repr, stack.brackets[0].tolist())) == list(map(repr, brackets))
 
 
 class TestAlgebraSuiteStacks:
     def test_one_stack_per_chunk_per_loop_and_chunks_change_no_record(self, monkeypatch):
-        # 200 q at cutoff 8 fit one chunk: one forward and one mirror stack, and the per-q
-        # functions only at the fixed generalized, number-shift and convention-audit points
-        names = ("make_deformed_stack", "stack_residuals", "make_deformed_ops", "algebra_residuals")
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            monkeypatch.setattr(suites, name, _counted(calls, name, getattr(suites, name)))
+        # 200 q at cutoff 8 fit one chunk: one forward and one mirror stack, and one-q stacks only
+        # at the fixed generalized (3, with residuals), number-shift (3) and convention-audit
+        # (2, with residuals) points
+        built, reduced = [], []  # the q count of each stack built, and of each stack reduced
+
+        def build(mode, q_values, *rest):
+            built.append(len(q_values))
+            return make_deformed_stack(mode, q_values, *rest)
+
+        def reduce(stack):
+            reduced.append(len(stack.q_values))
+            return stack_residuals(stack)
+
+        monkeypatch.setattr(suites, "make_deformed_stack", build)
+        monkeypatch.setattr(suites, "stack_residuals", reduce)
         cfg = RunConfig(suite="algebra", q_values=MANY_Q)
         records = algebra_suite(cfg)
-        per_point = {"make_deformed_ops": 8, "algebra_residuals": 5}
-        assert calls == {"make_deformed_stack": 2, "stack_residuals": 1, **per_point}
+        assert (built, reduced) == ([200, 200] + [1] * 8, [200] + [1] * 5)
 
-        calls.update(dict.fromkeys(names, 0))
+        built.clear()
+        reduced.clear()
         monkeypatch.setattr(suites, "_STACK_ENTRIES", 16 * cfg.cutoff**2)  # 16 q per chunk
         assert algebra_suite(cfg) == records
-        assert calls == {"make_deformed_stack": 26, "stack_residuals": 13, **per_point}
+        chunks = [16] * 12 + [8]
+        assert built == [size for size in chunks for _ in ("forward", "mirror")] + [1] * 8
+        assert reduced == chunks + [1] * 5
+
+    def test_limits_at_200_limit_q_and_cutoff_64_hold_no_full_stack(self):
+        # the limit q values are stacked in the same chunks: one (200, 64, 64) stack peaks near 25 MB
+        cfg = RunConfig(suite="limits", limit_q=tuple(round(1.01 + 0.005 * i, 6) for i in range(200)), cutoff=64)
+        tracemalloc.start()
+        try:
+            limits_suite(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_cutoff_64_at_200_q_holds_no_full_stack(self):
         # one (200, 64, 64) complex stack is 13 MB and the relations take several at once;

@@ -13,9 +13,9 @@ import pytest
 
 from qgatelab import (
     CSV_COLUMNS,
-    CheckRecord,
     ExponentConvention,
     OperatorConvention,
+    RecordShape,
     RunConfig,
     VerificationReport,
     canonical_json,
@@ -73,21 +73,24 @@ class TestCanonicalJson:
         assert json.loads(payload) == {"nested": {"x": [1.5, "s"]}, "n": 3}
 
 
-class TestCheckRecord:
+class TestRecordShape:
     def test_rejects_unknown_relation_tag(self):
         with pytest.raises(ValueError):
-            CheckRecord("x", "made-up-tag", "c", {}, 0.0, 1.0, True)
+            RecordShape("made-up-tag", "c", 1.0, "", {})
 
     def test_coerces_numeric_fields(self):
-        record = CheckRecord("x", "derived", "c", {}, 1, 2, 1)
-        assert record.residual == 1.0
-        assert record.threshold == 2.0
-        assert record.passed is True
+        shape = RecordShape("derived", "c", 2, "", {})
+        _, _, _, residual, passed = shape.row("x", (), 1, 1)
+        assert residual == 1.0 and type(residual) is float
+        assert shape.threshold == 2.0 and type(shape.threshold) is float
+        assert passed is True
 
     def test_allows_residual_free_checks(self):
-        record = CheckRecord("x", "derived", "c", {}, None, None, True)
-        assert record.residual is None
-        assert record.threshold is None
+        shape = RecordShape("derived", "c", None, "", {})
+        _, _, _, residual, passed = shape.row("x", (), None, True)
+        assert residual is None
+        assert shape.threshold is None
+        assert passed is True
 
 
 class TestSerialization:
@@ -116,7 +119,7 @@ class TestSerialization:
         data = json.loads(serialize_report(report, "json"))
         csv_rows = serialize_report(report, "csv").decode("utf-8").splitlines()
         assert len(data["records"]) == len(csv_rows) - 1
-        assert len(report.records) == 19
+        assert len(report.rows) == 19
 
     def test_rejects_unknown_format(self):
         report = VerificationReport("0", {}, {}, [])
@@ -224,21 +227,6 @@ class TestSerialization:
         assert main(["discover", "--q", "2", "--psi", "0.5,300,1000", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "report_discover_fredkin_rounding.json").read_bytes()
 
-    def test_no_two_records_share_a_mutable_params_value(self):
-        # the suites build per-q records from hoisted constants; each record still owns its dicts and lists
-        report = run_suites(RunConfig(q_values=(0.5, 1.0, 2.0), psi_grid=(1.0, 2.0)))
-        owned = []
-
-        def collect(value):
-            if isinstance(value, (dict, list)):
-                owned.append(value)
-                for item in value.values() if isinstance(value, dict) else value:
-                    collect(item)
-
-        for record in report.records:
-            collect(record.params)
-        assert len({id(value) for value in owned}) == len(owned) > len(report.records)
-
 
 class TestRunConfig:
     def test_rejects_unknown_suite(self):
@@ -288,7 +276,7 @@ class TestRunConfig:
 
     def test_full_run_covers_every_suite(self):
         report = run_suites(RunConfig(suite="all", cutoff=4))
-        prefixes = {record.check_id.split("/")[0] for record in report.records}
+        prefixes = {check_id.split("/")[0] for _, check_id, *_ in report.rows}
         assert prefixes == {"algebra", "gates", "constraints", "limits"}
 
 
@@ -634,9 +622,37 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main([command, "--q", q, "--out", str(out)]) == 2
         err = capsys.readouterr().err
+        # the algebra suite raises its fixed q values to the cutoff too, so it names the cutoff
+        cutoff, remedy = (" or cutoff 8", " or a smaller cutoff") if command == "verify-algebra" else ("", "")
         assert err == (
-            f"qgatelab: configuration error: q values {label} overflow double-precision arithmetic "
-            f"(the psi bracket at {reason}); use q values closer to 1\n"
+            f"qgatelab: configuration error: q values {label}{cutoff} overflow double-precision arithmetic "
+            f"(the psi bracket at {reason}); use q values closer to 1{remedy}\n"
+        )
+        assert not out.exists()
+
+    def test_cutoff_overflow_exits_two_naming_the_cutoff(self, tmp_path, capsys):
+        # q = 1.5 is harmless: the number-shift point q = e**2 overflows at its level-355 bracket
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--cutoff", "355", "--q", "1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qgatelab: configuration error: q values 1.5 or cutoff 355 overflow double-precision arithmetic "
+            "(the psi bracket at n=355, q=7.3890560989306495 overflows double precision at q**355); "
+            "use q values closer to 1 or a smaller cutoff\n"
+        )
+        assert not out.exists()
+        assert main(["verify-algebra", "--cutoff", "354", "--q", "1.5", "--out", str(out)]) == 1
+        assert out.exists()
+
+    def test_limit_q_overflow_names_the_farthest_q_from_one(self, tmp_path, capsys):
+        # the limit stack takes its q values farthest from 1 first; in config order 1e200 would be named
+        config = tmp_path / "limits.json"
+        config.write_text('{"limit_q": [1.1, 1e200, 1e300]}')
+        out = tmp_path / "report.json"
+        assert main(["limit-study", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qgatelab: configuration error: limit q values 1.1,1e+200,1e+300 or cutoff 8 overflow double-precision "
+            "arithmetic (the psi bracket at n=2, q=1e+300 overflows double precision at q**2); "
+            "use q values closer to 1 or a smaller cutoff\n"
         )
         assert not out.exists()
 
@@ -828,8 +844,13 @@ class TestCli:
         assert "csv" not in imported(package / "report.py")
 
     def test_every_public_name_resolves_and_star_import_binds_it(self):
-        # the sweep's names resolve on first access, so neither check may load it before asking
+        # the sweep's names resolve on first access, so neither check may load it before asking;
+        # then every module of the package binds its own __all__, and no name the operator stacks
+        # and record rows replaced is left anywhere
         code = """
+            import importlib
+            import inspect
+            import pkgutil
             import sys
             import qgatelab
 
@@ -850,6 +871,26 @@ class TestCli:
                 assert str(exc) == "module 'qgatelab' has no attribute 'no_such_name'", exc
             else:
                 raise AssertionError("an unknown name resolved")
+
+            modules = [qgatelab]
+            for info in pkgutil.iter_modules(qgatelab.__path__):
+                module = importlib.import_module(f"qgatelab.{info.name}")
+                modules.append(module)
+                names = {}
+                exec(f"from qgatelab.{info.name} import *", names)
+                for name in getattr(module, "__all__", ()):
+                    assert names[name] is getattr(module, name), (info.name, name)
+            assert len(modules) > 10
+            gone = ("DeformedModeOperators", "make_deformed_ops", "algebra_residuals", "CheckRecord", "_owned")
+            for module in modules:
+                for name in gone:
+                    assert not hasattr(module, name), (module.__name__, name)
+                    assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+            assert not hasattr(qgatelab.RecordShape, "record")
+            assert not hasattr(qgatelab.VerificationReport, "records")
+            assert not hasattr(qgatelab.VerificationReport, "as_dict")
+            parameters = list(inspect.signature(qgatelab.VerificationReport).parameters)
+            assert parameters == ["version", "config", "conventions", "rows"], parameters
         """
         result = self._run_python("-c", textwrap.dedent(code))
         assert result.returncode == 0, result.stderr

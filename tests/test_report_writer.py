@@ -1,9 +1,10 @@
 """The report writer against an independent oracle on values no golden report covers.
 
-The oracle is the writer as it stood before the one-pass rewrite: canonical_json dispatching
-dict members through a helper, and CSV cells converted value by value (_oracle_csv_cell) with
-getattr over CSV_COLUMNS, then written by csv.writer.  Both writers must give the same bytes, or
-raise the same exception type with the same message.  Hypothesis also draws CSV text cells from
+The oracle is a record-by-record writer: it merges each row's constant and varying params into a
+record of its own (_oracle_records), then writes canonical_json with dict members dispatched
+through a helper, or CSV cells converted value by value (_oracle_csv_cell) over CSV_COLUMNS and
+written by csv.writer.  Both writers must give the same bytes, or raise the same exception type
+with the same message.  Hypothesis also draws CSV text cells from
 the characters that decide quoting, and whole documents that repeat values the writer's
 per-document memo could conflate (0.0 and -0.0, numpy floats, bools among ints, str-enum keys),
 and reports built from record shapes, whose constant cells the writer renders once per shape.
@@ -12,6 +13,7 @@ and reports built from record shapes, whose constant cells the writer renders on
 import csv
 import enum
 import io
+import json
 import math
 import os
 import subprocess
@@ -25,7 +27,6 @@ import pytest
 from qgatelab import (
     CSV_COLUMNS,
     RELATION_TAGS,
-    CheckRecord,
     RecordShape,
     RunConfig,
     VerificationReport,
@@ -84,13 +85,34 @@ def _oracle_csv_cell(value) -> str:
     return str(value)
 
 
+def _oracle_records(report: VerificationReport) -> list:
+    """Each row as a dict of the CSV_COLUMNS fields, its params the shape's constant params with the
+    row's varying values merged in."""
+    records = []
+    for shape, check_id, values, residual, passed in report.rows:
+        params = {**shape.params, **dict(zip(shape.varying, values))} if shape.varying else shape.params
+        fields = (check_id, shape.relation, shape.convention, params, residual, shape.threshold, passed, shape.notes)
+        records.append(dict(zip(CSV_COLUMNS, fields)))
+    return records
+
+
 def _oracle_serialize(report: VerificationReport, fmt: str) -> bytes:
+    records = _oracle_records(report)
     if fmt == "json":
-        return (_oracle_json(report.as_dict()) + "\n").encode("utf-8")
+        passed = sum(record["passed"] for record in records)
+        document = {
+            "tool": "qgatelab",
+            "version": report.version,
+            "config": report.config,
+            "conventions": report.conventions,
+            "summary": {"total": len(records), "passed": passed, "failed": len(records) - passed},
+            "records": records,
+        }
+        return (_oracle_json(document) + "\n").encode("utf-8")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([_oracle_csv_cell(getattr(record, column)) for column in CSV_COLUMNS] for record in report.records)
+    writer.writerows([_oracle_csv_cell(record[column]) for column in CSV_COLUMNS] for record in records)
     return buffer.getvalue().encode("utf-8")
 
 
@@ -175,7 +197,8 @@ def test_canonical_json_raises_the_oracles_exception(value):
     assert outcome == _outcome(_oracle_json, value)
 
 
-def _record(index: int, params, **fields) -> CheckRecord:
+def _record(index: int, params, **fields) -> tuple:
+    """The row of a one-row shape, with fields in place of the defaults."""
     record = {
         "check_id": f"writer/value-{index}",
         "relation": "derived",
@@ -187,11 +210,12 @@ def _record(index: int, params, **fields) -> CheckRecord:
         "notes": "",
         **fields,
     }
-    return CheckRecord(**record)
+    shape = RecordShape(record["relation"], record["convention"], record["threshold"], record["notes"], params)
+    return shape.row(record["check_id"], (), record["residual"], record["passed"])
 
 
-def _report(records) -> VerificationReport:
-    return VerificationReport("0.1.0", {"q_values": [2.0]}, {"operator": "matrix-element"}, records)
+def _report(rows) -> VerificationReport:
+    return VerificationReport("0.1.0", {"q_values": [2.0]}, {"operator": "matrix-element"}, rows)
 
 
 def _records() -> list:
@@ -401,15 +425,11 @@ def _edge_shapes() -> list:
     ]
 
 
-def _shaped_report(rows) -> VerificationReport:
-    return VerificationReport("0.1.0", {"q_values": [2.0]}, {"operator": "matrix-element"}, rows=rows)
-
-
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @hypothesis.example(rows=_edge_shapes())
 @hypothesis.given(rows=_shaped_rows())
 def test_reports_built_from_shapes_match_the_oracle_byte_for_byte(rows):
-    report = _shaped_report(rows)
+    report = _report(rows)
     for fmt in ("json", "csv"):
         assert serialize_report(report, fmt) == _oracle_serialize(report, fmt)
 
@@ -418,7 +438,7 @@ def test_reports_built_from_shapes_match_the_oracle_byte_for_byte(rows):
 def test_a_shapes_unwritable_cell_raises_where_the_record_by_record_write_does(fmt):
     # the first row's own cells before the shape's: the oracle meets the nan value before the inf threshold
     shape = RecordShape("derived", "c", math.inf, "", {"b": 1.0}, ("a",))
-    report = _shaped_report([shape.row("x", (math.nan,), 0.0, True)])
+    report = _report([shape.row("x", (math.nan,), 0.0, True)])
     outcome = _outcome(serialize_report, report, fmt)
     assert isinstance(outcome, tuple)
     assert outcome == _outcome(_oracle_serialize, report, fmt)
@@ -438,13 +458,18 @@ def test_a_shape_row_passes_within_its_threshold_unless_it_states_its_outcome():
     shape = RecordShape("derived", "c", 1e-12, "", {}, ("q",))
     assert [shape.row("x", (2.0,), residual)[-1] for residual in (0.0, 1e-12, 2e-12)] == [True, True, False]
     assert shape.row("x", (2.0,), 1.0, True)[-1] is True
-    report = _shaped_report([shape.row("x", (2.0,), 1, 0)])
-    assert report.records == [CheckRecord("x", "derived", "c", {"q": 2.0}, 1.0, 1e-12, False)]
+    row = shape.row("x", (2.0,), 1, 0)
+    assert row == (shape, "x", (2.0,), 1.0, False)
+    assert type(row[3]) is float and row[4] is False
+    report = _report([row])
     assert report.summary() == {"total": 1, "passed": 0, "failed": 1}
+    record = {"check_id": "x", "relation": "derived", "convention": "c", "params": {"q": 2.0}}
+    record.update(residual=1.0, threshold=1e-12, passed=False, notes="")
+    assert json.loads(serialize_report(report, "json"))["records"] == [record]
 
 
-def test_writing_the_dense_many_q_reports_builds_no_check_record(monkeypatch):
-    # the seed-0 benchmark config: the writer fills each shape's template from rows, never from records
+def test_the_dense_many_q_reports_match_the_oracle(monkeypatch):
+    # the seed-0 benchmark config: 2,660 rows of 39 shapes, each shape's template filled from its rows
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import DENSE_CUTOFF, DENSE_LIMIT_Q, dense_q_values
 
@@ -453,13 +478,11 @@ def test_writing_the_dense_many_q_reports_builds_no_check_record(monkeypatch):
         run_suites(RunConfig(suite, q_values, DENSE_CUTOFF, limit_q=DENSE_LIMIT_Q, format="csv"))
         for suite in ("algebra", "gates", "limits")
     ]
-    built = []
-    init = CheckRecord.__init__
-    monkeypatch.setattr(CheckRecord, "__init__", lambda record, *args: built.append(args[0]) or init(record, *args))
-    sizes = [len(serialize_report(report, "csv")) for report in reports]
-    assert sizes == [303601, 368949, 4452]
-    assert built == []
-    assert len(reports[2].records) == len(built) == 15  # the count sees every record that is built
+    payloads = [serialize_report(report, "csv") for report in reports]
+    assert [len(payload) for payload in payloads] == [303601, 368949, 4452]
+    assert payloads == [_oracle_serialize(report, "csv") for report in reports]
+    assert [len(report.rows) for report in reports] == [1213, 1432, 15]
+    assert [len({id(shape) for shape, *_ in report.rows}) for report in reports] == [15, 15, 9]
 
 
 _FOOTPRINT = """
