@@ -190,7 +190,7 @@ def _quote(cell: str) -> str:
 
 def _params_pieces(shape: RecordShape, values: tuple, encode) -> tuple:
     """(pieces, order): shape's params text as constant pieces and a None per varying value, keys
-    sorted as in the params of the records it yields, and the positions in a row's values of the
+    sorted as in a row's merged params, and the positions in a row's values of the
     varying params in the order of their Nones.  values are the first row's, each encoded where
     it stands, so the first unwritable value in key order raises."""
     if not shape.varying:
