@@ -102,9 +102,6 @@ class ConstraintReport(NamedTuple):
     verdict: str
     notes: str
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def _closes(tally: dict, mode: str, tolerance: float) -> bool:
     """At least two points, and the identity closes at all of them in this residual mode."""

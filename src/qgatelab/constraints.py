@@ -25,7 +25,7 @@ import numpy as np
 
 from .claims import CLAIMS, ConstraintClaim, ConstraintReport, _candidate_patterns, _pattern_text, _score
 from .claims import hadamard_closure_ratio
-from .dense import _dense_residuals, _oracle_plan, _term_picks
+from .dense import _dense_residuals, _oracle_plan
 from .gates import DISCOVERY_PHI, GateKind, GateSpec, gate_action_traced
 from .qdeform import OperatorConvention
 from .qnum import PSI_COUNT, bracket, bracket_roots, psi_bracket
@@ -86,8 +86,15 @@ def _sweep_plan(spec: GateSpec) -> tuple:
     plan, largest_weight_sum = [], 0.0
     for bits in itertools.product((0, 1), repeat=spec.arity):
         c_in = [2 * j + 1 - b for j, b in enumerate(bits)]
+        # a carried slot reads its source qubit's input mode, a flipped one its own output bit's
         terms = [
-            (abs(term.coeff) ** 2, [2 * j + 1 - b for j, b in _term_picks(bits, term)])
+            (
+                abs(term.coeff) ** 2,
+                [
+                    2 * j + 1 - out if src is None else c_in[src]
+                    for j, (src, out) in enumerate(zip(term.sources, term.bits))
+                ],
+            )
             for term in gate_action_traced(spec, bits)
         ]
         weight_sum = sum(weight for weight, _ in terms)

@@ -1,4 +1,4 @@
-"""Truncated Fock-space machinery: ladder matrices, tensor lifts, occupation indexing.
+"""Truncated Fock-space machinery: ladder matrices, occupation indexing, multi-mode states.
 
 Everything is small and dense (complex128).  Multi-mode indexing is row-major over
 occupation tuples with mode 1 slowest: for cutoff d and k modes the basis index of
@@ -15,7 +15,6 @@ __all__ = [
     "ModeOperators",
     "MultiModeState",
     "basis_state",
-    "lift",
     "make_mode_ops",
     "occupation_index",
 ]
@@ -44,23 +43,6 @@ def make_mode_ops(d: int) -> ModeOperators:
     a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
     n_op = np.diag(np.arange(d, dtype=float)).astype(complex)
     return ModeOperators(cutoff=d, a=a, a_dag=a.conj().T, n_op=n_op)
-
-
-def lift(op: np.ndarray, mode_index: int, mode_count: int) -> np.ndarray:
-    """Embed a single-mode operator at a 1-based mode position among mode_count modes.
-
-    The tensor order matches the state indexing (mode 1 slowest), so the result
-    is I^(mode_index-1) (x) op (x) I^(mode_count-mode_index).
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    if not 1 <= mode_index <= mode_count:
-        raise ValueError(f"mode index must be in 1..{mode_count}, got {mode_index}")
-    d = op.shape[0]
-    left = np.eye(d ** (mode_index - 1), dtype=complex)
-    right = np.eye(d ** (mode_count - mode_index), dtype=complex)
-    return np.kron(np.kron(left, op.astype(complex)), right)
 
 
 def occupation_index(occ, d: int) -> int:

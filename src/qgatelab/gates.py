@@ -20,10 +20,10 @@ read off the incoming ket, select the branch each input takes.  A hold term
 carrying every slot from itself is built either as such a dyad or as a
 projected number-operator term (for example P (1 - N1) P), whose entry is
 the undeformed coeff: each gate's project_holds flag records which form its
-construction uses.  The two differ off the closing assignment.  Every entry
-of the outer-product, lift and matmul build has at most one nonzero term,
-with the same factors in the same order, so for finite amplitudes the two
-builds agree bit for bit.  Each gate's terms are laid out once per phase as an
+construction uses.  The two differ off the closing assignment.  The tests
+keep an outer-product, lift and matmul build as the oracle; every entry of
+it has at most one nonzero term, with the same factors in the same order,
+so for finite amplitudes the two builds agree bit for bit.  Each gate's terms are laid out once per phase as an
 entry plan (row, column, coefficient, output and input ket), which fills the
 undeformed matrix, the deformed one and the closure gaps of many q at once.
 

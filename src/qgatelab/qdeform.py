@@ -19,7 +19,8 @@ can show side by side what the literal scaling does.
 
 make_deformed_stack builds the pair at every q of a tuple at once, as (Q, d, d)
 arrays, and stack_residuals takes the relations of all of them with stacked
-matrix products; a single q is the stack of one.
+matrix products and returns, per relation key, the list of per-q maxima and the
+per-q tuples of tested levels; a single q is the stack of one.
 """
 
 import math
@@ -32,7 +33,6 @@ from .fock import ModeOperators
 from .qnum import _check_q, bracket, bracket_roots
 
 __all__ = [
-    "AlgebraResiduals",
     "DeformedModeStack",
     "OperatorConvention",
     "deformed_number_op",
@@ -110,23 +110,6 @@ def deformed_number_op(mode: ModeOperators, q: float, psi_b: float) -> np.ndarra
     return mode.n_op - shift * np.eye(mode.cutoff, dtype=complex)
 
 
-class AlgebraResiduals(NamedTuple):
-    """Max-entry residuals of the deformed relations on truncation-safe levels.
-
-    residuals maps relation keys to floats; levels maps the same keys to the
-    tuple of tested levels, so reports can state exactly which sub-basis each
-    number was measured on.
-    """
-
-    q: float
-    psi_a: float
-    psi_b: float
-    convention: str
-    cutoff: int
-    residuals: dict
-    levels: dict
-
-
 def _diagonal_stack(diagonals: np.ndarray) -> np.ndarray:
     """(Q, d) diagonals as a (Q, d, d) complex stack of diagonal matrices."""
     count, d = diagonals.shape
@@ -136,8 +119,9 @@ def _diagonal_stack(diagonals: np.ndarray) -> np.ndarray:
 
 
 def stack_residuals(stack: DeformedModeStack) -> tuple:
-    """Residuals of the five deformed-algebra relations at each q of a stack, entry i equal to
-    the residuals of q_values[i]'s stack alone to the bit.
+    """(residuals, levels) of the five deformed-algebra relations at each q of a stack: per
+    relation key, the list of max-entry residuals and the list of tested-level tuples, entry i
+    equal to that of q_values[i]'s stack alone to the bit.
 
     All relations are tested on levels 0..d-2; the top level is excluded as a
     truncation artifact.  The two relations that read the vacuum diagonal of
@@ -174,19 +158,5 @@ def stack_residuals(stack: DeformedModeStack) -> tuple:
     reduce("raising_product_diagonal", raised - _diagonal_stack(stack.brackets[:, 1 : d + 1]))
 
     base = tuple(range(d - 1))
-    results = []
-    for index, (at_q, kept) in enumerate(zip(stack.q_values, keeps_vacuum.tolist())):
-        guarded = base if kept else base[1:]
-        results.append(
-            AlgebraResiduals(
-                at_q,
-                stack.psi_a,
-                stack.psi_b,
-                stack.convention.value,
-                d,
-                {key: values[index] for key, values in maxima.items()},
-                {key: guarded if key in _VACUUM_READERS else base for key in maxima},
-            )
-        )
-    return tuple(results)
-
+    guarded = tuple(base if kept else base[1:] for kept in keeps_vacuum.tolist())
+    return maxima, {key: guarded if key in _VACUUM_READERS else (base,) * len(guarded) for key in maxima}

@@ -181,12 +181,3 @@ class DeformationParams(Frozen):
     def uniform(cls, q, psi_value=1.0) -> "DeformationParams":
         """All twelve psi values equal."""
         return cls(q, (float(psi_value),) * PSI_COUNT)
-
-    @classmethod
-    def from_values(cls, q, values) -> "DeformationParams":
-        """Params from an explicit psi_1.. prefix; missing entries default to 1."""
-        values = [float(v) for v in values]
-        if len(values) > PSI_COUNT:
-            raise ValueError(f"at most {PSI_COUNT} psi values, got {len(values)}")
-        values += [1.0] * (PSI_COUNT - len(values))
-        return cls(q, tuple(values))

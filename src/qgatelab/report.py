@@ -257,11 +257,8 @@ def _row_texts(rows, csv: bool, encode, number) -> list:
         line, order = template
         line = line.copy()
         if csv:
-            cell = str(check_id)
-            if "," in cell or '"' in cell or "\n" in cell:
-                cell = _quote(cell)
             line[1::2] = (
-                cell,
+                _quote(str(check_id)),
                 *[encode(values[index]).replace('"', '""') for index in order],
                 "" if residual is None else number(residual),
                 "true" if passed else "false",

@@ -23,13 +23,7 @@ from .gates import (
     gate_matrix,
     toffoli_literal_matrix,
 )
-from .qdeform import (
-    AlgebraResiduals,
-    OperatorConvention,
-    deformed_number_op,
-    make_deformed_stack,
-    stack_residuals,
-)
+from .qdeform import OperatorConvention, deformed_number_op, make_deformed_stack, stack_residuals
 from .qnum import DeformationParams, psi_bracket
 from ._values import Record
 from .report import VERSION, RecordShape, VerificationReport
@@ -223,20 +217,23 @@ def algebra_suite(cfg: RunConfig) -> list:
     convention = f"operator={cfg.operator.value}"
     shapes, rows = {}, []
 
-    def add_relations(result: AlgebraResiduals, keys, prefix: str) -> None:
-        """A row per relation key of a stack_residuals result, of one shape per key, levels
-        and psi pair, whose rows vary in q only."""
-        for key in keys:
-            levels = result.levels[key]
-            shape = shapes.get((key, levels, result.psi_a, result.psi_b))
-            if shape is None:
-                note = f"levels {levels[0]}..{levels[-1]}"
-                note += "; level 0 dropped, its bracket is nonzero" if levels[0] != 0 else ""
-                params = {"cutoff": result.cutoff, "psi_a": result.psi_a, "psi_b": result.psi_b, "levels": list(levels)}
-                shape = shapes[key, levels, result.psi_a, result.psi_b] = RecordShape(
-                    _RELATION_BY_KEY[key], convention, thr, note, params, ("q",)
-                )
-            rows.append(shape.row(f"{prefix}/{key}", (result.q,), result.residuals[key]))
+    def add_relations(stack, prefixes, keys=_RELATION_BY_KEY) -> None:
+        """A row per q of the stack (id prefixes[i] at q_values[i]) and relation key, q-major with
+        keys sorted, of one shape per key, levels and psi pair, whose rows vary in q only."""
+        residuals, levels = stack_residuals(stack)
+        psi_a, psi_b, keys = stack.psi_a, stack.psi_b, sorted(keys)
+        for index, (q, prefix) in enumerate(zip(stack.q_values, prefixes)):
+            for key in keys:
+                tested = levels[key][index]
+                shape = shapes.get((key, tested, psi_a, psi_b))
+                if shape is None:
+                    note = f"levels {tested[0]}..{tested[-1]}"
+                    note += "; level 0 dropped, its bracket is nonzero" if tested[0] != 0 else ""
+                    params = {"cutoff": cfg.cutoff, "psi_a": psi_a, "psi_b": psi_b, "levels": list(tested)}
+                    shape = shapes[key, tested, psi_a, psi_b] = RecordShape(
+                        _RELATION_BY_KEY[key], convention, thr, note, params, ("q",)
+                    )
+                rows.append(shape.row(f"{prefix}/{key}", (q,), residuals[key][index]))
 
     # every q of a chunk in one stack, and its mirror stack at 1/q for the symmetry records below
     mirror_gaps = []
@@ -244,8 +241,7 @@ def algebra_suite(cfg: RunConfig) -> list:
     for chunk in _stack_chunks(cfg.q_values, cfg.cutoff):
         forward = make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator)
         backward = make_deformed_stack(mode, tuple(1.0 / q for q in chunk), 1.0, 1.0, cfg.operator)
-        for q, result in zip(chunk, stack_residuals(forward)):
-            add_relations(result, sorted(result.residuals), f"algebra/uniform/{labels[q]}")
+        add_relations(forward, [f"algebra/uniform/{labels[q]}" for q in chunk])
         mirror_gaps += np.abs(forward.a_q - backward.a_q).max(axis=(1, 2)).tolist()
 
     shape = RecordShape(
@@ -262,9 +258,9 @@ def algebra_suite(cfg: RunConfig) -> list:
         rows.append(shape.row(f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}", (q, psi_b), worst))
 
     for q, psi_b in _GENERALIZED_POINTS:
-        (result,) = stack_residuals(make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator))
+        stack = make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator)
         keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
-        add_relations(result, keys, f"algebra/generalized/q={q:g}/psi_b={psi_b:g}")
+        add_relations(stack, [f"algebra/generalized/q={q:g}/psi_b={psi_b:g}"], keys)
 
     shift_cases = (
         ("psi_b-one", 2.0, 1.0, 0.0),
@@ -290,7 +286,7 @@ def algebra_suite(cfg: RunConfig) -> list:
     literal = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.LEFT_SCALING)
     hermitian = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.MATRIX_ELEMENT)
     literal_res, hermitian_res = (
-        stack_residuals(stack)[0].residuals["lowering_product_diagonal"] for stack in (literal, hermitian)
+        stack_residuals(stack)[0]["lowering_product_diagonal"][0] for stack in (literal, hermitian)
     )
     note = (
         "the literal scaled-lowering reading zeroes its singular vacuum scale and "
@@ -476,7 +472,7 @@ def constraints_suite(cfg: RunConfig) -> list:
         residual = max(result.totals["claim_max_strict"], result.totals["claim_max_collinear"])
         note = f"verdict: {result.verdict}; {result.notes}{q_note}"
         passed = result.verdict != "confirmed" or residual <= thr
-        shape = RecordShape("constraint-verdict", convention, thr, note, result.as_dict())
+        shape = RecordShape("constraint-verdict", convention, thr, note, result._asdict())
         rows.append(shape.row(f"constraints/verdict/{spec.kind.value}", (), residual, passed))
 
     ratio_q = tuple(sorted(set(cfg.q_values) | {1.0}))
@@ -545,7 +541,7 @@ def limits_suite(cfg: RunConfig) -> list:
     eye = np.eye(cfg.cutoff, dtype=complex)
     undeformed = mode.a @ mode.a_dag - mode.a_dag @ mode.a - eye
     undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
-    deformed_res = stack_residuals(near)[0].residuals["deformed_commutation"]
+    deformed_res = stack_residuals(near)[0]["deformed_commutation"][0]
     note = "deformed commutation residual is continuous against the undeformed relation"
     params = {
         "q": q_near,

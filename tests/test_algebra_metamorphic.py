@@ -37,16 +37,16 @@ _VALUES = st.one_of(st.sampled_from([2.0**k for k in range(-3, 4)]), st.sampled_
 def test_scaling_both_psi_by_s_scales_each_residual_by_s_or_its_root(convention, s, cutoff, q, psi_a, psi_b):
     mode = make_mode_ops(cutoff)
     try:
-        (base,) = stack_residuals(make_deformed_stack(mode, (q,), psi_a, psi_b, convention))
+        base, base_levels = stack_residuals(make_deformed_stack(mode, (q,), psi_a, psi_b, convention))
     except NegativeRadicandError as exc:
         with pytest.raises(NegativeRadicandError) as scaled_exc:
             make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention)
         assert scaled_exc.value.level == exc.level
         return
-    (scaled,) = stack_residuals(make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention))
-    assert sorted(base.residuals) == sorted(_QUADRATIC + _LINEAR)
-    assert scaled.levels == base.levels
+    scaled, scaled_levels = stack_residuals(make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention))
+    assert sorted(base) == sorted(_QUADRATIC + _LINEAR)
+    assert scaled_levels == base_levels
     for key in _QUADRATIC:
-        assert scaled.residuals[key] == s * base.residuals[key], key
+        assert scaled[key] == [s * base[key][0]], key
     for key in _LINEAR:
-        assert scaled.residuals[key] == math.sqrt(s) * base.residuals[key], key
+        assert scaled[key] == [math.sqrt(s) * base[key][0]], key

@@ -1,9 +1,11 @@
 """Tests for the constraint lab: residual oracle points, sweep engine, verdicts."""
 
+import ast
 import itertools
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +48,20 @@ def _counted(calls: dict, name: str, function):
 
 
 def _params(q, *prefix):
-    return DeformationParams.from_values(q, prefix)
+    """Params from an explicit psi_1.. prefix, the rest 1."""
+    return DeformationParams(q, (*prefix, *[1.0] * (12 - len(prefix))))
+
+
+def test_the_sweep_takes_only_the_oracle_entry_points_from_dense():
+    # the dense oracle shares no residual code with the sweep: constraints calls it and reads nothing else of it
+    path = Path(__file__).resolve().parents[1] / "src" / "qgatelab" / "constraints.py"
+    taken = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            taken += [alias.name for alias in node.names if "dense" in f"{node.module}.{alias.name}".split(".")]
+        elif isinstance(node, ast.Import):
+            taken += [alias.name for alias in node.names if "dense" in alias.name.split(".")]
+    assert sorted(taken) == ["_dense_residuals", "_oracle_plan"]
 
 
 def _residuals(spec, q, params) -> tuple:
@@ -242,7 +257,7 @@ class TestDiscoverConstraints:
     def test_reports_are_deterministic(self):
         first = discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))
         second = discover_constraints(GateKind.HAD, q_values=(2.0,), grid=(0.5, 2.0))
-        assert canonical_json(first.as_dict()) == canonical_json(second.as_dict())
+        assert canonical_json(first._asdict()) == canonical_json(second._asdict())
 
     def test_phase_gate_gets_a_nontrivial_angle(self, reports):
         assert reports[GateKind.PS].phi == pytest.approx(math.pi / 3)

@@ -1,4 +1,4 @@
-"""Tests for truncated single-mode operators and multi-mode embedding."""
+"""Tests for truncated single-mode operators, occupation indexing and multi-mode states."""
 
 import itertools
 
@@ -8,7 +8,6 @@ import pytest
 from qgatelab import (
     MultiModeState,
     basis_state,
-    lift,
     make_mode_ops,
     occupation_index,
 )
@@ -61,40 +60,6 @@ class TestModeOperators:
             make_mode_ops(cutoff)
 
 
-class TestLift:
-    def test_dimension_scales_with_mode_count(self):
-        ops = make_mode_ops(2)
-        assert lift(ops.a, 1, 3).shape == (8, 8)
-
-    def test_disjoint_modes_commute(self):
-        ops = make_mode_ops(3)
-        left = lift(ops.a, 1, 2)
-        right = lift(ops.a_dag, 2, 2)
-        assert np.allclose(left @ right, right @ left, atol=1e-13)
-
-    def test_mode_one_varies_slowest(self):
-        ops = make_mode_ops(2)
-        ket = basis_state((1, 0), 2)
-        n1 = lift(ops.n_op, 1, 2)
-        n2 = lift(ops.n_op, 2, 2)
-        assert np.allclose(n1 @ ket.vector, ket.vector, atol=1e-15)
-        assert np.allclose(n2 @ ket.vector, np.zeros(4), atol=1e-15)
-
-    @pytest.mark.parametrize("attr", ["a", "a_dag", "n_op"])
-    def test_spectral_norm_preserved(self, attr):
-        ops = make_mode_ops(2)
-        op = getattr(ops, attr)
-        lifted = lift(op, 2, 3)
-        assert np.linalg.norm(lifted, 2) == pytest.approx(np.linalg.norm(op, 2), rel=1e-12)
-
-    def test_rejects_bad_mode_index(self):
-        ops = make_mode_ops(2)
-        with pytest.raises(ValueError):
-            lift(ops.a, 0, 2)
-        with pytest.raises(ValueError):
-            lift(ops.a, 3, 2)
-
-
 class TestIndexing:
     def test_known_flat_indices(self):
         assert occupation_index((1, 0), 2) == 2
@@ -116,9 +81,9 @@ class TestIndexing:
 class TestMultiModeState:
     def test_vacuum_is_annihilated_by_every_mode(self):
         state = basis_state((0, 0), 3)
-        ops = make_mode_ops(3)
-        for mode in (1, 2):
-            out = lift(ops.a, mode, 2) @ state.vector
+        ops, eye = make_mode_ops(3), np.eye(3)
+        for lowering in (np.kron(ops.a, eye), np.kron(eye, ops.a)):  # mode 1 varies slowest
+            out = lowering @ state.vector
             assert np.max(np.abs(out)) == 0.0
 
     def test_vacuum_has_unit_norm(self):

@@ -32,9 +32,9 @@ def _one_q(mode, q, psi_a=1.0, psi_b=1.0, convention=OperatorConvention.MATRIX_E
 
 
 def _residuals(stack):
-    """The residuals of a one-q stack."""
-    (result,) = stack_residuals(stack)
-    return result
+    """The residuals and tested levels of a one-q stack, per relation key."""
+    residuals, levels = stack_residuals(stack)
+    return {key: value for key, (value,) in residuals.items()}, {key: value for key, (value,) in levels.items()}
 
 
 class TestOneQStack:
@@ -82,9 +82,9 @@ class TestOneQStack:
 class TestAlgebraResiduals:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_uniform_weights_satisfy_all_relations(self, q):
-        res = _residuals(_one_q(make_mode_ops(8), q))
-        assert max(res.residuals.values()) <= 1e-12
-        assert res.levels["deformed_commutation"] == tuple(range(7))
+        residuals, levels = _residuals(_one_q(make_mode_ops(8), q))
+        assert max(residuals.values()) <= 1e-12
+        assert levels["deformed_commutation"] == tuple(range(7))
 
     def test_reads_the_brackets_its_operators_were_built_from(self, monkeypatch):
         stack = _one_q(make_mode_ops(6), 2.0, 1.0, 3.0)
@@ -98,11 +98,11 @@ class TestAlgebraResiduals:
         assert stack_residuals(stack) == before
 
     def test_unequal_weights_drop_the_bottom_level(self):
-        res = _residuals(_one_q(make_mode_ops(6), 2.0, 1.0, 3.0))
-        assert max(res.residuals.values()) <= 1e-12
-        assert res.levels["deformed_commutation"][0] == 1
-        assert res.levels["lowering_product_diagonal"][0] == 1
-        assert res.levels["raising_product_diagonal"][0] == 0
+        residuals, levels = _residuals(_one_q(make_mode_ops(6), 2.0, 1.0, 3.0))
+        assert max(residuals.values()) <= 1e-12
+        assert levels["deformed_commutation"][0] == 1
+        assert levels["lowering_product_diagonal"][0] == 1
+        assert levels["raising_product_diagonal"][0] == 0
 
     @pytest.mark.parametrize("q", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize(("wa", "wb"), [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
@@ -111,15 +111,15 @@ class TestAlgebraResiduals:
             stack = _one_q(make_mode_ops(6), q, wa, wb)
         except NegativeRadicandError:
             pytest.skip("pair not admissible at this base")
-        res = _residuals(stack)
-        assert res.residuals["lowering_number_commutator"] <= 1e-12
-        assert res.residuals["raising_number_commutator"] <= 1e-12
+        residuals, _ = _residuals(stack)
+        assert residuals["lowering_number_commutator"] <= 1e-12
+        assert residuals["raising_number_commutator"] <= 1e-12
 
     def test_left_scaling_breaks_product_diagonal(self):
-        res = _residuals(_one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING))
+        residuals, _ = _residuals(_one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING))
         # The zeroed 1 -> 0 transition removes the level-1 diagonal entry,
         # whose exact value is the level-1 bracket: 1.
-        assert res.residuals["lowering_product_diagonal"] == pytest.approx(1.0, abs=1e-12)
+        assert residuals["lowering_product_diagonal"] == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_q_inversion(self):
         up = _one_q(make_mode_ops(8), 2.0)
@@ -137,7 +137,7 @@ class TestAlgebraResiduals:
         comm = a_q @ a_q_dag - a_q_dag @ a_q
         block = (comm - np.eye(8))[:7, :7]
         assert np.max(np.abs(block)) <= 1e-6
-        assert max(_residuals(near).residuals.values()) <= 1e-6
+        assert max(_residuals(near)[0].values()) <= 1e-6
 
     def test_deviation_shrinks_at_least_linearly(self):
         # One-sided reading: the gap to the undeformed operator must shrink at
@@ -226,19 +226,19 @@ class TestDeformedModeStack:
     def test_each_q_equals_its_own_build_bit_for_bit(self, cutoff, convention, q_values, psi_b):
         mode = make_mode_ops(cutoff)
         stack = make_deformed_stack(mode, q_values, 1.0, psi_b, convention)
-        results = stack_residuals(stack)
+        all_residuals, all_levels = stack_residuals(stack)
         assert stack.a_q.shape == stack.a_q_dag.shape == (len(q_values), cutoff, cutoff)
         assert stack.brackets.shape == (len(q_values), cutoff + 1)
+        assert (stack.q_values, stack.psi_b, stack.convention) == (q_values, psi_b, convention)
+        assert all(len(values) == len(q_values) for values in [*all_residuals.values(), *all_levels.values()])
         for index, q in enumerate(q_values):
             a_q, a_q_dag, brackets = _reference_build(mode, q, psi_b, convention)
             residuals, levels = _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets)
             assert np.array_equal(stack.a_q[index], a_q)
             assert np.array_equal(stack.a_q_dag[index], a_q_dag)
             assert stack.brackets[index].tolist() == brackets
-            result = results[index]
-            assert (result.q, result.psi_b, result.convention) == (q, psi_b, convention.value)
-            assert result.residuals == residuals, q
-            assert result.levels == levels
+            assert {key: values[index] for key, values in all_residuals.items()} == residuals, q
+            assert {key: values[index] for key, values in all_levels.items()} == levels
 
     def test_negative_bracket_names_the_first_q_and_level(self):
         # q = 4 admits the pair (0.5, 4) at level 1, q = 2 does not: (1 - 2) / 1.5 < 0

@@ -216,7 +216,7 @@ class TestDeformationParams:
         assert params.psi == (1.0,) * 12
 
     def test_pair_indexing_is_one_based(self):
-        params = DeformationParams.from_values(2.0, [1, 2, 3, 4])
+        params = DeformationParams(2.0, (1, 2, 3, 4) + (1,) * 8)
         assert params.pair(1) == (1.0, 2.0)
         assert params.pair(2) == (3.0, 4.0)
         assert params.pair(3) == (1.0, 1.0)
@@ -231,10 +231,6 @@ class TestDeformationParams:
     def test_uniform_fills_every_slot(self):
         params = DeformationParams.uniform(0.5, 3.0)
         assert params.psi == (3.0,) * 12
-
-    def test_from_values_pads_with_ones(self):
-        params = DeformationParams.from_values(2.0, [4.0])
-        assert params.psi == (4.0,) + (1.0,) * 11
 
     def test_instances_are_frozen(self):
         params = DeformationParams(q=2.0)

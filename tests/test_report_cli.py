@@ -843,6 +843,27 @@ class TestCli:
         assert [path.name for path in modules if "dataclasses" in imported(path)] == []
         assert "csv" not in imported(package / "report.py")
 
+    def test_a_bare_import_loads_no_layer_and_each_name_comes_from_its_table_module(self):
+        # the package declares each public name once, in its export table, and loads the name's
+        # module only when the name is first asked for
+        code = """
+            import importlib
+            import sys
+            import qgatelab
+
+            loaded = [name for name in sys.modules if name.startswith("qgatelab.") or name.split(".")[0] == "numpy"]
+            assert not loaded, loaded
+            table = [name for names in qgatelab._EXPORTS.values() for name in names]
+            assert sorted(table) == qgatelab.__all__, "a name is listed twice or outside the table"
+            for module, names in qgatelab._EXPORTS.items():
+                source = importlib.import_module(f"qgatelab.{module}")
+                for name in names:
+                    assert getattr(qgatelab, name) is getattr(source, name), (module, name)
+            assert qgatelab.__version__ is importlib.import_module("qgatelab.report").VERSION
+        """
+        result = self._run_python("-c", textwrap.dedent(code))
+        assert result.returncode == 0, result.stderr
+
     def test_every_public_name_resolves_and_star_import_binds_it(self):
         # the sweep's names resolve on first access, so neither check may load it before asking;
         # then every module of the package binds its own __all__, and no name the operator stacks
@@ -881,7 +902,15 @@ class TestCli:
                 for name in getattr(module, "__all__", ()):
                     assert names[name] is getattr(module, name), (info.name, name)
             assert len(modules) > 10
-            gone = ("DeformedModeOperators", "make_deformed_ops", "algebra_residuals", "CheckRecord", "_owned")
+            gone = (
+                "DeformedModeOperators",
+                "make_deformed_ops",
+                "algebra_residuals",
+                "CheckRecord",
+                "_owned",
+                "AlgebraResiduals",
+                "lift",
+            )
             for module in modules:
                 for name in gone:
                     assert not hasattr(module, name), (module.__name__, name)
@@ -889,6 +918,8 @@ class TestCli:
             assert not hasattr(qgatelab.RecordShape, "record")
             assert not hasattr(qgatelab.VerificationReport, "records")
             assert not hasattr(qgatelab.VerificationReport, "as_dict")
+            assert not hasattr(qgatelab.DeformationParams, "from_values")
+            assert not hasattr(qgatelab.ConstraintReport, "as_dict")
             parameters = list(inspect.signature(qgatelab.VerificationReport).parameters)
             assert parameters == ["version", "config", "conventions", "rows"], parameters
         """

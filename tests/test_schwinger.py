@@ -75,7 +75,7 @@ class TestDeformedStates:
         assert state.norm**2 == pytest.approx(3.0, rel=1e-14)
 
     def test_deformed_ket_stays_collinear_with_encoded_ket(self):
-        params = DeformationParams.from_values(2.0, [2.0, 0.5, 1.0, 4.0, 3.0, 3.0, 0.5, 0.5])
+        params = DeformationParams(2.0, (2.0, 0.5, 1.0, 4.0, 3.0, 3.0, 0.5, 0.5) + (1.0,) * 4)
         state = deformed_qubit_state(DeformedQubitSpec((1, 0), params), 2.0)
         base = encode_basis((1, 0)).vector
         overlap = np.vdot(base, state.vector)
@@ -138,7 +138,7 @@ class TestAmplitudeTable:
         assert deformed_qubit_state(spec, 2.0).norm == pytest.approx(1.0, abs=1e-15)
 
     def test_explicit_params_table_reads_qubit_amplitude_per_slot_and_bit(self):
-        params = DeformationParams.from_values(2.0, [2.0, 0.5, 1.0, 4.0, 3.0, 3.0, 0.5, 0.5])
+        params = DeformationParams(2.0, (2.0, 0.5, 1.0, 4.0, 3.0, 3.0, 0.5, 0.5) + (1.0,) * 4)
         table = amplitude_table(2.0, 2, params)
         assert table == tuple(tuple(qubit_amplitude(bit, slot, 2.0, params) for bit in (0, 1)) for slot in (1, 2))
         amps = ket_amplitudes(table)
