@@ -1,4 +1,5 @@
-"""Tests for truncated single-mode operators, occupation indexing and multi-mode states."""
+"""Tests for truncated single-mode operators, the test oracle's tensor lift, occupation indexing
+and multi-mode states."""
 
 import itertools
 
@@ -11,6 +12,8 @@ from qgatelab import (
     make_mode_ops,
     occupation_index,
 )
+
+from mode_lift import lift
 
 
 class TestModeOperators:
@@ -58,6 +61,40 @@ class TestModeOperators:
     def test_cutoff_beyond_any_array_is_refused_before_allocating(self, cutoff):
         with pytest.raises(MemoryError, match=f"a {cutoff} x {cutoff} complex matrix is larger"):
             make_mode_ops(cutoff)
+
+
+class TestLift:
+    def test_dimension_scales_with_mode_count(self):
+        ops = make_mode_ops(2)
+        assert lift(ops.a, 1, 3).shape == (8, 8)
+
+    def test_disjoint_modes_commute(self):
+        ops = make_mode_ops(3)
+        left = lift(ops.a, 1, 2)
+        right = lift(ops.a_dag, 2, 2)
+        assert np.allclose(left @ right, right @ left, atol=1e-13)
+
+    def test_mode_one_varies_slowest(self):
+        ops = make_mode_ops(2)
+        ket = basis_state((1, 0), 2)
+        n1 = lift(ops.n_op, 1, 2)
+        n2 = lift(ops.n_op, 2, 2)
+        assert np.allclose(n1 @ ket.vector, ket.vector, atol=1e-15)
+        assert np.allclose(n2 @ ket.vector, np.zeros(4), atol=1e-15)
+
+    @pytest.mark.parametrize("attr", ["a", "a_dag", "n_op"])
+    def test_spectral_norm_preserved(self, attr):
+        ops = make_mode_ops(2)
+        op = getattr(ops, attr)
+        lifted = lift(op, 2, 3)
+        assert np.linalg.norm(lifted, 2) == pytest.approx(np.linalg.norm(op, 2), rel=1e-12)
+
+    def test_rejects_bad_mode_index(self):
+        ops = make_mode_ops(2)
+        with pytest.raises(ValueError):
+            lift(ops.a, 0, 2)
+        with pytest.raises(ValueError):
+            lift(ops.a, 3, 2)
 
 
 class TestIndexing:

@@ -27,6 +27,8 @@ from qgatelab.fock import make_mode_ops
 from qgatelab.gates import _closure_residuals
 from qgatelab.suites import _square
 
+from mode_lift import lift
+
 # Independent transcription of the truth tables, written out literally so the
 # implementation cannot be compared against itself.
 FLIP_TABLES = {
@@ -131,15 +133,6 @@ def _dense_ket(bits, q, params, exponent) -> np.ndarray:
     return amp * encode_basis(bits).vector
 
 
-def _lift(op: np.ndarray, mode_index: int, mode_count: int) -> np.ndarray:
-    """I^(mode_index-1) (x) op (x) I^(mode_count-mode_index): a single-mode operator at a 1-based
-    mode position among mode_count modes, mode 1 slowest as in the state indexing."""
-    d = op.shape[0]
-    left = np.eye(d ** (mode_index - 1), dtype=complex)
-    right = np.eye(d ** (mode_count - mode_index), dtype=complex)
-    return np.kron(np.kron(left, op.astype(complex)), right)
-
-
 def _dense_gate(spec: GateSpec, q, params, exponent, literal=False) -> np.ndarray:
     """Dense oracle of the deformed gates: dyads as outer products of full kets, number
     operators as lifted matrices, controls and projections as matrix products."""
@@ -152,7 +145,7 @@ def _dense_gate(spec: GateSpec, q, params, exponent, literal=False) -> np.ndarra
         return complex(coeff) * np.outer(ket_out, ket_in.conj())
 
     def number(mode):
-        return _lift(make_mode_ops(2).n_op, mode, emb.mode_count)
+        return lift(make_mode_ops(2).n_op, mode, emb.mode_count)
 
     def over_bits(build):
         return sum(build(bits) for bits in QubitEmbedding(spec.arity).all_bits())
@@ -163,7 +156,7 @@ def _dense_gate(spec: GateSpec, q, params, exponent, literal=False) -> np.ndarra
     if kind is GateKind.NOT:
         return over_bits(lambda b: dyad((1 - b[0],), b))
     if kind is GateKind.HAD:
-        parity = _lift(np.diag([1.0, -1.0]).astype(complex), 1, emb.mode_count)
+        parity = lift(np.diag([1.0, -1.0]).astype(complex), 1, emb.mode_count)
         return proj @ parity @ proj + over_bits(lambda b: dyad((1 - b[0],), b))
     if kind is GateKind.SWAP:
         return over_bits(lambda b: dyad(b[::-1], b))
