@@ -1,8 +1,8 @@
 """Verification toolkit for q-deformed oscillator algebra and deformed qubit gates.
 
 The library layers are importable on their own: qnum (scalar brackets), fock
-(truncated modes, occupation indexing and multi-mode states), qdeform (deformed
-ladder operator stacks and algebra residuals), schwinger (two-modes-per-qubit
+(occupation indexing and multi-mode states), qdeform (the band of the deformed
+ladder operators and their algebra residuals), schwinger (two-modes-per-qubit
 encoding and deformed states), gates (truth tables, matrices and deformed dyad
 builds), constraints (the exact grid sweep that audits claimed parameter
 restrictions), with claims (the claimed restrictions and their scoring) and
@@ -18,7 +18,7 @@ import importlib
 
 _EXPORTS = {
     "constraints": ("CLAIMS", "ConstraintClaim", "ConstraintReport", "discover_constraints", "hadamard_closure_ratio"),
-    "fock": ("ModeOperators", "MultiModeState", "basis_state", "make_mode_ops", "occupation_index"),
+    "fock": ("MultiModeState", "basis_state", "occupation_index"),
     "gates": (
         "GateKind",
         "GateSpec",
@@ -29,11 +29,11 @@ _EXPORTS = {
         "toffoli_literal_matrix",
     ),
     "qdeform": (
-        "DeformedModeStack",
+        "LadderBand",
         "OperatorConvention",
+        "band_residuals",
         "deformed_number_op",
-        "make_deformed_stack",
-        "stack_residuals",
+        "make_ladder_band",
     ),
     "qnum": ("DeformationParams", "NegativeRadicandError", "q_bracket", "psi_bracket"),
     "report": (

@@ -3,9 +3,10 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 configuration
 problem (bad flags, unreadable or invalid config file, q values or psi grids
 whose brackets or amplitude products overflow double precision, psi grids whose
-amplitude products underflow it, a cutoff whose matrices do not fit in memory),
-3 output I/O failure.  `qgatelab diff A B` compares two reports instead (qgatelab.reportdiff):
-0 when they are the same, 1 when they differ, 2 on unreadable or invalid input.
+amplitude products underflow it, a cutoff above RunConfig.MAX_CUTOFF, a run that
+does not fit in memory), 3 output I/O failure.  `qgatelab diff A B` compares two
+reports instead (qgatelab.reportdiff): 0 when they are the same, 1 when they differ,
+2 on unreadable or invalid input.
 The QGATELAB_OUT_DIR environment variable redirects the report into that
 directory (keeping the configured file name).
 """
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print(
             f"qgatelab: configuration error: cutoff {cfg.cutoff} needs more memory than is "
-            "available for its dense mode matrices; use a smaller cutoff",
+            "available; use a smaller cutoff",
             file=sys.stderr,
         )
         return 2

@@ -1,48 +1,20 @@
-"""Truncated Fock-space machinery: ladder matrices, occupation indexing, multi-mode states.
+"""Truncated Fock-space machinery: occupation indexing and multi-mode states.
 
-Everything is small and dense (complex128).  Multi-mode indexing is row-major over
+State vectors are small and dense (complex128).  Multi-mode indexing is row-major over
 occupation tuples with mode 1 slowest: for cutoff d and k modes the basis index of
-(n_1, ..., n_k) is sum(n_i * d^(k - i)).
+(n_1, ..., n_k) is sum(n_i * d^(k - i)).  The ladder operators of one mode live in qdeform,
+as their one nonzero band.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
 from ._values import Frozen
 
 __all__ = [
-    "ModeOperators",
     "MultiModeState",
     "basis_state",
-    "make_mode_ops",
     "occupation_index",
 ]
-
-
-class ModeOperators(NamedTuple):
-    """Dense ladder matrices on the levels 0 .. cutoff-1 of one mode.
-
-    a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1> with the top transition
-    removed by truncation, and n_op = diag(0, ..., cutoff-1) with exact integer
-    entries (agreeing with a_dag @ a to rounding).
-    """
-
-    cutoff: int
-    a: np.ndarray
-    a_dag: np.ndarray
-    n_op: np.ndarray
-
-
-def make_mode_ops(d: int) -> ModeOperators:
-    """Ladder operators for a single mode truncated to d levels (d >= 2)."""
-    if d < 2:
-        raise ValueError(f"cutoff must be at least 2, got {d}")
-    if d * d > np.iinfo(np.intp).max // np.dtype(complex).itemsize:
-        raise MemoryError(f"a {d} x {d} complex matrix is larger than any array numpy can index")
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
-    n_op = np.diag(np.arange(d, dtype=float)).astype(complex)
-    return ModeOperators(cutoff=d, a=a, a_dag=a.conj().T, n_op=n_op)
 
 
 def occupation_index(occ, d: int) -> int:

@@ -34,7 +34,7 @@ __all__ = [
     "serialize_report",
 ]
 
-VERSION = "0.2.0"
+VERSION = "0.2.1"
 
 RELATION_TAGS = frozenset(
     {

@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import make_mode_ops
 from .gates import (
     DISCOVERY_PHI,
     GateKind,
@@ -23,7 +22,7 @@ from .gates import (
     gate_matrix,
     toffoli_literal_matrix,
 )
-from .qdeform import OperatorConvention, deformed_number_op, make_deformed_stack, stack_residuals
+from .qdeform import OperatorConvention, band_residuals, deformed_number_op, make_ladder_band
 from .qnum import DeformationParams, psi_bracket
 from ._values import Record
 from .report import VERSION, RecordShape, VerificationReport
@@ -34,9 +33,6 @@ __all__ = ["RunConfig", "SUITE_NAMES", "run_suites"]
 SUITE_NAMES = ("algebra", "gates", "constraints", "limits")
 
 _GENERALIZED_POINTS = ((2.0, 1.0), (2.0, 3.0), (0.5, 0.7))
-
-# entries of one (Q, d, d) operator stack: algebra_suite builds a long q tuple in chunks of this size
-_STACK_ENTRIES = 2**15
 
 _RELATION_BY_KEY = {
     "deformed_commutation": "deformed-commutation",
@@ -103,6 +99,11 @@ class RunConfig(Record):
         "format",
     )
 
+    # the largest cutoff: the algebra suite's fixed number-shift point q = e**2 overflows double
+    # precision at level 355 whatever the configuration, and the default limit q 1.1 at level 7448,
+    # so a larger cutoff would only loop over levels before the run fails
+    MAX_CUTOFF = 10_000
+
     def __init__(
         self,
         suite: str = "all",
@@ -136,6 +137,11 @@ class RunConfig(Record):
                 f"cutoff must be at least 3, got {self.cutoff}: the top level is a truncation "
                 "artifact and the generalized algebra checks also drop level 0, so cutoff 2 "
                 "leaves them no level to test"
+            )
+        if self.cutoff > self.MAX_CUTOFF:
+            raise ValueError(
+                f"cutoff must be at most {self.MAX_CUTOFF}, got {self.cutoff}: the algebra checks "
+                "overflow double precision from level 355 on, and the default limit q 1.1 from level 7448"
             )
         self.psi_grid = _reals("psi grid", psi_grid)
         if len(self.psi_grid) < 2 or any(not math.isfinite(p) or p <= 0.0 for p in self.psi_grid):
@@ -204,25 +210,17 @@ def _max_abs(matrix: np.ndarray) -> float:
 # --- algebra -----------------------------------------------------------------
 
 
-def _stack_chunks(q_values, cutoff: int) -> list:
-    """q_values in consecutive runs, each as long as keeps a (Q, cutoff, cutoff) stack within
-    _STACK_ENTRIES entries, and at least one q."""
-    size = max(1, _STACK_ENTRIES // (cutoff * cutoff))
-    return [tuple(q_values[start : start + size]) for start in range(0, len(q_values), size)]
-
-
 def algebra_suite(cfg: RunConfig) -> list:
     thr = cfg.identity_threshold
-    mode = make_mode_ops(cfg.cutoff)
     convention = f"operator={cfg.operator.value}"
     shapes, rows = {}, []
 
-    def add_relations(stack, prefixes, keys=_RELATION_BY_KEY) -> None:
-        """A row per q of the stack (id prefixes[i] at q_values[i]) and relation key, q-major with
+    def add_relations(band, prefixes, keys=_RELATION_BY_KEY) -> None:
+        """A row per q of the band (id prefixes[i] at q_values[i]) and relation key, q-major with
         keys sorted, of one shape per key, levels and psi pair, whose rows vary in q only."""
-        residuals, levels = stack_residuals(stack)
-        psi_a, psi_b, keys = stack.psi_a, stack.psi_b, sorted(keys)
-        for index, (q, prefix) in enumerate(zip(stack.q_values, prefixes)):
+        residuals, levels = band_residuals(band)
+        psi_a, psi_b, keys = band.psi_a, band.psi_b, sorted(keys)
+        for index, (q, prefix) in enumerate(zip(band.q_values, prefixes)):
             for key in keys:
                 tested = levels[key][index]
                 shape = shapes.get((key, tested, psi_a, psi_b))
@@ -235,14 +233,12 @@ def algebra_suite(cfg: RunConfig) -> list:
                     )
                 rows.append(shape.row(f"{prefix}/{key}", (q,), residuals[key][index]))
 
-    # every q of a chunk in one stack, and its mirror stack at 1/q for the symmetry records below
-    mirror_gaps = []
+    # every q in one band, and its mirror band at 1/q for the symmetry records below
     labels = {q: f"q={q:g}" for q in cfg.q_values}
-    for chunk in _stack_chunks(cfg.q_values, cfg.cutoff):
-        forward = make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator)
-        backward = make_deformed_stack(mode, tuple(1.0 / q for q in chunk), 1.0, 1.0, cfg.operator)
-        add_relations(forward, [f"algebra/uniform/{labels[q]}" for q in chunk])
-        mirror_gaps += np.abs(forward.a_q - backward.a_q).max(axis=(1, 2)).tolist()
+    forward = make_ladder_band(cfg.cutoff, cfg.q_values, 1.0, 1.0, cfg.operator)
+    backward = make_ladder_band(cfg.cutoff, tuple(1.0 / q for q in cfg.q_values), 1.0, 1.0, cfg.operator)
+    add_relations(forward, [f"algebra/uniform/{labels[q]}" for q in cfg.q_values])
+    mirror_gaps = np.abs(forward.lowering - backward.lowering).max(axis=1).tolist()
 
     shape = RecordShape(
         "bracket-shift",
@@ -258,22 +254,22 @@ def algebra_suite(cfg: RunConfig) -> list:
         rows.append(shape.row(f"algebra/bracket-shift/q={q:g}/psi_b={psi_b:g}", (q, psi_b), worst))
 
     for q, psi_b in _GENERALIZED_POINTS:
-        stack = make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator)
+        band = make_ladder_band(cfg.cutoff, (q,), 1.0, psi_b, cfg.operator)
         keys = ("deformed_commutation", "lowering_product_diagonal")  # the two reading the vacuum diagonal
-        add_relations(stack, [f"algebra/generalized/q={q:g}/psi_b={psi_b:g}"], keys)
+        add_relations(band, [f"algebra/generalized/q={q:g}/psi_b={psi_b:g}"], keys)
 
     shift_cases = (
         ("psi_b-one", 2.0, 1.0, 0.0),
         ("q-e-psi_b-e", math.e, math.e, 1.0),
         ("q-e2-psi_b-e", math.e**2, math.e, 0.5),
     )
-    eye = np.eye(cfg.cutoff, dtype=complex)
+    number = np.arange(cfg.cutoff, dtype=float)
     for case, q, psi_b, shift in shift_cases:
         # the shifted number operator belongs to this point's pair, so the pair must build
-        make_deformed_stack(mode, (q,), 1.0, psi_b, cfg.operator)
+        make_ladder_band(cfg.cutoff, (q,), 1.0, psi_b, cfg.operator)
         note = f"shifted number operator equals N - {shift:g}*I"
         params = {"q": q, "psi_b": psi_b, "expected_shift": shift, "cutoff": cfg.cutoff}
-        residual = _max_abs(deformed_number_op(mode, q, psi_b) - (mode.n_op - shift * eye))
+        residual = _max_abs(deformed_number_op(cfg.cutoff, q, psi_b) - (number - shift))
         shape = RecordShape("number-shift", convention, thr, note, params)
         rows.append(shape.row(f"algebra/number-shift/{case}", (), residual))
 
@@ -283,10 +279,9 @@ def algebra_suite(cfg: RunConfig) -> list:
         if q != 1.0:
             rows.append(shape.row(f"algebra/bracket-symmetry/{labels[q]}", (q, 1.0 / q), gap))
 
-    literal = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.LEFT_SCALING)
-    hermitian = make_deformed_stack(mode, (2.0,), 1.0, 1.0, OperatorConvention.MATRIX_ELEMENT)
     literal_res, hermitian_res = (
-        stack_residuals(stack)[0]["lowering_product_diagonal"][0] for stack in (literal, hermitian)
+        band_residuals(make_ladder_band(cfg.cutoff, (2.0,), 1.0, 1.0, reading))[0]["lowering_product_diagonal"][0]
+        for reading in (OperatorConvention.LEFT_SCALING, OperatorConvention.MATRIX_ELEMENT)
     )
     note = (
         "the literal scaled-lowering reading zeroes its singular vacuum scale and "
@@ -499,19 +494,21 @@ def constraints_suite(cfg: RunConfig) -> list:
 
 
 def limits_suite(cfg: RunConfig) -> list:
-    mode = make_mode_ops(cfg.cutoff)
     convention = f"operator={cfg.operator.value}"
     thr = cfg.limit_threshold
     rows = []
+    root_n = np.sqrt(np.arange(1, cfg.cutoff, dtype=float))  # the undeformed lowering band
 
+    # a_q - a has one nonzero band, so its operator norm is the band's largest entry
     ordered = sorted(cfg.limit_q, key=lambda q: abs(q - 1.0), reverse=True)
-    gaps = {}
+    band = make_ladder_band(cfg.cutoff, ordered, 1.0, 1.0, cfg.operator)
+    gaps = dict(zip(ordered, np.abs(band.lowering - root_n).max(axis=1).tolist()))
     note = "operator-norm distance of the deformed lowering operator from its limit"
     shape = RecordShape("classical-limit", convention, None, note, {"cutoff": cfg.cutoff}, ("q", "eps"))
-    for chunk in _stack_chunks(ordered, cfg.cutoff):
-        for q, a_q in zip(chunk, make_deformed_stack(mode, chunk, 1.0, 1.0, cfg.operator).a_q):
-            gaps[q] = float(np.linalg.norm(a_q - mode.a, 2))
-            rows.append(shape.row(f"limits/lowering-gap/q={q:g}", (q, abs(q - 1.0)), gaps[q], True))
+    for q, gap in gaps.items():
+        if not math.isfinite(gap):  # near the largest power, B(n) = q**n / (q - 1/q) can overflow alone
+            raise OverflowError(f"the lowering gap at q={q!r} overflows double precision")
+        rows.append(shape.row(f"limits/lowering-gap/q={q:g}", (q, abs(q - 1.0)), gap, True))
 
     for coarse, fine in zip(ordered, ordered[1:]):
         shrink = abs(coarse - 1.0) / abs(fine - 1.0)
@@ -532,16 +529,15 @@ def limits_suite(cfg: RunConfig) -> list:
         rows.append(shape.row(f"limits/shrink-ratio/q={coarse:g}-to-q={fine:g}", (), None, ratio >= 0.9 * shrink))
 
     q_near = 1.0 + 1e-8
-    near = make_deformed_stack(mode, (q_near,), 1.0, 1.0, cfg.operator)
+    near = make_ladder_band(cfg.cutoff, (q_near,), 1.0, 1.0, cfg.operator)
     note = "deformed lowering operator is elementwise continuous at q = 1"
     shape = RecordShape("classical-limit", convention, thr, note, {"q": q_near, "cutoff": cfg.cutoff})
-    rows.append(shape.row("limits/lowering-continuity", (), _max_abs(near.a_q[0] - mode.a)))
+    rows.append(shape.row("limits/lowering-continuity", (), _max_abs(near.lowering[0] - root_n)))
 
-    base = tuple(range(cfg.cutoff - 1))
-    eye = np.eye(cfg.cutoff, dtype=complex)
-    undeformed = mode.a @ mode.a_dag - mode.a_dag @ mode.a - eye
-    undeformed_res = float(np.max(np.abs(undeformed[np.ix_(base, base)])))
-    deformed_res = stack_residuals(near)[0]["deformed_commutation"][0]
+    # a a_dag - a_dag a - I on levels 0..d-2, from the diagonals of a a_dag (n + 1) and a_dag a (n)
+    squares = root_n * root_n
+    undeformed_res = _max_abs(squares - np.hstack([0.0, squares[:-1]]) - 1.0)
+    deformed_res = band_residuals(near)[0]["deformed_commutation"][0]
     note = "deformed commutation residual is continuous against the undeformed relation"
     params = {
         "q": q_near,

@@ -2,7 +2,7 @@
 
 Each deformed amplitude is sqrt(B) of a two-parameter bracket, admissible iff B >= 0.0.  At q = 2
 the mode pair (1, 4) gives B(1) = (2 - 4 / 2) / 1.5 = 0.0 exactly, and (1, nextafter(4, inf)) one
-negative ulp-sized value.  The scalar amplitude, the operator stack, the sweep's level table and
+negative ulp-sized value.  The scalar amplitude, the ladder band, the sweep's level table and
 the dense path must all draw the line at the same place, and the raising ones name level 1 and the
 bracket's own value.
 """
@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError, make_mode_ops, psi_bracket
-from qgatelab import make_deformed_stack, qubit_amplitude
+from qgatelab import DeformationParams, GateKind, GateSpec, NegativeRadicandError, psi_bracket
+from qgatelab import make_ladder_band, qubit_amplitude
 from qgatelab.constraints import _cross_check_samples, _dense_brackets, _grid_levels, _level_tables, _sweep_plan
 from qgatelab.dense import _dense_residuals, _dense_sides, _oracle_plan
 from qgatelab.qnum import bracket_roots
@@ -49,8 +49,8 @@ def test_the_boundary_pairs_sit_on_either_side_of_zero():
 def test_every_consumer_admits_a_zero_bracket_with_a_zero_amplitude():
     params = DeformationParams(Q, _psi(AT_ZERO))
     assert qubit_amplitude(1, 1, Q, params) == 0.0
-    stack = make_deformed_stack(make_mode_ops(3), (Q,), *AT_ZERO)
-    assert stack.brackets[0, 1] == 0.0 and stack.a_q[0, 0, 1] == 0.0
+    band = make_ladder_band(3, (Q,), *AT_ZERO)
+    assert band.brackets[0, 1] == 0.0 and band.lowering[0, 0] == 0.0
     assert _sweep_tables(AT_ZERO) == (True, 0.0)
     brackets = _dense_brackets(SPEC.arity, [(Q, params.psi)])
     lhs, _ = _dense_sides(brackets, PLAN)
@@ -65,7 +65,7 @@ def test_every_consumer_refuses_a_bracket_one_ulp_below_zero():
     params = DeformationParams(Q, _psi(JUST_BELOW))
     raisers = {
         "qubit_amplitude": lambda: qubit_amplitude(1, 1, Q, params),
-        "make_deformed_stack": lambda: make_deformed_stack(make_mode_ops(3), (Q,), *JUST_BELOW),
+        "make_ladder_band": lambda: make_ladder_band(3, (Q,), *JUST_BELOW),
         "dense path": lambda: _dense_sides(_dense_brackets(SPEC.arity, [(Q, params.psi)]), PLAN),
     }
     for name, call in raisers.items():

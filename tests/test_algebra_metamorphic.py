@@ -1,7 +1,7 @@
 """Metamorphic relation of the deformed algebra: scaling both psi values of a mode by s = 4^k.
 
 Every bracket is linear in psi, so scaling the pair by s scales every bracket by s and every ladder
-matrix element by sqrt(s) = 2^k, each exactly (a power of 2 multiplies a float exactly).  The
+band entry by sqrt(s) = 2^k, each exactly (a power of 2 multiplies a float exactly).  The
 quadratic relations (deformed_commutation and both product diagonals) then scale by exactly s, the
 two number commutators, linear in the ladder operators, by exactly sqrt(s), and the tested levels
 stay as they are; a pair with a negative bracket keeps it at the same level.  This needs no second
@@ -18,9 +18,8 @@ st = hypothesis.strategies
 from qgatelab import (  # noqa: E402
     NegativeRadicandError,
     OperatorConvention,
-    make_deformed_stack,
-    make_mode_ops,
-    stack_residuals,
+    band_residuals,
+    make_ladder_band,
 )
 
 _QUADRATIC = ("deformed_commutation", "lowering_product_diagonal", "raising_product_diagonal")
@@ -35,15 +34,14 @@ _VALUES = st.one_of(st.sampled_from([2.0**k for k in range(-3, 4)]), st.sampled_
 @hypothesis.example(cutoff=8, q=2.0, psi_a=1.0, psi_b=3.0)  # B(0) != 0: level 0 is dropped
 @hypothesis.example(cutoff=8, q=0.5, psi_a=1.0, psi_b=1.0)
 def test_scaling_both_psi_by_s_scales_each_residual_by_s_or_its_root(convention, s, cutoff, q, psi_a, psi_b):
-    mode = make_mode_ops(cutoff)
     try:
-        base, base_levels = stack_residuals(make_deformed_stack(mode, (q,), psi_a, psi_b, convention))
+        base, base_levels = band_residuals(make_ladder_band(cutoff, (q,), psi_a, psi_b, convention))
     except NegativeRadicandError as exc:
         with pytest.raises(NegativeRadicandError) as scaled_exc:
-            make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention)
+            make_ladder_band(cutoff, (q,), s * psi_a, s * psi_b, convention)
         assert scaled_exc.value.level == exc.level
         return
-    scaled, scaled_levels = stack_residuals(make_deformed_stack(mode, (q,), s * psi_a, s * psi_b, convention))
+    scaled, scaled_levels = band_residuals(make_ladder_band(cutoff, (q,), s * psi_a, s * psi_b, convention))
     assert sorted(base) == sorted(_QUADRATIC + _LINEAR)
     assert scaled_levels == base_levels
     for key in _QUADRATIC:

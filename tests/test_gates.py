@@ -23,11 +23,11 @@ from qgatelab import (
     toffoli_literal_matrix,
 )
 from qgatelab import gates
-from qgatelab.fock import make_mode_ops
 from qgatelab.gates import _closure_residuals
 from qgatelab.suites import _square
 
 from mode_lift import lift
+from mode_ops import make_mode_ops
 
 # Independent transcription of the truth tables, written out literally so the
 # implementation cannot be compared against itself.

@@ -1,7 +1,10 @@
-"""Tests for the deformed ladder operator stacks and their algebra residuals."""
+"""Tests for the band of the deformed ladder operators and its algebra residuals."""
 
+import ast
+import inspect
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,15 @@ from qgatelab import (
     NegativeRadicandError,
     OperatorConvention,
     RunConfig,
+    band_residuals,
     deformed_number_op,
-    make_deformed_stack,
-    make_mode_ops,
+    make_ladder_band,
     psi_bracket,
-    stack_residuals,
 )
 from qgatelab import qdeform, suites
 from qgatelab.suites import _GENERALIZED_POINTS, algebra_suite, limits_suite
+
+from mode_ops import band_matrices, make_mode_ops
 
 Q_GRID = (0.5, 0.9, 1.1, 2.0)
 # q = 1 and one q either side of it within 1e-8, where the bracket is a ratio of vanishing differences
@@ -26,26 +30,26 @@ STACK_Q = (0.5, 0.9, 1.0, 1.0 + 1e-8, 1.0 - 1e-8, 2.0, 1e3)
 MANY_Q = tuple(round(0.5 + 0.0075 * i, 6) for i in range(200))
 
 
-def _one_q(mode, q, psi_a=1.0, psi_b=1.0, convention=OperatorConvention.MATRIX_ELEMENT):
-    """The stack of one q."""
-    return make_deformed_stack(mode, (q,), psi_a, psi_b, convention)
+def _one_q(cutoff, q, psi_a=1.0, psi_b=1.0, convention=OperatorConvention.MATRIX_ELEMENT):
+    """The band of one q."""
+    return make_ladder_band(cutoff, (q,), psi_a, psi_b, convention)
 
 
-def _residuals(stack):
-    """The residuals and tested levels of a one-q stack, per relation key."""
-    residuals, levels = stack_residuals(stack)
+def _residuals(band):
+    """The residuals and tested levels of a one-q band, per relation key."""
+    residuals, levels = band_residuals(band)
     return {key: value for key, (value,) in residuals.items()}, {key: value for key, (value,) in levels.items()}
 
 
-class TestOneQStack:
+class TestOneQBand:
     def test_reduces_to_undeformed_at_q_one(self):
         mode = make_mode_ops(6)
-        stack = _one_q(mode, 1.0)
-        assert np.array_equal(stack.a_q[0], mode.a)
-        assert np.array_equal(stack.a_q_dag[0], mode.a_dag)
+        a_q, a_q_dag = band_matrices(_one_q(6, 1.0))
+        assert np.array_equal(a_q[0], mode.a)
+        assert np.array_equal(a_q_dag[0], mode.a_dag)
 
     def test_matrix_elements_are_bracket_roots(self):
-        (a_q,) = _one_q(make_mode_ops(3), 2.0).a_q
+        (a_q,), _ = band_matrices(_one_q(3, 2.0))
         assert a_q[1, 2] == pytest.approx(math.sqrt(2.5), abs=1e-15)
         ket = np.zeros(3, dtype=complex)
         ket[2] = 1.0
@@ -54,51 +58,53 @@ class TestOneQStack:
 
     @pytest.mark.parametrize("weight", [0.5, 3.0])
     def test_creation_from_vacuum_scales_with_weight(self, weight):
-        stack = _one_q(make_mode_ops(2), 2.0, weight, weight)
-        assert stack.a_q_dag[0, 1, 0] == pytest.approx(math.sqrt(weight), abs=1e-15)
+        band = _one_q(2, 2.0, weight, weight)
+        assert band_matrices(band)[1][0, 1, 0] == pytest.approx(math.sqrt(weight), abs=1e-15)
 
     def test_default_convention_pairs_by_adjoint(self):
-        stack = _one_q(make_mode_ops(5), 2.0, 1.0, 3.0)
-        assert np.array_equal(stack.a_q_dag[0], stack.a_q[0].conj().T)
+        band = _one_q(5, 2.0, 1.0, 3.0)
+        a_q, a_q_dag = band_matrices(band)
+        assert np.array_equal(a_q_dag[0], a_q[0].conj().T)
+        assert np.array_equal(band.lowering, band.raising)
 
     def test_negative_bracket_is_rejected_with_level(self):
         # At q=2, wa=0.5, wb=4 the level-1 bracket is (1 - 2)/1.5 < 0.
         with pytest.raises(NegativeRadicandError) as excinfo:
-            _one_q(make_mode_ops(4), 2.0, 0.5, 4.0)
+            _one_q(4, 2.0, 0.5, 4.0)
         assert excinfo.value.level == 1
 
     def test_left_scaling_copies_raising_but_zeroes_bottom_lowering(self):
-        hermitian = _one_q(make_mode_ops(4), 2.0)
-        literal = _one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING)
-        assert np.allclose(literal.a_q_dag, hermitian.a_q_dag, atol=1e-15)
-        assert literal.a_q[0, 0, 1] == 0.0
-        assert hermitian.a_q[0, 0, 1] == 1.0
+        hermitian = band_matrices(_one_q(4, 2.0))
+        literal = band_matrices(_one_q(4, 2.0, convention=OperatorConvention.LEFT_SCALING))
+        assert np.allclose(literal[1], hermitian[1], atol=1e-15)
+        assert literal[0][0, 0, 1] == 0.0
+        assert hermitian[0][0, 0, 1] == 1.0
 
     def test_left_scaling_is_not_an_adjoint_pair(self):
-        literal = _one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING)
-        assert np.max(np.abs(literal.a_q_dag[0] - literal.a_q[0].conj().T)) > 0.5
+        a_q, a_q_dag = band_matrices(_one_q(4, 2.0, convention=OperatorConvention.LEFT_SCALING))
+        assert np.max(np.abs(a_q_dag[0] - a_q[0].conj().T)) > 0.5
 
 
 class TestAlgebraResiduals:
     @pytest.mark.parametrize("q", Q_GRID)
     def test_uniform_weights_satisfy_all_relations(self, q):
-        residuals, levels = _residuals(_one_q(make_mode_ops(8), q))
+        residuals, levels = _residuals(_one_q(8, q))
         assert max(residuals.values()) <= 1e-12
         assert levels["deformed_commutation"] == tuple(range(7))
 
     def test_reads_the_brackets_its_operators_were_built_from(self, monkeypatch):
-        stack = _one_q(make_mode_ops(6), 2.0, 1.0, 3.0)
-        assert stack.brackets[0].tolist() == [psi_bracket(n, 2.0, 1.0, 3.0) for n in range(7)]
-        before = stack_residuals(stack)
+        band = _one_q(6, 2.0, 1.0, 3.0)
+        assert band.brackets[0].tolist() == [psi_bracket(n, 2.0, 1.0, 3.0) for n in range(7)]
+        before = band_residuals(band)
 
         def refused(*args):
-            raise AssertionError("stack_residuals computed a bracket again")
+            raise AssertionError("band_residuals computed a bracket again")
 
         monkeypatch.setattr(qdeform, "bracket", refused)
-        assert stack_residuals(stack) == before
+        assert band_residuals(band) == before
 
     def test_unequal_weights_drop_the_bottom_level(self):
-        residuals, levels = _residuals(_one_q(make_mode_ops(6), 2.0, 1.0, 3.0))
+        residuals, levels = _residuals(_one_q(6, 2.0, 1.0, 3.0))
         assert max(residuals.values()) <= 1e-12
         assert levels["deformed_commutation"][0] == 1
         assert levels["lowering_product_diagonal"][0] == 1
@@ -108,31 +114,31 @@ class TestAlgebraResiduals:
     @pytest.mark.parametrize(("wa", "wb"), [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
     def test_number_commutators_hold_for_any_weights(self, q, wa, wb):
         try:
-            stack = _one_q(make_mode_ops(6), q, wa, wb)
+            band = _one_q(6, q, wa, wb)
         except NegativeRadicandError:
             pytest.skip("pair not admissible at this base")
-        residuals, _ = _residuals(stack)
+        residuals, _ = _residuals(band)
         assert residuals["lowering_number_commutator"] <= 1e-12
         assert residuals["raising_number_commutator"] <= 1e-12
 
     def test_left_scaling_breaks_product_diagonal(self):
-        residuals, _ = _residuals(_one_q(make_mode_ops(4), 2.0, convention=OperatorConvention.LEFT_SCALING))
+        residuals, _ = _residuals(_one_q(4, 2.0, convention=OperatorConvention.LEFT_SCALING))
         # The zeroed 1 -> 0 transition removes the level-1 diagonal entry,
         # whose exact value is the level-1 bracket: 1.
         assert residuals["lowering_product_diagonal"] == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_q_inversion(self):
-        up = _one_q(make_mode_ops(8), 2.0)
-        down = _one_q(make_mode_ops(8), 0.5)
-        assert np.max(np.abs(up.a_q - down.a_q)) <= 1e-14
+        up = band_matrices(_one_q(8, 2.0))[0]
+        down = band_matrices(_one_q(8, 0.5))[0]
+        assert np.max(np.abs(up - down)) <= 1e-14
 
     def test_continuity_near_q_one(self):
         # This close to q = 1 the bracket is a ratio of two vanishing
         # differences, so residuals inherit rounding noise of order 1e-8;
         # the meaningful statement is closeness to the undeformed algebra.
         mode = make_mode_ops(8)
-        near = _one_q(mode, 1.0 + 1e-8)
-        (a_q,), (a_q_dag,) = near.a_q, near.a_q_dag
+        near = _one_q(8, 1.0 + 1e-8)
+        (a_q,), (a_q_dag,) = band_matrices(near)
         assert np.max(np.abs(a_q - mode.a)) <= 1e-6
         comm = a_q @ a_q_dag - a_q_dag @ a_q
         block = (comm - np.eye(8))[:7, :7]
@@ -145,7 +151,8 @@ class TestAlgebraResiduals:
         # faster; the two-sided proportional band is checked, and fails, in
         # the acceptance suite.)
         mode = make_mode_ops(8)
-        coarse, fine = (np.linalg.norm(a_q - mode.a, 2) for a_q in make_deformed_stack(mode, (1.01, 1.0001)).a_q)
+        a_q, _ = band_matrices(make_ladder_band(8, (1.01, 1.0001)))
+        coarse, fine = (np.linalg.norm(matrix - mode.a, 2) for matrix in a_q)
         assert coarse / fine >= 100.0 / 1.2
 
 
@@ -159,17 +166,18 @@ class TestDeformedNumberOp:
         ],
     )
     def test_shift_is_log_ratio(self, q, wb, shift):
-        n_q = deformed_number_op(make_mode_ops(4), q, wb)
-        expected = np.diag(np.arange(4, dtype=float)) - shift * np.eye(4)
+        n_q = deformed_number_op(4, q, wb)
+        expected = np.arange(4, dtype=float) - shift
+        assert n_q.shape == (4,)
         assert np.max(np.abs(n_q - expected)) <= 1e-12
 
     def test_rejected_at_q_one(self):
         with pytest.raises(ValueError):
-            deformed_number_op(make_mode_ops(4), 1.0, 1.0)
+            deformed_number_op(4, 1.0, 1.0)
 
     def test_rejected_for_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            deformed_number_op(make_mode_ops(4), 2.0, -1.0)
+            deformed_number_op(4, 2.0, -1.0)
 
     def test_shifted_spectrum_matches_brackets(self):
         # q**n_q applied to level n must reproduce bracket ratios:
@@ -216,34 +224,41 @@ def _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets) -> tuple:
     return residuals, {key: kept for key, (_, kept) in relations.items()}
 
 
-class TestDeformedModeStack:
+def _band_of(matrix: np.ndarray, offset: int) -> np.ndarray:
+    """The one nonzero diagonal of a dense reference matrix, as reals; every other entry is zero."""
+    band = np.diag(matrix, offset)
+    assert not (matrix - np.diag(band, offset)).any() and not band.imag.any()
+    return band.real
+
+
+class TestLadderBand:
     @pytest.mark.parametrize("cutoff", [3, 8, 14])
     @pytest.mark.parametrize("convention", list(OperatorConvention))
     @pytest.mark.parametrize(
         ("q_values", "psi_b"),
         [(STACK_Q, 1.0)] + [((q, 1.0 / q, 2.7), psi_b) for q, psi_b in _GENERALIZED_POINTS],
     )
-    def test_each_q_equals_its_own_build_bit_for_bit(self, cutoff, convention, q_values, psi_b):
+    def test_each_q_equals_the_dense_build_bit_for_bit(self, cutoff, convention, q_values, psi_b):
         mode = make_mode_ops(cutoff)
-        stack = make_deformed_stack(mode, q_values, 1.0, psi_b, convention)
-        all_residuals, all_levels = stack_residuals(stack)
-        assert stack.a_q.shape == stack.a_q_dag.shape == (len(q_values), cutoff, cutoff)
-        assert stack.brackets.shape == (len(q_values), cutoff + 1)
-        assert (stack.q_values, stack.psi_b, stack.convention) == (q_values, psi_b, convention)
+        band = make_ladder_band(cutoff, q_values, 1.0, psi_b, convention)
+        all_residuals, all_levels = band_residuals(band)
+        assert band.lowering.shape == band.raising.shape == (len(q_values), cutoff - 1)
+        assert band.brackets.shape == (len(q_values), cutoff + 1)
+        assert (band.q_values, band.psi_b, band.convention) == (q_values, psi_b, convention)
         assert all(len(values) == len(q_values) for values in [*all_residuals.values(), *all_levels.values()])
         for index, q in enumerate(q_values):
             a_q, a_q_dag, brackets = _reference_build(mode, q, psi_b, convention)
             residuals, levels = _reference_residuals(mode, q, psi_b, a_q, a_q_dag, brackets)
-            assert np.array_equal(stack.a_q[index], a_q)
-            assert np.array_equal(stack.a_q_dag[index], a_q_dag)
-            assert stack.brackets[index].tolist() == brackets
+            assert band.lowering[index].tobytes() == _band_of(a_q, 1).tobytes()
+            assert band.raising[index].tobytes() == _band_of(a_q_dag, -1).tobytes()
+            assert band.brackets[index].tolist() == brackets
             assert {key: values[index] for key, values in all_residuals.items()} == residuals, q
             assert {key: values[index] for key, values in all_levels.items()} == levels
 
     def test_negative_bracket_names_the_first_q_and_level(self):
         # q = 4 admits the pair (0.5, 4) at level 1, q = 2 does not: (1 - 2) / 1.5 < 0
         with pytest.raises(NegativeRadicandError) as excinfo:
-            make_deformed_stack(make_mode_ops(4), (4.0, 2.0), 0.5, 4.0)
+            make_ladder_band(4, (4.0, 2.0), 0.5, 4.0)
         assert excinfo.value.level == 1
         assert excinfo.value.value == psi_bracket(1, 2.0, 0.5, 4.0)
 
@@ -258,41 +273,72 @@ class TestDeformedModeStack:
     def test_overflowing_psi_gives_inf_brackets_without_a_warning(self, q, brackets):
         # q**n * psi overflows past double precision; as float operations, the bracket is inf,
         # and a numpy overflow warning would fail the test (conftest)
-        stack = _one_q(make_mode_ops(4), q, 1e308, 1e308)
-        assert list(map(repr, stack.brackets[0].tolist())) == list(map(repr, brackets))
+        band = _one_q(4, q, 1e308, 1e308)
+        assert list(map(repr, band.brackets[0].tolist())) == list(map(repr, brackets))
 
 
-class TestAlgebraSuiteStacks:
-    def test_one_stack_per_chunk_per_loop_and_chunks_change_no_record(self, monkeypatch):
-        # 200 q at cutoff 8 fit one chunk: one forward and one mirror stack, and one-q stacks only
-        # at the fixed generalized (3, with residuals), number-shift (3) and convention-audit
-        # (2, with residuals) points
-        built, reduced = [], []  # the q count of each stack built, and of each stack reduced
+def _limit_q() -> tuple:
+    """The benchmark's limit q values, their inverses and a few farther from 1."""
+    import workloads
 
-        def build(mode, q_values, *rest):
+    return tuple(workloads.DENSE_LIMIT_Q) + tuple(1.0 / q for q in workloads.DENSE_LIMIT_Q) + (0.5, 1.7, 3.0)
+
+
+class TestLimitsSuiteBands:
+    @pytest.mark.parametrize("convention", list(OperatorConvention))
+    def test_lowering_gap_is_the_dense_largest_entry_and_the_operator_norm(self, monkeypatch, convention):
+        # a_q - a has one nonzero band, so its operator norm is its largest entry; the SVD reaches it
+        # to within 2 ulp
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        limit_q = _limit_q()
+        for cutoff in range(3, 21):
+            mode = make_mode_ops(cutoff)
+            rows = limits_suite(RunConfig(suite="limits", cutoff=cutoff, limit_q=limit_q, operator=convention))
+            gaps = {values[0]: gap for _, name, values, gap, _ in rows if name.startswith("limits/lowering-gap/")}
+            assert sorted(gaps) == sorted(limit_q)
+            for q, gap in gaps.items():
+                difference = _reference_build(mode, q, 1.0, convention)[0] - mode.a
+                assert gap == float(np.max(np.abs(difference))), (cutoff, q)
+                assert abs(gap - np.linalg.norm(difference, 2)) <= 2 * math.ulp(gap), (cutoff, q)
+
+    def test_a_gap_that_overflows_is_refused(self):
+        # at q = 1.3, q**2704 is finite but B(2704) = q**2704 / (q - 1/q) is not
+        cfg = RunConfig(suite="limits", cutoff=2705, limit_q=(1.3, 1.2))
+        with pytest.raises(OverflowError, match=r"the lowering gap at q=1\.3 overflows"):
+            limits_suite(cfg)
+
+
+class TestAlgebraSuiteBands:
+    def test_one_band_per_loop_and_each_q_gets_the_records_it_gets_alone(self, monkeypatch):
+        # 200 q: one forward and one mirror band, and one-q bands only at the fixed generalized
+        # (3, with residuals), number-shift (3) and convention-audit (2, with residuals) points
+        built, reduced = [], []  # the q count of each band built, and of each band reduced
+
+        def build(cutoff, q_values, *rest):
             built.append(len(q_values))
-            return make_deformed_stack(mode, q_values, *rest)
+            return make_ladder_band(cutoff, q_values, *rest)
 
-        def reduce(stack):
-            reduced.append(len(stack.q_values))
-            return stack_residuals(stack)
+        def reduce(band):
+            reduced.append(len(band.q_values))
+            return band_residuals(band)
 
-        monkeypatch.setattr(suites, "make_deformed_stack", build)
-        monkeypatch.setattr(suites, "stack_residuals", reduce)
-        cfg = RunConfig(suite="algebra", q_values=MANY_Q)
-        records = algebra_suite(cfg)
+        monkeypatch.setattr(suites, "make_ladder_band", build)
+        monkeypatch.setattr(suites, "band_residuals", reduce)
+        records = algebra_suite(RunConfig(suite="algebra", q_values=MANY_Q))
         assert (built, reduced) == ([200, 200] + [1] * 8, [200] + [1] * 5)
 
-        built.clear()
-        reduced.clear()
-        monkeypatch.setattr(suites, "_STACK_ENTRIES", 16 * cfg.cutoff**2)  # 16 q per chunk
-        assert algebra_suite(cfg) == records
-        chunks = [16] * 12 + [8]
-        assert built == [size for size in chunks for _ in ("forward", "mirror")] + [1] * 8
-        assert reduced == chunks + [1] * 5
+        monkeypatch.undo()
+        by_id = {row[1]: row for row in records}
+        assert len(by_id) == len(records)
+        alone = {}
+        for q in MANY_Q:
+            for row in algebra_suite(RunConfig(suite="algebra", q_values=(q,))):
+                assert by_id[row[1]] == row, row[1]
+                alone[row[1]] = row
+        assert alone == by_id
 
     def test_limits_at_200_limit_q_and_cutoff_64_hold_no_full_stack(self):
-        # the limit q values are stacked in the same chunks: one (200, 64, 64) stack peaks near 25 MB
+        # one (200, 64, 64) complex stack would take 13 MB; the bands take kilobytes
         cfg = RunConfig(suite="limits", limit_q=tuple(round(1.01 + 0.005 * i, 6) for i in range(200)), cutoff=64)
         tracemalloc.start()
         try:
@@ -303,8 +349,7 @@ class TestAlgebraSuiteStacks:
         assert peak < 8 * 2**20
 
     def test_cutoff_64_at_200_q_holds_no_full_stack(self):
-        # one (200, 64, 64) complex stack is 13 MB and the relations take several at once;
-        # chunked, the run peaks near 6 MB
+        # one (200, 64, 64) complex stack is 13 MB and the relations would take several at once
         cfg = RunConfig(suite="algebra", q_values=MANY_Q, cutoff=64)
         tracemalloc.start()
         try:
@@ -313,3 +358,17 @@ class TestAlgebraSuiteStacks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def test_the_band_code_builds_no_matrix():
+    # no matrix product, no np.linalg, np.eye or np.diag in qdeform or in the two suites that use it
+    trees = [ast.parse(Path(qdeform.__file__).read_text())]
+    trees += [ast.parse(inspect.getsource(suite)) for suite in (algebra_suite, limits_suite)]
+    found = [
+        ast.unparse(node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in ("linalg", "eye", "diag")
+    ]
+    assert not found, found

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -490,20 +491,51 @@ class TestCli:
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
-        ("argv", "setting", "cutoff"),
+        ("command", "argv", "setting", "cutoff"),
         [
-            (["--cutoff", "100000000000000000000"], "{}", "100000000000000000000"),
-            ([], '{"cutoff": 1e308}', str(int(1e308))),
+            ("verify-algebra", ["--cutoff", "100000000000000000000"], "{}", "100000000000000000000"),
+            ("verify-algebra", [], '{"cutoff": 1e308}', str(int(1e308))),
+            ("verify-algebra", ["--q", "1", "--cutoff", "100000000"], "{}", "100000000"),
+            ("limit-study", ["--cutoff", "100000000000000000000"], "{}", "100000000000000000000"),
+            ("all", [], '{"cutoff": 10001}', "10001"),
         ],
     )
-    def test_cutoff_beyond_any_array_exits_two_naming_it(self, tmp_path, capsys, argv, setting, cutoff):
+    def test_cutoff_beyond_any_array_exits_two_naming_it(self, tmp_path, capsys, command, argv, setting, cutoff):
         config = tmp_path / "config.json"
         config.write_text(setting)
         out = tmp_path / "report.json"
-        assert main(["verify-algebra", "--config", str(config), *argv, "--out", str(out)]) == 2
+        assert main([command, "--config", str(config), *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"qgatelab: configuration error: cutoff {cutoff} needs more memory than is available "
-            "for its dense mode matrices; use a smaller cutoff\n"
+            f"qgatelab: configuration error: cutoff must be at most 10000, got {cutoff}: the algebra "
+            "checks overflow double precision from level 355 on, and the default limit q 1.1 from "
+            "level 7448\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-algebra", "limit-study", "all"])
+    @pytest.mark.parametrize("q", ["1", "2"])
+    def test_the_largest_cutoff_fails_on_overflow_within_a_second(self, tmp_path, capsys, command, q):
+        # at cutoff 10000 every ladder suite overflows: the number shift's q = e**2 at level 355,
+        # the default limit q 1.1 at level 7448
+        out = tmp_path / "report.json"
+        started = time.perf_counter()
+        code = main([command, "--q", q, "--cutoff", str(RunConfig.MAX_CUTOFF), "--out", str(out)])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 2 and "cutoff 10000 overflow double-precision arithmetic" in err, err
+        assert elapsed < 1.0
+        assert not out.exists()
+
+    def test_a_lowering_gap_that_overflows_exits_two(self, tmp_path, capsys):
+        # at q = 1.3, q**2704 is finite but B(2704) = q**2704 / (q - 1/q) is not
+        config = tmp_path / "config.json"
+        config.write_text('{"limit_q": [1.3, 1.2]}')
+        out = tmp_path / "report.json"
+        assert main(["limit-study", "--config", str(config), "--cutoff", "2705", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "qgatelab: configuration error: limit q values 1.3,1.2 or cutoff 2705 overflow double-precision "
+            "arithmetic (the lowering gap at q=1.3 overflows double precision); use q values closer to 1 "
+            "or a smaller cutoff\n"
         )
         assert not out.exists()
 
@@ -546,9 +578,9 @@ class TestCli:
 
         monkeypatch.setattr("qgatelab.cli.run_suites", exhausted)
         out = tmp_path / "report.json"
-        assert main(["verify-algebra", "--cutoff", "100000", "--out", str(out)]) == 2
+        assert main(["verify-algebra", "--cutoff", "9000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "cutoff 100000" in err
+        assert "configuration error" in err and "cutoff 9000" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -903,6 +935,14 @@ class TestCli:
                     assert names[name] is getattr(module, name), (info.name, name)
             assert len(modules) > 10
             gone = (
+                "DeformedModeStack",
+                "make_deformed_stack",
+                "stack_residuals",
+                "_diagonal_stack",
+                "_stack_chunks",
+                "_STACK_ENTRIES",
+                "ModeOperators",
+                "make_mode_ops",
                 "DeformedModeOperators",
                 "make_deformed_ops",
                 "algebra_residuals",
