@@ -11,8 +11,9 @@ re-encodes one qubit, so its gap is sqrt(w) times the carried amplitudes times |
 there.  A bracket is linear in its psi pair, so that flip closes exactly iff q^2 psi_a - psi_b is
 equal on the qubit's two modes or 0 on a carried mode, and each level pair gets an exact class of
 it per q.  Rows are products of per-qubit index tuples, so counts are products of per-qubit counts
-(inclusion-exclusion over failing terms), strict maxima products of per-qubit maxima, and first
-rows combine per-qubit firsts.  The dense path (dense.py) rechecks sample rows of every block.
+(inclusion-exclusion over failing terms), maxima products of per-qubit maxima, first rows combine
+per-qubit firsts, and the rows a report shows read the same per-qubit tables.  The dense path
+(dense.py) rechecks sample rows of every block within an a priori rounding bound.
 """
 
 import functools
@@ -37,13 +38,14 @@ DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_Q_VALUES = (0.5, 0.9, 1.1, 2.0)
 
 
-def _dense_brackets(arity: int, points) -> np.ndarray:
-    """Per (q, psi) point, the level-1 brackets whose roots make its [slot][bit] amplitude table
-    (amplitude_table: bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b), as an
-    (len(points), arity, 2) array; psi_bracket runs once per distinct (q, psi_a, psi_b)."""
-    level_one = functools.cache(functools.partial(psi_bracket, 1))
+def _dense_brackets(arity: int, points, pair=None) -> np.ndarray:
+    """Per (q, psi) point, pair(q, psi_a, psi_b) (by default the level-1 bracket) of each entry of its
+    [slot][bit] amplitude table, where bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b,
+    as a (len(points), arity, 2, *pair's shape) array; pair runs once per distinct (q, psi_a, psi_b)."""
+    pair = functools.cache(pair or functools.partial(psi_bracket, 1))
     columns = [4 * j + 2 - 2 * b for j in range(arity) for b in (0, 1)]
-    return np.array([[level_one(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points]).reshape(-1, arity, 2)
+    values = np.array([[pair(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points])
+    return values.reshape(len(points), arity, 2, *values.shape[2:])
 
 
 # A block sweeps as many q values at once as keep its per-qubit tables within this many entries.
@@ -104,34 +106,31 @@ def _sweep_plan(spec: GateSpec) -> tuple:
     return spec.arity, largest_weight_sum, plan
 
 
-def _closed_forms(plan: tuple) -> tuple:
-    """What the closed form reads of _sweep_plan(spec): one-term flips, as sqrt(weight), per qubit its
-    factor (0 or 1 that mode's amplitude, 2 the gap |a_0 - a_1|) and their strict term; several-term
-    bit strings, as their one qubit and bit plan; the strict and collinear failing terms, as per
-    qubit the predicate its tuple meets (0 any, 1 or 2 that mode is not in class 0, 3 the modes'
-    classes differ, 4 exactly one mode is in class 0).  A flip fails strictly iff its qubit's classes
-    differ and no carried mode is 0; a one-term bit string fails collinearly iff exactly one of c_in
-    and c_out is 0, one that holds a permuting term beside its flips on one qubit (the Hadamard)
-    where it fails strictly, and its maxima come from a one-qubit table."""
-    flips, whole, strict, collinear = set(), [], set(), set()
-    for bit_plan in plan[2]:
-        c_in, _, terms = bit_plan
-        moved = [modes for _, modes in terms if sorted(modes) != sorted(c_in)]
-        changed = [{mode // 2 for mode in set(c_in) ^ set(modes)} for modes in moved]
-        if any(len(qubits) != 1 or len(set(modes)) != len(modes) for qubits, modes in zip(changed, moved)):
-            raise ValueError(f"a traced term re-encodes more than one qubit: {c_in} -> {moved}")
-        for (target,) in changed:
-            strict.add(term := tuple(3 if j == target else 1 + m % 2 for j, m in enumerate(c_in)))
-            if len(terms) > 1:
-                collinear.add(term)
-                continue
-            collinear.add(tuple(4 if j == target else 1 + m % 2 for j, m in enumerate(c_in)))
-            flips.add((math.sqrt(terms[0][0]), tuple(2 if j == target else m % 2 for j, m in enumerate(c_in)), term))
-        if moved and len(terms) > 1:
-            if len(moved) == len(terms) or len({mode // 2 for _, modes in terms for mode in modes}) != 1:
-                raise ValueError(f"several traced terms of {c_in} need a permuting term and one qubit: {terms}")
-            whole.append((*changed[0], bit_plan))
-    return sorted(flips), whole, strict, collinear
+def _closed_forms(plan: tuple) -> list:
+    """The flips the closed form reads of _sweep_plan(spec), sorted: per term that re-encodes a qubit,
+    sqrt(weight) and per qubit the strict factor and predicate, then the collinear ones.  A factor is
+    0 or 1 that mode's amplitude, 2 the gap |a_0 - a_1|, 3 the sine below or 4 one; a predicate, met
+    where the flip fails, is 0 any, 1 or 2 that mode is not in class 0, 3 the classes differ or 4
+    exactly one mode is in class 0.  A flip fails strictly iff its qubit's classes differ and no
+    carried mode is 0; a one-term bit string fails collinearly iff exactly one of c_in and c_out is 0,
+    a Hadamard one (a permuting term beside its flip, equal weights, one qubit) where the classes
+    differ, at the sine |a_0 - a_1| / sqrt(2 (a_0^2 + a_1^2)), or 1 where exactly one amplitude is 0
+    (the bit string whose c_in it is has a zero left-hand side)."""
+    flips = set()
+    for c_in, _, terms in plan[2]:
+        moved = [(weight, modes) for weight, modes in terms if sorted(modes) != sorted(c_in)]
+        changed = [{mode // 2 for mode in set(c_in) ^ set(modes)} for _, modes in moved]
+        if any(len(qubits) != 1 or len(set(modes)) != len(modes) for qubits, (_, modes) in zip(changed, moved)):
+            raise ValueError(f"a traced term re-encodes more than one qubit: {c_in} -> {[m for _, m in moved]}")
+        held, spanned = len(terms) > 1, {mode // 2 for _, modes in terms for mode in modes}
+        if moved and held and (len(moved) != 1 or len(spanned) != 1 or [w for w, _ in terms] != [terms[0][0]] * 2):
+            raise ValueError(f"several terms of {c_in} need a permuting term and one qubit, of equal weight: {terms}")
+        read = 3 if held else 4
+        for (weight, _), (target,) in zip(moved, changed):
+            picks = [(m % 2, 1 + m % 2, 4, 1 + m % 2) for m in c_in]
+            picks[target] = (2, 3, read, read)
+            flips.add((math.sqrt(weight), *zip(*picks)))
+    return sorted(flips)
 
 
 def _exact_classes(q_values, levels: np.ndarray) -> np.ndarray:
@@ -221,61 +220,54 @@ def _qubit_admissibility(mode_admissible: np.ndarray) -> np.ndarray:
     return mode_admissible.all(axis=2)
 
 
-def _bit_string_gaps(bit_plan: tuple, amps: list) -> tuple:
-    """One input bit string's (strict, collinear) gaps on the broadcast shape of the modes it reads,
-    from the modes' amplitudes, through the dense path's operations in float: its output terms lie
-    on distinct basis kets, so the strict gap is the root sum of squared per-term amplitude gaps and
-    the collinear gap the rejection form of the sine between the coefficient vectors."""
-
-    def product(modes: list):
-        return functools.reduce(operator.mul, [amps[mode] for mode in modes])
-
-    c_in_modes, weight_sum, term_modes = bit_plan
-    c_in = product(c_in_modes)
-    terms = [(weight, product(modes)) for weight, modes in term_modes]
-    strict = np.sqrt(sum(weight * (c_in - c_out) ** 2 for weight, c_out in terms))
-    lhs_sq, rhs_sq = weight_sum * c_in**2, sum(weight * c_out**2 for weight, c_out in terms)
-    coefficient = c_in * sum(weight * c_out for weight, c_out in terms) / np.where(lhs_sq > 0.0, lhs_sq, 1.0)
-    rejection_sq = sum(weight * (c_out - coefficient * c_in) ** 2 for weight, c_out in terms)
-    collinear = np.minimum(1.0, np.sqrt(rejection_sq / np.where(rhs_sq > 0.0, rhs_sq, 1.0)))
-    zero_sides = (lhs_sq == 0.0).astype(int) + (rhs_sq == 0.0)
-    return strict, np.where(zero_sides == 2, 0.0, np.where(zero_sides == 1, 1.0, collinear))
+def _flip_readings(flips: list, amps: np.ndarray, predicates: np.ndarray) -> np.ndarray:
+    """Per residual mode, q, flip, qubit and tuple, the flip's factor where the tuple meets its predicate,
+    else 0 (strict ones times sqrt(w) on the first qubit), from (q, qubit, mode, tuples) amplitudes and
+    (q, qubit, predicate, tuples) predicates, so a flip reads the product over qubits."""
+    gap = np.abs(amps[:, :, :1] - amps[:, :, 1:])
+    # the sine as sqrt((a_0 - a_1)^2 / (2 (a_0^2 + a_1^2))), top and bottom quartered so no sum overflows
+    half_sum = 0.5 * amps[:, :, :1] ** 2 + 0.5 * amps[:, :, 1:] ** 2
+    one_zero = (amps[:, :, :1] == 0.0) != (amps[:, :, 1:] == 0.0)
+    sine = np.where(one_zero, 1.0, np.sqrt(0.25 * gap**2 / np.where(half_sum > 0.0, half_sum, 1.0)))
+    factors = np.concatenate([amps, gap, sine, np.ones_like(gap)], axis=2)
+    qubits, picks = np.arange(amps.shape[1]), np.array([f[1:] for f in flips], np.intp).reshape(-1, 4, amps.shape[1])
+    strict, collinear = (factors[:, qubits, picks[:, k]] * predicates[:, qubits, picks[:, k + 1]] for k in (0, 2))
+    strict[:, :, 0] *= np.array([root for root, *_ in flips])[:, None]  # sqrt(w) rides on the first qubit
+    return np.stack([strict, collinear])
 
 
-def _sweep_block(plan: tuple, forms: tuple, tables: tuple, stratum: tuple, samples: list) -> tuple:
+def _sweep_block(flips: list, tables: tuple, stratum: tuple, samples: list) -> tuple:
     """One stratum's block at every q value, counted as a sweep of every row would: (per tally key, a
     (q, pattern) array of the admissible rows each pattern allows and the maxima and zero counts of
-    both residual modes over them; per q, the exemplar rows (first admissible, first largest
-    positive strict residual, first admissible rows that do and do not close it) and the first
-    inadmissible row or None; the rows these and samples make, in order; per mode the amplitudes and
-    per qubit the admissibility there, (q, row) each).  plan is _sweep_plan(spec), forms
-    _closed_forms(plan), tables _level_tables(spec, plan, ...) and the _exact_classes of the same q
-    values and levels, stratum _qubit_tuples(...)."""
+    both residual modes over them; per q, the exemplar rows (first admissible, first largest positive
+    strict residual, first admissible rows that do and do not close it) and the first inadmissible
+    row or None; the rows these and samples make, in order; their strict and collinear residuals and
+    admissibility, (q, row) lists each, a row reading its tuples' entries of the tables the maxima
+    read, 0.0 if inadmissible).  flips is _closed_forms(plan), tables _level_tables(spec, plan, ...)
+    and the _exact_classes of the same q values and levels, stratum _qubit_tuples(...)."""
     step = max(1, _CHUNK_ENTRIES // stratum[2].size)
     batches = [[table[at : at + step] for table in tables] for at in range(0, len(tables[0]), step)]
-    parts = [_sweep_q_axis(forms, batch, stratum) for batch in batches]
+    parts = [_sweep_q_axis(flips, batch, stratum) for batch in batches]
     tally = {key: np.concatenate([part[0][key] for part in parts]) for key in parts[0][0]}
     picked = [pick for part in parts for pick in part[1]]
-    admissible, amps = (np.concatenate([part[k] for part in parts]) for k in (2, 3))
-    wanted = [row for exemplars, skipped in picked for row in (*exemplars, skipped) if row is not None]
-    rows = sorted({*samples, *wanted})
-    at = np.unravel_index(rows, stratum[0])
-    row_amps = [amps[:, m // 2, m % 2, at[m // 2]] for m in range(2 * len(at))]
-    return tally, picked, rows, row_amps, [admissible[:, j, at[j]] for j in range(len(at))]
+    admissible, readings = (np.concatenate([part[k] for part in parts], axis=k - 2) for k in (2, 3))
+    rows = sorted({*samples, *(row for pick in picked for row in (*pick[0], pick[1]) if row is not None)})
+    qubits, at = np.arange(len(stratum[0]))[:, None], np.array(np.unravel_index(rows, stratum[0]))
+    ok = admissible[:, qubits, at].all(axis=1)
+    values = readings[:, :, :, qubits, at].prod(axis=3).max(axis=2, initial=0.0)
+    return tally, picked, rows, [*np.where(ok, values, 0.0).tolist(), ok.tolist()]
 
 
-def _sweep_q_axis(forms: tuple, tables: list, stratum: tuple) -> tuple:
+def _sweep_q_axis(flips: list, tables: list, stratum: tuple) -> tuple:
     """_sweep_block's tallies and picks over (q, level, level) tables, with the per-qubit
-    admissibility and amplitudes, (q, qubit, tuples) and (q, qubit, mode, tuples).
+    admissibility (q, qubit, tuples) and the flips' readings (_flip_readings).
 
     A row is admissible iff every qubit's tuple is, and a pattern allows it iff every qubit's tuple
     meets the pattern, so a count is a product over qubits.  A row fails a term iff every qubit's
     tuple meets the term's predicate: rows failing some term are counted by inclusion-exclusion,
-    and a first row takes each qubit's first tuple that qualifies.  A one-term flip's strict maximum
-    is its sqrt(weight) times, per qubit, the largest factor over the tuples that meet its strict
-    predicate (so exactly 0 where every row closes), its collinear maximum 1.0 where it fails
-    collinearly; a several-term bit string's come from its one-qubit table, 0 where it closes."""
-    flips, whole, strict, collinear = forms
+    and a first row takes each qubit's first tuple that qualifies.  A flip's maximum in either mode
+    is the product over qubits of the largest reading over the allowed tuples, so exactly 0 where
+    every row closes, whatever its amplitudes round to."""
     sizes, pairs, restrictions = stratum
     # per q, each qubit's tuples' entries, (q, qubit, mode, tuples), tuples contiguous
     mode_admissible, amps, classes = (np.take(table.reshape(len(table), -1), pairs, axis=1) for table in tables)
@@ -285,44 +277,33 @@ def _sweep_q_axis(forms: tuple, tables: list, stratum: tuple) -> tuple:
     differ = [classes[:, :, :1] != classes[:, :, 1:], nonzero[:, :, :1] != nonzero[:, :, 1:]]
     predicates = np.concatenate([np.ones_like(nonzero[:, :, :1]), nonzero, *differ], axis=2)
     qubits, allowed = np.arange(len(sizes)), admissible[:, :, None] & restrictions
+    strict, collinear = (sorted({flip[k] for flip in flips}) for k in (2, 4))
 
-    # counted conditions: every row; each set of strict, then of collinear failing terms (signed for
-    # inclusion-exclusion); each one-term flip's collinear term alone, whose collinear gap is 0 or 1
+    # counted conditions: every row, then each set of strict and of collinear failing terms (signed
+    # for inclusion-exclusion)
     subsets = [[s for n in range(len(t)) for s in itertools.combinations(t, n + 1)] for t in (strict, collinear)]
-    groups = [[()], *subsets, [(term,) for term in collinear - strict]]
+    groups = [[()], *subsets]
     conditions = [c for group in groups for c in group]
     every = predicates[:, :, 0]
     meets = [functools.reduce(operator.and_, [predicates[:, qubits, t] for t in c], every) for c in conditions]
     # per q and qubit, (pattern, tuple) by (tuple, condition) products count the tuples meeting both
     counted = np.rint(allowed.astype(float) @ np.stack(meets, axis=-1)).astype(np.intp).prod(axis=1)
-    signs, (_, a, b, _) = np.array([(-1) ** len(c) for c in conditions]), itertools.accumulate(map(len, groups))
-    tally = {"admissible": counted[..., 0], "max_collinear": (counted[..., b:] > 0).any(axis=-1).astype(float)}
+    signs, (_, a, b) = np.array([(-1) ** len(c) for c in conditions]), itertools.accumulate(map(len, groups))
+    tally = {"admissible": counted[..., 0]}
     for key, i, j in (("zero_strict", 1, a), ("zero_collinear", a, b)):
         tally[key] = counted[..., 0] + counted[..., i:j] @ signs[i:j]
 
-    maxima, at_peak = [], []  # per candidate, its strict maxima (q, pattern) and where they lie
-    if flips:  # values (q, flip, qubit, tuple), 0 where a tuple closes the flip; maxima (q, flip, qubit, pattern)
-        factors = np.concatenate([amps, np.abs(amps[:, :, :1] - amps[:, :, 1:])], axis=2)
-        _, chosen, terms = (np.array(column) for column in zip(*flips))
-        values = factors[:, qubits, chosen] * predicates[:, qubits, terms]
-        largest = (allowed[:, None] * values[..., None, :]).max(axis=-1)
-        maxima += list(np.moveaxis(largest.prod(axis=2) * np.array([[root] for root, *_ in flips]), 1, 0))
-        at_peak += list(np.moveaxis(values == largest[..., :1], 1, 0))
-    for j, bit_plan in whole:
-        # a tuple whose two modes share a class closes exactly, whatever its amplitudes round to
-        gaps = _bit_string_gaps(bit_plan, [amps[:, m // 2, m % 2] for m in range(2 * len(sizes))])
-        gaps = [gap * predicates[:, j, 3] for gap in gaps]
-        largest, most = ((allowed[:, j] * gap[:, None]).max(axis=-1) for gap in gaps)
-        tally["max_collinear"] = np.maximum(tally["max_collinear"], most)
-        maxima.append(largest)
-        at_peak.append(np.ones_like(admissible))
-        at_peak[-1][:, j] = gaps[0] == largest[:, :1]
-    tally["max_strict"] = functools.reduce(np.maximum, maxima, np.zeros(counted[..., 0].shape))
+    # per mode, q, flip and qubit the largest reading per pattern; their products are the flips' maxima
+    readings = _flip_readings(flips, amps, predicates)
+    largest = (allowed[:, None] * readings[..., None, :]).max(axis=-1)
+    maxima = largest.prod(axis=3)
+    tally["max_strict"], tally["max_collinear"] = maxima.max(axis=2, initial=0.0)
 
-    # first rows over admissible tuples: every one, each candidate's peaks, each strict term's failing
+    # first rows over admissible tuples: every one, each flip's strict peaks, each strict term's failing
     # rows, and per choice of one predicate in each strict term the rows that miss them all (closing
     # rows); then per qubit, its first inadmissible tuple with every other qubit at its first tuple
     choices = list(itertools.product(*([(j, k) for j, k in enumerate(term) if k] for term in strict)))
+    at_peak = np.moveaxis(readings[0] == largest[0, ..., :1], 1, 0)
     found = [predicates[:, :, 0], *at_peak, *(predicates[:, qubits, term] for term in strict)]
     for choice in choices:
         found.append(np.ones_like(admissible))
@@ -332,38 +313,61 @@ def _sweep_q_axis(forms: tuple, tables: list, stratum: tuple) -> tuple:
     found = np.concatenate([np.stack(found) & admissible, skips])
     strides, rows_count = np.array([math.prod(sizes[j + 1 :]) for j in qubits], dtype=np.intp), math.prod(sizes)
     firsts = np.where(found.any(axis=-1).all(axis=-1), (found.argmax(axis=-1) * strides).sum(axis=-1), rows_count)
-    first, largest, ends = firsts[0], tally["max_strict"][:, 0], np.cumsum([1, len(maxima), len(strict), len(choices)])
-    tops = [np.where(m[:, 0] == largest, rows, rows_count) for m, rows in zip(maxima, firsts[1:])]
+    first, largest, ends = firsts[0], tally["max_strict"][:, 0], np.cumsum([1, len(flips), len(strict), len(choices)])
+    tops = [np.where(m[:, 0] == largest, rows, rows_count) for m, rows in zip(np.moveaxis(maxima[0], 1, 0), firsts[1:])]
     peak = np.where(largest > 0.0, np.min(tops, axis=0, initial=rows_count), first)
     opened, zero, skipped = (firsts[i:j].min(axis=0, initial=rows_count) for i, j in zip(ends[1:], [*ends[2:], None]))
     picked = [
         (list(dict.fromkeys(row for row in rows[:4] if row < rows_count)), rows[4] if rows[4] < rows_count else None)
         for rows in np.stack([first, peak, zero, opened, skipped], axis=1).astype(np.intp).tolist()
     ]
-    return tally, picked, admissible, amps
+    return tally, picked, admissible, readings
 
 
-def _row_values(admissible: list, tables: list) -> tuple:
-    """(strict, collinear, admissible) per row, as Python floats and bools, from per-qubit
-    admissibility and per-bit-string (strict, collinear) gaps over the same rows: per residual mode
-    the largest of the bit strings' gaps on an admissible row, 0.0 on an inadmissible one."""
-    ok = functools.reduce(np.logical_and, admissible)
-    values = [functools.reduce(np.maximum, [table[mode] for table in tables], np.zeros(ok.shape)) for mode in (0, 1)]
-    return (*(np.where(ok, v, 0.0).tolist() for v in values), ok.tolist())
+# Where the float brackets keep the exact zeros and equalities the closed form's masks read, the dense
+# path's strict residual lies within _ROUNDING eps S of the closed form's, S = sqrt(largest weight sum)
+# times each qubit's larger amplitude, and its collinear one within _ROUNDING eps: both read the same
+# float amplitudes and close the same terms, and S bounds every product of one amplitude per qubit.
+# With u = eps / 2 and n <= 3 qubits, a dense entry rounds by at most (2n + 2) u S (n - 1 products and
+# a coefficient per side, the difference), its norm over <= 8 entries by 10 u S and the closed form by
+# (n + 4) u S: 25 u = 12.5 eps at n = 3.  A collinear reading is 0, 1 or a sine, rounded by a few u.
+_ROUNDING = 16
 
 
-def _cross_check_samples(spec, plan, samples) -> int:
+def _rounding_bounds(brackets: np.ndarray, oracle: tuple) -> tuple:
+    """The strict bounds of _ROUNDING per point of (points, arity, 2) brackets, and the collinear one."""
+    _, _, inputs, _, coeffs, *_ = oracle
+    weight_sum = np.bincount(inputs, np.abs(coeffs) ** 2).max()
+    scale = math.sqrt(weight_sum) * bracket_roots(brackets)[1].max(axis=-1).prod(axis=-1)
+    return _ROUNDING * sys.float_info.epsilon * scale, _ROUNDING * sys.float_info.epsilon
+
+
+def _cross_check_samples(spec, oracle, samples) -> int:
     """Recompute sample rows, (q, psi, strict, collinear, admissible) each, through the dense path
-    with the spec's _oracle_plan, every admissible one in one pass for both residual modes; a
-    sample is admissible iff all its brackets are (qnum.bracket_roots).  Raise at the first failing sample."""
-    brackets = _dense_brackets(spec.arity, [sample[:2] for sample in samples])
+    with the spec's _oracle_plan, every admissible one in one pass for both residual modes: a sample
+    is admissible iff all its brackets are (qnum.bracket_roots), and its residuals agree within
+    _rounding_bounds unless its float brackets lose an exact zero or equality of q^2 psi_a - psi_b
+    that the closed form reads (a bracket cancelling to 0.0 or rounding away from it, equal values
+    rounded apart), which puts the dense path at another point.  Raise at the first failing sample."""
+    ids = {0: 0}  # an id per exact value of q^2 psi_a - psi_b, 0 for 0
+
+    def bracket_and_id(q: float, psi_a: float, psi_b: float) -> tuple:
+        (n, d), (a, c), (b, e) = (x.as_integer_ratio() for x in (q, psi_a, psi_b))
+        num, den = n * n * a * e - d * d * c * b, d * d * c * e  # den is a power of 2: reduce by shared ones
+        shift = min((num & -num).bit_length(), den.bit_length()) - 1
+        return psi_bracket(1, q, psi_a, psi_b), ids.setdefault((num >> shift, den >> shift) if num else 0, len(ids))
+
+    brackets, exact = np.moveaxis(_dense_brackets(spec.arity, [s[:2] for s in samples], bracket_and_id), -1, 0)
+    zeros, ties = (brackets == 0.0) == (exact == 0), (exact != exact[..., ::-1]) | (brackets == brackets[..., ::-1])
     reasons = ("marked an admissible point as skipped", "admitted an inadmissible point")
     dense_ok = bracket_roots(brackets)[0].all(axis=(1, 2)).tolist()
     failures = {k: reasons[ok] for k, ((*_, ok), good) in enumerate(zip(samples, dense_ok)) if ok != good}
-    kept = [k for k, sample in enumerate(samples) if sample[-1] and k not in failures]
-    for k, dense_strict, dense_collinear in zip(kept, *_dense_residuals(brackets[kept], plan)):
+    faithful = (zeros & ties).all(axis=(1, 2)).tolist()
+    kept = [k for k, sample in enumerate(samples) if sample[-1] and k not in failures and faithful[k]]
+    strict_bounds, collinear_bound = _rounding_bounds(brackets[kept], oracle)
+    for k, dense_strict, dense_collinear, bound in zip(kept, *_dense_residuals(brackets[kept], oracle), strict_bounds):
         _, _, strict, collinear, _ = samples[k]
-        if not (abs(dense_strict - strict) <= 1e-10 and abs(dense_collinear - collinear) <= 1e-10):
+        if not (abs(dense_strict - strict) <= bound and abs(dense_collinear - collinear) <= collinear_bound):
             failures[k] = "disagrees with the dense path"
     if failures:
         q, psi, *_ = samples[k := min(failures)]
@@ -384,9 +388,9 @@ def discover_constraints(
     gate is a GateKind or a GateSpec (a bare phase-shift kind gets phi = DISCOVERY_PHI).  q values
     must be positive and not 1; grid values must be positive.  The plans and the level tables are
     built once per call, every q checked for overflow and underflow before the first block.  Each
-    stratum's block tallies every q per candidate pattern in closed form (_sweep_block); the rows
-    the reports show get their residuals in one pass per gate, and their samples are cross-checked
-    against the dense path in one more (_cross_check_samples).  Counts are exact: tolerance decides
+    stratum's block tallies every q per candidate pattern in closed form, and the rows the reports
+    show read the same closed form (_sweep_block); their samples are cross-checked against the
+    dense path in one pass per gate (_cross_check_samples).  Counts are exact: tolerance decides
     only which maxima close.  Raises OverflowError when a q and the grid's largest amplitude
     overflow the sweep's products, FloatingPointError when its smallest positive amplitude
     underflows them.
@@ -408,36 +412,31 @@ def discover_constraints(
 
     levels, grid_codes = _grid_levels(grid)
     oracle, plan = _oracle_plan(spec), _sweep_plan(spec)
-    forms = _closed_forms(plan)
+    flips = _closed_forms(plan)
     tables = (*_level_tables(spec, plan, q_values, levels, grid_codes), _exact_classes(q_values, levels))
     candidates = _candidate_patterns(claim, spec.arity)
     # claim plus assumptions, claim.auxiliary and () are all candidates, so all get tallied; () first
     patterns = sorted({pattern for _, pattern in candidates}, key=lambda pattern: (len(pattern), pattern))
-    blocks = []
+    tallied, strata_summaries, checks = [], [], []
     for name, slots in _strata(spec.arity).items():
         count = len(grid) ** len(slots)
         step = max(1, count // 5)
         samples = sorted(i for i in {0, count // 2, count - 1, step, 2 * step, 3 * step} if i < count)
         stratum = _qubit_tuples(slots, spec.arity, levels, grid_codes, patterns)
-        blocks.append((name, slots, count, samples, *_sweep_block(plan, forms, tables, stratum, samples)))
-    # the rows of every block at once: per residual mode, the largest per-bit-string gap
-    amps, admissible = ([np.concatenate(parts, axis=1) for parts in zip(*(b[k] for b in blocks))] for k in (-2, -1))
-    values = _row_values(admissible, [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]])
-    strata_summaries, checks, start = [], [], 0
-    for name, slots, count, samples, tally, picked, rows, *_ in blocks:
+        tally, picked, rows, values = _sweep_block(flips, tables, stratum, samples)
+        tallied.append(tally)
         at, psi = np.unravel_index(rows, (len(grid),) * len(slots)), np.ones((len(rows), PSI_COUNT))
         for axis, indices in enumerate(slots):
             psi[:, indices] = np.array(grid)[at[axis], None]
         psi, first = dict(zip(rows, psi.tolist())), {key: table[:, 0].tolist() for key, table in tally.items()}
         for k, (q, (exemplars, skipped)) in enumerate(zip(q_values, picked)):
-            seen = dict(zip(rows, zip(*(column[k][start : start + len(rows)] for column in values))))
+            seen = dict(zip(rows, zip(*(column[k] for column in values))))
             checks += [(q, psi[i], *seen[i]) for i in samples]
             summary = {"stratum": name, "q": q, "rows": count, "skipped": count - first["admissible"][k]}
             summary.update({key: column[k] for key, column in first.items()})
             summary["exemplars"] = [{"psi": psi[i], "strict": seen[i][0], "collinear": seen[i][1]} for i in exemplars]
             strata_summaries.append(summary | ({} if skipped is None else {"skipped_exemplar": {"psi": psi[skipped]}}))
-        start += len(rows)
-    merged = {key: (np.max if key[:4] == "max_" else np.sum)([b[4][key] for b in blocks], axis=(0, 1)) for key in tally}
+    merged = {key: (np.max if key[:4] == "max_" else np.sum)([t[key] for t in tallied], axis=(0, 1)) for key in tally}
     tallies = {pattern: {key: merged[key].tolist()[k] for key in merged} for k, pattern in enumerate(patterns)}
     rows = sum(summary["rows"] for summary in strata_summaries)
     totals, minimal, verdict, notes = _score(claim, candidates, tallies, tolerance, rows)

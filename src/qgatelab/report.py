@@ -34,7 +34,7 @@ __all__ = [
     "serialize_report",
 ]
 
-VERSION = "0.2.1"
+VERSION = "0.3.0"
 
 RELATION_TAGS = frozenset(
     {

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from qgatelab import DeformationParams, GateSpec, NegativeRadicandError, gate_action_traced, psi_bracket
-from qgatelab.constraints import _bit_string_gaps, _candidate_patterns, _closed_forms, _dense_brackets, _exact_classes
-from qgatelab.constraints import _grid_levels, _level_tables, _qubit_tuples, _row_values, _sweep_block, _sweep_plan
+from qgatelab.constraints import _candidate_patterns, _closed_forms, _dense_brackets, _exact_classes, _grid_levels
+from qgatelab.constraints import _level_tables, _qubit_tuples, _rounding_bounds, _sweep_block, _sweep_plan
 from qgatelab.dense import _dense_residuals, _oracle_plan
 
 # a few ulp: how far a maximum the sweep multiplies per qubit may sit from the dense path's
@@ -92,20 +92,23 @@ def exact_closure(spec: GateSpec, q: float, rows: np.ndarray, mode_pairs=None) -
 
 
 def grid_facts(spec: GateSpec, q: float, rows: np.ndarray) -> dict:
-    """Per row: admissible, the exact strict and collinear closure, and the dense path's strict and
+    """Per row: admissible, the exact strict and collinear closure, the dense path's strict and
     collinear residuals (raw, and as the oracle reads them: 0.0 on a row that closes exactly and on
-    an inadmissible row)."""
+    an inadmissible row), and the engine's bounds on the dense path's rounding (_rounding_bounds:
+    per row the strict one, 0.0 on an inadmissible row, and the collinear one)."""
     pairs, index = _mode_pairs(rows, spec.arity)
     brackets = np.array([psi_bracket(1, q, a, b) for a, b in pairs])[np.stack(index, axis=1)]
     admissible = (brackets >= 0.0).all(axis=1)
     # _dense_brackets order: per slot j, bit 0 then bit 1, which read modes 2j + 1 and 2j
-    dense = np.zeros((2, len(rows)))
+    dense, strict_bounds = np.zeros((2, len(rows))), np.zeros(len(rows))
+    ordered = brackets[admissible].reshape(-1, spec.arity, 2)[:, :, ::-1]
+    strict_bounds[admissible], collinear_bound = _rounding_bounds(ordered, _oracle_plan(spec))
     if admissible.any():
-        ordered = brackets[admissible].reshape(-1, spec.arity, 2)[:, :, ::-1]
         dense[:, admissible] = _dense_residuals(ordered, _oracle_plan(spec))
     closes = exact_closure(spec, q, rows, (pairs, index))
     read = [np.where(admissible & ~close, gap, 0.0) for gap, close in zip(dense, closes)]
-    return {"admissible": admissible, "closes": closes, "dense": dense, "read": read}
+    bounds = strict_bounds, collinear_bound
+    return {"admissible": admissible, "closes": closes, "dense": dense, "read": read, "bounds": bounds}
 
 
 def pattern_mask(rows: np.ndarray, pattern) -> np.ndarray:
@@ -117,14 +120,17 @@ def pattern_mask(rows: np.ndarray, pattern) -> np.ndarray:
 
 
 def whole_block(rows: np.ndarray, facts: dict, patterns) -> tuple:
-    """Per pattern, the admissible rows it allows, their maxima and exact zero counts; the exemplar
-    rows (first admissible, first largest positive strict residual, first closing and first open
-    strict rows) and the first inadmissible row or None."""
+    """Per pattern, the admissible rows it allows, their maxima and exact zero counts, and how far
+    the dense path's rounding may move those maxima (the largest strict bound over the rows, the
+    collinear bound); the exemplar rows (first admissible, first largest positive strict residual,
+    first closing and first open strict rows) and the first inadmissible row or None."""
     admissible, (strict, collinear), closes = facts["admissible"], facts["read"], facts["closes"]
+    strict_bounds, collinear_bound = facts["bounds"]
     tallies = {}
     for pattern in patterns:
         allowed = admissible & pattern_mask(rows, pattern)
         tallies[pattern] = {
+            "bounds": (float(strict_bounds.max(initial=0.0, where=allowed)), collinear_bound),
             "admissible": int(allowed.sum()),
             "max_strict": float(strict.max(initial=0.0, where=allowed)),
             "max_collinear": float(collinear.max(initial=0.0, where=allowed)),
@@ -147,8 +153,7 @@ def engine_block(spec: GateSpec, q_values, grid, slots: tuple, patterns: list, s
     plan = _sweep_plan(spec)
     tables = (*_level_tables(spec, plan, tuple(q_values), levels, grid_codes), _exact_classes(tuple(q_values), levels))
     stratum = _qubit_tuples(slots, spec.arity, levels, grid_codes, patterns)
-    tally, picked, rows, amps, admissible = _sweep_block(plan, _closed_forms(plan), tables, stratum, samples)
-    values = _row_values(admissible, [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]])
+    tally, picked, rows, values = _sweep_block(_closed_forms(plan), tables, stratum, samples)
     return [
         (
             {p: {key: column[k][n].item() for key, column in tally.items()} for n, p in enumerate(patterns)},
@@ -167,19 +172,30 @@ def ordered_patterns(claim, arity: int) -> list:
 
 
 def assert_block_matches(got: tuple, expected: tuple, where) -> None:
-    """Counts, exemplar and skipped rows equal; maxima equal within ULPS ulp, 0.0 exactly where the
-    oracle's is 0.0."""
+    """Counts, exemplar and skipped rows equal; maxima equal within ULPS ulp, or within the dense
+    path's own rounding where that is larger, and 0.0 exactly where the oracle's is 0.0."""
     tallies, exemplars, skipped, _ = got
     for pattern, want in expected[0].items():
         have = tallies[pattern]
         for key in ("admissible", "zero_strict", "zero_collinear"):
             assert have[key] == want[key], (*where, pattern, key, have[key], want[key])
-        for key in ("max_strict", "max_collinear"):
+        for key, bound in zip(("max_strict", "max_collinear"), want["bounds"]):
             assert (have[key] == 0.0) == (want[key] == 0.0), (*where, pattern, key, have[key], want[key])
-            close = math.isclose(have[key], want[key], rel_tol=ULPS * 2.0**-52)
-            assert close, (*where, pattern, key, have[key], want[key])
+            close = math.isclose(have[key], want[key], rel_tol=ULPS * 2.0**-52) or abs(have[key] - want[key]) <= bound
+            assert close, (*where, pattern, key, have[key], want[key], bound)
     assert exemplars == expected[1], (*where, exemplars, expected[1])
     assert skipped == expected[2], (*where, skipped, expected[2])
+
+
+def assert_rows_match(seen: dict, facts: dict, where) -> None:
+    """Each shown row (row -> strict, collinear, admissible) against grid_facts: admissibility equal,
+    residuals within the engine's bounds of the dense path's, and 0.0 where the row closes exactly."""
+    strict_bounds, collinear_bound = facts["bounds"]
+    for row, (strict, collinear, admissible) in seen.items():
+        assert admissible == facts["admissible"][row], (*where, row)
+        bounds, closes = (strict_bounds[row], collinear_bound), [close[row] for close in facts["closes"]]
+        for value, dense, bound, close in zip((strict, collinear), facts["dense"][:, row], bounds, closes):
+            assert abs(value - dense) <= bound and (value == 0.0 or not close), (*where, row, value, dense, bound)
 
 
 @functools.cache
@@ -211,19 +227,21 @@ def strict_gap_50_digits(spec: GateSpec, q: float, psi: list):
 
 
 def check_dense(spec, q, psi_rows, strict, collinear, admissible) -> None:
-    """Per row of psi values: an admissible row's residuals lie within 1e-12 of the dense path's,
-    an inadmissible row's amplitude table fails with NegativeRadicandError."""
+    """Per row of psi values: an admissible row's residuals lie within the engine's bounds of the
+    dense path's (_rounding_bounds), an inadmissible row's amplitude table fails with
+    NegativeRadicandError."""
     plan = _oracle_plan(spec)
     for psi, *values, ok in zip(psi_rows, strict, collinear, admissible):
         params = DeformationParams(q, tuple(float(v) for v in psi))
         brackets = _dense_brackets(spec.arity, [(params.q, params.psi)])
         if ok:
             dense = [gaps[0] for gaps in _dense_residuals(brackets, plan)]
-            assert all(abs(d - v) <= 1e-12 for d, v in zip(dense, values)), (psi, dense, values)
+            (strict_bound,), collinear_bound = _rounding_bounds(brackets, plan)
+            bounds = strict_bound, collinear_bound
+            assert all(abs(d - v) <= b for d, v, b in zip(dense, values, bounds)), (psi, dense, values, bounds)
         else:
             try:
                 _dense_residuals(brackets, plan)
             except NegativeRadicandError:
                 continue
             raise AssertionError(f"an inadmissible row passed the dense path: {psi}")
-

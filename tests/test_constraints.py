@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -28,11 +29,12 @@ from qgatelab import (
     psi_bracket,
 )
 from qgatelab import constraints
+from qgatelab.cli import main
 from qgatelab.constraints import _closed_forms, _dense_brackets, _grid_levels, _qubit_tuples, _strata
 from qgatelab.dense import _dense_residuals, _dense_sides, _oracle_plan
 from qgatelab.suites import constraints_suite
-from sweep_oracle import assert_block_matches, check_dense, engine_block, grid_facts, ordered_patterns, pattern_mask
-from sweep_oracle import strict_gap_50_digits, stratum_rows, whole_block
+from sweep_oracle import assert_block_matches, assert_rows_match, check_dense, engine_block, grid_facts
+from sweep_oracle import ordered_patterns, pattern_mask, strict_gap_50_digits, stratum_rows, whole_block
 
 SQRT2 = math.sqrt(2.0)
 
@@ -446,11 +448,8 @@ class TestStreamedBlocks:
         mixed = partial = False
         for grid, stratum, q, block, expected, rows, facts in _oracle_blocks(kind, grids, (2.0, 0.5)):
             assert_block_matches(block, expected, (grid, stratum, q))
-            # every row is a sample: each engine row value lies within 1e-12 of the dense path
-            for row, (strict, collinear, admissible) in block[3].items():
-                assert admissible == facts["admissible"][row], (grid, stratum, row)
-                dense = facts["dense"][:, row]
-                assert abs(strict - dense[0]) <= 1e-12 and abs(collinear - dense[1]) <= 1e-12, (grid, stratum, row)
+            # every row is a sample: each lies within the engine's bound of the dense path
+            assert_rows_match(block[3], facts, (grid, stratum, q))
             mixed |= expected[2] is not None and expected[0][()]["admissible"] > 0
             partial |= any(0 < t["admissible"] < expected[0][()]["admissible"] for t in expected[0].values())
         assert mixed and partial
@@ -539,6 +538,85 @@ class TestStreamedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def _default_strata(payload: bytes) -> list:
+    """Every stratum summary of the constraint verdicts of a JSON report."""
+    records = json.loads(payload)["records"]
+    return [s for r in records if r["relation"] == "constraint-verdict" for s in r["params"]["strata"]]
+
+
+class TestShownResiduals:
+    """The exemplar and sample rows a report shows read the closed form that gives the maxima, and
+    the dense cross-check holds them to a rounding bound scaled by their amplitudes."""
+
+    @pytest.fixture
+    def discover_wide(self, monkeypatch):
+        """Every stratum of the benchmark's discover-wide workload at seed 0: `discover --q 2`."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import psi_grid
+
+        return [s for kind in GateKind for s in discover_constraints(kind, (2.0,), psi_grid(0)).strata]
+
+    def test_the_peak_exemplar_prints_its_stratums_maximum(self, all_report, discover_wide):
+        # a float recomputation of the rows printed 15.845255772911345 beside the maximum
+        # 15.845255772911347 in cnot's free and toffoli's free-q1q3 and free-q2q3 strata at q = 0.9
+        strata = _default_strata(all_report[1]) + discover_wide
+        assert len(strata) == 100 + 25
+        for s in strata:
+            shown = max((e["strict"] for e in s["exemplars"]), default=0.0)
+            assert shown == s["max_strict"], (s["stratum"], s["q"], shown, s["max_strict"])
+
+    def test_no_shown_residual_is_rounding_noise(self, all_report, monkeypatch):
+        # the default report's 344 exemplar residuals, and both residuals of every sample row the
+        # default sweep cross-checks: each is 0.0 exactly or a real gap
+        samples = []
+        cross_check = constraints._cross_check_samples
+
+        def recorded(spec, oracle, rows):
+            samples.extend(rows)
+            return cross_check(spec, oracle, rows)
+
+        monkeypatch.setattr(constraints, "_cross_check_samples", recorded)
+        constraints_suite(RunConfig())
+        exemplars = [e for s in _default_strata(all_report[1]) for e in s["exemplars"]]
+        shown = [e[mode] for e in exemplars for mode in ("strict", "collinear")]
+        shown += [value for _, _, strict, collinear, _ in samples for value in (strict, collinear)]
+        assert len(shown) == 344 + 2 * 600
+        assert [value for value in shown if 0.0 < value < 1e-12] == []
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_the_bound_holds_one_ulp_from_q_equal_one(self, kind):
+        # q - 1/q is 2 ulp, so amplitudes of unequal pairs reach about 1e8, and the dense path's
+        # rounding of their products dwarfs any absolute bound: only one scaled by them holds
+        for q in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            for grid in ((1.0, 0.5), (0.25, 16.0, 1.0)):
+                assert discover_constraints(kind, (q,), grid).totals["cross_checked"] > 0, (q, grid)
+
+    def test_the_bound_holds_on_a_grid_of_huge_psi_values(self, tmp_path):
+        # a drawn command line of the fuzz test: the sweep runs at q = 2 in place of q = 1, on
+        # amplitudes near 1e15
+        assert main(["all", "--q=1.0", "--psi=2.0,1e+30", "--cutoff=3", f"--out={tmp_path / 'report.json'}"]) == 0
+
+    @pytest.mark.parametrize(
+        ("q", "grid"),
+        [(0.7, (0.49, 1.0)), (3.0, (0.09, 0.81)), (14.9375, (3782.5234375, 843990.3174743652))],
+        ids=["rounds-to-minus-zero", "rounds-to-zero", "rounds-away-from-zero"],
+    )
+    def test_a_bracket_that_rounds_across_zero_is_checked_for_admissibility_only(self, q, grid):
+        # pairs (1, 0.49), (0.09, 0.81) and the third grid's two values, psi_b = q^2 psi_a as
+        # written: q^2 psi_a - psi_b is exactly -5.3e-17, -8.3e-17 and 0, while the float bracket
+        # reads -0.0, 0.0 and 4.9e-13.  The closed form reads the exact zeros, the dense path the
+        # float ones, so those samples check admissibility alone
+        for kind in GateKind:
+            rep = discover_constraints(kind, (q,), grid)
+            assert rep.totals["cross_checked"] > 0, kind
+
+    def test_a_nan_dense_residual_still_raises_one_ulp_from_q_equal_one(self, monkeypatch):
+        dense = constraints._dense_residuals
+        monkeypatch.setattr(constraints, "_dense_residuals", lambda *args: [g * np.nan for g in dense(*args)])
+        with pytest.raises(RuntimeError, match="disagrees with the dense path"):
+            discover_constraints(GateKind.TOFFOLI, (math.nextafter(1.0, 2.0),), (0.25, 16.0, 1.0))
 
 
 class TestSweepGuards:
@@ -652,8 +730,8 @@ class TestSweepGuards:
 
     @staticmethod
     def _tamper(monkeypatch, name, edit):
-        """Run discover_constraints with edit applied to every result of constraints.<name>: a bit
-        string's (strict, collinear) tables, the per-qubit admissibility tables, whose first
+        """Run discover_constraints with edit applied to every result of constraints.<name>: the
+        flips' (strict, collinear) readings or the per-qubit admissibility tables, whose first
         entries row 0 (always picked, always admissible here) reads, or the dense path's
         (strict, collinear) arrays over the admissible sample rows."""
         build = getattr(constraints, name)
@@ -672,7 +750,7 @@ class TestSweepGuards:
             tables[array].flat[0] += 1e-6
 
         with pytest.raises(RuntimeError, match="disagrees with the dense path"):
-            self._tamper(monkeypatch, "_bit_string_gaps", edit)
+            self._tamper(monkeypatch, "_flip_readings", edit)
 
     def test_cross_check_catches_a_nan_dense_residual(self, monkeypatch):
         def edit(dense):

@@ -18,11 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from qgatelab import CLAIMS, GateKind, GateSpec  # noqa: E402
-from qgatelab.constraints import _bit_string_gaps, _closed_forms, _exact_classes, _grid_levels  # noqa: E402
-from qgatelab.constraints import _level_tables, _row_values, _strata, _sweep_block, _sweep_plan  # noqa: E402
+from qgatelab.constraints import _closed_forms, _exact_classes, _grid_levels, _level_tables  # noqa: E402
+from qgatelab.constraints import _strata, _sweep_block, _sweep_plan  # noqa: E402
 from qgatelab.qnum import MODE_COUNT  # noqa: E402
-from sweep_oracle import assert_block_matches, check_dense, engine_block, exact_closure, grid_facts  # noqa: E402
-from sweep_oracle import ordered_patterns, stratum_rows, whole_block  # noqa: E402
+from sweep_oracle import assert_block_matches, assert_rows_match, check_dense, engine_block, exact_closure  # noqa: E402
+from sweep_oracle import grid_facts, ordered_patterns, stratum_rows, whole_block  # noqa: E402
 
 # q at least a quarter away from 1 in ratio keeps amplitudes, and so the
 # absolute rounding of both paths, far below the 1e-12 agreement bound
@@ -57,14 +57,13 @@ def _cases(draw):
 
 def _row_block(spec, q, row):
     """One row as a block of one index tuple per qubit: its closed-form tally for the pattern (),
-    and its (strict, collinear, admissible) from the per-bit-string gaps."""
+    and the (strict, collinear, admissible) the block shows for it."""
     levels, grid_codes = _grid_levels(sorted(set(row)))
     codes = np.searchsorted(levels, row[: 4 * spec.arity]).reshape(spec.arity, 2, 2)
     stratum = ([1] * spec.arity, codes[..., :1] * levels.size + codes[..., 1:], np.ones((spec.arity, 1, 1), bool))
     plan = _sweep_plan(spec)
     tables = (*_level_tables(spec, plan, (q,), levels, grid_codes), _exact_classes((q,), levels))
-    tally, _, _, amps, admissible = _sweep_block(plan, _closed_forms(plan), tables, stratum, [0])
-    values = _row_values(admissible, [_bit_string_gaps(bit_plan, amps) for bit_plan in plan[2]])
+    tally, _, _, values = _sweep_block(_closed_forms(plan), tables, stratum, [0])
     return {key: table.item() for key, table in tally.items()}, [column[0][0] for column in values]
 
 
@@ -82,6 +81,9 @@ def test_sweep_agrees_with_the_dense_path_on_fully_free_rows(kind, case):
         tally, (strict, collinear, ok) = _row_block(spec, q, row)
         assert ok == facts["admissible"][k] and tally["admissible"] == int(ok)
         check_dense(spec, q, [row], [strict], [collinear], [ok])
+        # a row that closes exactly shows 0.0, whatever its amplitudes round to
+        for value, closes in zip((strict, collinear), (strict_closes[k], collinear_closes[k])):
+            assert value == 0.0 or not closes, (row, strict, collinear)
         if ok:
             # the closed form's maxima and exact zeros at the row itself
             assert abs(tally["max_strict"] - facts["dense"][0, k]) <= 1e-12, (row, tally)
@@ -118,20 +120,16 @@ def test_blocks_match_the_grid_oracle(kind, q, grid):
         facts = grid_facts(spec, q, rows)
         where = (stratum, q, grid)
         assert_block_matches((tallies, exemplars, skipped, seen), whole_block(rows, facts, patterns), where)
-        for row in samples:
-            strict, collinear, admissible = seen[row]
-            assert admissible == facts["admissible"][row], (*where, row)
-            for value, dense in zip((strict, collinear), facts["dense"][:, row]):
-                assert math.isclose(value, dense, rel_tol=1e-12, abs_tol=1e-12), (*where, row, value, dense)
+        assert_rows_match(seen, facts, where)
 
 
 @pytest.mark.parametrize("kind", [GateKind.HAD, GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI])
 def test_a_row_that_closes_exactly_reads_zero_maxima_whatever_its_amplitudes_round_to(kind):
     # at q = 3 the pairs (3, 1) and (4, 10) share q^2 psi_a - psi_b = 26, but their float
-    # brackets differ in the last bit, so the row's float residual is rounding noise; they sit on
-    # the gate's target qubit, its last, every control at psi = 1
+    # brackets differ in the last bit, so a float residual of the row is rounding noise; they sit
+    # on the gate's target qubit, its last, every control at psi = 1
     target = GateSpec(kind).arity - 1
     row = np.array([1.0] * 4 * target + [3.0, 1.0, 4.0, 10.0] + [1.0] * 4 * (2 - target))
     tally, (strict, collinear, ok) = _row_block(GateSpec(kind), 3.0, row)
-    assert ok and 0.0 < strict < 1e-15
+    assert ok and strict == 0.0 and collinear == 0.0
     assert [tally[key] for key in ("max_strict", "max_collinear", "zero_strict", "zero_collinear")] == [0.0, 0.0, 1, 1]
