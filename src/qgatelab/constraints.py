@@ -38,14 +38,13 @@ DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_Q_VALUES = (0.5, 0.9, 1.1, 2.0)
 
 
-def _dense_brackets(arity: int, points, pair=None) -> np.ndarray:
-    """Per (q, psi) point, pair(q, psi_a, psi_b) (by default the level-1 bracket) of each entry of its
-    [slot][bit] amplitude table, where bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b,
-    as a (len(points), arity, 2, *pair's shape) array; pair runs once per distinct (q, psi_a, psi_b)."""
-    pair = functools.cache(pair or functools.partial(psi_bracket, 1))
+def _dense_brackets(arity: int, points) -> np.ndarray:
+    """Per (q, psi) point, the level-1 brackets whose roots make its [slot][bit] amplitude table
+    (amplitude_table: bit b of slot j reads psi columns 4j + 2 - 2b and 4j + 3 - 2b), as an
+    (len(points), arity, 2) array; psi_bracket runs once per distinct (q, psi_a, psi_b)."""
+    level_one = functools.cache(functools.partial(psi_bracket, 1))
     columns = [4 * j + 2 - 2 * b for j in range(arity) for b in (0, 1)]
-    values = np.array([[pair(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points])
-    return values.reshape(len(points), arity, 2, *values.shape[2:])
+    return np.array([[level_one(q, psi[c], psi[c + 1]) for c in columns] for q, psi in points]).reshape(-1, arity, 2)
 
 
 # A block sweeps as many q values at once as keep its per-qubit tables within this many entries.
@@ -347,17 +346,16 @@ def _cross_check_samples(spec, oracle, samples) -> int:
     with the spec's _oracle_plan, every admissible one in one pass for both residual modes: a sample
     is admissible iff all its brackets are (qnum.bracket_roots), and its residuals agree within
     _rounding_bounds unless its float brackets lose an exact zero or equality of q^2 psi_a - psi_b
-    that the closed form reads (a bracket cancelling to 0.0 or rounding away from it, equal values
-    rounded apart), which puts the dense path at another point.  Raise at the first failing sample."""
-    ids = {0: 0}  # an id per exact value of q^2 psi_a - psi_b, 0 for 0
-
-    def bracket_and_id(q: float, psi_a: float, psi_b: float) -> tuple:
-        (n, d), (a, c), (b, e) = (x.as_integer_ratio() for x in (q, psi_a, psi_b))
-        num, den = n * n * a * e - d * d * c * b, d * d * c * e  # den is a power of 2: reduce by shared ones
-        shift = min((num & -num).bit_length(), den.bit_length()) - 1
-        return psi_bracket(1, q, psi_a, psi_b), ids.setdefault((num >> shift, den >> shift) if num else 0, len(ids))
-
-    brackets, exact = np.moveaxis(_dense_brackets(spec.arity, [s[:2] for s in samples], bracket_and_id), -1, 0)
+    that the closed form reads (_exact_classes: a bracket cancelling to 0.0 or rounding away from
+    it, equal values rounded apart), which puts the dense path at another point.  Raise at the
+    first failing sample, else return how many were checked in full: the inadmissible ones and
+    those whose residuals were compared."""
+    brackets = _dense_brackets(spec.arity, [s[:2] for s in samples])
+    q_values, q_at = np.unique([s[0] for s in samples], return_inverse=True)
+    levels, at = np.unique([s[1] for s in samples], return_inverse=True)
+    at = at.reshape(len(samples), -1, 2)  # mode m reads psi columns 2m and 2m + 1
+    exact = _exact_classes(q_values.tolist(), levels)[q_at.reshape(-1, 1), at[..., 0], at[..., 1]]
+    exact = exact[:, : 2 * spec.arity].reshape(brackets.shape)[..., ::-1]  # bit b of slot j reads mode 2j + 1 - b
     zeros, ties = (brackets == 0.0) == (exact == 0), (exact != exact[..., ::-1]) | (brackets == brackets[..., ::-1])
     reasons = ("marked an admissible point as skipped", "admitted an inadmissible point")
     dense_ok = bracket_roots(brackets)[0].all(axis=(1, 2)).tolist()
@@ -372,7 +370,7 @@ def _cross_check_samples(spec, oracle, samples) -> int:
     if failures:
         q, psi, *_ = samples[k := min(failures)]
         raise RuntimeError(f"sweep engine {failures[k]} at {spec.kind.value}, q={q!r}, psi={tuple(psi)!r}")
-    return len(samples)
+    return len(kept) + sum(not admissible for *_, admissible in samples)
 
 
 def discover_constraints(

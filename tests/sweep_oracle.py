@@ -21,6 +21,7 @@ from qgatelab import DeformationParams, GateSpec, NegativeRadicandError, gate_ac
 from qgatelab.constraints import _candidate_patterns, _closed_forms, _dense_brackets, _exact_classes, _grid_levels
 from qgatelab.constraints import _level_tables, _qubit_tuples, _rounding_bounds, _sweep_block, _sweep_plan
 from qgatelab.dense import _dense_residuals, _oracle_plan
+from qgatelab.qnum import bracket_roots
 
 # a few ulp: how far a maximum the sweep multiplies per qubit may sit from the dense path's
 ULPS = 8
@@ -120,22 +121,22 @@ def pattern_mask(rows: np.ndarray, pattern) -> np.ndarray:
 
 
 def whole_block(rows: np.ndarray, facts: dict, patterns) -> tuple:
-    """Per pattern, the admissible rows it allows, their maxima and exact zero counts, and how far
-    the dense path's rounding may move those maxima (the largest strict bound over the rows, the
-    collinear bound); the exemplar rows (first admissible, first largest positive strict residual,
-    first closing and first open strict rows) and the first inadmissible row or None."""
+    """Per pattern, the admissible rows it allows, their maxima and exact zero counts, and the first
+    row at the strict maximum (None if it is 0.0); the exemplar rows (first admissible, first largest
+    positive strict residual, first closing and first open strict rows) and the first inadmissible
+    row or None."""
     admissible, (strict, collinear), closes = facts["admissible"], facts["read"], facts["closes"]
-    strict_bounds, collinear_bound = facts["bounds"]
     tallies = {}
     for pattern in patterns:
         allowed = admissible & pattern_mask(rows, pattern)
+        largest = float(strict.max(initial=0.0, where=allowed))
         tallies[pattern] = {
-            "bounds": (float(strict_bounds.max(initial=0.0, where=allowed)), collinear_bound),
             "admissible": int(allowed.sum()),
-            "max_strict": float(strict.max(initial=0.0, where=allowed)),
+            "max_strict": largest,
             "max_collinear": float(collinear.max(initial=0.0, where=allowed)),
             "zero_strict": int((allowed & closes[0]).sum()),
             "zero_collinear": int((allowed & closes[1]).sum()),
+            "peak": int(np.argmax(allowed & (strict == largest))) if largest > 0.0 else None,
         }
     picks = []
     if admissible.any():
@@ -171,18 +172,26 @@ def ordered_patterns(claim, arity: int) -> list:
     return sorted(patterns, key=lambda pattern: (len(pattern), pattern))
 
 
-def assert_block_matches(got: tuple, expected: tuple, where) -> None:
-    """Counts, exemplar and skipped rows equal; maxima equal within ULPS ulp, or within the dense
-    path's own rounding where that is larger, and 0.0 exactly where the oracle's is 0.0."""
+def assert_block_matches(got: tuple, expected: tuple, where, exact=None) -> None:
+    """Counts, exemplar and skipped rows equal; maxima equal within ULPS ulp, 0.0 exactly where the
+    oracle's is 0.0.  Given exact, the (spec, q, rows) of the block, a strict maximum further than
+    ULPS ulp from the dense path's is held within ULPS ulp of the gap at the oracle's peak row taken
+    to 50 digits from the float amplitudes both paths read (strict_gap_50_digits, float_amplitude):
+    where the peak's amplitudes nearly cancel, the dense path's products round the gap by more."""
     tallies, exemplars, skipped, _ = got
     for pattern, want in expected[0].items():
         have = tallies[pattern]
         for key in ("admissible", "zero_strict", "zero_collinear"):
             assert have[key] == want[key], (*where, pattern, key, have[key], want[key])
-        for key, bound in zip(("max_strict", "max_collinear"), want["bounds"]):
+        for key in ("max_strict", "max_collinear"):
             assert (have[key] == 0.0) == (want[key] == 0.0), (*where, pattern, key, have[key], want[key])
-            close = math.isclose(have[key], want[key], rel_tol=ULPS * 2.0**-52) or abs(have[key] - want[key]) <= bound
-            assert close, (*where, pattern, key, have[key], want[key], bound)
+            reference = want[key]
+            close = math.isclose(have[key], reference, rel_tol=ULPS * 2.0**-52)
+            if not close and key == "max_strict" and exact is not None:
+                spec, q, rows = exact
+                reference = float(strict_gap_50_digits(spec, q, rows[want["peak"]].tolist(), float_amplitude))
+                close = math.isclose(have[key], reference, rel_tol=ULPS * 2.0**-52)
+            assert close, (*where, pattern, key, have[key], want[key], reference)
     assert exemplars == expected[1], (*where, exemplars, expected[1])
     assert skipped == expected[2], (*where, skipped, expected[2])
 
@@ -207,13 +216,22 @@ def _amplitude_50_digits(q: float, psi_a: float, psi_b: float):
         return mpmath.sqrt(max(mpmath.mpf(0), (q * q * mpmath.mpf(psi_a) - psi_b) / (q * q - 1)))
 
 
-def strict_gap_50_digits(spec: GateSpec, q: float, psi: list):
+def float_amplitude(q: float, psi_a: float, psi_b: float):
+    """The float amplitude of one mode pair both paths read, the root of psi_bracket (0 where it is
+    negative), as an exact mpmath number."""
+    import mpmath
+
+    return mpmath.mpf(float(bracket_roots(psi_bracket(1, q, psi_a, psi_b))[1]))
+
+
+def strict_gap_50_digits(spec: GateSpec, q: float, psi: list, amplitude=_amplitude_50_digits):
     """One row's strict gap to 50 digits: every input bit string's root sum of squared term gaps,
-    each amplitude the root of its exact bracket, the largest of them."""
+    each amplitude amplitude(q, psi_a, psi_b) (by default the root of its exact bracket), the
+    largest of them."""
     import mpmath
 
     with mpmath.workdps(50):
-        amps = [_amplitude_50_digits(q, psi[2 * m], psi[2 * m + 1]) for m in range(2 * spec.arity)]
+        amps = [amplitude(q, psi[2 * m], psi[2 * m + 1]) for m in range(2 * spec.arity)]
         largest = mpmath.mpf(0)
         for bits in itertools.product((0, 1), repeat=spec.arity):
             modes = [2 * j + 1 - b for j, b in enumerate(bits)]

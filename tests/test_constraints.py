@@ -585,13 +585,28 @@ class TestShownResiduals:
         assert len(shown) == 344 + 2 * 600
         assert [value for value in shown if 0.0 < value < 1e-12] == []
 
+    @staticmethod
+    def _sample_counts(monkeypatch) -> list:
+        """Per _cross_check_samples call from here on, (samples passed, samples it checked in full)."""
+        counts, cross_check = [], constraints._cross_check_samples
+
+        def counted(spec, oracle, samples):
+            counts.append((len(samples), cross_check(spec, oracle, samples)))
+            return counts[-1][1]
+
+        monkeypatch.setattr(constraints, "_cross_check_samples", counted)
+        return counts
+
     @pytest.mark.parametrize("kind", list(GateKind))
-    def test_the_bound_holds_one_ulp_from_q_equal_one(self, kind):
+    def test_the_bound_holds_one_ulp_from_q_equal_one(self, kind, monkeypatch):
         # q - 1/q is 2 ulp, so amplitudes of unequal pairs reach about 1e8, and the dense path's
-        # rounding of their products dwarfs any absolute bound: only one scaled by them holds
+        # rounding of their products dwarfs any absolute bound: only one scaled by them holds.
+        # Every sample's residuals are compared: none is exempted
+        counts = self._sample_counts(monkeypatch)
         for q in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
             for grid in ((1.0, 0.5), (0.25, 16.0, 1.0)):
-                assert discover_constraints(kind, (q,), grid).totals["cross_checked"] > 0, (q, grid)
+                rep = discover_constraints(kind, (q,), grid)
+                assert counts[-1][0] > 0 and rep.totals["cross_checked"] == counts[-1][0], (q, grid, counts[-1])
 
     def test_the_bound_holds_on_a_grid_of_huge_psi_values(self, tmp_path):
         # a drawn command line of the fuzz test: the sweep runs at q = 2 in place of q = 1, on
@@ -599,18 +614,25 @@ class TestShownResiduals:
         assert main(["all", "--q=1.0", "--psi=2.0,1e+30", "--cutoff=3", f"--out={tmp_path / 'report.json'}"]) == 0
 
     @pytest.mark.parametrize(
-        ("q", "grid"),
-        [(0.7, (0.49, 1.0)), (3.0, (0.09, 0.81)), (14.9375, (3782.5234375, 843990.3174743652))],
+        ("q", "grid", "compared"),
+        [
+            (0.7, (0.49, 1.0), {1: 10, 2: 12, 3: 18}),
+            (3.0, (0.09, 0.81), {1: 11, 2: 14, 3: 22}),
+            (14.9375, (3782.5234375, 843990.3174743652), {1: 11, 2: 14, 3: 22}),
+        ],
         ids=["rounds-to-minus-zero", "rounds-to-zero", "rounds-away-from-zero"],
     )
-    def test_a_bracket_that_rounds_across_zero_is_checked_for_admissibility_only(self, q, grid):
+    def test_a_bracket_that_rounds_across_zero_is_checked_for_admissibility_only(self, q, grid, compared, monkeypatch):
         # pairs (1, 0.49), (0.09, 0.81) and the third grid's two values, psi_b = q^2 psi_a as
         # written: q^2 psi_a - psi_b is exactly -5.3e-17, -8.3e-17 and 0, while the float bracket
         # reads -0.0, 0.0 and 4.9e-13.  The closed form reads the exact zeros, the dense path the
-        # float ones, so those samples check admissibility alone
+        # float ones, so the admissible samples holding such a pair check admissibility alone and
+        # are not counted as cross-checked; every other sample is
+        counts = self._sample_counts(monkeypatch)
         for kind in GateKind:
             rep = discover_constraints(kind, (q,), grid)
-            assert rep.totals["cross_checked"] > 0, kind
+            checked = compared[GateSpec(kind).arity]
+            assert rep.totals["cross_checked"] == checked < counts[-1][0], (kind, counts[-1])
 
     def test_a_nan_dense_residual_still_raises_one_ulp_from_q_equal_one(self, monkeypatch):
         dense = constraints._dense_residuals

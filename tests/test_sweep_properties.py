@@ -109,6 +109,10 @@ _GRID = st.lists(st.one_of(st.just(1.0), st.sampled_from((0.5, 2.0)), st.floats(
 @pytest.mark.parametrize("kind", list(GateKind))
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @hypothesis.given(q=_SWEEP_Q, grid=_GRID)
+# amplitudes that nearly cancel: the dense maxima of cnot and toffoli sit 14 to 30 ulp from the
+# exact gap of their float amplitudes, the closed form's on it
+@hypothesis.example(q=0.5, grid=[3.5, 3.75])
+@hypothesis.example(q=0.5, grid=[1.0, 1.03125])
 def test_blocks_match_the_grid_oracle(kind, q, grid):
     spec = GateSpec(kind, math.pi / 3 if kind is GateKind.PS else 0.0)
     patterns = ordered_patterns(CLAIMS[kind], spec.arity)
@@ -119,7 +123,8 @@ def test_blocks_match_the_grid_oracle(kind, q, grid):
         ((tallies, exemplars, skipped, seen),) = engine_block(spec, (q,), grid, slots, patterns, samples)
         facts = grid_facts(spec, q, rows)
         where = (stratum, q, grid)
-        assert_block_matches((tallies, exemplars, skipped, seen), whole_block(rows, facts, patterns), where)
+        expected = whole_block(rows, facts, patterns)
+        assert_block_matches((tallies, exemplars, skipped, seen), expected, where, (spec, q, rows))
         assert_rows_match(seen, facts, where)
 
 
